@@ -136,17 +136,38 @@ class GammaMuTable:
         return len(self.values)
 
 
-@lru_cache(maxsize=None)
+# Bound for the caches keyed by mu: a sweep over fresh mu must not grow
+# memory without limit.  A full ``muhermite verify`` run holds at most 16
+# keys in any of them.
+MU_CACHE_SIZE = 64
+
+
+def gamma_step(mu, k):
+    """gamma_mu(k) / gamma_mu(k - 1) = k + 2 mu theta(k), for k >= 1.
+
+    ``k`` may be an int or an integer ndarray; ``mu`` a float or, for the
+    monomial rule of the derivative, a Fraction.  Every computing route takes
+    the recursion coefficient from here.  The exact factorial and the
+    expected sides of the checks write it out themselves, so that they stay
+    independent of this function.
+    """
+    return k + 2 * mu * (k % 2)
+
+
+def _bucket(n: int) -> int:
+    # Power-of-two table sizes, so repeated queries share one table.
+    size = 64
+    while size < n:
+        size *= 2
+    return size
+
+
+@lru_cache(maxsize=MU_CACHE_SIZE)
 def _gamma_table_cached(mu: float, size: int) -> GammaMuTable:
-    values = np.empty(size + 1)
-    logs = np.empty(size + 1)
-    values[0] = 1.0
-    logs[0] = 0.0
+    steps = gamma_step(mu, np.arange(1, size + 1))
     with np.errstate(over="ignore"):
-        for n in range(size):
-            step = n + 1 + 2.0 * mu * theta(n + 1)
-            values[n + 1] = values[n] * step
-            logs[n + 1] = logs[n] + math.log(step)
+        values = np.cumprod(np.concatenate(([1.0], steps)))
+    logs = np.cumsum(np.concatenate(([0.0], np.log(steps))))
     values.setflags(write=False)
     logs.setflags(write=False)
     return GammaMuTable(mu=mu, values=values, log_values=logs)
@@ -154,18 +175,21 @@ def _gamma_table_cached(mu: float, size: int) -> GammaMuTable:
 
 def gamma_table(mu, n_max: int) -> GammaMuTable:
     value = as_mu(mu).require_numeric()
-    # Grow in power-of-two buckets so repeated queries share one table.
-    size = 64
-    while size < n_max:
-        size *= 2
-    return _gamma_table_cached(value, size)
+    return _gamma_table_cached(value, _bucket(n_max))
 
 
 def gamma_mu(mu, n: int) -> float:
-    """Generalized factorial gamma_mu(n), floating point."""
+    """Generalized factorial gamma_mu(n), floating point.
+
+    Raises OverflowError past the float64 range (n ~ 170); log_gamma_mu
+    stays finite there.
+    """
     if n < 0:
         raise ValueError("gamma_mu expects n >= 0")
-    return float(gamma_table(mu, n).values[n])
+    value = float(gamma_table(mu, n).values[n])
+    if math.isinf(value):
+        raise OverflowError(f"gamma_mu({as_mu(mu).value:g}, {n}) overflows float64; use log_gamma_mu")
+    return value
 
 
 def log_gamma_mu(mu, n: int) -> float:
@@ -175,12 +199,12 @@ def log_gamma_mu(mu, n: int) -> float:
     return float(gamma_table(mu, n).log_values[n])
 
 
-@lru_cache(maxsize=None)
-def _gamma_exact_cached(mu: Fraction, n: int) -> Fraction:
-    out = Fraction(1)
-    for k in range(n):
-        out *= k + 1 + 2 * mu * theta(k + 1)
-    return out
+@lru_cache(maxsize=MU_CACHE_SIZE)
+def _gamma_exact_table(mu: Fraction, size: int) -> tuple:
+    out = [Fraction(1)]
+    for k in range(size):
+        out.append(out[-1] * (k + 1 + 2 * mu * theta(k + 1)))
+    return tuple(out)
 
 
 def gamma_mu_exact(mu, n: int) -> Fraction:
@@ -188,7 +212,7 @@ def gamma_mu_exact(mu, n: int) -> Fraction:
     if n < 0:
         raise ValueError("gamma_mu_exact expects n >= 0")
     frac = as_mu(mu).require_exact()
-    return _gamma_exact_cached(frac, n)
+    return _gamma_exact_table(frac, _bucket(n))[n]
 
 
 def mu_binomial(mu, n: int, j: int) -> float:

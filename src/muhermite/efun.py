@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_mu, gamma_half, theta
+from .core import as_mu, gamma_half, gamma_step
 
 __all__ = [
     "EvalOptions",
@@ -63,7 +63,7 @@ def _series_scalar(mu: float, z, opts: EvalOptions):
     acc = term
     small_streak = 0
     for m in range(1, opts.max_terms + 1):
-        term = term * z / (m + 2.0 * mu * theta(m))
+        term = term * z / gamma_step(mu, m)
         acc += term
         if abs(term) <= opts.rel_tol * (abs(acc) + 1e-300):
             small_streak += 1
@@ -82,7 +82,7 @@ def _series_array(mu: float, z: np.ndarray, opts: EvalOptions) -> np.ndarray:
     acc = term.copy()
     streak = 0
     for m in range(1, opts.max_terms + 1):
-        term = term * z / (m + 2.0 * mu * theta(m))
+        term = term * z / gamma_step(mu, m)
         acc += term
         if np.all(np.abs(term) <= opts.rel_tol * (np.abs(acc) + 1e-300)):
             streak += 1
@@ -106,7 +106,7 @@ def _parity_split(mu: float, x: float, opts: EvalOptions):
             even += term
         else:
             odd += term
-        nxt = term * x / (m + 1 + 2.0 * mu * theta(m + 1))
+        nxt = term * x / gamma_step(mu, m + 1)
         if nxt <= opts.rel_tol * (even + odd) and m > x:
             return even, odd
         term = nxt

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import as_mu, gamma_mu_exact
-from .hermite import binomial_poly, hermite_coeffs, dunkl_definition, inversion_expand
+from .hermite import binomial_poly, dunkl_definition, factorials, hermite_coeffs, inversion_expand
 from .poly import BivariatePoly, DensePoly, fraction_str
 
 __all__ = ["IDENTITY_TAGS", "IdentityReport", "identity_sides", "verify_identity"]
@@ -30,13 +30,6 @@ __all__ = ["IDENTITY_TAGS", "IdentityReport", "identity_sides", "verify_identity
 
 def _hermite(mu: Fraction, n: int) -> DensePoly:
     return hermite_coeffs(mu, n, exact=True)
-
-
-def _fact(n: int) -> Fraction:
-    out = Fraction(1)
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def _dunkl_power(mu: Fraction, p: DensePoly, j: int) -> DensePoly:
@@ -99,7 +92,7 @@ def _sides_rodrigues(mu: Fraction, n: int):
     for _ in range(n):
         p = dunkl_definition(mu, p) - p.shift_up(1).scale(Fraction(2))
     lhs = p.scale(Fraction((-1) ** n))
-    rhs = _hermite(mu, n).scale(gamma_mu_exact(mu, n) / _fact(n))
+    rhs = _hermite(mu, n).scale(gamma_mu_exact(mu, n) / factorials(n, True)[n])
     return [("", lhs, rhs)]
 
 
@@ -107,7 +100,7 @@ def _sides_iterated_raising(mu: Fraction, n: int):
     q = DensePoly.from_coeffs([Fraction(1)])
     for _ in range(n):
         q = q.shift_up(1).scale(Fraction(2)) - dunkl_definition(mu, q)
-    rhs = _hermite(mu, n).scale(gamma_mu_exact(mu, n) / _fact(n))
+    rhs = _hermite(mu, n).scale(gamma_mu_exact(mu, n) / factorials(n, True)[n])
     return [("", q, rhs)]
 
 
@@ -120,14 +113,15 @@ def _sides_inversion(mu: Fraction, n: int):
 def _sides_generating(mu: Fraction, n: int):
     # Coefficient of z^n in exp(-z^2) * e_mu(2 x z), by Cauchy product of the
     # two series, against H_n / n! from the closed-form coefficients.
+    fact = factorials(n, True)
     lhs = DensePoly.zero()
     sign = Fraction(1)
     for j in range(n // 2 + 1):
         m = n - 2 * j
         term = DensePoly.monomial(m, Fraction(2) ** m / gamma_mu_exact(mu, m))
-        lhs = lhs + term.scale(sign / _fact(j))
+        lhs = lhs + term.scale(sign / fact[j])
         sign = -sign
-    rhs = _hermite(mu, n).scale(1 / _fact(n))
+    rhs = _hermite(mu, n).scale(1 / fact[n])
     return [("", lhs, rhs)]
 
 
@@ -150,16 +144,17 @@ def _sides_heat_monomial(mu: Fraction, n: int):
     # Flow form: exp(-y^2 D^2) x^n, summed term by term with the
     # derivative-based D, against the Hermite substitution
     # (gamma_mu(n)/n!) y^n H_n(x/(2y); mu) expanded as a polynomial in x, y.
+    fact = factorials(n, True)
     q = DensePoly.monomial(n, Fraction(1))
     flow = BivariatePoly.zero()
     series = BivariatePoly.zero()
     sign = Fraction(1)
     for k in range(n // 2 + 1):
-        flow = flow + BivariatePoly.from_x_poly(q.scale(sign / _fact(k)), y_power=2 * k)
-        series = series + BivariatePoly.from_x_poly(q.scale(1 / _fact(k)), y_power=k)
+        flow = flow + BivariatePoly.from_x_poly(q.scale(sign / fact[k]), y_power=2 * k)
+        series = series + BivariatePoly.from_x_poly(q.scale(1 / fact[k]), y_power=k)
         q = dunkl_definition(mu, dunkl_definition(mu, q))
         sign = -sign
-    scale = gamma_mu_exact(mu, n) / _fact(n)
+    scale = gamma_mu_exact(mu, n) / fact[n]
     subst = {}
     for m, c in enumerate(_hermite(mu, n).coeffs):
         if c != 0:
@@ -167,7 +162,7 @@ def _sides_heat_monomial(mu: Fraction, n: int):
     closed = {}
     gam = [gamma_mu_exact(mu, m) for m in range(n + 1)]
     for k in range(n // 2 + 1):
-        closed[(n - 2 * k, k)] = gam[n] / (_fact(k) * gam[n - 2 * k])
+        closed[(n - 2 * k, k)] = gam[n] / (fact[k] * gam[n - 2 * k])
     return [
         ("flow", flow, BivariatePoly.from_dict(subst)),
         ("series", series, BivariatePoly.from_dict(closed)),

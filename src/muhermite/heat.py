@@ -1,4 +1,4 @@
-"""The deformed heat semigroup: kernel, closed forms, polynomials, PDE checks.
+"""The deformed heat semigroup: kernel, closed forms, spectral matrix, PDE checks.
 
 Three independent realizations of T(t) = exp(t D^2), with D the Dunkl
 derivative, are kept first-class and cross-checked:
@@ -7,7 +7,9 @@ derivative, are kept first-class and cross-checked:
   * Gaussian closed form  -- the semigroup maps the two-parameter family
                              e^(-alpha x^2) e(2 z x; mu) onto itself,
   * spectral              -- exp(-t P^2) as a matrix on the eigenfunction
-                             basis, P the momentum matrix.
+                             basis, P the momentum matrix, formed from
+                             the eigendecomposition of each parity block
+                             of the symmetric P^2.
 
 Time convention trap: the closed-form map is classically stated in a
 time variable equal to 4x the semigroup time.  Every public operation
@@ -15,7 +17,7 @@ here takes semigroup time t (the t of exp(t D^2)); the substitution
 happens internally, once, in heat_gaussian_params.
 
 On polynomials the semigroup is the finite sum exp(t D^2) x^n
-(heat_on_monomial); its t-derivative equals D^2 applied to it, exactly,
+(hermite.heat_poly); its t-derivative equals D^2 applied to it, exactly,
 which the rational-arithmetic identity suite certifies.
 """
 
@@ -26,32 +28,20 @@ import math
 import numpy as np
 
 from .core import as_mu
-from .efun import EvalOptions, e_mu, heat_kernel
-from .hermite import heat_poly
-from .poly import DensePoly
+from .efun import EvalOptions, e_mu
 from .quadrature import gauss_hermite_mu
 from .transform import operator_matrix
 
 __all__ = [
-    "heat_on_monomial",
     "heat_gaussian_params",
     "heat_gaussian",
     "heat_odd_gaussian",
     "heat_apply_kernel",
     "heat_pde_residual",
-    "expm_symmetric",
     "heat_spectral_matrix",
 ]
 
 _KERNEL_OPTIONS = EvalOptions(max_terms=2000)
-
-
-def heat_on_monomial(mu, n: int, t, *, exact: bool = False) -> DensePoly:
-    """exp(t D^2) x^n: a polynomial in x whose coefficients are polynomials in t.
-
-    At t = 0 this is x^n; at mu = 0, n = 2 it is the classical x^2 + 2t.
-    """
-    return heat_poly(mu, n, t, exact=exact)
 
 
 def heat_gaussian_params(mu, alpha, z, t: float):
@@ -184,30 +174,6 @@ def heat_pde_residual(
     return abs(pt - rhs)
 
 
-def expm_symmetric(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a real symmetric matrix by scaling and squaring.
-
-    The scaled matrix (norm <= 1/2) is exponentiated by a Taylor sum to
-    machine precision, then repeatedly squared.
-    """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("expm_symmetric needs a square matrix")
-    norm = float(np.linalg.norm(m, 1))
-    squarings = max(0, int(math.ceil(math.log2(norm / 0.5))) if norm > 0.5 else 0)
-    a = m / (2.0**squarings)
-    out = np.eye(m.shape[0])
-    term = np.eye(m.shape[0])
-    for k in range(1, 24):
-        term = term @ a / k
-        out = out + term
-        if float(np.max(np.abs(term))) < 1e-18:
-            break
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
 def heat_spectral_matrix(mu, t: float, size: int) -> np.ndarray:
     """exp(-t P^2) on the truncated eigenfunction basis (real symmetric).
 
@@ -219,4 +185,10 @@ def heat_spectral_matrix(mu, t: float, size: int) -> np.ndarray:
         raise ValueError("semigroup time must be nonnegative")
     p = operator_matrix(value, "P", size).matrix
     p2 = (p @ p).real
-    return expm_symmetric(-t * p2)
+    # P^2 commutes with parity, so each parity block is diagonalized on its
+    # own and the entries that couple even to odd indices stay exactly zero.
+    out = np.zeros_like(p2)
+    for r in (0, 1):
+        lam, vecs = np.linalg.eigh(p2[r::2, r::2])
+        out[r::2, r::2] = (vecs * np.exp(-t * lam)) @ vecs.T
+    return out

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import as_mu, gamma_mu, gamma_mu_exact, gamma_table, mu_binomial, mu_binomial_exact, theta
+from .core import as_mu, gamma_mu_exact, gamma_step, gamma_table, mu_binomial, mu_binomial_exact
 from .poly import BivariatePoly, DensePoly
 
 __all__ = [
@@ -41,7 +41,8 @@ __all__ = [
 ]
 
 
-def _factorials(n: int, exact: bool):
+def factorials(n: int, exact: bool) -> list:
+    """0!, 1!, ..., n! as Fractions (exact) or floats."""
     out = [Fraction(1) if exact else 1.0]
     for k in range(1, n + 1):
         out.append(out[-1] * k)
@@ -53,7 +54,7 @@ def hermite_coeffs(mu, n: int, *, exact: bool = False) -> DensePoly:
     if n < 0:
         raise ValueError("polynomial degree must be nonnegative")
     param = as_mu(mu)
-    fact = _factorials(n, exact)
+    fact = factorials(n, exact)
     if exact:
         frac = param.require_exact()
         gam = [gamma_mu_exact(frac, m) for m in range(n + 1)]
@@ -83,10 +84,9 @@ def hermite_eval(mu, n: int, x):
     h_prev = x * 0 + 1.0 if isinstance(x, np.ndarray) else 1.0
     if n == 0:
         return h_prev
-    h_cur = 2.0 * x / (1.0 + 2.0 * value)
+    h_cur = 2.0 * x / gamma_step(value, 1)
     for k in range(1, n):
-        step = k + 1 + 2.0 * value * theta(k + 1)
-        h_next = (k + 1) / step * (2.0 * x * h_cur - 2.0 * k * h_prev)
+        h_next = (k + 1) / gamma_step(value, k + 1) * (2.0 * x * h_cur - 2.0 * k * h_prev)
         h_prev, h_cur = h_cur, h_next
     return h_cur
 
@@ -111,7 +111,7 @@ def dunkl_apply(mu, p: DensePoly) -> DensePoly:
     for k, c in enumerate(p.coeffs):
         if k == 0 or c == 0:
             continue
-        out[k - 1] = c * (k + 2 * m * theta(k))
+        out[k - 1] = c * gamma_step(m, k)
     return DensePoly.from_coeffs(out)
 
 
@@ -144,7 +144,7 @@ def inversion_weights(n: int, *, exact: bool = False) -> list:
     """
     if n < 0:
         raise ValueError("monomial degree must be nonnegative")
-    fact = _factorials(n, exact)
+    fact = factorials(n, exact)
     one = Fraction(1) if exact else 1.0
     return [one / (fact[k] * fact[n - 2 * k]) for k in range(n // 2 + 1)]
 
@@ -185,7 +185,7 @@ def heat_poly(mu, n: int, t, *, exact: bool = False) -> DensePoly:
     if n < 0:
         raise ValueError("monomial degree must be nonnegative")
     param = as_mu(mu)
-    fact = _factorials(n, exact)
+    fact = factorials(n, exact)
     if exact:
         frac = param.require_exact()
         gam = [gamma_mu_exact(frac, m) for m in range(n + 1)]

@@ -1,24 +1,24 @@
-"""Gauss rules for the deformed measures.
+"""Gauss rules for the deformed measures, and the recurrence behind them.
 
 Two families are exposed:
 
 * ``gauss_hermite_mu``: nodes/weights for |x|^(2 mu) e^(-x^2) dx on the
-  line.  The monic orthogonal recursion for this weight has zero
-  diagonal and off-diagonal coefficients b_k = (k + 2 mu theta(k)) / 2,
-  so nodes are eigenvalues of the symmetric tridiagonal Jacobi matrix
-  with off-diagonals sqrt(b_k) and weights are Gamma(mu + 1/2) times the
-  squared first eigenvector components.
+  line.  The orthonormal recursion for this weight has zero diagonal
+  and off-diagonal coefficients sqrt(b_k), b_k = (k + 2 mu theta(k)) / 2.
 
 * ``gauss_alpha_mu``: the probability measure on (-1, 1) with density
   (1 - t)^(mu - 1) (1 + t)^mu / B(1/2, mu), mu > 0, which is the
   averaging measure behind the generalized translation.  This is a
   Jacobi weight; its n-th moment is n! / gamma_mu(n).
 
-The symmetric tridiagonal eigenproblem is solved in-repo by an
-implicit-shift QL iteration that carries only the first eigenvector
-component (all the Gauss weight needs), keeping the module free of any
-external linear-algebra dependency and cheap at the sizes used here
-(N <= 256).
+Both are built the same way (Golub-Welsch; Gautschi 2004): the nodes
+are the eigenvalues of the symmetric tridiagonal Jacobi matrix, from
+numpy's ``eigvalsh``, each polished by one Newton step on p_n; the
+weights are the Christoffel numbers 1 / sum_{k<n} p_k(x_j)^2, scaled to
+the exact mass.  Every p_k comes from ``_recurrence_table``, the same
+evaluator that tabulates the eigenfunctions in ``transform``.  Weights
+are never read off eigenvectors: the tiny outer weights (~1e-210 at
+n = 256) would lose their relative accuracy.
 """
 
 from __future__ import annotations
@@ -30,9 +30,50 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import as_mu, beta_function, gamma_half, theta
+from .core import MU_CACHE_SIZE, as_mu, beta_function, gamma_half, gamma_step
 
 __all__ = ["QuadratureRule", "gauss_hermite_mu", "gauss_alpha_mu", "jacobi_rule"]
+
+
+def _recurrence_table(diag, off, mass: float, x) -> np.ndarray:
+    """Orthonormal polynomials p_0..p_m at every x, m = len(off).
+
+    The recursion is x p_k = off[k] p_{k+1} + diag[k] p_k + off[k-1] p_{k-1}
+    with p_0 = mass^(-1/2); ``diag`` needs at least len(off) entries.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    m = len(off)
+    out = np.empty((m + 1, x.size))
+    out[0] = 1.0 / math.sqrt(mass)
+    if m >= 1:
+        out[1] = (x - diag[0]) * out[0] / off[0]
+    for k in range(1, m):
+        out[k + 1] = ((x - diag[k]) * out[k] - off[k - 1] * out[k - 1]) / off[k]
+    return out
+
+
+def _gauss_rule(diag: np.ndarray, off: np.ndarray):
+    """Unit-mass Gauss rule of size n = len(diag).
+
+    ``off`` carries n entries; the last one enters only p_n, for the
+    Newton step, and not the Jacobi matrix.
+    """
+    n = len(diag)
+    jacobi = np.zeros((n, n))
+    jacobi.flat[:: n + 1] = diag
+    jacobi.flat[n :: n + 1] = off[: n - 1]  # lower triangle, which eigvalsh reads
+    nodes = np.linalg.eigvalsh(jacobi)
+    # Each n x n buffer is released before the next is made: in a sweep over
+    # fresh mu this transient sets the peak memory.
+    del jacobi
+    # Christoffel-Darboux: p_n' p_{n-1} = sum_{k<n} p_k^2 / off[n-1] at a zero of p_n.
+    table = _recurrence_table(diag, off, 1.0, nodes)
+    christoffel = np.einsum("kj,kj->j", table[:n], table[:n])
+    nodes = nodes - off[n - 1] * table[n] * table[n - 1] / christoffel
+    del table
+    table = _recurrence_table(diag, off[: n - 1], 1.0, nodes)
+    weights = 1.0 / np.einsum("kj,kj->j", table, table)
+    return nodes, weights / weights.sum()
 
 
 @dataclass(frozen=True)
@@ -66,77 +107,15 @@ class QuadratureRule:
         return buf.getvalue()
 
 
-def _tridiag_eigen_first(diag: np.ndarray, off: np.ndarray):
-    """Eigenvalues (ascending) and first eigenvector components of a
-    symmetric tridiagonal matrix, by implicit-shift QL with the rotation
-    chain applied to the first identity row only.
-    """
-    d = np.array(diag, dtype=float)
-    n = d.size
-    e = np.zeros(n)
-    e[: n - 1] = off
-    z = np.zeros(n)
-    z[0] = 1.0
-    eps = np.finfo(float).eps
-    for l in range(n):
-        iterations = 0
-        while True:
-            m = l
-            while m < n - 1:
-                if abs(e[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
-                    break
-                m += 1
-            if m == l:
-                break
-            iterations += 1
-            if iterations > 50:
-                raise RuntimeError("tridiagonal QL iteration failed to converge")
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                f = z[i + 1]
-                z[i + 1] = s * z[i] + c * f
-                z[i] = c * z[i] - s * f
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    order = np.argsort(d, kind="stable")
-    return d[order], z[order]
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MU_CACHE_SIZE)
 def _hermite_rule_cached(mu: float, n: int) -> QuadratureRule:
-    ks = np.arange(1, n, dtype=float)
-    off = np.sqrt((ks + 2.0 * mu * (ks % 2)) / 2.0)
-    nodes, first = _tridiag_eigen_first(np.zeros(n), off)
+    off = np.sqrt(gamma_step(mu, np.arange(1, n + 1)) / 2.0)
+    nodes, weights = _gauss_rule(np.zeros(n), off)
     mass = gamma_half(mu)
-    weights = mass * first**2
     # The spectrum is symmetric; rounding breaks the symmetry at ~1 ulp,
     # so fold the rule onto its mirror image.
     nodes = 0.5 * (nodes - nodes[::-1])
-    weights = 0.5 * (weights + weights[::-1])
+    weights = mass * 0.5 * (weights + weights[::-1])
     return QuadratureRule(nodes, weights, 2 * n - 1, "hermite_mu", mass)
 
 
@@ -168,14 +147,13 @@ def _jacobi_coefficients(a: float, b: float, n: int):
     return alpha, beta
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=MU_CACHE_SIZE)
 def _jacobi_rule_cached(a: float, b: float, n: int, normalized: bool) -> QuadratureRule:
-    alpha, beta = _jacobi_coefficients(a, b, n)
-    nodes, first = _tridiag_eigen_first(alpha, np.sqrt(beta[1:n]))
+    alpha, beta = _jacobi_coefficients(a, b, n + 1)
+    nodes, weights = _gauss_rule(alpha[:n], np.sqrt(beta[1:]))
     mass = 1.0 if normalized else beta[0]
-    weights = mass * first**2
     name = "alpha_mu" if normalized else "jacobi"
-    return QuadratureRule(nodes, weights, 2 * n - 1, name, mass)
+    return QuadratureRule(nodes, mass * weights, 2 * n - 1, name, mass)
 
 
 def jacobi_rule(a: float, b: float, n: int) -> QuadratureRule:

@@ -32,11 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_mu, gamma_half, gamma_mu, log_gamma_mu, theta
+from .core import as_mu, gamma_half, gamma_mu, gamma_step, log_gamma_mu
 from .efun import EvalOptions, e_mu
 from .hermite import hermite_coeffs, hermite_eval
 from .poly import DensePoly
-from .quadrature import gauss_alpha_mu, gauss_hermite_mu
+from .quadrature import _recurrence_table, gauss_alpha_mu, gauss_hermite_mu
 
 __all__ = [
     "SpectralVector",
@@ -101,15 +101,8 @@ class OperatorMatrix:
 def phi_poly_table(mu, n_max: int, x: np.ndarray) -> np.ndarray:
     """Polynomial factors phi_n(x) e^(x^2/2), n = 0..n_max, all x at once."""
     value = as_mu(mu).require_numeric()
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((n_max + 1, x.size))
-    out[0] = 1.0 / math.sqrt(gamma_half(value))
-    if n_max >= 1:
-        b = [0.0] + [(k + 2.0 * value * theta(k)) / 2.0 for k in range(1, n_max + 1)]
-        out[1] = x * out[0] / math.sqrt(b[1])
-        for n in range(1, n_max):
-            out[n + 1] = (x * out[n] - math.sqrt(b[n]) * out[n - 1]) / math.sqrt(b[n + 1])
-    return out
+    off = np.sqrt(gamma_step(value, np.arange(1, n_max + 1)) / 2.0)
+    return _recurrence_table(np.zeros(n_max), off, gamma_half(value), x)
 
 
 def phi_eval(mu, n: int, x):
@@ -345,9 +338,8 @@ def operator_matrix(mu, kind: str, size: int) -> OperatorMatrix:
     value = as_mu(mu).require_numeric()
     if size < 2:
         raise ValueError("operator matrices need size >= 2")
-    n = np.arange(1, size)
     # A phi_n = sqrt(gamma(n)/gamma(n-1)) phi_{n-1} = sqrt(n + 2 mu theta(n)) phi_{n-1}
-    lower = np.sqrt(n + 2.0 * value * (n % 2))
+    lower = np.sqrt(gamma_step(value, np.arange(1, size)))
     if kind == "A":
         m = np.diag(lower, k=1).astype(complex)
     elif kind == "Adag":

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import oscillator as osc
-from .core import as_mu, gamma_half, gamma_mu, gamma_mu_exact
+from .core import gamma_half, gamma_mu, gamma_mu_exact
 from .efun import e_mu, mehler_rhs
 from .exact import IDENTITY_TAGS, verify_identity
 from .heat import (
@@ -26,11 +26,10 @@ from .heat import (
     heat_gaussian,
     heat_gaussian_params,
     heat_odd_gaussian,
-    heat_on_monomial,
     heat_pde_residual,
     heat_spectral_matrix,
 )
-from .hermite import hermite_coeffs, hermite_eval
+from .hermite import heat_poly, hermite_coeffs, hermite_eval
 from .poly import DensePoly
 from .quadrature import gauss_alpha_mu, gauss_hermite_mu
 from .translate import (
@@ -403,7 +402,7 @@ def criterion_classical_reduction() -> CriterionResult:
     efun_ok = efun_defect < 1e-13
     notes.append(f"exponential defect {efun_defect:.1e}")
     t = Fraction(1, 3)
-    flowed = heat_on_monomial(Fraction(0), 4, t, exact=True)
+    flowed = heat_poly(Fraction(0), 4, t, exact=True)
     classic = DensePoly.from_coeffs((12 * t * t, Fraction(0), 12 * t, Fraction(0), Fraction(1)))
     heat_ok = flowed == classic
     notes.append("heat flow classical" if heat_ok else "HEAT MISMATCH")

@@ -42,6 +42,12 @@ def test_gamma_float_mu(capsys):
     assert float(out) == pytest.approx(3.0)  # 2 * (1 + 2 mu)
 
 
+def test_gamma_overflow_exits_two(capsys):
+    code, out, err = run(capsys, "gamma", "--mu", "0.5", "--n", "200")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "log_gamma_mu" in err
+
+
 def test_domain_guard_exits_two(capsys):
     code, _, err = run(capsys, "gamma", "--mu", "-0.75", "--n", "2")
     assert code == 2

@@ -103,6 +103,11 @@ class TestGammaMu:
         assert_allclose(t.values[:11], [gamma_mu(0.5, n) for n in range(11)], rtol=1e-14)
         assert_allclose(t.log_values[1:11], np.log(t.values[1:11]), rtol=1e-13)
 
+    def test_overflow_raises_and_log_stays_finite(self):
+        with pytest.raises(OverflowError, match="log_gamma_mu"):
+            gamma_mu(0.5, 200)
+        assert math.isfinite(log_gamma_mu(0.5, 200))
+
     @given(st.integers(min_value=0, max_value=30))
     def test_positive_and_increasing_from_one(self, n):
         g = gamma_mu(0.9, n)
@@ -133,3 +138,17 @@ def test_gamma_half_and_beta():
     assert_allclose(gamma_half(0.0), math.sqrt(math.pi), rtol=1e-15)
     assert_allclose(gamma_half(0.5), 1.0, rtol=1e-15)
     assert_allclose(beta_function(2.5, 1.5), math.gamma(2.5) * math.gamma(1.5) / math.gamma(4.0), rtol=1e-13)
+
+
+def test_mu_caches_stay_bounded():
+    from muhermite.core import MU_CACHE_SIZE, _gamma_exact_table, _gamma_table_cached
+    from muhermite.quadrature import _hermite_rule_cached, _jacobi_rule_cached, gauss_alpha_mu, gauss_hermite_mu
+
+    for k in range(300):
+        mu = 0.1 + k / 128.0
+        gamma_table(mu, 10)
+        gauss_hermite_mu(mu, 4)
+        gauss_alpha_mu(mu, 4)
+        gamma_mu_exact(Fraction(k, 7), 3)
+    for cached in (_gamma_table_cached, _gamma_exact_table, _hermite_rule_cached, _jacobi_rule_cached):
+        assert 0 < cached.cache_info().currsize <= MU_CACHE_SIZE

@@ -4,42 +4,42 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 from muhermite.core import gamma_mu_exact
 from muhermite.heat import (
-    expm_symmetric,
     heat_apply_kernel,
     heat_gaussian,
     heat_gaussian_params,
     heat_odd_gaussian,
-    heat_on_monomial,
     heat_pde_residual,
     heat_spectral_matrix,
 )
+from muhermite.hermite import heat_poly
 from muhermite.transform import SpectralVector, expand, operator_matrix, synthesize
 
 
 class TestHeatOnMonomial:
     def test_classical_values(self):
         # mu = 0: x^2 -> x^2 + 2t, x^4 -> x^4 + 12 t x^2 + 12 t^2
-        two = heat_on_monomial(Fraction(0), 2, Fraction(1, 3), exact=True)
+        two = heat_poly(Fraction(0), 2, Fraction(1, 3), exact=True)
         assert two.coeffs == (Fraction(2, 3), 0, 1)
-        four = heat_on_monomial(Fraction(0), 4, Fraction(1, 3), exact=True)
+        four = heat_poly(Fraction(0), 4, Fraction(1, 3), exact=True)
         assert four.coeffs == (Fraction(12, 9), 0, 4, 0, 1)
 
     def test_deformed_quadratic(self):
         mu = Fraction(1, 3)
-        got = heat_on_monomial(mu, 2, Fraction(1), exact=True)
+        got = heat_poly(mu, 2, Fraction(1), exact=True)
         # D^2 x^2 = gamma(2)/gamma(0) = 2 (1 + 2 mu)
         assert got.coeffs == (2 * (1 + 2 * mu), 0, 1)
 
     def test_time_zero_is_identity(self):
-        got = heat_on_monomial(Fraction(2, 5), 6, Fraction(0), exact=True)
+        got = heat_poly(Fraction(2, 5), 6, Fraction(0), exact=True)
         assert got.coeffs == (0, 0, 0, 0, 0, 0, 1)
 
     def test_float_route_matches_exact(self):
-        ex = heat_on_monomial(Fraction(3, 4), 7, Fraction(2, 5), exact=True)
-        fl = heat_on_monomial(0.75, 7, 0.4)
+        ex = heat_poly(Fraction(3, 4), 7, Fraction(2, 5), exact=True)
+        fl = heat_poly(0.75, 7, 0.4)
         assert ex.as_float().max_abs_diff(fl) < 1e-12
 
 
@@ -122,17 +122,8 @@ class TestPdeResidual:
             heat_pde_residual(0.5, "even", 1e-5, 1.0)
 
 
-def test_expm_symmetric_matches_eigen_route():
-    rng = np.random.default_rng(42)
-    b = rng.normal(size=(6, 6))
-    m = 0.5 * (b + b.T)
-    w, v = np.linalg.eigh(m)
-    want = (v * np.exp(w)) @ v.T
-    assert_allclose(expm_symmetric(m), want, rtol=1e-12, atol=1e-12)
-
-
 def test_spectral_matrix_is_heat_of_momentum_square():
     mu, t, size = 0.5, 0.4, 12
     p = operator_matrix(mu, "P", size).matrix
     m = (p @ p).real
-    assert_allclose(heat_spectral_matrix(mu, t, size), expm_symmetric(-t * m), rtol=1e-13)
+    assert_allclose(heat_spectral_matrix(mu, t, size), expm(-t * m), rtol=1e-13)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import roots_jacobi
+from scipy.special import roots_genlaguerre, roots_jacobi
 
 from muhermite.core import alpha_mu_moment, gamma_half, gamma_mu
 from muhermite.quadrature import gauss_alpha_mu, gauss_hermite_mu, jacobi_rule
@@ -58,12 +58,27 @@ class TestGaussHermiteMu:
         float(node), float(weight)  # parses
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.5, -0.25])
+def test_full_size_rule_matches_scipy_laguerre(mu):
+    # x -> x^2 folds the symmetric 2m-node rule onto the generalized
+    # Laguerre weight t^(mu - 1/2) e^(-t), halving each weight.  The outer
+    # weights are ~1e-210, so the entrywise rtol pins their relative accuracy.
+    rule = gauss_hermite_mu(mu, 256)
+    t, w = roots_genlaguerre(128, mu - 0.5)
+    root = np.sqrt(t)
+    assert_allclose(rule.nodes, np.concatenate((-root[::-1], root)), rtol=1e-10)
+    assert_allclose(rule.weights, 0.5 * np.concatenate((w[::-1], w)), rtol=1e-10)
+    assert rule.weights.min() < 1e-200
+
+
 def test_jacobi_rule_matches_scipy():
-    a, b, n = 1.3, 0.4, 15
-    rule = jacobi_rule(a, b, n)
-    ref_x, ref_w = roots_jacobi(n, a, b)
-    assert_allclose(rule.nodes, ref_x, rtol=1e-11, atol=1e-12)
-    assert_allclose(rule.weights, ref_w, rtol=1e-10, atol=1e-14)
+    # The second case is the rule translate_xi uses, (mu - 1, mu) at a small
+    # mu, with the strongly singular endpoint t = 1.
+    for a, b, n in ((1.3, 0.4, 15), (0.15 - 1.0, 0.15, 80)):
+        rule = jacobi_rule(a, b, n)
+        ref_x, ref_w = roots_jacobi(n, a, b)
+        assert_allclose(rule.nodes, ref_x, rtol=1e-11, atol=1e-12)
+        assert_allclose(rule.weights, ref_w, rtol=1e-10, atol=1e-14)
 
 
 def test_jacobi_rule_parameter_guard():
