@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .core import as_mu
-from .efun import EvalOptions, e_mu
+from .efun import e_mu
 from .quadrature import gauss_hermite_mu
 from .transform import operator_matrix
 
@@ -40,8 +40,6 @@ __all__ = [
     "heat_pde_residual",
     "heat_spectral_matrix",
 ]
-
-_KERNEL_OPTIONS = EvalOptions(max_terms=2000)
 
 
 def heat_gaussian_params(mu, alpha, z, t: float):
@@ -69,12 +67,12 @@ def heat_gaussian_params(mu, alpha, z, t: float):
     return pref, alpha / u, z / u
 
 
-def heat_gaussian(mu, alpha, z, t: float, x, options: EvalOptions | None = None):
+def heat_gaussian(mu, alpha, z, t: float, x):
     """T(t) of e^(-alpha x^2) e(2 z x; mu), evaluated at x (scalar or array)."""
     value = as_mu(mu).require_numeric()
     pref, ap, zp = heat_gaussian_params(value, alpha, z, t)
     xa = np.asarray(x, dtype=float)
-    out = pref * np.exp(-ap * xa * xa) * e_mu(value, 2.0 * zp * xa, options)
+    out = pref * np.exp(-ap * xa * xa) * e_mu(value, 2.0 * zp * xa)
     if np.isscalar(x):
         return complex(out) if np.iscomplexobj(np.asarray(out)) else float(out)
     return out
@@ -115,7 +113,7 @@ def heat_apply_kernel(mu, f, t: float, x, *, quad_n: int = 96):
     rule = gauss_hermite_mu(value, quad_n)
     st = math.sqrt(t)
     fvals = np.asarray(f(2.0 * st * rule.nodes), dtype=float)
-    kern = e_mu(value, np.outer(xa, rule.nodes) / st, _KERNEL_OPTIONS)
+    kern = e_mu(value, np.outer(xa, rule.nodes) / st)
     mass = rule.mass  # Gamma(mu + 1/2)
     vals = np.exp(-xa * xa / (4.0 * t)) / mass * (kern @ (rule.weights * fvals))
     return float(vals[0]) if scalar else vals

@@ -21,6 +21,7 @@ All constructors here are field-generic: with a rational mu and
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -49,8 +50,17 @@ def factorials(n: int, exact: bool) -> list:
     return out
 
 
+def _finite_poly(coeffs: list, exact: bool, what: str) -> DensePoly:
+    if not exact and not all(math.isfinite(c) for c in coeffs):
+        raise OverflowError(f"{what} overflows float64; use exact=True with a rational mu")
+    return DensePoly.from_coeffs(coeffs)
+
+
 def hermite_coeffs(mu, n: int, *, exact: bool = False) -> DensePoly:
-    """Coefficient vector of H_n(x; mu) from the explicit sum."""
+    """Coefficient vector of H_n(x; mu) from the explicit sum.
+
+    The float path raises OverflowError from n = 151 on.
+    """
     if n < 0:
         raise ValueError("polynomial degree must be nonnegative")
     param = as_mu(mu)
@@ -65,11 +75,12 @@ def hermite_coeffs(mu, n: int, *, exact: bool = False) -> DensePoly:
         two = 2.0
     coeffs = [0 * two] * (n + 1)
     sign = 1
-    for k in range(n // 2 + 1):
-        m = n - 2 * k
-        coeffs[m] = sign * fact[n] * two**m / (fact[k] * gam[m])
-        sign = -sign
-    return DensePoly.from_coeffs(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n // 2 + 1):
+            m = n - 2 * k
+            coeffs[m] = sign * fact[n] * two**m / (fact[k] * gam[m])
+            sign = -sign
+    return _finite_poly(coeffs, exact, f"H_{n}")
 
 
 def hermite_eval(mu, n: int, x):
@@ -181,6 +192,7 @@ def heat_poly(mu, n: int, t, *, exact: bool = False) -> DensePoly:
     gamma_mu(n) sum_k x^(n-2k) t^k / (k! gamma_mu(n-2k)).
 
     At mu = 0 these are the classical heat polynomials (x^2 + 2t, ...).
+    The float path raises OverflowError once gamma_mu(n) does (n ~ 170).
     """
     if n < 0:
         raise ValueError("monomial degree must be nonnegative")
@@ -196,8 +208,9 @@ def heat_poly(mu, n: int, t, *, exact: bool = False) -> DensePoly:
         t = float(t)
     coeffs = [0 * gam[0]] * (n + 1)
     tk = t**0
-    for k in range(n // 2 + 1):
-        m = n - 2 * k
-        coeffs[m] = gam[n] * tk / (fact[k] * gam[m])
-        tk = tk * t
-    return DensePoly.from_coeffs(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n // 2 + 1):
+            m = n - 2 * k
+            coeffs[m] = gam[n] * tk / (fact[k] * gam[m])
+            tk = tk * t
+    return _finite_poly(coeffs, exact, f"heat_poly of degree {n}")

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_mu, gamma_half, gamma_mu, gamma_step, log_gamma_mu
-from .efun import EvalOptions, e_mu
+from .efun import _averaging_integral, e_mu
 from .hermite import hermite_coeffs, hermite_eval
 from .poly import DensePoly
-from .quadrature import _recurrence_table, gauss_alpha_mu, gauss_hermite_mu
+from .quadrature import _recurrence_table, gauss_hermite_mu
 
 __all__ = [
     "SpectralVector",
@@ -205,22 +205,20 @@ def fourier_spectral(vec: SpectralVector) -> SpectralVector:
     )
 
 
-def _kernel_matrix(value: float, x: np.ndarray, t: np.ndarray, options) -> np.ndarray:
+def _kernel_matrix(value: float, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     """e(-i x_a t_i; mu) as a matrix, choosing a route that stays accurate.
 
     The power series for imaginary arguments carries absolute error
     ~eps * e^|z|, harmless while |z| <= 30.  Beyond that, mu = 0 is
-    exactly exp(-ixt) and mu > 0 has the bounded averaging-measure form
-    e(-iz) = sum_j v_j exp(-i z tau_j) with tau_j in (-1, 1).
+    exactly exp(-ixt) and mu > 0 goes through the bounded
+    averaging-measure integral.
     """
     z = np.outer(x, t)
-    big = float(np.max(np.abs(z), initial=0.0))
     if value == 0.0:
         return np.exp(-1j * z)
-    if big <= 30.0 or value < 0.0:
-        return e_mu(value, -1j * z, options)
-    inner = gauss_alpha_mu(value, 192)
-    return np.exp(-1j * z[..., None] * inner.nodes) @ inner.weights
+    if value < 0.0 or np.max(np.abs(z), initial=0.0) <= 30.0:
+        return e_mu(value, -1j * z)
+    return _averaging_integral(value, z)
 
 
 def fourier_quadrature(
@@ -231,7 +229,6 @@ def fourier_quadrature(
     sigma: float,
     quad_n: int = 96,
     inverse: bool = False,
-    options: EvalOptions | None = None,
 ):
     """Transform of f at x (scalar or ndarray) by direct quadrature.
 
@@ -248,7 +245,7 @@ def fourier_quadrature(
     rule = gauss_hermite_mu(value, quad_n)
     s = math.sqrt(sigma)
     t = rule.nodes / s
-    kernel = _kernel_matrix(value, -xa if inverse else xa, t, options)
+    kernel = _kernel_matrix(value, -xa if inverse else xa, t)
     gvals = np.asarray(f(t)) * np.exp(t * t * sigma)
     pref = s ** (-2.0 * value - 1.0) / (2.0 ** (value + 0.5) * gamma_half(value))
     vals = pref * (kernel @ (rule.weights * gvals))
@@ -294,7 +291,7 @@ def transform_of_monomial_gaussian(mu, n: int, lam: float, x):
     )
 
 
-def transform_of_efun_gaussian(mu, lam: float, y: float, x, options: EvalOptions | None = None):
+def transform_of_efun_gaussian(mu, lam: float, y: float, x):
     """Transform of e(iyt; mu) e^(-lam t^2):
 
     pref * Gamma(mu+1/2) lam^(-mu-1/2) e^(-(x^2+y^2)/(4 lam)) e(xy/(2 lam); mu).
@@ -304,9 +301,7 @@ def transform_of_efun_gaussian(mu, lam: float, y: float, x, options: EvalOptions
         raise ValueError("the Gaussian rate lam must be positive")
     x = np.asarray(x, dtype=float)
     amp = _PREF(value) * gamma_half(value) * lam ** (-value - 0.5)
-    return amp * np.exp(-(x * x + y * y) / (4.0 * lam)) * e_mu(
-        value, x * y / (2.0 * lam), options
-    )
+    return amp * np.exp(-(x * x + y * y) / (4.0 * lam)) * e_mu(value, x * y / (2.0 * lam))
 
 
 def transform_of_hermite_gaussian(mu, n: int, beta: float, lam: float, x):

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import as_mu, beta_function, gamma_mu, gamma_mu_exact
-from .efun import EvalOptions, c_s_mu, e_mu
+from .efun import c_s_mu, e_mu
 from .hermite import dunkl_apply
 from .poly import DensePoly
 from .quadrature import gauss_alpha_mu, jacobi_rule
@@ -152,7 +152,7 @@ def translate_xi(mu, phi, x: float, y: float, *, quad_n: int = 80):
     return complex(total) if is_complex else float(total)
 
 
-def translate_gaussian_closed(mu, lam: float, x, y: float, options: EvalOptions | None = None):
+def translate_gaussian_closed(mu, lam: float, x, y: float):
     """Closed form of the translate of e^(-lam xi^2):
 
         e^(-lam (x^2 + y^2)) e(-2 lam x y; mu).
@@ -162,16 +162,16 @@ def translate_gaussian_closed(mu, lam: float, x, y: float, options: EvalOptions 
     value = as_mu(mu).require_numeric()
     if not lam > 0:
         raise ValueError("the Gaussian rate lam must be positive")
-    out = np.exp(-lam * (np.asarray(x) ** 2 + y * y)) * e_mu(value, -2.0 * lam * np.asarray(x) * y, options)
+    out = np.exp(-lam * (np.asarray(x) ** 2 + y * y)) * e_mu(value, -2.0 * lam * np.asarray(x) * y)
     return out if isinstance(x, np.ndarray) else float(out)
 
 
-def translate_odd_gaussian_closed(mu, lam: float, x: float, y: float, options: EvalOptions | None = None):
+def translate_odd_gaussian_closed(mu, lam: float, x: float, y: float):
     """Closed form of the translate of xi e^(-lam xi^2):
 
         (x + y) e^(-lam (x^2 + y^2)) e(-2 lam x y; mu).
     """
-    return (x + y) * translate_gaussian_closed(mu, lam, x, y, options)
+    return (x + y) * translate_gaussian_closed(mu, lam, x, y)
 
 
 def translate_spectral_matrix(mu, y: float, size: int) -> np.ndarray:

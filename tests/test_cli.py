@@ -48,6 +48,18 @@ def test_gamma_overflow_exits_two(capsys):
     assert err.startswith("error:") and "log_gamma_mu" in err
 
 
+def test_efun_overflow_exits_two(capsys):
+    code, out, err = run(capsys, "eval", "--mu", "0.5", "--fn", "efun", "--x", "800")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "overflows float64" in err
+
+
+def test_table_past_float_range_exits_two(capsys):
+    code, out, err = run(capsys, "table", "--mu", "0.5", "--nmax", "200")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "exact=True" in err
+
+
 def test_domain_guard_exits_two(capsys):
     code, _, err = run(capsys, "gamma", "--mu", "-0.75", "--n", "2")
     assert code == 2

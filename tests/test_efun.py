@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from muhermite.core import gamma_mu
-from muhermite.efun import ConvergenceError, EvalOptions, c_s_mu, e_mu, heat_kernel, mehler_rhs
+from muhermite.efun import ConvergenceError, c_s_mu, e_mu, heat_kernel, mehler_rhs
 from muhermite.transform import phi_eval
 
 
@@ -100,7 +101,58 @@ class TestHeatKernel:
             heat_kernel(0.5, 0.1, 0.2, 0.0)
 
 
-def test_eval_options_cap_is_enforced():
-    opts = EvalOptions(max_terms=4)
-    with pytest.raises(ConvergenceError):
-        e_mu(0.5, 18.0, opts)
+def test_overflow_raises_instead_of_inf_or_nan():
+    with pytest.raises(OverflowError, match="overflows float64"):
+        e_mu(0.5, 800.0)
+    with pytest.raises(OverflowError, match="overflows float64"):
+        heat_kernel(0.5, 30.0, 30.0, 0.5)
+    with pytest.raises(OverflowError):
+        e_mu(0.5, np.array([1.0, 1e12]))
+
+
+def test_non_finite_argument_refused():
+    for z in (math.inf, math.nan, complex(0.0, math.inf), np.array([0.0, math.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            e_mu(0.5, z)
+
+
+def _mp_series(mu, z, dps=50):
+    """e(z; mu) and sum of |terms| = e(|z|; mu), summed at ``dps`` digits."""
+    with mpmath.workdps(dps):
+        mu, z = mpmath.mpf(mu), mpmath.mpc(z)
+        r = abs(z)
+        term, size = mpmath.mpc(1), mpmath.mpf(1)
+        total, total_size = term, size
+        m = 0
+        while not (m > r and size < total_size * mpmath.mpf(10) ** (-dps)):
+            m += 1
+            step = m + 2 * mu * (m % 2)
+            term, size = term * z / step, size * r / step
+            total, total_size = total + term, total_size + size
+        return complex(total), float(total_size)
+
+
+_REFERENCE_Z = (
+    [float(z) for z in np.linspace(-150.0, 150.0, 13)]
+    + [-30.5, -35.0, -50.0, -80.0]
+    + [complex(0.0, y) for y in np.linspace(-30.0, 30.0, 9)]
+    + [complex(a, b) for a in (-8.0, -3.0, 5.0, 8.0) for b in (-8.0, 2.0, 8.0)]
+)
+
+
+@pytest.mark.parametrize("mu", [-0.45, -0.25, 0.0, 0.5, 1.5])
+def test_matches_mpmath_within_eps_of_term_magnitudes(mu):
+    # |err| <= 16 eps e(|z|; mu): the best a float64 sum of these terms can do,
+    # also where they cancel (real z < 0, imaginary and complex z)
+    for z in _REFERENCE_Z:
+        want, size = _mp_series(mu, z)
+        for got in (e_mu(mu, z), e_mu(mu, np.array([z]))[0]):
+            assert abs(got - want) <= 16 * 2.0**-52 * size, (mu, z)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.5])
+@pytest.mark.parametrize("x", [11.9, 12.1, -12.1])
+def test_cos_sin_on_both_sides_of_the_series_switch(mu, x):
+    # |x| <= 12 sums the series, beyond it cos/sin (mu = 0) or the averaging integral
+    want, _ = _mp_series(mu, complex(0.0, -x))
+    assert_allclose(c_s_mu(mu, x), (want.real, -want.imag), rtol=0, atol=1e-11)

@@ -18,6 +18,7 @@ from muhermite.hermite import (
     raise_apply,
 )
 from muhermite.poly import DensePoly
+from muhermite.transform import phi_poly_coeffs
 
 MU = Fraction(1, 3)
 
@@ -156,3 +157,15 @@ class TestHeatPoly:
                     again = again + heat_poly(MU, m, t, exact=True).scale(c)
             once = heat_poly(MU, n, s + t, exact=True)
             assert again.max_abs_diff(once) == 0
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.5])
+def test_float_coefficients_raise_instead_of_overflowing(mu):
+    for build, first_over in (
+        (lambda n: hermite_coeffs(mu, n), 151),
+        (lambda n: phi_poly_coeffs(mu, n), 151),
+        (lambda n: heat_poly(mu, n, 0.3), 171),
+    ):
+        assert np.all(np.isfinite(np.array(build(150).coeffs, dtype=float)))
+        with pytest.raises(OverflowError, match="exact=True"):
+            build(first_over)

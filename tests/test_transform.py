@@ -152,6 +152,18 @@ class TestClosedForms:
             transform_of_hermite_gaussian(0.5, 2, 1.0, 1.1, np.array([0.0]))
 
 
+@pytest.mark.parametrize("mu", [-0.25, 0.5, 1.5])
+@pytest.mark.parametrize("lam", [0.5, 1.0])
+@pytest.mark.parametrize("reach", [29.5, 30.5])
+def test_quadrature_on_both_sides_of_the_kernel_switch(mu, lam, reach):
+    # the kernel is the series while max|x t| <= 30, past it (mu > 0) the
+    # averaging-measure integral; the grid is scaled to put max|x t| at reach
+    t_max = np.max(np.abs(gauss_hermite_mu(mu, 96).nodes)) / math.sqrt(lam)
+    x = np.linspace(-1.0, 1.0, 9) * reach / t_max
+    got = fourier_quadrature(mu, lambda t: np.exp(-lam * t * t), x, sigma=lam)
+    assert_allclose(got, transform_of_gaussian(mu, lam, x), rtol=1e-13, atol=0)
+
+
 def test_l2mu_norm_of_ground_gaussian():
     for mu in (0.0, 0.75, 1.5):
         got = l2mu_norm(lambda t: np.exp(-0.5 * t * t), sigma=0.5, mu=mu)
