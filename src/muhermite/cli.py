@@ -19,7 +19,7 @@ import numpy as np
 from . import oscillator as osc
 from . import verify as verify_mod
 from .core import MuParam, gamma_mu, gamma_mu_exact
-from .efun import c_s_mu, e_mu
+from .efun import ConvergenceError, c_s_mu, e_mu
 from .exact import IDENTITY_TAGS, verify_identity
 from .heat import heat_apply_kernel, heat_gaussian, heat_odd_gaussian, heat_spectral_matrix
 from .hermite import hermite_coeffs, hermite_eval
@@ -80,11 +80,10 @@ def _cmd_eval(args) -> int:
     elif args.fn == "phi":
         vals = phi_eval(args.mu, args.n, xs)
     elif args.fn == "efun":
-        vals = np.asarray([e_mu(args.mu, float(v)) for v in xs])
+        vals = e_mu(args.mu, xs)
     elif args.fn == "cos-sin":
-        pairs = [c_s_mu(args.mu, float(v)) for v in xs]
         lines = ["x,cos_part,sin_part"]
-        lines += [f"{_fmt(v)},{_fmt(c)},{_fmt(s)}" for v, (c, s) in zip(xs, pairs)]
+        lines += [f"{_fmt(v)},{_fmt(c)},{_fmt(s)}" for v, c, s in zip(xs, *c_s_mu(args.mu, xs))]
         _emit("\n".join(lines) + "\n", args.out)
         return 0
     else:
@@ -167,15 +166,14 @@ def _cmd_heat(args) -> int:
     if not args.alpha > 0:
         raise ValueError("--alpha must be positive")
     even = args.family == "even"
+    f = (lambda u: np.exp(-args.alpha * u * u)) if even else (lambda u: u * np.exp(-args.alpha * u * u))
     if args.route == "closed":
         vals = heat_gaussian(args.mu, args.alpha, 0.0, args.t, x).real if even else heat_odd_gaussian(
             args.mu, args.alpha, args.t, x
         )
     elif args.route == "kernel":
-        f = (lambda u: np.exp(-args.alpha * u * u)) if even else (lambda u: u * np.exp(-args.alpha * u * u))
         vals = heat_apply_kernel(args.mu, f, args.t, x)
     elif args.route == "spectral":
-        f = (lambda u: np.exp(-args.alpha * u * u)) if even else (lambda u: u * np.exp(-args.alpha * u * u))
         coeffs = expand(args.mu, f, args.size - 1, sigma=args.alpha)
         flow = heat_spectral_matrix(args.mu, args.t, args.size)
         vals = synthesize(SpectralVector(args.mu.require_numeric(), flow @ np.asarray(coeffs.coeffs)), x).real
@@ -343,7 +341,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

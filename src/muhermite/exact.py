@@ -5,10 +5,10 @@ where one appears, to an equality of polynomials whose coefficients are
 rational functions of the deformation parameter.  Fixing mu to an exact
 rational (fractions.Fraction) therefore turns each check into exact
 integer arithmetic: a pass is a proof at that mu, with no tolerance.
-Since both sides have coefficients of bounded degree in mu, agreement at
-more distinct rational mu values than that degree certifies the identity
-for all admissible mu; the shipped suite runs six values spread across
-the admissible range, which covers every family checked here.
+Cleared of denominators, both sides are polynomials in mu whose degree
+grows with n (gamma_mu(n) has degree ceil(n/2)); only agreement at more mu
+values than that degree would certify all mu.  The suite runs six values
+spread across the admissible range, so a pass certifies those six only.
 
 The two sides of each tagged identity are always constructed by
 different routes (for instance, the derivative-plus-reflection form of
@@ -30,12 +30,6 @@ __all__ = ["IDENTITY_TAGS", "IdentityReport", "identity_sides", "verify_identity
 
 def _hermite(mu: Fraction, n: int) -> DensePoly:
     return hermite_coeffs(mu, n, exact=True)
-
-
-def _dunkl_power(mu: Fraction, p: DensePoly, j: int) -> DensePoly:
-    for _ in range(j):
-        p = dunkl_definition(mu, p)
-    return p
 
 
 def _translation_series(mu: Fraction, n: int) -> BivariatePoly:

@@ -252,11 +252,9 @@ def fourier_quadrature(
     return complex(vals[0]) if scalar else vals
 
 
-# Closed forms of the transform on Gaussian-type inputs.  Each returns the
-# transform value (prefactor included) so it is directly comparable with
-# fourier_quadrature on the matching input.
-
-_PREF = lambda value: 1.0 / (2.0 ** (value + 0.5) * gamma_half(value))  # noqa: E731
+# Closed forms of the transform on Gaussian-type inputs, prefactor included,
+# so each compares directly with fourier_quadrature on the matching input;
+# 2^(-mu-1/2) is the prefactor 1 / (2^(mu+1/2) Gamma(mu+1/2)) times Gamma(mu+1/2).
 
 
 def transform_of_gaussian(mu, lam: float, x):
@@ -265,7 +263,7 @@ def transform_of_gaussian(mu, lam: float, x):
     if not lam > 0:
         raise ValueError("the Gaussian rate lam must be positive")
     x = np.asarray(x, dtype=float)
-    return _PREF(value) * gamma_half(value) * lam ** (-value - 0.5) * np.exp(-x * x / (4.0 * lam))
+    return 2.0 ** (-value - 0.5) * lam ** (-value - 0.5) * np.exp(-x * x / (4.0 * lam))
 
 
 def transform_of_monomial_gaussian(mu, n: int, lam: float, x):
@@ -278,14 +276,7 @@ def transform_of_monomial_gaussian(mu, n: int, lam: float, x):
     if not lam > 0:
         raise ValueError("the Gaussian rate lam must be positive")
     x = np.asarray(x, dtype=float)
-    amp = (
-        _PREF(value)
-        * gamma_half(value)
-        * lam ** (-0.5 * n - 0.5 - value)
-        * gamma_mu(value, n)
-        / math.factorial(n)
-        / 2.0**n
-    )
+    amp = 2.0 ** (-value - 0.5) * lam ** (-0.5 * n - 0.5 - value) * gamma_mu(value, n) / math.factorial(n) / 2.0**n
     return (-1j) ** n * amp * np.exp(-x * x / (4.0 * lam)) * hermite_eval(
         value, n, x / (2.0 * math.sqrt(lam))
     )
@@ -300,7 +291,7 @@ def transform_of_efun_gaussian(mu, lam: float, y: float, x):
     if not lam > 0:
         raise ValueError("the Gaussian rate lam must be positive")
     x = np.asarray(x, dtype=float)
-    amp = _PREF(value) * gamma_half(value) * lam ** (-value - 0.5)
+    amp = 2.0 ** (-value - 0.5) * lam ** (-value - 0.5)
     return amp * np.exp(-(x * x + y * y) / (4.0 * lam)) * e_mu(value, x * y / (2.0 * lam))
 
 
@@ -318,7 +309,7 @@ def transform_of_hermite_gaussian(mu, n: int, beta: float, lam: float, x):
         raise ValueError("needs beta^2 > lam^2 > 0")
     x = np.asarray(x, dtype=float)
     ratio2 = (beta / lam) ** 2 - 1.0
-    amp = _PREF(value) * gamma_half(value) * lam ** (-2.0 * value - 1.0) * ratio2 ** (0.5 * n)
+    amp = 2.0 ** (-value - 0.5) * lam ** (-2.0 * value - 1.0) * ratio2 ** (0.5 * n)
     arg = beta * x / (2.0 * lam * math.sqrt(beta * beta - lam * lam))
     return (-1j) ** n * amp * np.exp(-x * x / (4.0 * lam * lam)) * hermite_eval(value, n, arg)
 
@@ -352,3 +343,14 @@ def operator_matrix(mu, kind: str, size: int) -> OperatorMatrix:
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
     return OperatorMatrix(kind=kind, mu=value, matrix=m)
+
+
+def _momentum_svd(value: float, size: int):
+    """(U, s, V) with P's even-row, odd-column block -i R, R = U diag(s) V^T real.
+
+    P couples only opposite parities, so this one SVD gives every function
+    of P.  For odd size R has an extra row; s is zero-padded to its length.
+    """
+    r = (1j * operator_matrix(value, "P", size).matrix[0::2, 1::2]).real
+    u, s, vt = np.linalg.svd(r)
+    return u, np.pad(s, (0, r.shape[0] - len(s))), vt.T

@@ -36,7 +36,7 @@ from .efun import c_s_mu, e_mu
 from .hermite import dunkl_apply
 from .poly import DensePoly
 from .quadrature import gauss_alpha_mu, jacobi_rule
-from .transform import operator_matrix
+from .transform import _momentum_svd
 
 __all__ = [
     "heron_psi",
@@ -175,17 +175,20 @@ def translate_odd_gaussian_closed(mu, lam: float, x: float, y: float):
 
 
 def translate_spectral_matrix(mu, y: float, size: int) -> np.ndarray:
-    """e(i y P; mu) on the truncated eigenfunction basis.
+    """e(i y P; mu) on the truncated eigenfunction basis (complex dtype).
 
-    P is Hermitian, so the power series diagonalizes: the matrix is
-    V e(i y lambda_k; mu) V*.  Each |e(i y lambda)| <= 1 for mu >= 0, so
-    the result is a contraction.  Truncation corrupts edge columns; use
-    on inputs whose expansion has decayed well inside the block.
+    With P's even-row block -i U diag(s) V^T, its blocks are U c(y s) U^T,
+    V c(y s) V^T, U s(y s) V^T and minus that transposed.  A contraction for
+    mu >= 0; for mu < 0, ConvergenceError once |y| max(s) > 30.  Truncation
+    corrupts edge columns: use on expansions that decay well inside the block.
     """
     value = as_mu(mu).require_numeric()
-    p = operator_matrix(value, "P", size).matrix
-    lam, vecs = np.linalg.eigh(p)
-    # c - i s = e(-i a; mu)  =>  e(+i a; mu) = c + i s, stable at any |a|.
-    pairs = [c_s_mu(value, float(y * a)) for a in lam]
-    diag = np.array([complex(c, s) for c, s in pairs])
-    return (vecs * diag) @ vecs.conj().T
+    u, s, v = _momentum_svd(value, size)
+    c, sn = c_s_mu(value, y * s)
+    k = len(v)
+    out = np.zeros((size, size), dtype=complex)
+    out[0::2, 0::2] = (u * c) @ u.T
+    out[1::2, 1::2] = (v * c[:k]) @ v.T
+    out[0::2, 1::2] = (u[:, :k] * sn[:k]) @ v.T
+    out[1::2, 0::2] = -out[0::2, 1::2].T
+    return out

@@ -54,6 +54,12 @@ def test_efun_overflow_exits_two(capsys):
     assert err.startswith("error:") and "overflows float64" in err
 
 
+def test_no_large_argument_route_exits_two(capsys):
+    code, out, err = run(capsys, "eval", "--mu", "-0.25", "--fn", "cos-sin", "--x", "40")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "mu < 0" in err
+
+
 def test_table_past_float_range_exits_two(capsys):
     code, out, err = run(capsys, "table", "--mu", "0.5", "--nmax", "200")
     assert (code, out) == (2, "")

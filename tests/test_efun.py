@@ -56,6 +56,12 @@ def test_cos_sin_classical_reduction():
     assert_allclose((c, s), (math.cos(2.0), math.sin(2.0)), rtol=1e-14)
 
 
+def test_cos_sin_exact_at_mu_zero_inside_the_series_range():
+    for x in np.linspace(-12.0, 12.0, 97):
+        c, s = c_s_mu(0.0, float(x))
+        assert_allclose((c, s), (math.cos(x), math.sin(x)), rtol=0, atol=1e-15)
+
+
 def test_negative_mu_large_argument_refused():
     with pytest.raises(ConvergenceError, match="mu < 0"):
         c_s_mu(-0.25, 40.0)
@@ -156,3 +162,8 @@ def test_cos_sin_on_both_sides_of_the_series_switch(mu, x):
     # |x| <= 12 sums the series, beyond it cos/sin (mu = 0) or the averaging integral
     want, _ = _mp_series(mu, complex(0.0, -x))
     assert_allclose(c_s_mu(mu, x), (want.real, -want.imag), rtol=0, atol=1e-11)
+    # an array takes the route of each element: all three sides in one call
+    xs = np.array([11.9, 12.1, -12.1])
+    c, s = c_s_mu(mu, xs)
+    assert c.shape == s.shape == (3,)
+    assert_allclose((c[xs == x][0], s[xs == x][0]), (want.real, -want.imag), rtol=0, atol=1e-11)

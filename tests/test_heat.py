@@ -127,3 +127,28 @@ def test_spectral_matrix_is_heat_of_momentum_square():
     p = operator_matrix(mu, "P", size).matrix
     m = (p @ p).real
     assert_allclose(heat_spectral_matrix(mu, t, size), expm(-t * m), rtol=1e-13)
+
+
+@pytest.mark.parametrize("size", [2, 3, 12, 13])
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.5, -0.25])
+def test_spectral_matrix_keeps_parity_at_every_size(mu, size):
+    t = 0.4
+    p = operator_matrix(mu, "P", size).matrix
+    flow = heat_spectral_matrix(mu, t, size)
+    # any eigen-route errs by ~eps of the unit diagonal, so entries near 1e-4
+    # (corners at size 13) need the absolute term; parity zeros must be exact
+    assert_allclose(flow, expm(-t * (p @ p).real), rtol=1e-13, atol=4e-15)
+    assert not flow[0::2, 1::2].any() and not flow[1::2, 0::2].any()
+
+
+def test_kernel_route_refuses_peak_past_the_rule():
+    # the kernel peaks at u = 3 / (2 sqrt(0.01)) = 15, beyond the 96-node rule
+    with pytest.raises(ValueError, match="reach"):
+        heat_apply_kernel(0.5, lambda u: np.exp(-u * u), 0.01, [-3.0, 3.0])
+
+
+def test_kernel_route_accurate_just_inside_its_reach():
+    mu, t = 0.5, 0.02
+    x = np.linspace(-2.5, 2.5, 11)  # |x| / (2 sqrt t) <= 8.84, reach 9.15
+    kernel = heat_apply_kernel(mu, lambda u: np.exp(-u * u), t, x)
+    assert_allclose(kernel, heat_gaussian(mu, 1.0, 0.0, t, x).real, rtol=1e-8)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from muhermite.core import gamma_mu_exact, mu_binomial_exact
+from muhermite.core import gamma_mu, gamma_mu_exact, mu_binomial_exact
 from muhermite.hermite import binomial_poly
 from muhermite.poly import DensePoly
 from muhermite.translate import (
@@ -19,7 +19,7 @@ from muhermite.translate import (
     translate_xi,
     xi_support,
 )
-from muhermite.transform import l2mu_norm
+from muhermite.transform import l2mu_norm, operator_matrix
 
 MU = 0.75
 
@@ -158,3 +158,19 @@ def test_spectral_matrix_row_matches_alpha_route():
     series = sum(m[n, 3] * phi_eval(mu, n, x) for n in range(size))
     direct = translate_alpha(mu, f, x, y)
     assert_allclose(series, direct, rtol=1e-8, atol=1e-10)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, 1.5, -0.25])
+@pytest.mark.parametrize("y", [0.3, 0.9, -1.7])
+@pytest.mark.parametrize("size", [3, 12, 13])
+def test_spectral_matrix_is_power_series_in_momentum(size, y, mu):
+    # e(i y P; mu) = sum_m (i y P)^m / gamma_mu(m), summed independently of the SVD
+    step = 1j * y * operator_matrix(mu, "P", size).matrix
+    term = np.eye(size, dtype=complex)
+    want = term.copy()
+    for m in range(1, 120):
+        term = term @ step
+        want += term / gamma_mu(mu, m)
+    got = translate_spectral_matrix(mu, y, size)
+    assert got.dtype == complex
+    assert_allclose(got, want, rtol=0, atol=1e-12)
