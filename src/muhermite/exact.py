@@ -14,34 +14,52 @@ The two sides of each tagged identity are always constructed by
 different routes (for instance, the derivative-plus-reflection form of
 the deformed derivative on one side against closed-form coefficients on
 the other), so a defect in either route cannot cancel itself.
+
+Each identity is built by walking the degrees up from 0, once: what the
+degrees share (the iterates of the Rodrigues and raising recursions, the
+closed-form H_m already built, the running factorial) is carried to the
+next degree instead of being rebuilt.  The carried state belongs to one
+side's route, so the two sides stay as independent as before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count, islice
 
 from .core import as_mu, gamma_mu_exact
-from .hermite import binomial_poly, dunkl_definition, factorials, hermite_coeffs, inversion_expand
+from .hermite import binomial_poly, dunkl_definition, hermite_coeffs, inversion_weights
 from .poly import BivariatePoly, DensePoly, fraction_str
 
 __all__ = ["IDENTITY_TAGS", "IdentityReport", "identity_sides", "verify_identity"]
 
+# Each _sides_* builder is a generator over mu whose n-th item is the list
+# of (label, lhs, rhs) triples at degree n; what it carries across degrees
+# stays inside the generator.
 
-def _hermite(mu: Fraction, n: int) -> DensePoly:
-    return hermite_coeffs(mu, n, exact=True)
+
+def _hermites(mu: Fraction):
+    """H_0, H_1, ... from the closed-form coefficients, each built once."""
+    for m in count():
+        yield hermite_coeffs(mu, m, exact=True)
+
+
+def _ratio(mu: Fraction, n: int) -> Fraction:
+    return gamma_mu_exact(mu, n + 1) / ((n + 1) * gamma_mu_exact(mu, n))
 
 
 def _translation_series(mu: Fraction, n: int) -> BivariatePoly:
     """sum_j y^j / gamma_mu(j) D^j x^n, by repeated differentiation."""
     q = DensePoly.monomial(n, Fraction(1))
-    acc = BivariatePoly.zero()
+    terms = {}
     for j in range(n + 1):
         if q.is_zero():
             break
-        acc = acc + BivariatePoly.from_x_poly(q.scale(1 / gamma_mu_exact(mu, j)), y_power=j)
+        inv = 1 / gamma_mu_exact(mu, j)
+        terms.update({(i, j): c * inv for i, c in enumerate(q.coeffs) if c})
         q = dunkl_definition(mu, q)
-    return acc
+    return BivariatePoly.from_dict(terms)
 
 
 def _test_poly(n: int) -> DensePoly:
@@ -56,134 +74,152 @@ def _test_even_poly(n: int) -> DensePoly:
     return DensePoly.from_coeffs(coeffs)
 
 
-def _sides_three_term(mu: Fraction, n: int):
-    ratio = gamma_mu_exact(mu, n + 1) / ((n + 1) * gamma_mu_exact(mu, n))
-    lhs = _hermite(mu, n + 1).scale(ratio)
-    if n > 0:
-        lhs = lhs + _hermite(mu, n - 1).scale(Fraction(2 * n))
-    rhs = _hermite(mu, n).shift_up(1).scale(Fraction(2))
-    return [("", lhs, rhs)]
+def _sides_three_term(mu: Fraction):
+    hermites = _hermites(mu)
+    prev, cur = DensePoly.zero(), next(hermites)
+    for n, nxt in enumerate(hermites):
+        lhs = nxt.scale(_ratio(mu, n)) + prev.scale(Fraction(2 * n))
+        rhs = cur.shift_up(1).scale(Fraction(2))
+        yield [("", lhs, rhs)]
+        prev, cur = cur, nxt
 
 
-def _sides_lowering(mu: Fraction, n: int):
-    lhs = dunkl_definition(mu, _hermite(mu, n))
-    rhs = _hermite(mu, n - 1).scale(Fraction(2 * n)) if n > 0 else DensePoly.zero()
-    return [("", lhs, rhs)]
+def _sides_lowering(mu: Fraction):
+    prev = DensePoly.zero()
+    for n, h in enumerate(_hermites(mu)):
+        yield [("", dunkl_definition(mu, h), prev.scale(Fraction(2 * n)))]
+        prev = h
 
 
-def _sides_raising(mu: Fraction, n: int):
-    h = _hermite(mu, n)
-    lhs = h.shift_up(1).scale(Fraction(2)) - dunkl_definition(mu, h)
-    ratio = gamma_mu_exact(mu, n + 1) / ((n + 1) * gamma_mu_exact(mu, n))
-    rhs = _hermite(mu, n + 1).scale(ratio)
-    return [("", lhs, rhs)]
+def _sides_raising(mu: Fraction):
+    hermites = _hermites(mu)
+    cur = next(hermites)
+    for n, nxt in enumerate(hermites):
+        lhs = cur.shift_up(1).scale(Fraction(2)) - dunkl_definition(mu, cur)
+        yield [("", lhs, nxt.scale(_ratio(mu, n)))]
+        cur = nxt
 
 
-def _sides_rodrigues(mu: Fraction, n: int):
+def _sides_rodrigues(mu: Fraction):
     # Gaussian-conjugated derivative: D acting through e^(-x^2) leaves the
     # polynomial factor p -> (D p) - 2 x p.
     p = DensePoly.from_coeffs([Fraction(1)])
-    for _ in range(n):
+    fact = Fraction(1)
+    for n, h in enumerate(_hermites(mu)):
+        rhs = h.scale(gamma_mu_exact(mu, n) / fact)
+        yield [("", p.scale(Fraction((-1) ** n)), rhs)]
         p = dunkl_definition(mu, p) - p.shift_up(1).scale(Fraction(2))
-    lhs = p.scale(Fraction((-1) ** n))
-    rhs = _hermite(mu, n).scale(gamma_mu_exact(mu, n) / factorials(n, True)[n])
-    return [("", lhs, rhs)]
+        fact *= n + 1
 
 
-def _sides_iterated_raising(mu: Fraction, n: int):
+def _sides_iterated_raising(mu: Fraction):
     q = DensePoly.from_coeffs([Fraction(1)])
-    for _ in range(n):
+    fact = Fraction(1)
+    for n, h in enumerate(_hermites(mu)):
+        yield [("", q, h.scale(gamma_mu_exact(mu, n) / fact))]
         q = q.shift_up(1).scale(Fraction(2)) - dunkl_definition(mu, q)
-    rhs = _hermite(mu, n).scale(gamma_mu_exact(mu, n) / factorials(n, True)[n])
-    return [("", q, rhs)]
+        fact *= n + 1
 
 
-def _sides_inversion(mu: Fraction, n: int):
-    lhs = DensePoly.monomial(n, Fraction(2) ** n / gamma_mu_exact(mu, n))
-    rhs = inversion_expand(mu, n, exact=True)
-    return [("", lhs, rhs)]
+def _sides_inversion(mu: Fraction):
+    # (2x)^n / gamma_mu(n) against sum_k H_{n-2k} / (k! (n-2k)!).
+    hermites = []
+    for n, h in enumerate(_hermites(mu)):
+        hermites.append(h)
+        lhs = DensePoly.monomial(n, 2**n / gamma_mu_exact(mu, n))
+        rhs = DensePoly.zero()
+        for k, w in enumerate(inversion_weights(n, exact=True)):
+            rhs = rhs + hermites[n - 2 * k].scale(w)
+        yield [("", lhs, rhs)]
 
 
-def _sides_generating(mu: Fraction, n: int):
+def _sides_generating(mu: Fraction):
     # Coefficient of z^n in exp(-z^2) * e_mu(2 x z), by Cauchy product of the
     # two series, against H_n / n! from the closed-form coefficients.
-    fact = factorials(n, True)
-    lhs = DensePoly.zero()
-    sign = Fraction(1)
-    for j in range(n // 2 + 1):
-        m = n - 2 * j
-        term = DensePoly.monomial(m, Fraction(2) ** m / gamma_mu_exact(mu, m))
-        lhs = lhs + term.scale(sign / fact[j])
-        sign = -sign
-    rhs = _hermite(mu, n).scale(1 / fact[n])
-    return [("", lhs, rhs)]
+    fact = [Fraction(1)]
+    for n, h in enumerate(_hermites(mu)):
+        if n:
+            fact.append(fact[-1] * n)
+        coeffs = [0] * (n + 1)
+        sign = Fraction(1)
+        for j in range(n // 2 + 1):
+            m = n - 2 * j
+            coeffs[m] = 2**m / gamma_mu_exact(mu, m) * (sign / fact[j])
+            sign = -sign
+        yield [("", DensePoly.from_coeffs(coeffs), h.scale(1 / fact[n]))]
 
 
-def _sides_binomial(mu: Fraction, n: int):
-    lhs = _translation_series(mu, n)
-    rhs = binomial_poly(mu, n, exact=True)
-    return [("", lhs, rhs)]
+def _sides_binomial(mu: Fraction):
+    for n in count():
+        yield [("", _translation_series(mu, n), binomial_poly(mu, n, exact=True))]
 
 
-def _sides_odd_even(mu: Fraction, n: int):
-    if n % 2 == 0:
-        return []
-    lhs = _translation_series(mu, n)
+def _sides_odd_even(mu: Fraction):
     x_plus_y = BivariatePoly.from_dict({(1, 0): Fraction(1), (0, 1): Fraction(1)})
-    rhs = x_plus_y * binomial_poly(mu, n - 1, exact=True)
-    return [("", lhs, rhs)]
+    for n in count():
+        if n % 2 == 0:
+            yield []
+            continue
+        rhs = x_plus_y * binomial_poly(mu, n - 1, exact=True)
+        yield [("", _translation_series(mu, n), rhs)]
 
 
-def _sides_heat_monomial(mu: Fraction, n: int):
+def _sides_heat_monomial(mu: Fraction):
     # Flow form: exp(-y^2 D^2) x^n, summed term by term with the
     # derivative-based D, against the Hermite substitution
     # (gamma_mu(n)/n!) y^n H_n(x/(2y); mu) expanded as a polynomial in x, y.
-    fact = factorials(n, True)
-    q = DensePoly.monomial(n, Fraction(1))
-    flow = BivariatePoly.zero()
-    series = BivariatePoly.zero()
-    sign = Fraction(1)
-    for k in range(n // 2 + 1):
-        flow = flow + BivariatePoly.from_x_poly(q.scale(sign / fact[k]), y_power=2 * k)
-        series = series + BivariatePoly.from_x_poly(q.scale(1 / fact[k]), y_power=k)
-        q = dunkl_definition(mu, dunkl_definition(mu, q))
-        sign = -sign
-    scale = gamma_mu_exact(mu, n) / fact[n]
-    subst = {}
-    for m, c in enumerate(_hermite(mu, n).coeffs):
-        if c != 0:
-            subst[(m, n - m)] = scale * c / Fraction(2) ** m
-    closed = {}
-    gam = [gamma_mu_exact(mu, m) for m in range(n + 1)]
-    for k in range(n // 2 + 1):
-        closed[(n - 2 * k, k)] = gam[n] / (fact[k] * gam[n - 2 * k])
-    return [
-        ("flow", flow, BivariatePoly.from_dict(subst)),
-        ("series", series, BivariatePoly.from_dict(closed)),
-    ]
+    fact = [Fraction(1)]
+    for n, h in enumerate(_hermites(mu)):
+        if n:
+            fact.append(fact[-1] * n)
+        q = DensePoly.monomial(n, Fraction(1))
+        flow = {}
+        series = {}
+        sign = Fraction(1)
+        for k in range(n // 2 + 1):
+            inv = 1 / fact[k]
+            for i, c in enumerate(q.coeffs):
+                if c:
+                    flow[(i, 2 * k)] = c * (sign * inv)
+                    series[(i, k)] = c * inv
+            q = dunkl_definition(mu, dunkl_definition(mu, q))
+            sign = -sign
+        scale = gamma_mu_exact(mu, n) / fact[n]
+        subst = {}
+        for m, c in enumerate(h.coeffs):
+            if c != 0:
+                subst[(m, n - m)] = scale * c / 2**m
+        closed = {}
+        for k in range(n // 2 + 1):
+            closed[(n - 2 * k, k)] = gamma_mu_exact(mu, n) / (fact[k] * gamma_mu_exact(mu, n - 2 * k))
+        yield [
+            ("flow", BivariatePoly.from_dict(flow), BivariatePoly.from_dict(subst)),
+            ("series", BivariatePoly.from_dict(series), BivariatePoly.from_dict(closed)),
+        ]
 
 
-def _sides_product_rule(mu: Fraction, n: int):
-    phi = _test_poly(n)
-    psi = _test_even_poly(n)
-    lhs = dunkl_definition(mu, phi * psi)
-    rhs = dunkl_definition(mu, phi) * psi + phi * dunkl_definition(mu, psi)
-    return [("", lhs, rhs)]
+def _sides_product_rule(mu: Fraction):
+    for n in count():
+        phi = _test_poly(n)
+        psi = _test_even_poly(n)
+        lhs = dunkl_definition(mu, phi * psi)
+        rhs = dunkl_definition(mu, phi) * psi + phi * dunkl_definition(mu, psi)
+        yield [("", lhs, rhs)]
 
 
-def _sides_second_order(mu: Fraction, n: int):
-    phi = _test_poly(n)
-    lhs = dunkl_definition(mu, dunkl_definition(mu, phi))
-    # Combined closed form of the square: on x^k the second-order operator
-    # phi'' + (2 mu / x) phi' - (mu / x^2)(phi - phi(-x)) acts as
-    # multiplication by k(k-1) + 2 mu k - 2 mu theta(k) with a shift by 2.
-    out = [Fraction(0)] * max(phi.degree - 1, 0)
-    for k, c in enumerate(phi.coeffs):
-        if k < 2 or c == 0:
-            continue
-        out[k - 2] = c * (k * (k - 1) + 2 * mu * k - 2 * mu * (k % 2))
-    rhs = DensePoly.from_coeffs(out)
-    return [("", lhs, rhs)]
+def _sides_second_order(mu: Fraction):
+    for n in count():
+        phi = _test_poly(n)
+        lhs = dunkl_definition(mu, dunkl_definition(mu, phi))
+        # Combined closed form of the square: on x^k the second-order operator
+        # phi'' + (2 mu / x) phi' - (mu / x^2)(phi - phi(-x)) acts as
+        # multiplication by k(k-1) + 2 mu k - 2 mu theta(k) with a shift by 2.
+        out = [Fraction(0)] * max(phi.degree - 1, 0)
+        for k, c in enumerate(phi.coeffs):
+            if k < 2 or c == 0:
+                continue
+            out[k - 2] = c * (k * (k - 1) + 2 * mu * k - 2 * mu * (k % 2))
+        yield [("", lhs, DensePoly.from_coeffs(out))]
 
 
 _BUILDERS = {
@@ -225,20 +261,31 @@ class IdentityReport:
         }
 
 
-def identity_sides(tag: str, mu, n: int):
-    """Both sides of the tagged identity at one degree, independently built.
-
-    Returns a list of (label, lhs, rhs) triples; polynomials carry exact
-    Fraction coefficients.  Exposed so tests can perturb one side and
-    confirm the comparator actually bites.
-    """
+def _builder(tag: str, mu, degree: int, what: str):
     if tag not in _BUILDERS:
         raise ValueError(f"unknown identity tag {tag!r}; known: {', '.join(IDENTITY_TAGS)}")
     frac = as_mu(mu).require_exact()
-    return _BUILDERS[tag](frac, n)
+    if degree < 0:
+        raise ValueError(f"{what} must be nonnegative, got {degree}")
+    return frac, _BUILDERS[tag](frac)
+
+
+def identity_sides(tag: str, mu, n: int):
+    """Both sides of the tagged identity at degree n, independently built.
+
+    Returns a list of (label, lhs, rhs) triples; polynomials carry exact
+    Fraction coefficients.  The sides are built by walking the degrees up
+    from 0, as verify_identity does, and this returns step n of that walk;
+    the two sides still come from different routes.  Exposed so tests can
+    perturb one side and confirm the comparator actually bites.
+    """
+    _, sides = _builder(tag, mu, n, "degree n")
+    return next(islice(sides, n, None))
 
 
 def _first_mismatch(lhs, rhs):
+    if lhs == rhs:
+        return None
     if isinstance(lhs, DensePoly):
         for k in range(max(len(lhs.coeffs), len(rhs.coeffs))):
             if lhs[k] != rhs[k]:
@@ -254,10 +301,10 @@ def _first_mismatch(lhs, rhs):
 
 def verify_identity(tag: str, mu, n_max: int) -> IdentityReport:
     """Check one tagged identity exactly for all degrees up to n_max."""
-    frac = as_mu(mu).require_exact()
+    frac, sides = _builder(tag, mu, n_max, "n_max")
     checks = 0
-    for n in range(n_max + 1):
-        for label, lhs, rhs in identity_sides(tag, frac, n):
+    for n, triples in enumerate(islice(sides, n_max + 1)):
+        for label, lhs, rhs in triples:
             checks += 1
             mismatch = _first_mismatch(lhs, rhs)
             if mismatch is not None:

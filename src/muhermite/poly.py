@@ -4,6 +4,11 @@ Coefficients are stored in ascending order and are deliberately
 field-generic: the same container runs over float, complex, or
 fractions.Fraction, which is how one implementation serves both the
 quadrature layer and the exact rational identity verifier.
+
+DensePoly arithmetic never multiplies or adds a zero coefficient: a zero
+is carried through as it is.  The values are equal in every field, and
+the sparse Fraction polynomials of the exact layer (monomials, odd or even
+parts) cost only their nonzero terms.
 """
 
 from __future__ import annotations
@@ -58,12 +63,18 @@ class DensePoly:
         return 0
 
     def __add__(self, other: "DensePoly") -> "DensePoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DensePoly(_trim(self[k] + other[k] for k in range(n)))
+        out = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
+        for k, c in enumerate(other.coeffs):
+            if c:
+                out[k] = out[k] + c if out[k] else c
+        return DensePoly(_trim(out))
 
     def __sub__(self, other: "DensePoly") -> "DensePoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DensePoly(_trim(self[k] - other[k] for k in range(n)))
+        out = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
+        for k, c in enumerate(other.coeffs):
+            if c:
+                out[k] = out[k] - c if out[k] else -c
+        return DensePoly(_trim(out))
 
     def __neg__(self) -> "DensePoly":
         return DensePoly(tuple(-c for c in self.coeffs))
@@ -71,17 +82,17 @@ class DensePoly:
     def scale(self, s) -> "DensePoly":
         if s == 0:
             return DensePoly(())
-        return DensePoly(tuple(c * s for c in self.coeffs))
+        return DensePoly(tuple(c * s if c else c for c in self.coeffs))
 
     def __mul__(self, other: "DensePoly") -> "DensePoly":
         if self.is_zero() or other.is_zero():
             return DensePoly(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        factors = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            if a:
+                for j, b in factors:
+                    out[i + j] += a * b
         return DensePoly(_trim(out))
 
     def shift_up(self, k: int) -> "DensePoly":
@@ -91,7 +102,7 @@ class DensePoly:
         return DensePoly((0,) * k + self.coeffs)
 
     def derivative(self) -> "DensePoly":
-        return DensePoly(_trim(k * c for k, c in enumerate(self.coeffs) if k > 0))
+        return DensePoly(_trim(k * c if c else c for k, c in enumerate(self.coeffs) if k > 0))
 
     def reflect(self) -> "DensePoly":
         """p(x) -> p(-x)."""

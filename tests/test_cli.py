@@ -164,6 +164,13 @@ def test_verify_exact_suite(capsys):
     assert {r["suite"] for r in blob} == {"exact"}
 
 
+def test_verify_exact_negative_nmax_exits_two(capsys):
+    code, out, err = run(capsys, "verify", "--mu", "1/3", "--nmax", "-2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "nonnegative" in err
+
+
 def test_verify_exact_needs_rational(capsys):
     code, _, err = run(capsys, "verify", "--mu", "0.7")
     assert code == 2

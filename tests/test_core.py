@@ -58,6 +58,17 @@ class TestMuParam:
         p = MuParam.parse("1/4")
         assert as_mu(p) is p
 
+    def test_exact_mu_checked_once_and_pole_every_time(self):
+        a = as_mu(Fraction(2, 6))
+        assert a is as_mu(Fraction(1, 3))
+        assert a == MuParam(value=1 / 3, exact=Fraction(1, 3))
+        assert as_mu(3) == MuParam(value=3.0, exact=Fraction(3))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="pole"):
+                as_mu(Fraction(-3, 2))
+            with pytest.raises(ValueError, match="pole"):
+                gamma_mu_exact(Fraction(-1, 2), 3)
+
     def test_require_exact_guard(self):
         with pytest.raises(ValueError, match="exact"):
             as_mu(0.7).require_exact()
@@ -141,7 +152,7 @@ def test_gamma_half_and_beta():
 
 
 def test_mu_caches_stay_bounded():
-    from muhermite.core import MU_CACHE_SIZE, _gamma_exact_table, _gamma_table_cached
+    from muhermite.core import MU_CACHE_SIZE, _exact_mu, _gamma_exact_table, _gamma_table_cached
     from muhermite.quadrature import _hermite_rule_cached, _jacobi_rule_cached, gauss_alpha_mu, gauss_hermite_mu
 
     for k in range(300):
@@ -150,5 +161,5 @@ def test_mu_caches_stay_bounded():
         gauss_hermite_mu(mu, 4)
         gauss_alpha_mu(mu, 4)
         gamma_mu_exact(Fraction(k, 7), 3)
-    for cached in (_gamma_table_cached, _gamma_exact_table, _hermite_rule_cached, _jacobi_rule_cached):
+    for cached in (_gamma_table_cached, _gamma_exact_table, _exact_mu, _hermite_rule_cached, _jacobi_rule_cached):
         assert 0 < cached.cache_info().currsize <= MU_CACHE_SIZE

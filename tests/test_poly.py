@@ -77,6 +77,52 @@ def test_derivative_drops_degree(cs):
         assert p.derivative().is_zero()
 
 
+# About half the drawn coefficients are zero, the way the exact layer's
+# monomials and odd or even parts are.
+_sparse_fractions = st.lists(
+    st.one_of(
+        st.sampled_from([Fraction(0), 0]),
+        st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    ),
+    max_size=9,
+)
+
+
+def _no_trailing_zero(p):
+    return not p.coeffs or p.coeffs[-1] != 0
+
+
+@given(_sparse_fractions, _sparse_fractions, st.fractions(max_denominator=9), st.fractions(max_denominator=9))
+def test_zero_skipping_arithmetic_is_exact(a, b, s, r):
+    p, q = DensePoly.from_coeffs(a), DensePoly.from_coeffs(b)
+    for got, want in (
+        (p + q, p(r) + q(r)),
+        (p - q, p(r) - q(r)),
+        (p * q, p(r) * q(r)),
+        (p.scale(s), s * p(r)),
+    ):
+        assert got(r) == want
+        assert _no_trailing_zero(got)
+
+
+def test_float_arithmetic_matches_plain_formulas():
+    # The sums and products every coefficient, zero or not, gives.
+    p = DensePoly.from_coeffs((0.5, 0.0, -1.25, 0.0, 3.0e-7))
+    q = DensePoly.from_coeffs((0.0, 2.0, 0.0, -0.0, 1.5, 0.0, -2.0))
+    a, b = p.coeffs, q.coeffs
+    n = max(len(a), len(b))
+    prod = [0.0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    assert (p + q).coeffs == tuple(p[k] + q[k] for k in range(n))
+    assert (p - q).coeffs == tuple(p[k] - q[k] for k in range(n))
+    assert (q - p).coeffs == tuple(q[k] - p[k] for k in range(n))
+    assert (p * q).coeffs == tuple(prod)
+    assert p.scale(-0.3).coeffs == tuple(x * -0.3 for x in a)
+    assert (q - q).is_zero()
+
+
 class TestBivariatePoly:
     def test_term_and_eval(self):
         p = BivariatePoly.from_dict({(1, 2): 3, (0, 0): 1})
