@@ -209,21 +209,10 @@ def _cmd_translate(args) -> int:
 
 def _cmd_oscillator(args) -> int:
     rep = osc.build(args.mu, args.size)
-    if args.check:
-        table = {
-            "structure": osc.check_structure,
-            "equations_of_motion": osc.check_equations_of_motion,
-            "commutation": osc.check_commutation,
-            "ladder_powers": osc.check_ladder_powers,
-            "rodrigues_operator": osc.check_rodrigues_operator,
-            "rotation": osc.check_rotation,
-            "representation": osc.check_representation,
-        }
-        if args.check not in table:
-            raise ValueError(f"unknown --check {args.check!r}; known: {', '.join(sorted(table))}")
-        reports = (table[args.check](rep),)
-    else:
-        reports = osc.run_all(rep, ladder_n_max=args.ladder_nmax, rodrigues_n_max=args.rodrigues_nmax)
+    table = osc.check_table(args.ladder_nmax, args.rodrigues_nmax)
+    if args.check is not None and args.check not in table:
+        raise ValueError(f"unknown --check {args.check!r}; known: {', '.join(sorted(table))}")
+    reports = [table[name](rep) for name in ([args.check] if args.check else table)]
     _emit(json.dumps([r.to_json() for r in reports], indent=2) + "\n", args.out)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -320,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oscillator", help="run oscillator identity checks, JSON report")
     _add_common(p)
     p.add_argument("--size", type=int, default=32)
-    p.add_argument("--check", default=None, help="run a single named check")
+    p.add_argument("--check", default=None, help=f"run a single named check: {', '.join(osc.check_table())}")
     p.add_argument("--ladder-nmax", type=int, default=3)
     p.add_argument("--rodrigues-nmax", type=int, default=8)
     p.set_defaults(handler=_cmd_oscillator)

@@ -20,6 +20,7 @@ need large n use the log-scale accessor instead.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,6 +34,7 @@ __all__ = [
     "theta",
     "gamma_mu",
     "gamma_mu_exact",
+    "gamma_exact_table",
     "gamma_table",
     "log_gamma_mu",
     "mu_binomial",
@@ -120,17 +122,20 @@ def _exact_mu(numerator: int, denominator: int) -> MuParam:
 
 
 def as_mu(mu) -> MuParam:
-    """Normalize any accepted mu spelling to a MuParam."""
+    """Normalize any accepted mu spelling to a MuParam; an integer of any type is exact."""
     if isinstance(mu, MuParam):
         return mu
-    if isinstance(mu, Fraction):
-        return _exact_mu(mu.numerator, mu.denominator)
-    if isinstance(mu, int):
-        return _exact_mu(mu, 1)
-    if isinstance(mu, str):
-        return MuParam.parse(mu)
+    # The float layer's spelling first: the numbers checks below are slow ABC checks.
     if isinstance(mu, float):
         return MuParam(value=mu)
+    if isinstance(mu, Fraction):
+        return _exact_mu(mu.numerator, mu.denominator)
+    if isinstance(mu, numbers.Integral):
+        return _exact_mu(int(mu), 1)
+    if isinstance(mu, str):
+        return MuParam.parse(mu)
+    if isinstance(mu, numbers.Real):
+        return MuParam(value=float(mu))
     raise TypeError(f"cannot interpret {mu!r} as a deformation parameter")
 
 
@@ -216,12 +221,16 @@ def _gamma_exact_table(mu: Fraction, size: int) -> tuple:
     return tuple(out)
 
 
+def gamma_exact_table(mu, n_max: int) -> tuple:
+    """gamma_mu(0), gamma_mu(1), ... past n_max as exact rationals; mu rational."""
+    return _gamma_exact_table(as_mu(mu).require_exact(), _bucket(n_max))
+
+
 def gamma_mu_exact(mu, n: int) -> Fraction:
     """Generalized factorial as an exact rational; mu must be rational."""
     if n < 0:
         raise ValueError("gamma_mu_exact expects n >= 0")
-    frac = as_mu(mu).require_exact()
-    return _gamma_exact_table(frac, _bucket(n))[n]
+    return gamma_exact_table(mu, n)[n]
 
 
 def mu_binomial(mu, n: int, j: int) -> float:
@@ -238,7 +247,8 @@ def mu_binomial(mu, n: int, j: int) -> float:
 def mu_binomial_exact(mu, n: int, j: int) -> Fraction:
     if not 0 <= j <= n:
         raise ValueError("mu_binomial needs 0 <= j <= n")
-    return gamma_mu_exact(mu, n) / (gamma_mu_exact(mu, j) * gamma_mu_exact(mu, n - j))
+    gam = gamma_exact_table(mu, n)
+    return gam[n] / (gam[j] * gam[n - j])
 
 
 def alpha_mu_moment(mu, n: int) -> float:

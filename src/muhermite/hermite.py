@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import as_mu, gamma_mu_exact, gamma_step, gamma_table, mu_binomial, mu_binomial_exact
+from .core import as_mu, gamma_exact_table, gamma_step, gamma_table, mu_binomial
 from .poly import BivariatePoly, DensePoly
 
 __all__ = [
@@ -66,8 +66,7 @@ def hermite_coeffs(mu, n: int, *, exact: bool = False) -> DensePoly:
     param = as_mu(mu)
     fact = factorials(n, exact)
     if exact:
-        frac = param.require_exact()
-        gam = [gamma_mu_exact(frac, m) for m in range(n + 1)]
+        gam = gamma_exact_table(param, n)
         two = Fraction(2)
     else:
         param.require_numeric()
@@ -177,13 +176,11 @@ def binomial_poly(mu, n: int, *, exact: bool = False) -> BivariatePoly:
     if n < 0:
         raise ValueError("polynomial degree must be nonnegative")
     param = as_mu(mu)
-    d = {}
-    for j in range(n + 1):
-        if exact:
-            d[(j, n - j)] = mu_binomial_exact(param.require_exact(), n, j)
-        else:
-            d[(j, n - j)] = mu_binomial(param.require_numeric(), n, j)
-    return BivariatePoly.from_dict(d)
+    if exact:
+        gam = gamma_exact_table(param, n)
+        return BivariatePoly.from_dict({(j, n - j): gam[n] / (gam[j] * gam[n - j]) for j in range(n + 1)})
+    value = param.require_numeric()
+    return BivariatePoly.from_dict({(j, n - j): mu_binomial(value, n, j) for j in range(n + 1)})
 
 
 def heat_poly(mu, n: int, t, *, exact: bool = False) -> DensePoly:
@@ -199,8 +196,7 @@ def heat_poly(mu, n: int, t, *, exact: bool = False) -> DensePoly:
     param = as_mu(mu)
     fact = factorials(n, exact)
     if exact:
-        frac = param.require_exact()
-        gam = [gamma_mu_exact(frac, m) for m in range(n + 1)]
+        gam = gamma_exact_table(param, n)
         t = Fraction(t)
     else:
         param.require_numeric()

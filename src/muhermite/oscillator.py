@@ -15,6 +15,14 @@ scaled one (raw divided by the larger of 1 and the interior magnitude
 of either side); pass/fail uses the scaled number, which is the usual
 backward-style residual.
 
+Each decision is written once.  `_brackets` holds the bracket of each
+letter pair ([A, X], i[P, X], i[X, Q]), which acts on a polynomial in
+its letter as the reflection-corrected derivative; the power, ground
+and intertwining identities loop over its rows.  `_matrix_defect` is
+the one defect measure, a vector being a one-column matrix.
+`check_table` lists the check families in report order for both
+`run_all` and the CLI.
+
 Irreducibility of the represented algebra is structural rather than
 checked: e_0 is cyclic for the raising matrix by construction, every
 basis vector being a normalized raising-power image of it.
@@ -25,6 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,6 +55,7 @@ __all__ = [
     "check_rodrigues_operator",
     "check_rotation",
     "check_representation",
+    "check_table",
     "run_all",
 ]
 
@@ -152,18 +162,9 @@ def build(mu, size: int) -> OscillatorRep:
     value = param.require_numeric()
     if size < 4:
         raise ValueError("oscillator truncation needs size >= 4")
-    mats = {kind: operator_matrix(param, kind, size).matrix for kind in ("A", "Adag", "Q", "P", "H", "J", "F")}
-    return OscillatorRep(
-        mu=value,
-        size=size,
-        a=mats["A"],
-        adag=mats["Adag"],
-        q=mats["Q"],
-        p=mats["P"],
-        h=mats["H"],
-        j=mats["J"],
-        f=mats["F"],
-    )
+    # The letters in OscillatorRep field order: a, adag, q, p, h, j, f.
+    kinds = ("A", "Adag", "Q", "P", "H", "J", "F")
+    return OscillatorRep(value, size, *(operator_matrix(param, kind, size).matrix for kind in kinds))
 
 
 def _require_word(rep: OscillatorRep, k: int) -> None:
@@ -172,38 +173,25 @@ def _require_word(rep: OscillatorRep, k: int) -> None:
 
 
 def _matrix_defect(rep: OscillatorRep, tag: str, word_length: int, lhs, rhs) -> IdentityDefect:
+    """Defect of lhs = rhs; a vector is a one-column matrix.
+
+    _require_word keeps the first column interior, so a vector identity
+    has no edge and its one column defect is the raw interior defect.
+    """
     _require_word(rep, word_length)
-    diff = np.abs(np.asarray(lhs) - np.asarray(rhs))
-    cols = diff.max(axis=0)
-    width = diff.shape[1]
-    keep = min(width, rep.size - word_length)
-    mags = max(float(np.abs(lhs[:, :keep]).max()), float(np.abs(rhs[:, :keep]).max()))
-    scale = max(1.0, mags)
-    interior_raw = float(cols[:keep].max())
-    edge_raw = float(cols[keep:].max()) if keep < width else 0.0
+    lhs, rhs = lhs.reshape(len(lhs), -1), rhs.reshape(len(rhs), -1)
+    cols = np.abs(lhs - rhs).max(axis=0).tolist()
+    keep = min(len(cols), rep.size - word_length)
+    scale = max(1.0, float(np.abs(lhs[:, :keep]).max()), float(np.abs(rhs[:, :keep]).max()))
+    interior_raw = max(cols[:keep])
     return IdentityDefect(
         tag=tag,
         word_length=word_length,
         interior=interior_raw / scale,
         interior_raw=interior_raw,
-        edge_raw=edge_raw,
+        edge_raw=max(cols[keep:], default=0.0),
         scale=scale,
-        column_defects=tuple(float(c) for c in cols),
-    )
-
-
-def _vector_defect(rep: OscillatorRep, tag: str, word_length: int, lhs, rhs) -> IdentityDefect:
-    _require_word(rep, word_length)
-    raw = float(np.abs(np.asarray(lhs) - np.asarray(rhs)).max())
-    scale = max(1.0, float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-    return IdentityDefect(
-        tag=tag,
-        word_length=word_length,
-        interior=raw / scale,
-        interior_raw=raw,
-        edge_raw=0.0,
-        scale=scale,
-        column_defects=(raw,),
+        column_defects=tuple(cols),
     )
 
 
@@ -252,7 +240,7 @@ def check_structure(rep: OscillatorRep, tolerance: float = 1e-11) -> CheckReport
     entries.append(_matrix_defect(rep, "hamiltonian_mean", 2, rep.h, 0.5 * (rep.a @ rep.adag + rep.adag @ rep.a)))
     entries.append(_matrix_defect(rep, "hamiltonian_diagonal", 0, rep.h, np.diag(n_idx + value + 0.5).astype(complex)))
 
-    entries.append(_vector_defect(rep, "ground_annihilation", 1, rep.a @ rep.basis_vector(0), np.zeros(size)))
+    entries.append(_matrix_defect(rep, "ground_annihilation", 1, rep.a @ rep.basis_vector(0), np.zeros(size)))
 
     entries.append(_matrix_defect(rep, "parity_eigenvalues", 0, rep.j, np.diag((-1.0) ** n_idx).astype(complex)))
     entries.append(_matrix_defect(rep, "parity_involution", 0, rep.j @ rep.j, eye))
@@ -274,10 +262,10 @@ def check_structure(rep: OscillatorRep, tolerance: float = 1e-11) -> CheckReport
         lhs = np.linalg.matrix_power(rep.a, m) @ np.linalg.matrix_power(rep.adag, n) @ e0
         ratio = gamma_mu(value, n) / gamma_mu(value, n - m)
         rhs = ratio * (np.linalg.matrix_power(rep.adag, n - m) @ e0)
-        entries.append(_vector_defect(rep, f"ladder_chain_{m}_{n}", word, lhs, rhs))
+        entries.append(_matrix_defect(rep, f"ladder_chain_{m}_{n}", word, lhs, rhs))
     for m, n in ((3, 2), (5, 4)):
         lhs = np.linalg.matrix_power(rep.a, m) @ np.linalg.matrix_power(rep.adag, n) @ e0
-        entries.append(_vector_defect(rep, f"ladder_chain_kill_{m}_{n}", m + n, lhs, np.zeros(size)))
+        entries.append(_matrix_defect(rep, f"ladder_chain_kill_{m}_{n}", m + n, lhs, np.zeros(size)))
 
     return CheckReport(name="structure", mu=value, size=size, tolerance=tolerance, entries=tuple(entries))
 
@@ -315,6 +303,20 @@ def check_commutation(rep: OscillatorRep, tolerance: float = 1e-11) -> CheckRepo
     return CheckReport(name="commutation", mu=rep.mu, size=rep.size, tolerance=tolerance, entries=tuple(entries))
 
 
+def _brackets(rep: OscillatorRep) -> tuple:
+    """One row per letter pair: its name, the letter X and the bracket.
+
+    The brackets are [A, X], i[P, X] and i[X, Q] against the raising,
+    position and momentum letters.  Each acts on a polynomial in its
+    letter as the reflection-corrected derivative does.
+    """
+    return (
+        ("ladder", rep.adag, lambda m: _commutator(rep.a, m)),
+        ("position", rep.q, lambda m: 1j * _commutator(rep.p, m)),
+        ("momentum", rep.p, lambda m: 1j * _commutator(m, rep.q)),
+    )
+
+
 def check_ladder_powers(rep: OscillatorRep, n_max: int = 3, tolerance: float = 1e-11) -> CheckReport:
     """Commutators with letter powers, and derivative action on e_0.
 
@@ -331,113 +333,61 @@ def check_ladder_powers(rep: OscillatorRep, n_max: int = 3, tolerance: float = 1
     _require_word(rep, 2 * n_max + 2)
     value, size = rep.mu, rep.size
     eye = rep.identity()
+    ladder, position, momentum = rows = _brackets(rep)
     entries = []
 
     deformed = eye + 2.0 * value * rep.j
     for n in range(1, n_max + 1):
         even, odd = 2 * n, 2 * n + 1
-        adag_even = np.linalg.matrix_power(rep.adag, even)
-        entries.append(
-            _matrix_defect(
-                rep, f"even_ladder_power_{n}", even + 1,
-                _commutator(rep.a, adag_even),
-                even * np.linalg.matrix_power(rep.adag, even - 1),
+        for name, letter, bracket in rows:
+            x_even = np.linalg.matrix_power(letter, even)
+            entries.append(
+                _matrix_defect(
+                    rep, f"even_{name}_power_{n}", even + 1,
+                    bracket(x_even), even * np.linalg.matrix_power(letter, even - 1),
+                )
             )
-        )
-        entries.append(
-            _matrix_defect(
-                rep, f"odd_ladder_power_{n}", odd + 1,
-                _commutator(rep.a, np.linalg.matrix_power(rep.adag, odd)),
-                adag_even @ (even * eye + deformed),
+            entries.append(
+                _matrix_defect(
+                    rep, f"odd_{name}_power_{n}", odd + 1,
+                    bracket(np.linalg.matrix_power(letter, odd)), x_even @ (even * eye + deformed),
+                )
             )
-        )
-        q_even = np.linalg.matrix_power(rep.q, even)
-        entries.append(
-            _matrix_defect(
-                rep, f"even_position_power_{n}", even + 1,
-                1j * _commutator(rep.p, q_even),
-                even * np.linalg.matrix_power(rep.q, even - 1),
-            )
-        )
-        entries.append(
-            _matrix_defect(
-                rep, f"odd_position_power_{n}", odd + 1,
-                1j * _commutator(rep.p, np.linalg.matrix_power(rep.q, odd)),
-                q_even @ (even * eye + deformed),
-            )
-        )
-        p_even = np.linalg.matrix_power(rep.p, even)
-        entries.append(
-            _matrix_defect(
-                rep, f"even_momentum_power_{n}", even + 1,
-                1j * _commutator(p_even, rep.q),
-                even * np.linalg.matrix_power(rep.p, even - 1),
-            )
-        )
-        entries.append(
-            _matrix_defect(
-                rep, f"odd_momentum_power_{n}", odd + 1,
-                1j * _commutator(np.linalg.matrix_power(rep.p, odd), rep.q),
-                p_even @ (even * eye + deformed),
-            )
-        )
 
     e0 = rep.basis_vector(0)
-    entries.append(_vector_defect(rep, "ground_raising_vs_position", 1, rep.adag @ e0 / math.sqrt(2.0), rep.q @ e0))
-    entries.append(_vector_defect(rep, "ground_position_vs_momentum", 1, rep.q @ e0, -1j * (rep.p @ e0)))
+    entries.append(_matrix_defect(rep, "ground_raising_vs_position", 1, rep.adag @ e0 / math.sqrt(2.0), rep.q @ e0))
+    entries.append(_matrix_defect(rep, "ground_position_vs_momentum", 1, rep.q @ e0, -1j * (rep.p @ e0)))
     entries.append(
-        _vector_defect(rep, "ground_commutator_value", 2, 1j * (_commutator(rep.p, rep.q) @ e0), (1 + 2 * value) * e0)
+        _matrix_defect(rep, "ground_commutator_value", 2, 1j * (_commutator(rep.p, rep.q) @ e0), (1 + 2 * value) * e0)
     )
     for n in range(1, 2 * n_max + 2):
         ratio = gamma_mu(value, n) / gamma_mu(value, n - 1)
-        q_pow = np.linalg.matrix_power(rep.q, n)
-        entries.append(
-            _vector_defect(
-                rep, f"ground_position_power_{n}", n + 1,
-                1j * (_commutator(rep.p, q_pow) @ e0),
-                ratio * (np.linalg.matrix_power(rep.q, n - 1) @ e0),
+        for name, letter, bracket in (position, momentum, ladder):
+            entries.append(
+                _matrix_defect(
+                    rep, f"ground_{name}_power_{n}", n + 1,
+                    bracket(np.linalg.matrix_power(letter, n)) @ e0,
+                    ratio * (np.linalg.matrix_power(letter, n - 1) @ e0),
+                )
             )
-        )
-        entries.append(
-            _vector_defect(
-                rep, f"ground_momentum_power_{n}", n + 1,
-                1j * (_commutator(np.linalg.matrix_power(rep.p, n), rep.q) @ e0),
-                ratio * (np.linalg.matrix_power(rep.p, n - 1) @ e0),
-            )
-        )
-        entries.append(
-            _vector_defect(
-                rep, f"ground_ladder_power_{n}", n + 1,
-                _commutator(rep.a, np.linalg.matrix_power(rep.adag, n)) @ e0,
-                ratio * (np.linalg.matrix_power(rep.adag, n - 1) @ e0),
-            )
-        )
 
     generic = DensePoly.from_coeffs((-1.0, 5.0, 2.0, -3.0, 1.0))
     derived = dunkl_apply(value, generic)
-    for tag, letter, partner, sign in (
-        ("derivative_intertwine_position", rep.q, rep.p, 1j),
-        ("derivative_intertwine_raising", rep.adag, rep.a, 1.0),
-    ):
-        lhs = sign * (_commutator(partner, _poly_of_matrix(generic, letter)) @ e0)
+    for name, (_, letter, bracket) in (("position", position), ("raising", ladder), ("momentum", momentum)):
+        lhs = bracket(_poly_of_matrix(generic, letter)) @ e0
         rhs = _poly_of_matrix(derived, letter) @ e0
-        entries.append(_vector_defect(rep, tag, generic.degree + 1, lhs, rhs))
-    lhs = 1j * (_commutator(_poly_of_matrix(generic, rep.p), rep.q) @ e0)
-    entries.append(
-        _vector_defect(rep, "derivative_intertwine_momentum", generic.degree + 1, lhs, _poly_of_matrix(derived, rep.p) @ e0)
-    )
+        entries.append(_matrix_defect(rep, f"derivative_intertwine_{name}", generic.degree + 1, lhs, rhs))
 
-    cubic_lhs = 1j * (_commutator(rep.p, np.linalg.matrix_power(rep.q, 3)) @ e0)
-    cubic_rhs = (gamma_mu(value, 3) / gamma_mu(value, 2)) * (np.linalg.matrix_power(rep.q, 2) @ e0)
-    entries.append(_vector_defect(rep, "derivative_intertwine_cubic", 4, cubic_lhs, cubic_rhs))
-
-    h3 = hermite_coeffs(value, 3)
-    h2 = hermite_coeffs(value, 2)
-    lhs = 1j * (_commutator(rep.p, _poly_of_matrix(h3, rep.q)) @ e0)
-    entries.append(_vector_defect(rep, "derivative_intertwine_hermite", 4, lhs, 6.0 * (_poly_of_matrix(h2, rep.q) @ e0)))
-    lhs = 1j * (_commutator(rep.p, _poly_of_matrix(_arg_scaled(h3, 0.5), rep.q)) @ e0)
-    rhs = 3.0 * (_poly_of_matrix(_arg_scaled(h2, 0.5), rep.q) @ e0)
-    entries.append(_vector_defect(rep, "derivative_intertwine_hermite_scaled", 4, lhs, rhs))
+    _, q, bracket = position
+    cubic_lhs = bracket(np.linalg.matrix_power(q, 3)) @ e0
+    cubic_rhs = (gamma_mu(value, 3) / gamma_mu(value, 2)) * (np.linalg.matrix_power(q, 2) @ e0)
+    entries.append(_matrix_defect(rep, "derivative_intertwine_cubic", 4, cubic_lhs, cubic_rhs))
+    # D H_3(lam x) = 6 lam H_2(lam x)
+    h3, h2 = hermite_coeffs(value, 3), hermite_coeffs(value, 2)
+    for tag, lam in (("hermite", 1.0), ("hermite_scaled", 0.5)):
+        lhs = bracket(_poly_of_matrix(_arg_scaled(h3, lam), q)) @ e0
+        rhs = (6.0 * lam) * (_poly_of_matrix(_arg_scaled(h2, lam), q) @ e0)
+        entries.append(_matrix_defect(rep, f"derivative_intertwine_{tag}", 4, lhs, rhs))
 
     return CheckReport(name="ladder_powers", mu=value, size=size, tolerance=tolerance, entries=tuple(entries))
 
@@ -459,53 +409,26 @@ def check_rodrigues_operator(rep: OscillatorRep, n_max: int = 8, tolerance: floa
     entries = []
     for n in range(n_max + 1):
         poly = hermite_coeffs(value, n)
+        scaled = _arg_scaled(poly, root_half)
         pref = gamma_mu(value, n) / (2.0 ** (n / 2.0) * math.factorial(n))
         pref_ladder = gamma_mu(value, n) / (2.0**n * math.factorial(n))
+        norm = math.sqrt(gamma_mu(value, n)) / (2.0 ** (n / 2.0) * math.factorial(n))
         p_pow = np.linalg.matrix_power(rep.p, n) @ e0
         q_pow = np.linalg.matrix_power(rep.q, n) @ e0
-        entries.append(
-            _vector_defect(
-                rep, f"momentum_power_formula_{n}", n,
-                p_pow, (1j**n * pref) * (_poly_of_matrix(_arg_scaled(poly, root_half), rep.q) @ e0),
-            )
+        e_n = rep.basis_vector(n)
+        # (tag, lhs, coefficient, polynomial, letter): lhs = coefficient * polynomial(letter) e_0
+        rows = (
+            ("momentum_power_formula", p_pow, 1j**n * pref, scaled, rep.q),
+            ("momentum_power_ladder", p_pow, 1j**n * pref_ladder, scaled, rep.adag),
+            ("position_power_formula", q_pow, (-1j) ** n * pref, scaled, rep.p),
+            ("position_power_ladder", q_pow, (-1j) ** n * pref_ladder, _arg_scaled(poly, 1j * root_half), rep.adag),
+            ("raising_power_formula", np.linalg.matrix_power(rep.adag, n) @ e0, pref, poly, rep.q),
+            ("basis_reconstruction", e_n, norm, poly, rep.q),
+            ("basis_reconstruction_dual", e_n, (-1j) ** n * norm, poly, rep.p),
         )
-        entries.append(
-            _vector_defect(
-                rep, f"momentum_power_ladder_{n}", n,
-                p_pow, (1j**n * pref_ladder) * (_poly_of_matrix(_arg_scaled(poly, root_half), rep.adag) @ e0),
-            )
-        )
-        entries.append(
-            _vector_defect(
-                rep, f"position_power_formula_{n}", n,
-                q_pow, ((-1j) ** n * pref) * (_poly_of_matrix(_arg_scaled(poly, root_half), rep.p) @ e0),
-            )
-        )
-        entries.append(
-            _vector_defect(
-                rep, f"position_power_ladder_{n}", n,
-                q_pow, ((-1j) ** n * pref_ladder) * (_poly_of_matrix(_arg_scaled(poly, 1j * root_half), rep.adag) @ e0),
-            )
-        )
-        entries.append(
-            _vector_defect(
-                rep, f"raising_power_formula_{n}", n,
-                np.linalg.matrix_power(rep.adag, n) @ e0, pref * (_poly_of_matrix(poly, rep.q) @ e0),
-            )
-        )
-        norm = math.sqrt(gamma_mu(value, n)) / (2.0 ** (n / 2.0) * math.factorial(n))
-        entries.append(
-            _vector_defect(
-                rep, f"basis_reconstruction_{n}", n,
-                rep.basis_vector(n), norm * (_poly_of_matrix(poly, rep.q) @ e0),
-            )
-        )
-        entries.append(
-            _vector_defect(
-                rep, f"basis_reconstruction_dual_{n}", n,
-                rep.basis_vector(n), ((-1j) ** n * norm) * (_poly_of_matrix(poly, rep.p) @ e0),
-            )
-        )
+        for tag, lhs, coefficient, polynomial, letter in rows:
+            rhs = coefficient * (_poly_of_matrix(polynomial, letter) @ e0)
+            entries.append(_matrix_defect(rep, f"{tag}_{n}", n, lhs, rhs))
     return CheckReport(name="rodrigues_operator", mu=value, size=size, tolerance=tolerance, entries=tuple(entries))
 
 
@@ -525,24 +448,13 @@ def check_rotation(rep: OscillatorRep, angles=(0.3, 1.1), tolerance: float = 1e-
     for lam in angles:
         u = np.diag(np.exp(1j * lam * diag_h))
         ustar = u.conj().T
-        entries.append(
-            _matrix_defect(
-                rep, f"rotate_position_{lam:g}", 0,
-                u @ rep.q @ ustar, math.cos(lam) * rep.q + math.sin(lam) * rep.p,
-            )
-        )
-        entries.append(
-            _matrix_defect(
-                rep, f"rotate_momentum_{lam:g}", 0,
-                u @ rep.p @ ustar, -math.sin(lam) * rep.q + math.cos(lam) * rep.p,
-            )
-        )
-        entries.append(
-            _matrix_defect(
-                rep, f"rotate_lowering_{lam:g}", 0,
-                u @ rep.a @ ustar, np.exp(-1j * lam) * rep.a,
-            )
-        )
+        cos, sin = math.cos(lam), math.sin(lam)
+        for name, letter, rotated in (
+            ("position", rep.q, cos * rep.q + sin * rep.p),
+            ("momentum", rep.p, -sin * rep.q + cos * rep.p),
+            ("lowering", rep.a, np.exp(-1j * lam) * rep.a),
+        ):
+            entries.append(_matrix_defect(rep, f"rotate_{name}_{lam:g}", 0, u @ letter @ ustar, rotated))
     quarter = np.diag(np.exp(1j * (math.pi / 2.0) * diag_h))
     entries.append(
         _matrix_defect(rep, "quarter_turn_momentum", 0, quarter @ rep.q @ quarter.conj().T, rep.p)
@@ -597,18 +509,27 @@ def check_representation(rep: OscillatorRep, quad_n: int | None = None, toleranc
 
     coeffs = 1.0 / (1.0 + np.arange(size)) + 0.25j
     spectral = fourier_spectral(SpectralVector(mu=value, coeffs=coeffs.copy()))
-    entries.append(_vector_defect(rep, "transform_bridge", 0, rep.f @ coeffs, np.asarray(spectral.coeffs)))
+    entries.append(_matrix_defect(rep, "transform_bridge", 0, rep.f @ coeffs, np.asarray(spectral.coeffs)))
     return CheckReport(name="representation", mu=value, size=size, tolerance=tolerance, entries=tuple(entries))
 
 
+def check_table(ladder_n_max: int = 3, rodrigues_n_max: int = 8) -> dict:
+    """Every check family by name, in report order, as a callable on a rep.
+
+    run_all walks this table and `muhermite oscillator --check` looks a
+    name up in it, so both run a family at the same n_max.
+    """
+    return {
+        "structure": check_structure,
+        "equations_of_motion": check_equations_of_motion,
+        "commutation": check_commutation,
+        "ladder_powers": partial(check_ladder_powers, n_max=ladder_n_max),
+        "rodrigues_operator": partial(check_rodrigues_operator, n_max=rodrigues_n_max),
+        "rotation": check_rotation,
+        "representation": check_representation,
+    }
+
+
 def run_all(rep: OscillatorRep, ladder_n_max: int = 3, rodrigues_n_max: int = 8) -> tuple:
-    """Every check family on one representation, in a fixed order."""
-    return (
-        check_structure(rep),
-        check_equations_of_motion(rep),
-        check_commutation(rep),
-        check_ladder_powers(rep, n_max=ladder_n_max),
-        check_rodrigues_operator(rep, n_max=rodrigues_n_max),
-        check_rotation(rep),
-        check_representation(rep),
-    )
+    """Every check family on one representation, in check_table order."""
+    return tuple(check(rep) for check in check_table(ladder_n_max, rodrigues_n_max).values())

@@ -149,6 +149,20 @@ def test_oscillator_word_too_long_for_size(capsys):
     assert "word length" in err
 
 
+def test_oscillator_check_takes_the_nmax_flags(capsys):
+    # a single family runs at the same n_max as the full suite
+    code, out, _ = run(
+        capsys, "oscillator", "--mu", "0.5", "--size", "8", "--check", "ladder_powers", "--ladder-nmax", "2"
+    )
+    assert code == 0
+    assert json.loads(out)[0]["identities"][-7]["tag"] == "ground_ladder_power_5"
+    code, out, _ = run(
+        capsys, "oscillator", "--mu", "0.5", "--size", "12", "--check", "rodrigues_operator", "--rodrigues-nmax", "2"
+    )
+    assert code == 0
+    assert len(json.loads(out)[0]["identities"]) == 21
+
+
 def test_oscillator_unknown_check(capsys):
     code, _, err = run(capsys, "oscillator", "--mu", "0.5", "--check", "nope")
     assert code == 2

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from muhermite.core import (
     MuParam,
@@ -21,6 +21,8 @@ from muhermite.core import (
     mu_binomial_exact,
     theta,
 )
+from muhermite.efun import e_mu
+from muhermite.quadrature import gauss_hermite_mu
 
 
 def test_theta_is_parity_indicator():
@@ -57,6 +59,19 @@ class TestMuParam:
         assert as_mu(Fraction(1, 2)).exact == Fraction(1, 2)
         p = MuParam.parse("1/4")
         assert as_mu(p) is p
+
+    def test_as_mu_accepts_numpy_scalars(self):
+        # an integer scalar is an exact int, a real one a float
+        for mu in (np.arange(3)[1], np.int64(1), np.uint8(1)):
+            assert as_mu(mu) == MuParam(value=1.0, exact=Fraction(1))
+            assert type(as_mu(mu).exact.numerator) is int
+        assert as_mu(np.float32(0.5)) == MuParam(value=0.5)
+        assert gamma_mu(np.arange(3)[1], 4) == gamma_mu(1, 4)
+        assert gamma_mu_exact(np.int64(1), 4) == gamma_mu_exact(1, 4)
+        assert e_mu(np.float32(0.5), 1.0) == e_mu(0.5, 1.0)
+        assert_array_equal(gauss_hermite_mu(np.int64(0), 8).nodes, gauss_hermite_mu(0, 8).nodes)
+        with pytest.raises(TypeError):
+            as_mu(1j)
 
     def test_exact_mu_checked_once_and_pole_every_time(self):
         a = as_mu(Fraction(2, 6))

@@ -156,6 +156,19 @@ def test_matches_mpmath_within_eps_of_term_magnitudes(mu):
             assert abs(got - want) <= 16 * 2.0**-52 * size, (mu, z)
 
 
+@pytest.mark.parametrize("mu", [-0.25, -0.45])
+def test_array_sum_rounds_like_the_scalar_sum(mu):
+    # an array term divided by the real recursion step must round once per
+    # part, as a Python complex does; through the reciprocal it rounded twice
+    # and the array error at this point was up to 3.4 times the scalar one
+    z = complex(0.0, -29.9)
+    want, _ = _mp_series(mu, z)
+    scalar_err = abs(e_mu(mu, z) - want)
+    assert abs(e_mu(mu, np.array([z, 0.5j]))[0] - want) <= 1.25 * scalar_err
+    # a numpy scalar or a 0-d array is summed as the Python scalar is
+    assert e_mu(mu, np.complex128(z)) == e_mu(mu, np.array(z)) == e_mu(mu, z)
+
+
 @pytest.mark.parametrize("mu", [0.0, 0.5, 1.5])
 @pytest.mark.parametrize("x", [11.9, 12.1, -12.1])
 def test_cos_sin_on_both_sides_of_the_series_switch(mu, x):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from muhermite.cli import main
 from muhermite.core import gamma_mu
 from muhermite.oscillator import (
     build,
@@ -15,6 +16,7 @@ from muhermite.oscillator import (
     check_rodrigues_operator,
     check_rotation,
     check_structure,
+    check_table,
     run_all,
 )
 
@@ -156,3 +158,70 @@ def test_rodrigues_prefactors_match_norms():
     p3 = np.linalg.matrix_power(rep.p, 3) @ e0
     q3 = np.linalg.matrix_power(rep.q, 3) @ e0
     assert_allclose(np.linalg.norm(p3), np.linalg.norm(q3), rtol=1e-12)
+
+
+def _pinned_entries():
+    """Ordered (check, tag, word_length) of run_all at its default n_max."""
+    structure = [
+        ("number_lowering", 2), ("number_raising", 2), ("hamiltonian_mean", 2), ("hamiltonian_diagonal", 0),
+        ("ground_annihilation", 1), ("parity_eigenvalues", 0), ("parity_involution", 0),
+        ("parity_self_adjoint", 0), ("parity_from_hamiltonian", 0), ("hamiltonian_period", 0),
+        ("transform_square", 0), ("transform_adjoint", 0), ("transform_parity_commute", 0),
+        ("transform_eigenvalues", 0), ("quarter_turn_position", 2),
+        ("ladder_chain_1_3", 4), ("ladder_chain_2_5", 7), ("ladder_chain_3_3", 6), ("ladder_chain_4_6", 10),
+        ("ladder_chain_kill_3_2", 5), ("ladder_chain_kill_5_4", 9),
+    ]
+    motion = [
+        ("momentum_hamiltonian", 2), ("position_hamiltonian", 2), ("lowering_hamiltonian", 2),
+        ("raising_hamiltonian", 2), ("momentum_position_squared", 3), ("momentum_squared_position", 3),
+    ]
+    commutation = [("deformed_commutator", 2), ("parity_momentum_anticommute", 2), ("parity_position_anticommute", 2)]
+    pairs = ("ladder", "position", "momentum")
+    ladder = [
+        (f"{parity}_{pair}_power_{n}", 2 * n + 1 + (parity == "odd"))
+        for n in (1, 2, 3) for pair in pairs for parity in ("even", "odd")
+    ]
+    ladder += [("ground_raising_vs_position", 1), ("ground_position_vs_momentum", 1), ("ground_commutator_value", 2)]
+    ladder += [(f"ground_{pair}_power_{n}", n + 1) for n in range(1, 8) for pair in ("position", "momentum", "ladder")]
+    ladder += [(f"derivative_intertwine_{name}", 5) for name in ("position", "raising", "momentum")]
+    ladder += [(f"derivative_intertwine_{name}", 4) for name in ("cubic", "hermite", "hermite_scaled")]
+    rodrigues = [
+        (f"{name}_{n}", n)
+        for n in range(9)
+        for name in (
+            "momentum_power_formula", "momentum_power_ladder", "position_power_formula", "position_power_ladder",
+            "raising_power_formula", "basis_reconstruction", "basis_reconstruction_dual",
+        )
+    ]
+    rotation = [(f"rotate_{name}_{lam}", 0) for lam in ("0.3", "1.1") for name in ("position", "momentum", "lowering")]
+    rotation += [("quarter_turn_momentum", 0)]
+    representation = [
+        ("position_bridge", 1), ("momentum_bridge", 1), ("energy_bridge", 1), ("energy_diagonal", 1),
+        ("transform_bridge", 0),
+    ]
+    families = {
+        "structure": structure,
+        "equations_of_motion": motion,
+        "commutation": commutation,
+        "ladder_powers": ladder,
+        "rodrigues_operator": rodrigues,
+        "rotation": rotation,
+        "representation": representation,
+    }
+    return [(check, tag, word) for check, entries in families.items() for tag, word in entries]
+
+
+def test_run_all_reports_are_pinned(rep):
+    got = [(r.name, e.tag, e.word_length) for r in run_all(rep) for e in r.entries]
+    assert got == _pinned_entries()
+    assert [len(r.entries) for r in run_all(rep)] == [21, 6, 3, 48, 63, 7, 5]
+    assert list(check_table()) == [r.name for r in run_all(rep)]
+
+
+@pytest.mark.parametrize("name", list(check_table()))
+def test_cli_check_matches_run_all(name, capsys):
+    code = main(["oscillator", "--mu", "0.5", "--size", "24", "--check", name])
+    blob = json.loads(capsys.readouterr().out)
+    (family,) = [r for r in run_all(build(0.5, 24)) if r.name == name]
+    assert code == 0
+    assert blob == [family.to_json()]
