@@ -24,7 +24,12 @@ On the imaginary axis with |x| large the series is hopeless in
 float64, so for mu > 0 the values come from the averaging-measure
 integral e(-ix; mu) = integral of exp(-ixt) over the (-1,1) measure
 with density proportional to (1-t)^(mu-1) (1+t)^mu, evaluated by the
-matching Gauss rule (mu = 0 is exactly cos/sin).
+matching 192-node Gauss rule (mu = 0 is exactly cos/sin), summed in
+real arithmetic: cos and -sin of the real phases x t_j fill one complex
+buffer, with no complex exp.  The rule resolves exp(-ixt) only up to
+|x| = 300: at mu = 0.5 its absolute error is 2e-15 there, 5e-11 at 330
+and 0.07 at 400, a relative error of 1.7.  Past that reach the integral
+raises ConvergenceError instead of returning a wrong value.
 """
 
 from __future__ import annotations
@@ -46,8 +51,10 @@ __all__ = [
 
 _LOG_EPS = -53.0 * math.log(2.0)
 _LOG_MAX = math.log(np.finfo(float).max)
-# Nodes of the Gauss rule for the averaging-measure integral.
+# Nodes of the Gauss rule for the averaging-measure integral, and the
+# largest |x| at which that rule still resolves exp(-ixt).
 _AVERAGING_N = 192
+_AVERAGING_REACH = 300.0
 
 
 class ConvergenceError(RuntimeError):
@@ -100,13 +107,27 @@ def _series(mu: float, z):
 
 
 def _averaging_integral(mu: float, z):
-    """e(-iz; mu) for real z (scalar or ndarray) and mu > 0, bounded at any |z|.
+    """e(-iz; mu) for real z (scalar or ndarray) and mu > 0, |z| <= 300.
 
     The averaging measure turns it into sum_j v_j exp(-i z tau_j) with
-    tau_j in (-1, 1).
+    tau_j in (-1, 1).  The real phases z tau_j are formed once; cos of
+    them fills the real part of one complex buffer and sin of their
+    negatives the imaginary part: exp(-i z tau_j) as cexp gives it, without
+    the complex multiply and exp.  Raises ConvergenceError past |z| = 300,
+    where the rule stops resolving the oscillation.
     """
+    z = np.asarray(z, dtype=float)
+    reach = float(np.max(np.abs(z), initial=0.0))
+    if not reach <= _AVERAGING_REACH:
+        raise ConvergenceError(
+            f"the averaging-measure rule is accurate up to |x| = {_AVERAGING_REACH:g}, not at |x| = {reach:.6g}"
+        )
     rule = gauss_alpha_mu(mu, _AVERAGING_N)
-    return np.dot(np.exp(-1j * np.asarray(z)[..., None] * rule.nodes), rule.weights)
+    phase = z[..., None] * rule.nodes
+    kernel = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=kernel.real)
+    np.sin(np.negative(phase, out=phase), out=kernel.imag)
+    return np.dot(kernel, rule.weights)
 
 
 def e_mu(mu, z):
@@ -132,8 +153,10 @@ def c_s_mu(mu, x):
     A float x gives two floats, an ndarray two arrays, routed per element.
     mu = 0 is exactly (cos, sin).  Otherwise the series, which loses absolute
     accuracy like eps * e^|x|, serves |x| <= 12, and mu > 0 goes through the
-    averaging-measure integral beyond.  For -1/2 < mu < 0 there is no such
-    route: the series serves |x| <= 30 and ConvergenceError is raised beyond.
+    averaging-measure integral for 12 < |x| <= 300; past 300 its rule no
+    longer resolves the oscillation and ConvergenceError is raised.  For
+    -1/2 < mu < 0 there is no such route: the series serves |x| <= 30 and
+    ConvergenceError is raised beyond.
     Its measured absolute error at x = 29.9 is 4.2e-4 at mu = -0.25 and
     1.8e-3 at mu = -0.45.
     """

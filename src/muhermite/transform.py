@@ -211,14 +211,26 @@ def _kernel_matrix(value: float, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     The power series for imaginary arguments carries absolute error
     ~eps * e^|z|, harmless while |z| <= 30.  Beyond that, mu = 0 is
     exactly exp(-ixt) and mu > 0 goes through the bounded
-    averaging-measure integral.
+    averaging-measure integral (ConvergenceError past |z| = 300).
+
+    t must be the nodes of a mirrored rule, t[n-1-i] == -t[i] bitwise, as
+    gauss_hermite_mu's nodes over a positive scale are.  Since e(-ixt; mu)
+    = c(xt; mu) - i s(xt; mu) with c even and s odd, the column at -t is
+    the conjugate of the column at t, so the route runs on the half
+    t[n//2:] (the same max|z| picks it) and the rest is mirrored.  That
+    is exact on every route: x t only changes sign, cos is even and sin is
+    odd, and the series terms at -z are those at z with their signs
+    flipped, each rounded alike.
     """
-    z = np.outer(x, t)
+    h = len(t) // 2
+    z = np.outer(x, t[h:])
     if value == 0.0:
-        return np.exp(-1j * z)
-    if value < 0.0 or np.max(np.abs(z), initial=0.0) <= 30.0:
-        return e_mu(value, -1j * z)
-    return _averaging_integral(value, z)
+        half = np.exp(-1j * z)
+    elif value < 0.0 or np.max(np.abs(z), initial=0.0) <= 30.0:
+        half = e_mu(value, -1j * z)
+    else:
+        half = _averaging_integral(value, z)
+    return np.concatenate((half[:, ::-1][:, :h].conj(), half), axis=1)
 
 
 def fourier_quadrature(

@@ -60,6 +60,12 @@ def test_no_large_argument_route_exits_two(capsys):
     assert err.startswith("error:") and "mu < 0" in err
 
 
+def test_past_the_averaging_reach_exits_two(capsys):
+    code, out, err = run(capsys, "eval", "--mu", "0.5", "--fn", "cos-sin", "--x", "350")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "300" in err
+
+
 def test_table_past_float_range_exits_two(capsys):
     code, out, err = run(capsys, "table", "--mu", "0.5", "--nmax", "200")
     assert (code, out) == (2, "")

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from muhermite.core import gamma_mu
-from muhermite.efun import ConvergenceError, c_s_mu, e_mu, heat_kernel, mehler_rhs
+from muhermite.efun import ConvergenceError, _averaging_integral, c_s_mu, e_mu, heat_kernel, mehler_rhs
+from muhermite.quadrature import gauss_alpha_mu, gauss_hermite_mu
 from muhermite.transform import phi_eval
 
 
@@ -180,3 +181,42 @@ def test_cos_sin_on_both_sides_of_the_series_switch(mu, x):
     c, s = c_s_mu(mu, xs)
     assert c.shape == s.shape == (3,)
     assert_allclose((c[xs == x][0], s[xs == x][0]), (want.real, -want.imag), rtol=0, atol=1e-11)
+
+
+def _mp_cos_sin(mu, x, dps=40):
+    """(c, s)(x; mu) from Bessel functions: Gamma(mu+1/2) (x/2)^(1/2-mu) J_{mu-/+1/2}(x), x > 0."""
+    with mpmath.workdps(dps):
+        mu, x = mpmath.mpf(mu), mpmath.mpf(x)
+        pref = mpmath.gamma(mu + 0.5) * (x / 2) ** (0.5 - mu)
+        return float(pref * mpmath.besselj(mu - 0.5, x)), float(pref * mpmath.besselj(mu + 0.5, x))
+
+
+def test_bessel_reference_matches_the_series():
+    want, _ = _mp_series(1.5, complex(0.0, -11.9))
+    assert_allclose(_mp_cos_sin(1.5, 11.9), (want.real, -want.imag), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("mu", [0.05, 1.5, 8.0])
+def test_averaging_route_accurate_up_to_its_reach(mu):
+    assert_allclose(c_s_mu(mu, 299.0), _mp_cos_sin(mu, 299.0), rtol=0, atol=1e-13)
+
+
+def test_averaging_route_refuses_past_its_reach():
+    # the 192-node rule no longer resolves exp(-ixt) there: at (0.5, 350) it
+    # used to return a value 4.5e-5 off, relative
+    with pytest.raises(ConvergenceError, match="up to .x. = 300"):
+        c_s_mu(0.5, 350.0)
+    with pytest.raises(ConvergenceError):
+        c_s_mu(1.5, np.array([1.0, -300.5]))
+
+
+@pytest.mark.parametrize("mu", [0.25, 0.5, 1.5])
+def test_averaging_integral_in_real_arithmetic_matches_the_complex_exp(mu):
+    # the transform's wide grid on the half of the 96-node rule it evaluates
+    t = gauss_hermite_mu(mu, 96).nodes / math.sqrt(0.5)
+    z = np.outer(np.linspace(-3.0, 3.0, 20), t[48:])
+    rule = gauss_alpha_mu(mu, 192)
+    want = np.dot(np.exp(-1j * z[..., None] * rule.nodes), rule.weights)
+    got = _averaging_integral(mu, z)
+    assert got.shape == (20, 48)
+    assert_allclose(got, want, rtol=0, atol=1e-15)

@@ -24,6 +24,16 @@ class TestGaussHermiteMu:
             assert_allclose(rule.nodes, -rule.nodes[::-1], atol=1e-14)
             assert_allclose(rule.weights, rule.weights[::-1], rtol=1e-12)
 
+    @pytest.mark.parametrize("mu", [-0.25, 0.0, 0.5, 1.5, 0.3141])
+    @pytest.mark.parametrize("n", [1, 24, 95, 96, 256])
+    def test_rule_is_its_own_mirror_image_bitwise(self, mu, n):
+        # the transform kernel evaluates half the nodes and mirrors the rest
+        rule = gauss_hermite_mu(mu, n)
+        assert np.array_equal(rule.nodes, -rule.nodes[::-1])
+        assert rule.weights.tobytes() == rule.weights[::-1].tobytes()
+        if n % 2:
+            assert rule.nodes[n // 2] == 0.0
+
     def test_even_moments(self):
         mu, n = 0.75, 20
         rule = gauss_hermite_mu(mu, n)

@@ -5,11 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from muhermite.core import gamma_half
-from muhermite.efun import e_mu
+from muhermite.efun import ConvergenceError, _averaging_integral, e_mu
 from muhermite.hermite import hermite_eval
 from muhermite.quadrature import gauss_hermite_mu
 from muhermite.transform import (
     SpectralVector,
+    _kernel_matrix,
     expand,
     fourier_eigenvalue_pair,
     fourier_quadrature,
@@ -162,6 +163,35 @@ def test_quadrature_on_both_sides_of_the_kernel_switch(mu, lam, reach):
     x = np.linspace(-1.0, 1.0, 9) * reach / t_max
     got = fourier_quadrature(mu, lambda t: np.exp(-lam * t * t), x, sigma=lam)
     assert_allclose(got, transform_of_gaussian(mu, lam, x), rtol=1e-13, atol=0)
+
+
+def _kernel_on_every_node(mu, x, t):
+    """The kernel's route evaluated on the full outer product, without the mirror fold."""
+    z = np.outer(x, t)
+    if mu == 0.0:
+        return np.exp(-1j * z)
+    if mu < 0.0 or np.max(np.abs(z), initial=0.0) <= 30.0:
+        return e_mu(mu, -1j * z)
+    return _averaging_integral(mu, z)
+
+
+@pytest.mark.parametrize("mu", [0.0, -0.25, 0.5, 1.5])
+@pytest.mark.parametrize("n", [1, 2, 7, 95, 96])
+@pytest.mark.parametrize("reach", [20.0, 45.0])
+def test_kernel_mirror_fold_is_exact(mu, n, reach):
+    # half the columns are mirrored conjugates; they must equal the route's own values
+    t = gauss_hermite_mu(mu, n).nodes / math.sqrt(0.7)
+    x = np.linspace(-1.0, 1.0, 9) * reach / max(np.max(np.abs(t)), 1.0)
+    for grid in (x, -x, x[:0]):
+        got = _kernel_matrix(mu, grid, t)
+        assert got.shape == (len(grid), n)
+        assert np.array_equal(got, _kernel_on_every_node(mu, grid, t))
+
+
+def test_quadrature_past_the_averaging_reach_raises():
+    # max|x t| is about 329 here, where the averaging rule stops resolving the kernel
+    with pytest.raises(ConvergenceError):
+        fourier_quadrature(0.5, lambda t: np.exp(-t * t), [25.0], sigma=1.0)
 
 
 def test_l2mu_norm_of_ground_gaussian():

@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from muhermite.core import gamma_mu, gamma_mu_exact, mu_binomial_exact
+from muhermite.efun import ConvergenceError
 from muhermite.hermite import binomial_poly
 from muhermite.poly import DensePoly
 from muhermite.translate import (
@@ -174,3 +175,9 @@ def test_spectral_matrix_is_power_series_in_momentum(size, y, mu):
     got = translate_spectral_matrix(mu, y, size)
     assert got.dtype == complex
     assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_spectral_matrix_past_the_averaging_reach_raises():
+    # |y| max(s) is about 317 at size 64, past the 300 the averaging rule resolves
+    with pytest.raises(ConvergenceError):
+        translate_spectral_matrix(0.5, 30.0, 64)
