@@ -156,12 +156,15 @@ def c_s_mu(mu, x):
     averaging-measure integral for 12 < |x| <= 300; past 300 its rule no
     longer resolves the oscillation and ConvergenceError is raised.  For
     -1/2 < mu < 0 there is no such route: the series serves |x| <= 30 and
-    ConvergenceError is raised beyond.
+    ConvergenceError is raised beyond.  A non-finite x raises ValueError on
+    every route.
     Its measured absolute error at x = 29.9 is 4.2e-4 at mu = -0.25 and
     1.8e-3 at mu = -0.45.
     """
     value = as_mu(mu).require_numeric()
     xa = np.asarray(x, dtype=float)
+    if not np.isfinite(xa).all():
+        raise ValueError("the deformed cosine and sine need a finite argument")
     far = np.abs(xa) > (30.0 if value < 0.0 else 12.0)
     if value < 0.0 and far.any():
         raise ConvergenceError("no accurate large-argument route for -1/2 < mu < 0; keep |x| <= 30")

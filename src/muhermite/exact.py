@@ -17,13 +17,15 @@ the other), so a defect in either route cannot cancel itself.
 
 Each identity is built by walking the degrees up from 0, once: what the
 degrees share (the iterates of the Rodrigues and raising recursions, the
-closed-form H_m already built, the running factorial) is carried to the
-next degree instead of being rebuilt.  The carried state belongs to one
-side's route, so the two sides stay as independent as before.
+closed-form H_m already built) is carried to the next degree instead of
+being rebuilt; factorials come from math.factorial.  The carried state
+belongs to one side's route, so the two sides stay as independent as
+before.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
@@ -104,21 +106,17 @@ def _sides_rodrigues(mu: Fraction):
     # Gaussian-conjugated derivative: D acting through e^(-x^2) leaves the
     # polynomial factor p -> (D p) - 2 x p.
     p = DensePoly.from_coeffs([Fraction(1)])
-    fact = Fraction(1)
     for n, h in enumerate(_hermites(mu)):
-        rhs = h.scale(gamma_mu_exact(mu, n) / fact)
+        rhs = h.scale(gamma_mu_exact(mu, n) / math.factorial(n))
         yield [("", p.scale(Fraction((-1) ** n)), rhs)]
         p = dunkl_definition(mu, p) - p.shift_up(1).scale(Fraction(2))
-        fact *= n + 1
 
 
 def _sides_iterated_raising(mu: Fraction):
     q = DensePoly.from_coeffs([Fraction(1)])
-    fact = Fraction(1)
     for n, h in enumerate(_hermites(mu)):
-        yield [("", q, h.scale(gamma_mu_exact(mu, n) / fact))]
+        yield [("", q, h.scale(gamma_mu_exact(mu, n) / math.factorial(n)))]
         q = q.shift_up(1).scale(Fraction(2)) - dunkl_definition(mu, q)
-        fact *= n + 1
 
 
 def _sides_inversion(mu: Fraction):
@@ -136,17 +134,14 @@ def _sides_inversion(mu: Fraction):
 def _sides_generating(mu: Fraction):
     # Coefficient of z^n in exp(-z^2) * e_mu(2 x z), by Cauchy product of the
     # two series, against H_n / n! from the closed-form coefficients.
-    fact = [Fraction(1)]
     for n, h in enumerate(_hermites(mu)):
-        if n:
-            fact.append(fact[-1] * n)
         coeffs = [0] * (n + 1)
         sign = Fraction(1)
         for j in range(n // 2 + 1):
             m = n - 2 * j
-            coeffs[m] = 2**m / gamma_mu_exact(mu, m) * (sign / fact[j])
+            coeffs[m] = 2**m / gamma_mu_exact(mu, m) * (sign / math.factorial(j))
             sign = -sign
-        yield [("", DensePoly.from_coeffs(coeffs), h.scale(1 / fact[n]))]
+        yield [("", DensePoly.from_coeffs(coeffs), h.scale(Fraction(1, math.factorial(n))))]
 
 
 def _sides_binomial(mu: Fraction):
@@ -168,30 +163,27 @@ def _sides_heat_monomial(mu: Fraction):
     # Flow form: exp(-y^2 D^2) x^n, summed term by term with the
     # derivative-based D, against the Hermite substitution
     # (gamma_mu(n)/n!) y^n H_n(x/(2y); mu) expanded as a polynomial in x, y.
-    fact = [Fraction(1)]
     for n, h in enumerate(_hermites(mu)):
-        if n:
-            fact.append(fact[-1] * n)
         q = DensePoly.monomial(n, Fraction(1))
         flow = {}
         series = {}
         sign = Fraction(1)
         for k in range(n // 2 + 1):
-            inv = 1 / fact[k]
+            inv = Fraction(1, math.factorial(k))
             for i, c in enumerate(q.coeffs):
                 if c:
                     flow[(i, 2 * k)] = c * (sign * inv)
                     series[(i, k)] = c * inv
             q = dunkl_definition(mu, dunkl_definition(mu, q))
             sign = -sign
-        scale = gamma_mu_exact(mu, n) / fact[n]
+        scale = gamma_mu_exact(mu, n) / math.factorial(n)
         subst = {}
         for m, c in enumerate(h.coeffs):
             if c != 0:
                 subst[(m, n - m)] = scale * c / 2**m
         closed = {}
         for k in range(n // 2 + 1):
-            closed[(n - 2 * k, k)] = gamma_mu_exact(mu, n) / (fact[k] * gamma_mu_exact(mu, n - 2 * k))
+            closed[(n - 2 * k, k)] = gamma_mu_exact(mu, n) / (math.factorial(k) * gamma_mu_exact(mu, n - 2 * k))
         yield [
             ("flow", BivariatePoly.from_dict(flow), BivariatePoly.from_dict(subst)),
             ("series", BivariatePoly.from_dict(series), BivariatePoly.from_dict(closed)),

@@ -27,9 +27,9 @@ import math
 
 import numpy as np
 
-from .core import as_mu
+from .core import as_mu, gamma_half
 from .efun import e_mu
-from .quadrature import gauss_hermite_mu
+from .quadrature import _scaled_rule
 from .transform import _momentum_svd
 
 __all__ = [
@@ -99,46 +99,30 @@ def heat_odd_gaussian(mu, alpha: float, t: float, x):
 def heat_apply_kernel(mu, f, t: float, x, *, quad_n: int = 96):
     """T(t) f at x by quadrature of the positive kernel.
 
-    The substitution y = 2 sqrt(t) u maps the kernel's Gaussian onto the
-    rule's weight, leaving
+    The rule is matched to the kernel's Gaussian e^(-y^2/4t), with nodes
+    y = 2 sqrt(t) u, leaving
 
         (T(t) f)(x) = Gamma(mu+1/2)^(-1) e^(-x^2/4t)
-                      * sum_i w_i e(x u_i / sqrt(t); mu) f(2 sqrt(t) u_i).
+                      * sum_i w_i e(x y_i / 2t; mu) f(y_i).
 
-    Raises ValueError where the kernel's peak u = |x| / (2 sqrt t) passes the rule's
-    largest node minus 4 (about 9.1 at 96 nodes); Gaussians lose 1e-10 at 2.2-3.7 below it.
+    Raises ValueError where the kernel's peak y = |x| passes the rule's
+    reach, its largest node y less 8 sqrt(t): in u = y / (2 sqrt t), the
+    largest node minus 4 (about 9.1 at 96 nodes).  Gaussians lose 1e-10 at
+    u 2.2-3.7 below it.
     """
     value = as_mu(mu).require_numeric()
-    if not t > 0:
-        raise ValueError("kernel form needs t > 0")
+    if not 0.0 < t < math.inf:
+        raise ValueError("kernel form needs a finite t > 0")
     scalar = np.isscalar(x)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    rule = gauss_hermite_mu(value, quad_n)
-    st = math.sqrt(t)
-    reach = rule.nodes.max() - 4.0
-    if np.max(np.abs(xa), initial=0.0) > 2.0 * st * reach:
-        raise ValueError(f"max |x| / (2 sqrt t) is past the {quad_n}-node rule's reach {reach:.3g}")
-    fvals = np.asarray(f(2.0 * st * rule.nodes), dtype=float)
-    kern = e_mu(value, np.outer(xa, rule.nodes) / st)
-    mass = rule.mass  # Gamma(mu + 1/2)
-    vals = np.exp(-xa * xa / (4.0 * t)) / mass * (kern @ (rule.weights * fvals))
+    # The kernel's (4t)^(-mu-1/2) cancels the Jacobian (2 sqrt t)^(2 mu + 1).
+    y, wg, _ = _scaled_rule(value, f, 0.0, 0.25 / t, quad_n)
+    reach = y.max() - 8.0 * math.sqrt(t)
+    if np.max(np.abs(xa), initial=0.0) > reach:
+        raise ValueError(f"max |x| is past the {quad_n}-node rule's reach {reach:.3g} at t = {t:g}")
+    kern = e_mu(value, np.outer(xa, y) / (2.0 * t))
+    vals = np.exp(-xa * xa / (4.0 * t)) / gamma_half(value) * (kern @ wg)
     return float(vals[0]) if scalar else vals
-
-
-def _even_family(value, alpha):
-    def psi(x, t):
-        u = 1.0 + 4.0 * alpha * t
-        return u ** (-value - 0.5) * math.exp(-alpha * x * x / u)
-
-    return psi
-
-
-def _odd_family(value, alpha):
-    def psi(x, t):
-        u = 1.0 + 4.0 * alpha * t
-        return x * u ** (-value - 1.5) * math.exp(-alpha * x * x / u)
-
-    return psi
 
 
 def heat_pde_residual(
@@ -152,17 +136,17 @@ def heat_pde_residual(
 ) -> float:
     """Finite-difference defect of the radial heat equation on a closed-form flow.
 
-    family 'even': psi_t = psi_xx + (2 mu / x) psi_x
-    family 'odd' : psi_t = psi_xx + (2 mu / x) psi_x - (2 mu / x^2) psi
+    family 'even' (heat_gaussian at z = 0): psi_t = psi_xx + (2 mu / x) psi_x
+    family 'odd' (heat_odd_gaussian)      : psi_t = psi_xx + (2 mu / x) psi_x - (2 mu / x^2) psi
 
     Central differences with step h in both variables; needs t > h and
     |x| >= 0.1 (the 1/x terms are genuinely singular at the origin).
     """
     value = as_mu(mu).require_numeric()
     if family == "even":
-        psi = _even_family(value, alpha)
+        psi = lambda x, t: heat_gaussian(value, alpha, 0.0, t, x)
     elif family == "odd":
-        psi = _odd_family(value, alpha)
+        psi = lambda x, t: heat_odd_gaussian(value, alpha, t, x)
     else:
         raise ValueError("family must be 'even' or 'odd'")
     if abs(x) < 0.1:

@@ -124,9 +124,6 @@ class DensePoly:
     def as_float(self) -> "DensePoly":
         return self.map_coeffs(float)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([float(c) for c in self.coeffs])
-
     def max_abs_diff(self, other: "DensePoly") -> float:
         n = max(len(self.coeffs), len(other.coeffs))
         if n == 0:
@@ -144,10 +141,6 @@ class BivariatePoly:
     def from_dict(d: dict) -> "BivariatePoly":
         items = tuple(sorted((k, v) for k, v in d.items() if v != 0))
         return BivariatePoly(items)
-
-    @staticmethod
-    def zero() -> "BivariatePoly":
-        return BivariatePoly(())
 
     @staticmethod
     def term(i: int, j: int, coeff=1) -> "BivariatePoly":

@@ -129,6 +129,26 @@ def gauss_hermite_mu(mu, n: int) -> QuadratureRule:
     return _hermite_rule_cached(value, n)
 
 
+def _scaled_rule(value: float, f, sigma: float, rate: float, quad_n: int):
+    """The hermite_mu rule matched to f(t) e^(-rate t^2) |t|^(2 mu) dt.
+
+    f must decay like e^(-sigma t^2) times at most polynomial growth.  With
+    s = sqrt(sigma + rate) and nodes t = u / s, the integral of
+    k(t) f(t) e^(-rate t^2) |t|^(2 mu) dt for a tame k is
+    jac * sum_i k(t_i) wg_i, where wg = weights * f(t) e^(sigma t^2) and
+    jac = s^(-2 mu - 1).  The exponent sigma t^2 = sigma u^2 / (sigma + rate)
+    stays below the node's u^2, so recovering f's polynomial part is safe.
+    Returns (t, wg, jac); sigma must be finite and >= 0, sigma + rate > 0.
+    """
+    if not (math.isfinite(sigma) and sigma >= 0.0 and sigma + rate > 0.0):
+        raise ValueError(f"needs a finite Gaussian envelope rate sigma >= 0 with sigma + {rate:g} > 0")
+    rule = gauss_hermite_mu(value, quad_n)
+    s = math.sqrt(sigma + rate)
+    t = rule.nodes / s
+    wg = rule.weights * (np.asarray(f(t)) * np.exp(sigma * t * t))
+    return t, wg, s ** (-2.0 * value - 1.0)
+
+
 def _jacobi_coefficients(a: float, b: float, n: int):
     """Monic recursion coefficients for the weight (1-t)^a (1+t)^b on (-1, 1)."""
     alpha = np.empty(n)

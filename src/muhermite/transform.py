@@ -19,10 +19,11 @@ expansion coefficients (exact), and direct quadrature of the integral
 
 Quadrature-backed operations require the caller to state a Gaussian
 envelope rate sigma, meaning f(t) = g(t) e^(-sigma t^2) with g of at
-most polynomial growth.  The substitution t -> t / sqrt(sigma + c)
-(c = 0 or 1/2 depending on the operation) then matches the rule's
-e^(-t^2) weight analytically, so no oscillatory or unbounded factor is
-ever integrated blindly.
+most polynomial growth.  One substitution, t -> t / sqrt(sigma + c) with
+c = 1/2 for expand and 0 for the norm and the transform, written once in
+``quadrature._scaled_rule``, then matches the rule's e^(-t^2) weight
+analytically, so no oscillatory or unbounded factor is ever integrated
+blindly.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .core import as_mu, gamma_half, gamma_mu, gamma_step, log_gamma_mu
 from .efun import _averaging_integral, e_mu
 from .hermite import hermite_coeffs, hermite_eval
 from .poly import DensePoly
-from .quadrature import _recurrence_table, gauss_hermite_mu
+from .quadrature import _recurrence_table, _scaled_rule
 
 __all__ = [
     "SpectralVector",
@@ -71,10 +72,6 @@ class SpectralVector:
 
     def __len__(self) -> int:
         return len(self.coeffs)
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.coeffs) ** 2))
 
 
 @dataclass(frozen=True)
@@ -141,20 +138,13 @@ def expand(
     much of f lives above index n_max.
     """
     value = as_mu(mu).require_numeric()
-    if not sigma > 0:
-        raise ValueError("expand needs a Gaussian envelope rate sigma > 0")
     if quad_n is None:
         quad_n = max(2 * (n_max + 1), n_max + 32)
     if quad_n < n_max + 8:
         raise ValueError("quadrature size too small for the requested n_max")
-    rule = gauss_hermite_mu(value, quad_n)
-    s = math.sqrt(sigma + 0.5)
-    t = rule.nodes / s
-    # f(t) e^(sigma t^2) recovers the polynomial-growth part; the exponent
-    # sigma t^2 = sigma u^2 / (sigma + 1/2) stays below the node's u^2.
-    gvals = np.asarray(f(t)) * np.exp(sigma * t * t)
-    table = phi_poly_table(value, n_max, t)
-    coeffs = s ** (-2.0 * value - 1.0) * (table * (rule.weights * gvals)).sum(axis=1)
+    # The basis functions carry e^(-t^2/2), so the rule is matched to rate 1/2.
+    t, wg, jac = _scaled_rule(value, f, sigma, 0.5, quad_n)
+    coeffs = jac * (phi_poly_table(value, n_max, t) * wg).sum(axis=1)
     norm_sq = l2mu_norm(f, sigma=sigma, mu=value, quad_n=quad_n) ** 2
     defect = float(norm_sq - np.sum(np.abs(coeffs) ** 2))
     return SpectralVector(mu=value, coeffs=coeffs, parseval_defect=defect)
@@ -174,13 +164,8 @@ def synthesize(vec: SpectralVector, x):
 def l2mu_norm(f, *, sigma: float, mu, quad_n: int = 96) -> float:
     """Weighted L^2 norm of f, which must decay like e^(-sigma x^2)."""
     value = as_mu(mu).require_numeric()
-    if not sigma > 0:
-        raise ValueError("l2mu_norm needs a Gaussian envelope rate sigma > 0")
-    rule = gauss_hermite_mu(value, quad_n)
-    s = math.sqrt(2.0 * sigma)
-    t = rule.nodes / s
-    gvals = np.abs(np.asarray(f(t))) ** 2 * np.exp(2.0 * sigma * t * t)
-    return math.sqrt(s ** (-2.0 * value - 1.0) * float(np.dot(rule.weights, gvals)))
+    _, wg, jac = _scaled_rule(value, lambda t: np.abs(np.asarray(f(t))) ** 2, 2.0 * sigma, 0.0, quad_n)
+    return math.sqrt(jac * float(wg.sum()))
 
 
 def fourier_eigenvalue_pair(n: int, re, im):
@@ -220,8 +205,11 @@ def _kernel_matrix(value: float, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     t[n//2:] (the same max|z| picks it) and the rest is mirrored.  That
     is exact on every route: x t only changes sign, cos is even and sin is
     odd, and the series terms at -z are those at z with their signs
-    flipped, each rounded alike.
+    flipped, each rounded alike.  A non-finite x raises ValueError before
+    any route is chosen.
     """
+    if not np.isfinite(x).all():
+        raise ValueError("the transform kernel needs a finite x")
     h = len(t) // 2
     z = np.outer(x, t[h:])
     if value == 0.0:
@@ -250,17 +238,11 @@ def fourier_quadrature(
     realizes the inverse (conjugate) transform.  Returns complex values.
     """
     value = as_mu(mu).require_numeric()
-    if sigma is None or not sigma > 0:
-        raise ValueError("fourier_quadrature needs a Gaussian envelope rate sigma > 0")
     scalar = np.isscalar(x)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    rule = gauss_hermite_mu(value, quad_n)
-    s = math.sqrt(sigma)
-    t = rule.nodes / s
+    t, wg, jac = _scaled_rule(value, f, sigma, 0.0, quad_n)
     kernel = _kernel_matrix(value, -xa if inverse else xa, t)
-    gvals = np.asarray(f(t)) * np.exp(t * t * sigma)
-    pref = s ** (-2.0 * value - 1.0) / (2.0 ** (value + 0.5) * gamma_half(value))
-    vals = pref * (kernel @ (rule.weights * gvals))
+    vals = jac / (2.0 ** (value + 0.5) * gamma_half(value)) * (kernel @ wg)
     return complex(vals[0]) if scalar else vals
 
 

@@ -16,6 +16,7 @@ from muhermite.heat import (
     heat_spectral_matrix,
 )
 from muhermite.hermite import heat_poly
+from muhermite.quadrature import gauss_hermite_mu
 from muhermite.transform import SpectralVector, expand, operator_matrix, synthesize
 
 
@@ -145,6 +146,24 @@ def test_kernel_route_refuses_peak_past_the_rule():
     # the kernel peaks at u = 3 / (2 sqrt(0.01)) = 15, beyond the 96-node rule
     with pytest.raises(ValueError, match="reach"):
         heat_apply_kernel(0.5, lambda u: np.exp(-u * u), 0.01, [-3.0, 3.0])
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+def test_kernel_route_refuses_a_degenerate_time(t):
+    with pytest.raises(ValueError, match="finite t > 0"):
+        heat_apply_kernel(0.5, lambda u: np.exp(-u * u), t, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("t", [0.01, 0.4])
+@pytest.mark.parametrize("mu", [-0.25, 0.0, 0.5])
+def test_kernel_route_reach_is_the_largest_node_minus_four(mu, t):
+    # in u = y / (2 sqrt t) the reach is the rule's largest node minus 4
+    reach = 2.0 * math.sqrt(t) * (gauss_hermite_mu(mu, 96).nodes.max() - 4.0)
+    f = lambda u: np.exp(-u * u)
+    assert np.all(np.isfinite(heat_apply_kernel(mu, f, t, [-0.999 * reach, 0.999 * reach])))
+    for x in (1.001 * reach, -1.001 * reach):
+        with pytest.raises(ValueError, match="reach"):
+            heat_apply_kernel(mu, f, t, x)
 
 
 def test_kernel_route_accurate_just_inside_its_reach():

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from muhermite.core import gamma_half
-from muhermite.efun import ConvergenceError, _averaging_integral, e_mu
+from muhermite.efun import ConvergenceError, _averaging_integral, c_s_mu, e_mu
 from muhermite.hermite import hermite_eval
 from muhermite.quadrature import gauss_hermite_mu
 from muhermite.transform import (
@@ -192,6 +192,29 @@ def test_quadrature_past_the_averaging_reach_raises():
     # max|x t| is about 329 here, where the averaging rule stops resolving the kernel
     with pytest.raises(ConvergenceError):
         fourier_quadrature(0.5, lambda t: np.exp(-t * t), [25.0], sigma=1.0)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("mu", [-0.25, 0.0, 0.5])
+def test_non_finite_x_refused_on_every_route(mu, x):
+    # the exp (mu = 0), series (mu < 0) and averaging (mu > 0) routes agree
+    with pytest.raises(ValueError, match="finite"):
+        c_s_mu(mu, x)
+    with pytest.raises(ValueError, match="finite"):
+        c_s_mu(mu, np.array([1.0, x]))
+    with pytest.raises(ValueError, match="finite"):
+        fourier_quadrature(mu, lambda t: np.exp(-t * t), [x, 1.0], sigma=1.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+def test_envelope_rate_must_be_finite_and_positive(sigma):
+    f = lambda t: np.exp(-0.5 * t * t)
+    with pytest.raises(ValueError, match="envelope rate"):
+        expand(0.5, f, 8, sigma=sigma)
+    with pytest.raises(ValueError, match="envelope rate"):
+        l2mu_norm(f, sigma=sigma, mu=0.5)
+    with pytest.raises(ValueError, match="envelope rate"):
+        fourier_quadrature(0.5, f, [0.0, 1.0], sigma=sigma)
 
 
 def test_l2mu_norm_of_ground_gaussian():
