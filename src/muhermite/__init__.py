@@ -23,7 +23,7 @@ from .core import (
     mu_binomial_exact,
     theta,
 )
-from .efun import ConvergenceError, c_s_mu, e_mu, heat_kernel, mehler_rhs
+from .efun import c_s_mu, e_mu, heat_kernel, mehler_rhs
 from .exact import IDENTITY_TAGS, IdentityReport, identity_sides, verify_identity
 from .heat import (
     heat_apply_kernel,

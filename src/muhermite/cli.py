@@ -19,7 +19,7 @@ import numpy as np
 from . import oscillator as osc
 from . import verify as verify_mod
 from .core import MuParam, gamma_mu, gamma_mu_exact
-from .efun import ConvergenceError, c_s_mu, e_mu
+from .efun import c_s_mu, e_mu
 from .exact import IDENTITY_TAGS, verify_identity
 from .heat import heat_apply_kernel, heat_gaussian, heat_odd_gaussian, heat_spectral_matrix
 from .hermite import hermite_coeffs, hermite_eval
@@ -330,7 +330,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OverflowError, ConvergenceError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -179,9 +179,9 @@ def translate_spectral_matrix(mu, y: float, size: int) -> np.ndarray:
 
     With P's even-row block -i U diag(s) V^T, its blocks are U c(y s) U^T,
     V c(y s) V^T, U s(y s) V^T and minus that transposed.  A contraction for
-    mu >= 0; ConvergenceError once |y| max(s) > 30 for mu < 0, and > 300 for
-    mu > 0 (see c_s_mu).  Truncation corrupts edge columns: use on expansions
-    that decay well inside the block.
+    mu >= 0; ValueError once |y| max(s) > 1e4 for mu != 0 (see c_s_mu).
+    Truncation corrupts edge columns: use on expansions that decay well
+    inside the block.
     """
     value = as_mu(mu).require_numeric()
     u, s, v = _momentum_svd(value, size)

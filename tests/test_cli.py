@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from muhermite.cli import main
+from test_efun import _mp_cos_sin
 
 
 def run(capsys, *argv):
@@ -54,16 +55,34 @@ def test_efun_overflow_exits_two(capsys):
     assert err.startswith("error:") and "overflows float64" in err
 
 
-def test_no_large_argument_route_exits_two(capsys):
-    code, out, err = run(capsys, "eval", "--mu", "-0.25", "--fn", "cos-sin", "--x", "40")
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and "mu < 0" in err
+def _cos_sin_row(capsys, mu, x):
+    """The one CSV row of `eval --fn cos-sin` as floats (c, s)."""
+    code, out, _ = run(capsys, "eval", "--mu", str(mu), "--fn", "cos-sin", "--x", str(x))
+    assert code == 0
+    header, row = out.strip().split("\n")
+    assert header == "x,cos_part,sin_part"
+    return [float(v) for v in row.split(",")[1:]]
 
 
-def test_past_the_averaging_reach_exits_two(capsys):
-    code, out, err = run(capsys, "eval", "--mu", "0.5", "--fn", "cos-sin", "--x", "350")
+def test_cos_sin_for_negative_mu_at_large_x_matches_mpmath(capsys):
+    # past |x| = 30, where the cancelling series is hopeless in float64
+    np.testing.assert_allclose(_cos_sin_row(capsys, -0.25, 40.0), _mp_cos_sin(-0.25, 40.0), rtol=0, atol=1e-14)
+
+
+def test_cos_sin_at_x_350_matches_mpmath(capsys):
+    # past |x| = 300, where the averaging-measure rule stops resolving e^(-ixt)
+    np.testing.assert_allclose(_cos_sin_row(capsys, 0.5, 350.0), _mp_cos_sin(0.5, 350.0), rtol=0, atol=1e-14)
+
+
+def test_transform_past_the_quadrature_reach_exits_two(capsys):
+    # omega = max|x| / sqrt(lam) = 25 against the 96-node rule's reach 18.5
+    code, out, err = run(
+        capsys,
+        "transform", "--mu", "0", "--family", "gaussian", "--lam", "1",
+        "--xmin", "-25", "--xmax", "25", "--num", "5",
+    )
     assert (code, out) == (2, "")
-    assert err.startswith("error:") and "300" in err
+    assert err.startswith("error:") and "96-node rule's reach 18.51" in err
 
 
 def test_table_past_float_range_exits_two(capsys):

@@ -3,12 +3,12 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from muhermite.core import gamma_mu
-from muhermite.efun import ConvergenceError, _averaging_integral, c_s_mu, e_mu, heat_kernel, mehler_rhs
+from muhermite.efun import c_s_mu, e_mu, heat_kernel, mehler_rhs
 from muhermite.quadrature import gauss_alpha_mu, gauss_hermite_mu
 from muhermite.transform import phi_eval
 
@@ -38,7 +38,7 @@ def test_array_input_broadcasts():
 
 
 def test_large_argument_positive_mu_stays_accurate():
-    # the averaging-measure route has no cancellation at large |x|
+    # the backward recurrence has no cancellation at large |x|
     c, s = c_s_mu(1.2, 50.0)
     assert math.isfinite(c) and math.isfinite(s)
     assert c * c + s * s <= 1.0 + 1e-12
@@ -63,15 +63,25 @@ def test_cos_sin_exact_at_mu_zero_inside_the_series_range():
         assert_allclose((c, s), (math.cos(x), math.sin(x)), rtol=0, atol=1e-15)
 
 
-def test_negative_mu_large_argument_refused():
-    with pytest.raises(ConvergenceError, match="mu < 0"):
-        c_s_mu(-0.25, 40.0)
+def test_negative_mu_large_argument_matches_bessel():
+    # past |x| = 30, where the series for -1/2 < mu < 0 is hopeless in float64
+    # (at 29.9 its error is 4.2e-4 for mu = -0.25)
+    for mu in (-0.25, -0.45):
+        assert_allclose(c_s_mu(mu, 40.0), _mp_cos_sin(mu, 40.0), rtol=1e-13, atol=1e-13)
 
 
-@given(st.floats(min_value=-25.0, max_value=25.0), st.sampled_from([0.0, 0.4, 1.7]))
+@given(st.floats(min_value=-1e4, max_value=1e4), st.sampled_from([0.0, 0.4, 1.7]))
+@example(0.0, 0.4)
+@example(5e-324, 0.4)
+@example(-1e-300, 1.7)
+@example(3.457971446969339e-174, 0.4)
 def test_oscillatory_values_stay_in_unit_disc(x, mu):
+    # the whole domain of c_s_mu; where x^2 underflows, (c, s) is (1, x / (2 mu + 1))
     c, s = c_s_mu(mu, x)
     assert c * c + s * s <= 1.0 + 1e-10
+    if abs(x) < 1e-160:
+        assert c == 1.0
+        assert s == pytest.approx(x / (2.0 * mu + 1.0), rel=1e-15, abs=0.0)
 
 
 def test_mehler_rhs_small_z_matches_eigenfunction_series():
@@ -173,10 +183,10 @@ def test_array_sum_rounds_like_the_scalar_sum(mu):
 @pytest.mark.parametrize("mu", [0.0, 0.5, 1.5])
 @pytest.mark.parametrize("x", [11.9, 12.1, -12.1])
 def test_cos_sin_on_both_sides_of_the_series_switch(mu, x):
-    # |x| <= 12 sums the series, beyond it cos/sin (mu = 0) or the averaging integral
+    # |x| = 12 was where the series used to hand over to the averaging
+    # integral; the recurrence has no switch there, scalar or array
     want, _ = _mp_series(mu, complex(0.0, -x))
     assert_allclose(c_s_mu(mu, x), (want.real, -want.imag), rtol=0, atol=1e-11)
-    # an array takes the route of each element: all three sides in one call
     xs = np.array([11.9, 12.1, -12.1])
     c, s = c_s_mu(mu, xs)
     assert c.shape == s.shape == (3,)
@@ -184,30 +194,87 @@ def test_cos_sin_on_both_sides_of_the_series_switch(mu, x):
 
 
 def _mp_cos_sin(mu, x, dps=40):
-    """(c, s)(x; mu) from Bessel functions: Gamma(mu+1/2) (x/2)^(1/2-mu) J_{mu-/+1/2}(x), x > 0."""
+    """(c, s)(x; mu) from Bessel functions: Gamma(mu+1/2) (|x|/2)^(1/2-mu) J_{mu-/+1/2}(|x|), s odd."""
+    if x == 0.0:
+        return 1.0, 0.0
     with mpmath.workdps(dps):
-        mu, x = mpmath.mpf(mu), mpmath.mpf(x)
-        pref = mpmath.gamma(mu + 0.5) * (x / 2) ** (0.5 - mu)
-        return float(pref * mpmath.besselj(mu - 0.5, x)), float(pref * mpmath.besselj(mu + 0.5, x))
+        mu, r = mpmath.mpf(mu), abs(mpmath.mpf(x))
+        pref = mpmath.gamma(mu + 0.5) * (r / 2) ** (0.5 - mu)
+        c, s = float(pref * mpmath.besselj(mu - 0.5, r)), float(pref * mpmath.besselj(mu + 0.5, r))
+    return c, (s if x > 0.0 else -s)
+
+
+def _averaging_integral(mu, z):
+    """e(-iz; mu) for real z and mu > 0 by the averaging measure, |z| <= 300.
+
+    e(-iz; mu) = sum_j v_j exp(-i z tau_j) over the 192-node alpha_mu rule,
+    with cos and -sin of the real phases filling one complex buffer.  It is
+    an independent route to c and s: its error against mpmath is below
+    4e-13 up to |z| = 300, where the rule stops resolving the oscillation
+    (at mu = 0.5 it is 5e-11 at 330 and 0.07 at 400).
+    """
+    rule = gauss_alpha_mu(mu, 192)
+    phase = np.asarray(z, dtype=float)[..., None] * rule.nodes
+    kernel = np.empty(phase.shape, dtype=complex)
+    np.cos(phase, out=kernel.real)
+    np.sin(np.negative(phase, out=phase), out=kernel.imag)
+    return np.dot(kernel, rule.weights)
 
 
 def test_bessel_reference_matches_the_series():
     want, _ = _mp_series(1.5, complex(0.0, -11.9))
     assert_allclose(_mp_cos_sin(1.5, 11.9), (want.real, -want.imag), rtol=0, atol=1e-15)
+    want, _ = _mp_series(-0.25, complex(0.0, 7.5))
+    assert_allclose(_mp_cos_sin(-0.25, -7.5), (want.real, -want.imag), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("mu", [-0.45, -0.25, 0.01, 0.5, 1.5, 5.0, 20.0])
+def test_recurrence_matches_mpmath_bessel(mu):
+    # relative to max(1, |value|): at most 1e-14 for mu >= 1/2, 1e-12 below,
+    # where the error grows like |x| eps; for scalars and for one array
+    tol = 1e-14 if mu >= 0.5 else 1e-12
+    xs = [0.0, 1e-3, 12.0, 30.5, 100.0, 350.0, 1000.0, 1e4]
+    xs = np.array(xs + [-x for x in xs[1:]])
+    c, s = c_s_mu(mu, xs)
+    for x, ca, sa in zip(xs, c, s):
+        want = _mp_cos_sin(mu, x)
+        for got in ((ca, sa), c_s_mu(mu, float(x))):
+            for g, w in zip(got, want):
+                assert abs(g - w) <= tol * max(1.0, abs(w)), (mu, x)
+
+
+@pytest.mark.parametrize("mu", [0.01, 0.3141, 0.5, 1.5])
+def test_recurrence_agrees_with_the_averaging_integral(mu):
+    x = np.linspace(-290.0, 290.0, 1161)
+    c, s = c_s_mu(mu, x)
+    assert_allclose(c - 1j * s, _averaging_integral(mu, x), rtol=0, atol=5e-13)
+
+
+def test_recurrence_steps_off_an_exact_zero_denominator():
+    # at this x one denominator of the recurrence at mu = 1/2 rounds to
+    # exactly 0; taken as it is, it turns both values into nan
+    x = 8.771483815959954
+    want = _mp_cos_sin(0.5, x)
+    assert_allclose(c_s_mu(0.5, x), want, rtol=0, atol=1e-15)
+    c, s = c_s_mu(0.5, np.array([x, 1.0]))
+    assert_allclose((c[0], s[0]), want, rtol=0, atol=1e-15)
+    assert (c[1], s[1]) == c_s_mu(0.5, 1.0)
 
 
 @pytest.mark.parametrize("mu", [0.05, 1.5, 8.0])
 def test_averaging_route_accurate_up_to_its_reach(mu):
-    assert_allclose(c_s_mu(mu, 299.0), _mp_cos_sin(mu, 299.0), rtol=0, atol=1e-13)
+    # the cross-check is only as good as its route: fine up to |x| = 300
+    want = _mp_cos_sin(mu, 299.0)
+    assert_allclose(_averaging_integral(mu, 299.0), complex(want[0], -want[1]), rtol=0, atol=1e-13)
 
 
-def test_averaging_route_refuses_past_its_reach():
-    # the 192-node rule no longer resolves exp(-ixt) there: at (0.5, 350) it
-    # used to return a value 4.5e-5 off, relative
-    with pytest.raises(ConvergenceError, match="up to .x. = 300"):
-        c_s_mu(0.5, 350.0)
-    with pytest.raises(ConvergenceError):
-        c_s_mu(1.5, np.array([1.0, -300.5]))
+def test_recurrence_refuses_past_its_cap():
+    with pytest.raises(ValueError, match="up to .x. = 10000"):
+        c_s_mu(0.5, 1.0001e4)
+    with pytest.raises(ValueError, match="up to .x. = 10000"):
+        c_s_mu(-0.25, np.array([1.0, -2e4]))
+    # mu = 0 is cos and sin, which need no cap
+    assert c_s_mu(0.0, 1e6) == (math.cos(1e6), math.sin(1e6))
 
 
 @pytest.mark.parametrize("mu", [0.25, 0.5, 1.5])

@@ -5,12 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from muhermite.core import gamma_half
-from muhermite.efun import ConvergenceError, _averaging_integral, c_s_mu, e_mu
+from muhermite.efun import c_s_mu, e_mu
 from muhermite.hermite import hermite_eval
 from muhermite.quadrature import gauss_hermite_mu
 from muhermite.transform import (
     SpectralVector,
     _kernel_matrix,
+    _momentum_svd,
     expand,
     fourier_eigenvalue_pair,
     fourier_quadrature,
@@ -157,7 +158,7 @@ class TestClosedForms:
 @pytest.mark.parametrize("lam", [0.5, 1.0])
 @pytest.mark.parametrize("reach", [29.5, 30.5])
 def test_quadrature_on_both_sides_of_the_kernel_switch(mu, lam, reach):
-    # the kernel is the series while max|x t| <= 30, past it (mu > 0) the
+    # max|x t| = 30 was where the kernel used to switch from the series to the
     # averaging-measure integral; the grid is scaled to put max|x t| at reach
     t_max = np.max(np.abs(gauss_hermite_mu(mu, 96).nodes)) / math.sqrt(lam)
     x = np.linspace(-1.0, 1.0, 9) * reach / t_max
@@ -166,20 +167,16 @@ def test_quadrature_on_both_sides_of_the_kernel_switch(mu, lam, reach):
 
 
 def _kernel_on_every_node(mu, x, t):
-    """The kernel's route evaluated on the full outer product, without the mirror fold."""
-    z = np.outer(x, t)
-    if mu == 0.0:
-        return np.exp(-1j * z)
-    if mu < 0.0 or np.max(np.abs(z), initial=0.0) <= 30.0:
-        return e_mu(mu, -1j * z)
-    return _averaging_integral(mu, z)
+    """c_s_mu evaluated on the full outer product, without the mirror fold."""
+    c, s = c_s_mu(mu, np.outer(x, t))
+    return c - 1j * s
 
 
 @pytest.mark.parametrize("mu", [0.0, -0.25, 0.5, 1.5])
 @pytest.mark.parametrize("n", [1, 2, 7, 95, 96])
 @pytest.mark.parametrize("reach", [20.0, 45.0])
 def test_kernel_mirror_fold_is_exact(mu, n, reach):
-    # half the columns are mirrored conjugates; they must equal the route's own values
+    # half the columns are mirrored conjugates; they must equal c_s_mu's own values
     t = gauss_hermite_mu(mu, n).nodes / math.sqrt(0.7)
     x = np.linspace(-1.0, 1.0, 9) * reach / max(np.max(np.abs(t)), 1.0)
     for grid in (x, -x, x[:0]):
@@ -189,15 +186,57 @@ def test_kernel_mirror_fold_is_exact(mu, n, reach):
 
 
 def test_quadrature_past_the_averaging_reach_raises():
-    # max|x t| is about 329 here, where the averaging rule stops resolving the kernel
-    with pytest.raises(ConvergenceError):
-        fourier_quadrature(0.5, lambda t: np.exp(-t * t), [25.0], sigma=1.0)
+    # omega = max|x| / sqrt(sigma) = 25 is past the 96-node rule's reach 18.5;
+    # at mu = 0 the quadrature is 0.14 off there, relative to the peak
+    for mu in (-0.25, 0.0, 0.5):
+        with pytest.raises(ValueError, match="96-node rule's reach 18.51"):
+            fourier_quadrature(mu, lambda t: np.exp(-t * t), [25.0], sigma=1.0)
+
+
+def _reach(n):
+    return 2.0 * math.sqrt(2.0 * n) - 2.0 * math.sqrt(11.0 * math.log(10.0)) + 8.5 / math.sqrt(n)
+
+
+@pytest.mark.parametrize("n", [8, 16, 24, 48, 96, 192, 256])
+def test_quadrature_reach_lies_between_the_1e13_and_1e10_crossings(n):
+    # on a Gaussian the error relative to the peak passes 1e-13 inside the
+    # reach, so nothing accurate is refused, and stays below 1e-10 there, so
+    # nothing worse is returned; the rate does not move either crossing
+    for mu, sigma in ((-0.45, 1.0), (0.0, 0.3), (3.0, 1.0)):
+        x = np.linspace(0.0, _reach(n) * (1.0 - 1e-12), 401) * math.sqrt(sigma)
+        got = fourier_quadrature(mu, lambda t: np.exp(-sigma * t * t), x, sigma=sigma, quad_n=n)
+        want = transform_of_gaussian(mu, sigma, x)
+        err = np.max(np.abs(got - want)) / transform_of_gaussian(mu, sigma, 0.0)
+        assert 1e-13 < err <= 1e-10, (mu, n)
+        with pytest.raises(ValueError, match="reach"):
+            fourier_quadrature(mu, lambda t: np.exp(-sigma * t * t), -1.001 * x, sigma=sigma, quad_n=n)
+
+
+def test_negative_mu_quadrature_at_large_x_matches_closed_form():
+    # max|x t| reaches 186: the cancelling series for this kernel is 3.4e-7 off
+    # at x = 10 and 2.4e3 at 14, relative to the peak
+    x = np.array([7.0, 10.0, 14.0])
+    got = fourier_quadrature(-0.25, lambda t: np.exp(-t * t), x, sigma=1.0)
+    peak = transform_of_gaussian(-0.25, 1.0, 0.0)
+    assert np.max(np.abs(got - transform_of_gaussian(-0.25, 1.0, x))) <= 1e-13 * peak
+
+
+@pytest.mark.parametrize("mu", [-0.45, 0.0, 0.5, 1.5, 5.0])
+@pytest.mark.parametrize("n", [8, 63, 64, 128])
+def test_momentum_singular_values_are_the_positive_gauss_nodes(n, mu):
+    # |P| is unitarily equivalent to |Q| through F, and the truncated Q is the
+    # Jacobi matrix of the hermite_mu rule: the heat and translation routes
+    # built on this SVD run on the quadrature's own nodes (for odd n the zero
+    # node meets the zero that pads s)
+    _, s, _ = _momentum_svd(mu, n)
+    want = gauss_hermite_mu(mu, n).nodes[n // 2 :]
+    assert_allclose(np.sort(s), want, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("mu", [-0.25, 0.0, 0.5])
 def test_non_finite_x_refused_on_every_route(mu, x):
-    # the exp (mu = 0), series (mu < 0) and averaging (mu > 0) routes agree
+    # cos and sin (mu = 0) and the recurrence (mu != 0) agree
     with pytest.raises(ValueError, match="finite"):
         c_s_mu(mu, x)
     with pytest.raises(ValueError, match="finite"):

@@ -6,7 +6,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from muhermite.core import gamma_mu, gamma_mu_exact, mu_binomial_exact
-from muhermite.efun import ConvergenceError
 from muhermite.hermite import binomial_poly
 from muhermite.poly import DensePoly
 from muhermite.translate import (
@@ -20,7 +19,8 @@ from muhermite.translate import (
     translate_xi,
     xi_support,
 )
-from muhermite.transform import l2mu_norm, operator_matrix
+from muhermite.transform import _momentum_svd, l2mu_norm, operator_matrix
+from test_efun import _mp_cos_sin
 
 MU = 0.75
 
@@ -177,7 +177,16 @@ def test_spectral_matrix_is_power_series_in_momentum(size, y, mu):
     assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
-def test_spectral_matrix_past_the_averaging_reach_raises():
-    # |y| max(s) is about 317 at size 64, past the 300 the averaging rule resolves
-    with pytest.raises(ConvergenceError):
-        translate_spectral_matrix(0.5, 30.0, 64)
+def test_spectral_matrix_at_large_y_matches_mpmath():
+    # |y| max(s) is about 32 at (-0.25, 3) and 317 at (0.5, 30), past where the
+    # series (30) and the averaging rule (300) serve; the blocks are rebuilt
+    # from 40-digit c and s
+    for mu, y in ((-0.25, 3.0), (0.5, 30.0)):
+        u, s, v = _momentum_svd(mu, 64)
+        c, sn = np.array([_mp_cos_sin(mu, y * sj) for sj in s]).T
+        want = np.zeros((64, 64), dtype=complex)
+        want[0::2, 0::2] = (u * c) @ u.T
+        want[1::2, 1::2] = (v * c) @ v.T
+        want[0::2, 1::2] = (u * sn) @ v.T
+        want[1::2, 0::2] = -want[0::2, 1::2].T
+        assert_allclose(translate_spectral_matrix(mu, y, 64), want, rtol=0, atol=1e-12)
