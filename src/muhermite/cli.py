@@ -172,7 +172,7 @@ def _cmd_heat(args) -> int:
             args.mu, args.alpha, args.t, x
         )
     elif args.route == "kernel":
-        vals = heat_apply_kernel(args.mu, f, args.t, x)
+        vals = heat_apply_kernel(args.mu, f, args.t, x, sigma=args.alpha)
     elif args.route == "spectral":
         coeffs = expand(args.mu, f, args.size - 1, sigma=args.alpha)
         flow = heat_spectral_matrix(args.mu, args.t, args.size)

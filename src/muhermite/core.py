@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -110,6 +112,70 @@ class MuParam:
 # memory without limit.  A full ``muhermite verify`` run holds at most 24
 # keys in any of them.
 MU_CACHE_SIZE = 64
+
+
+# Byte budget of the array memo: it holds the f-independent matrices of a
+# few dozen quadrature calls (about 0.68 MB for the benchmark's warm operator
+# bundle) and adds at most this much where every key misses.
+_ARRAY_MEMO_BYTES = 1 << 20
+
+_MemoInfo = namedtuple("MemoInfo", "hits misses nbytes entries")
+
+
+def _memo_key(arg):
+    # Arrays by content; equal bytes in another shape or dtype are another key.
+    if isinstance(arg, np.ndarray):
+        return (arg.dtype.str, arg.shape, arg.tobytes())
+    return arg
+
+
+class _ArrayMemo:
+    """LRU memo of read-only arrays built by pure functions, bounded in bytes.
+
+    ``memo(build, *args)`` returns ``build(*args)``, built once per distinct
+    argument list; array arguments are keyed by dtype, shape and bytes.  The
+    result is made read-only.  Least recently used entries are evicted until
+    the stored arrays total at most ``budget`` bytes, and one larger than the
+    whole budget is returned without being stored.  A build that raises
+    stores nothing.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self._lock = threading.Lock()
+        self.clear()
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries = OrderedDict()
+            self._nbytes = self._hits = self._misses = 0
+
+    def info(self) -> "_MemoInfo":
+        with self._lock:
+            return _MemoInfo(self._hits, self._misses, self._nbytes, len(self._entries))
+
+    def __call__(self, build, *args) -> np.ndarray:
+        key = (build,) + tuple(map(_memo_key, args))
+        with self._lock:
+            out = self._entries.get(key)
+            if out is not None:
+                self._entries.move_to_end(key)
+                self._hits += 1
+                return out
+            self._misses += 1
+        out = build(*args)
+        out.setflags(write=False)
+        if out.nbytes <= self.budget:
+            with self._lock:
+                if key not in self._entries:
+                    self._entries[key] = out
+                    self._nbytes += out.nbytes
+                    while self._nbytes > self.budget:
+                        self._nbytes -= self._entries.popitem(last=False)[1].nbytes
+        return out
+
+
+_array_memo = _ArrayMemo(_ARRAY_MEMO_BYTES)
 
 
 @lru_cache(maxsize=MU_CACHE_SIZE)

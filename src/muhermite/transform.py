@@ -23,7 +23,10 @@ most polynomial growth.  One substitution, t -> t / sqrt(sigma + c) with
 c = 1/2 for expand and 0 for the norm and the transform, written once in
 ``quadrature._scaled_rule``, then matches the rule's e^(-t^2) weight
 analytically, so no oscillatory or unbounded factor is ever integrated
-blindly.
+blindly.  The matrices those routes multiply f's samples by (the kernel,
+the basis tables) do not depend on f; each is built once per distinct
+argument list and kept in ``core._array_memo``, while f is sampled on
+every call.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_mu, gamma_half, gamma_mu, gamma_step, log_gamma_mu
+from .core import _array_memo, as_mu, gamma_half, gamma_mu, gamma_step, log_gamma_mu
 from .efun import c_s_mu, e_mu
 from .hermite import hermite_coeffs, hermite_eval
 from .poly import DensePoly
@@ -144,7 +147,7 @@ def expand(
         raise ValueError("quadrature size too small for the requested n_max")
     # The basis functions carry e^(-t^2/2), so the rule is matched to rate 1/2.
     t, wg, jac = _scaled_rule(value, f, sigma, 0.5, quad_n)
-    coeffs = jac * (phi_poly_table(value, n_max, t) * wg).sum(axis=1)
+    coeffs = jac * (_array_memo(phi_poly_table, value, n_max, t) * wg).sum(axis=1)
     norm_sq = l2mu_norm(f, sigma=sigma, mu=value, quad_n=quad_n) ** 2
     defect = float(norm_sq - np.sum(np.abs(coeffs) ** 2))
     return SpectralVector(mu=value, coeffs=coeffs, parseval_defect=defect)
@@ -154,7 +157,7 @@ def synthesize(vec: SpectralVector, x):
     """Pointwise sum c_n phi_n(x)."""
     scalar = np.isscalar(x)
     xa = np.atleast_1d(np.asarray(x, dtype=float))
-    table = phi_poly_table(vec.mu, len(vec) - 1, xa)
+    table = _array_memo(phi_poly_table, vec.mu, len(vec) - 1, xa)
     vals = (vec.coeffs[:, None] * table).sum(axis=0) * np.exp(-0.5 * xa * xa)
     if scalar:
         return complex(vals[0]) if np.iscomplexobj(vals) else float(vals[0])
@@ -246,7 +249,7 @@ def fourier_quadrature(
             f"max |x| / sqrt(sigma) must be finite and within the {quad_n}-node rule's reach {reach:.4g}, "
             f"not {omega:.6g}"
         )
-    kernel = _kernel_matrix(value, -xa if inverse else xa, t)
+    kernel = _array_memo(_kernel_matrix, value, -xa if inverse else xa, t)
     vals = jac / (2.0 ** (value + 0.5) * gamma_half(value)) * (kernel @ wg)
     return complex(vals[0]) if scalar else vals
 

@@ -150,6 +150,17 @@ def test_heat_routes_agree_via_cli(capsys):
     assert np.allclose(a, b, rtol=1e-8)
 
 
+@pytest.mark.parametrize("family", ["even", "odd"])
+def test_heat_kernel_route_via_cli_at_large_t(capsys, family):
+    # the kernel route follows f's envelope --alpha; without it t = 50 is 100% off
+    base = ["--mu", "1.5", "--t", "50", "--family", family, "--xmin", "-3", "--xmax", "3", "--num", "7"]
+    _, closed, _ = run(capsys, "heat", *base, "--route", "closed")
+    _, kernel, _ = run(capsys, "heat", *base, "--route", "kernel")
+    a = [float(l.split(",")[1]) for l in closed.strip().split("\n")[1:]]
+    b = [float(l.split(",")[1]) for l in kernel.strip().split("\n")[1:]]
+    assert np.allclose(b, a, rtol=1e-10, atol=1e-10 * max(map(abs, a)))
+
+
 def test_translate_cli(capsys):
     code, out, _ = run(
         capsys,

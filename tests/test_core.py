@@ -23,6 +23,7 @@ from muhermite.core import (
 )
 from muhermite.efun import e_mu
 from muhermite.quadrature import gauss_hermite_mu
+from muhermite.transform import expand, fourier_quadrature, transform_of_gaussian
 
 
 def test_theta_is_parity_indicator():
@@ -167,7 +168,7 @@ def test_gamma_half_and_beta():
 
 
 def test_mu_caches_stay_bounded():
-    from muhermite.core import MU_CACHE_SIZE, _exact_mu, _gamma_exact_table, _gamma_table_cached
+    from muhermite.core import _ARRAY_MEMO_BYTES, MU_CACHE_SIZE, _array_memo, _exact_mu, _gamma_exact_table, _gamma_table_cached
     from muhermite.quadrature import _hermite_rule_cached, _jacobi_rule_cached, gauss_alpha_mu, gauss_hermite_mu
 
     for k in range(300):
@@ -178,3 +179,22 @@ def test_mu_caches_stay_bounded():
         gamma_mu_exact(Fraction(k, 7), 3)
     for cached in (_gamma_table_cached, _gamma_exact_table, _exact_mu, _hermite_rule_cached, _jacobi_rule_cached):
         assert 0 < cached.cache_info().currsize <= MU_CACHE_SIZE
+
+    # the array memo is bounded in bytes, not entries
+    _array_memo.clear()
+    x = np.linspace(-2.0, 2.0, 41)
+    for k in range(100):
+        mu = 0.1 + k / 128.0
+        fourier_quadrature(mu, lambda t: np.exp(-t * t), x, sigma=1.0)
+        expand(mu, lambda t: np.exp(-t * t), 40, sigma=1.0)
+        assert _array_memo.info().nbytes <= _ARRAY_MEMO_BYTES
+    assert _array_memo.info().misses == 200
+    # a kernel larger than the whole budget is returned but not stored
+    held = _array_memo.info()
+    wide = np.linspace(-3.0, 3.0, 1001)
+    assert wide.size * 96 * 16 > _ARRAY_MEMO_BYTES
+    got = fourier_quadrature(0.5, lambda t: np.exp(-t * t), wide, sigma=1.0)
+    assert_allclose(got, transform_of_gaussian(0.5, 1.0, wide), rtol=0, atol=1e-14)
+    after = _array_memo.info()
+    assert after.misses == held.misses + 1
+    assert after[2:] == held[2:]

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm
 
-from muhermite.core import gamma_mu_exact
+from muhermite.core import _array_memo, gamma_mu_exact
 from muhermite.heat import (
     heat_apply_kernel,
     heat_gaussian,
@@ -171,3 +171,43 @@ def test_kernel_route_accurate_just_inside_its_reach():
     x = np.linspace(-2.5, 2.5, 11)  # |x| / (2 sqrt t) <= 8.84, reach 9.15
     kernel = heat_apply_kernel(mu, lambda u: np.exp(-u * u), t, x)
     assert_allclose(kernel, heat_gaussian(mu, 1.0, 0.0, t, x).real, rtol=1e-8)
+
+
+@pytest.mark.parametrize("t", [2.0, 10.0, 50.0])
+@pytest.mark.parametrize("mu", [-0.25, 0.5, 1.5])
+def test_kernel_route_with_f_envelope_is_accurate_at_large_t(mu, t):
+    # matched to the kernel's e^(-y^2/4t) alone, this is 0.96 off at t = 50, mu = 1/2
+    x = np.linspace(-3.0, 3.0, 13)
+    got = heat_apply_kernel(mu, lambda u: np.exp(-u * u), t, x, sigma=1.0)
+    assert_allclose(got, heat_gaussian(mu, 1.0, 0.0, t, x).real, rtol=1e-10)
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0])
+@pytest.mark.parametrize("t", [0.01, 0.4, 10.0])
+def test_kernel_route_reach_follows_the_integrands_peak(t, sigma):
+    # the peak y = x / (1 + 4 sigma t) sits at u = y sqrt(sigma + 1/4t)
+    mu = 0.5
+    stretch = 1.0 + 4.0 * sigma * t
+    reach = (gauss_hermite_mu(mu, 96).nodes.max() - 4.0) * stretch / math.sqrt(sigma + 0.25 / t)
+    f = lambda u: np.exp(-sigma * u * u)
+    assert np.all(np.isfinite(heat_apply_kernel(mu, f, t, [-0.999 * reach, 0.999 * reach], sigma=sigma)))
+    for x in (1.001 * reach, -1.001 * reach, math.nan):
+        with pytest.raises(ValueError, match="reach"):
+            heat_apply_kernel(mu, f, t, x, sigma=sigma)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_kernel_memo_hit_equals_a_cold_build(sigma):
+    x = np.linspace(-2.0, 2.0, 9)
+    f = lambda u: u * u * np.exp(-u * u)
+    _array_memo.clear()
+    cold = heat_apply_kernel(0.75, f, 0.4, x, sigma=sigma)
+    warm = heat_apply_kernel(0.75, f, 0.4, x, sigma=sigma)
+    assert _array_memo.info()[:2] == (1, 1)
+    assert_array_equal(warm, cold)
+    heat_apply_kernel(0.75, f, 0.4, -x, sigma=sigma)
+    heat_apply_kernel(0.75, f, 0.5, x, sigma=sigma)
+    assert _array_memo.info()[:2] == (1, 3)
+    with pytest.raises(ValueError, match="reach"):
+        heat_apply_kernel(0.75, f, 0.01, 3.0, sigma=sigma)
+    assert _array_memo.info()[1:] == (3, 3 * 9 * 96 * 8, 3)

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from muhermite.core import gamma_half
+from muhermite import verify
+from muhermite.core import _array_memo, gamma_half
 from muhermite.efun import c_s_mu, e_mu
 from muhermite.hermite import hermite_eval
 from muhermite.quadrature import gauss_hermite_mu
@@ -260,6 +261,105 @@ def test_l2mu_norm_of_ground_gaussian():
     for mu in (0.0, 0.75, 1.5):
         got = l2mu_norm(lambda t: np.exp(-0.5 * t * t), sigma=0.5, mu=mu)
         assert_allclose(got, math.sqrt(gamma_half(mu)), rtol=1e-13)
+
+
+def _fresh(call):
+    """call() on a memo that holds nothing yet, then again on the entry it stored."""
+    _array_memo.clear()
+    cold = call()
+    before = _array_memo.info()
+    warm = call()
+    after = _array_memo.info()
+    assert after.hits > before.hits and after.misses == before.misses
+    return cold, warm
+
+
+@pytest.mark.parametrize("inverse", [False, True])
+@pytest.mark.parametrize("mu", [-0.25, 0.0, 0.5, 1.5])
+def test_memo_hit_equals_a_cold_build(mu, inverse):
+    x = np.linspace(-3.0, 3.0, 20)
+    f = lambda t: (1.0 + t**3) * np.exp(-0.7 * t * t)
+    cold, warm = _fresh(lambda: fourier_quadrature(mu, f, x, sigma=0.7, inverse=inverse))
+    assert_array_equal(warm, cold)
+    # f is sampled on every call; only its kernel is kept
+    g = lambda t: np.exp(-0.7 * t * t)
+    assert_allclose(fourier_quadrature(mu, g, x, sigma=0.7, inverse=inverse), transform_of_gaussian(mu, 0.7, x), rtol=1e-12)
+    cold, warm = _fresh(lambda: expand(mu, f, 30, sigma=0.7))
+    assert_array_equal(warm.coeffs, cold.coeffs)
+    assert warm.parseval_defect == cold.parseval_defect
+    cold, warm = _fresh(lambda: synthesize(expand(mu, f, 30, sigma=0.7), x))
+    assert_array_equal(warm, cold)
+
+
+def test_memo_stores_read_only_arrays():
+    _array_memo.clear()
+    x = np.linspace(-2.0, 2.0, 9)
+    f = lambda t: np.exp(-t * t)
+    synthesize(expand(0.5, f, 12, sigma=1.0), x)
+    fourier_quadrature(0.5, f, x, sigma=1.0)
+    assert _array_memo.info().entries == 3
+    for stored in _array_memo._entries.values():
+        assert not stored.flags.writeable
+        with pytest.raises(ValueError):
+            stored[0, 0] = 0.0
+
+
+def test_memo_keys_tell_x_from_minus_x_and_one_shape_from_another():
+    _array_memo.clear()
+    x = np.array([0.5, 1.0, 2.0, 2.5])
+    f = lambda t: np.exp(-t * t)
+    plus = fourier_quadrature(0.5, f, x, sigma=1.0)
+    minus = fourier_quadrature(0.5, f, -x, sigma=1.0)
+    assert _array_memo.info().misses == 2
+    # the transform of an even f is even and real
+    assert_allclose(minus, plus, rtol=1e-14)
+    flat = _array_memo(np.negative, x)
+    square = _array_memo(np.negative, x.reshape(2, 2))
+    assert flat.shape == (4,) and square.shape == (2, 2)
+    assert _array_memo.info().misses == 4
+
+
+def test_phi_poly_table_stays_fresh_and_writable():
+    x = np.linspace(-2.0, 2.0, 9)
+    first = phi_poly_table(0.5, 8, x)
+    want = first.copy()
+    first[:] = 99.0
+    assert_array_equal(phi_poly_table(0.5, 8, x), want)
+    vec = SpectralVector(0.5, np.eye(9)[3])
+    assert_array_equal(synthesize(vec, x), synthesize(vec, x))
+    assert_allclose(synthesize(vec, x), phi_eval(0.5, 3, x), rtol=1e-14)
+
+
+def test_refused_calls_leave_the_memo_as_it_was():
+    _array_memo.clear()
+    f = lambda t: np.exp(-t * t)
+    for x in ([math.nan, 1.0], [math.inf, 1.0], [40.0]):
+        with pytest.raises(ValueError):
+            fourier_quadrature(0.5, f, x, sigma=1.0)
+
+    def broken(value, x):
+        raise ArithmeticError("no build")
+
+    with pytest.raises(ArithmeticError):
+        _array_memo(broken, 0.5, np.ones(3))
+    assert _array_memo.info() == (0, 1, 0, 0)
+
+
+def test_criterion_4_builds_one_kernel_per_distinct_grid(monkeypatch):
+    # criterion 4 transforms 11 eigenfunctions at each of 3 mu on one grid
+    keys = []
+
+    def recording(mu, f, x, *, sigma, quad_n=96, inverse=False):
+        keys.append((mu, sigma, quad_n, inverse, np.asarray(x, dtype=float).tobytes()))
+        return fourier_quadrature(mu, f, x, sigma=sigma, quad_n=quad_n, inverse=inverse)
+
+    monkeypatch.setattr(verify, "fourier_quadrature", recording)
+    _array_memo.clear()
+    assert verify.run_criterion(4).passed
+    info = _array_memo.info()
+    assert len(keys) == 33
+    assert info.misses == len(set(keys)) == 3
+    assert info.hits == len(keys) - info.misses
 
 
 class TestOperatorMatrix:
