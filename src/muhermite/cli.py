@@ -89,9 +89,9 @@ def _cmd_eval(args) -> int:
     else:
         raise ValueError(f"unknown --fn {args.fn!r}")
     if len(xs) == 1:
-        _emit(_fmt(vals if np.isscalar(vals) else np.asarray(vals).ravel()[0]) + "\n", args.out)
+        _emit(_fmt(vals[0]) + "\n", args.out)
     else:
-        lines = ["x,value"] + [f"{_fmt(v)},{_fmt(w)}" for v, w in zip(xs, np.asarray(vals))]
+        lines = ["x,value"] + [f"{_fmt(v)},{_fmt(w)}" for v, w in zip(xs, vals)]
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 

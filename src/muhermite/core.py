@@ -205,6 +205,26 @@ def as_mu(mu) -> MuParam:
     raise TypeError(f"cannot interpret {mu!r} as a deformation parameter")
 
 
+def _as_grid(x):
+    """(x as a flat float64 array, shaped): how every float function reads a real grid x.
+
+    x may be a scalar (Python, numpy or 0-d) or an array or list of any
+    shape; a non-finite entry raises ValueError.  ``shaped(vals)`` turns the
+    flat results back: a Python float or complex for a scalar x, otherwise
+    an array in x's own shape.
+    """
+    xa = np.asarray(x, dtype=float)
+    if not np.isfinite(xa).all():
+        raise ValueError("x must be finite; nan and inf lie past every route's reach")
+
+    def shaped(vals):
+        if xa.ndim:
+            return vals.reshape(xa.shape)
+        return complex(vals[0]) if np.iscomplexobj(vals) else float(vals[0])
+
+    return xa.ravel(), shaped
+
+
 @dataclass(frozen=True)
 class GammaMuTable:
     """Cached generalized factorial values gamma_mu(0..n) for one mu.

@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .core import as_mu, gamma_half, gamma_step, gamma_table
+from .core import _as_grid, as_mu, gamma_half, gamma_step, gamma_table
 
 __all__ = [
     "e_mu",
@@ -99,7 +99,7 @@ def _series(mu: float, z):
 
 
 def _miller(nu: float, x):
-    """(c, s)(x; nu + 1/2) for a float64 scalar or ndarray x, |x| <= 1e4.
+    """(c, s)(x; nu + 1/2) for a float64 ndarray x, |x| <= 1e4.
 
     With r_k = J_{nu+k}(x) / J_{nu+k-1}(x) = x / d_k, the Bessel recurrence
     read downwards is d_k = 2 (nu + k) - x^2 / d_{k+1}, started at
@@ -132,7 +132,7 @@ def _miller(nu: float, x):
     if not finite.all():
         # a d_k rounded to exactly 0 (x at a zero of some J_{nu+k}, to the
         # last bit); one ulp towards 0 moves it off, changing c and s by ~eps
-        return _miller(nu, np.where(finite, x, np.nextafter(x, 0.0))[()])
+        return _miller(nu, np.where(finite, x, np.nextafter(x, 0.0)))
     return 1.0 / u, x / (d * u)
 
 
@@ -156,7 +156,8 @@ def e_mu(mu, z):
 def c_s_mu(mu, x):
     """Deformed cosine/sine pair (c, s) with c - i s = e(-ix; mu), x real.
 
-    A float x gives two floats, an ndarray two arrays.  mu = 0 is exactly
+    x: scalar or array of any shape; a scalar gives two floats, an array
+    two arrays in its shape.  mu = 0 is exactly
     (cos, sin).  Otherwise Miller's backward recurrence serves every
     |x| <= 1e4 and raises ValueError beyond; against 40-digit mpmath its
     error, relative to max(1, |value|), is about 1e-16 for mu >= 1/2 and
@@ -164,11 +165,9 @@ def c_s_mu(mu, x):
     6e-13 at (-0.45, 1e4).  A non-finite x raises ValueError.
     """
     value = as_mu(mu).require_numeric()
-    xa = np.asarray(x, dtype=float)
-    if not np.isfinite(xa).all():
-        raise ValueError("the deformed cosine and sine need a finite argument")
-    c, s = (np.cos(xa), np.sin(xa)) if value == 0.0 else _miller(value - 0.5, xa[()])
-    return (float(c), float(s)) if xa.ndim == 0 else (c, s)
+    xa, shaped = _as_grid(x)
+    c, s = (np.cos(xa), np.sin(xa)) if value == 0.0 else _miller(value - 0.5, xa)
+    return shaped(c), shaped(s)
 
 
 def mehler_rhs(mu, x: float, y: float, z):

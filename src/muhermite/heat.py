@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .core import _array_memo, as_mu, gamma_half
+from .core import _array_memo, _as_grid, as_mu, gamma_half
 from .efun import e_mu
 from .quadrature import _scaled_rule, gauss_hermite_mu
 from .transform import _momentum_svd
@@ -68,14 +68,11 @@ def heat_gaussian_params(mu, alpha, z, t: float):
 
 
 def heat_gaussian(mu, alpha, z, t: float, x):
-    """T(t) of e^(-alpha x^2) e(2 z x; mu), evaluated at x (scalar or array)."""
+    """T(t) of e^(-alpha x^2) e(2 z x; mu) at x; x: scalar or array of any shape."""
     value = as_mu(mu).require_numeric()
     pref, ap, zp = heat_gaussian_params(value, alpha, z, t)
-    xa = np.asarray(x, dtype=float)
-    out = pref * np.exp(-ap * xa * xa) * e_mu(value, 2.0 * zp * xa)
-    if np.isscalar(x):
-        return complex(out) if np.iscomplexobj(np.asarray(out)) else float(out)
-    return out
+    xa, shaped = _as_grid(x)
+    return shaped(pref * np.exp(-ap * xa * xa) * e_mu(value, 2.0 * zp * xa))
 
 
 def heat_odd_gaussian(mu, alpha: float, t: float, x):
@@ -84,6 +81,7 @@ def heat_odd_gaussian(mu, alpha: float, t: float, x):
         x (1 + 4 alpha t)^(-mu - 3/2) e^(-alpha x^2 / (1 + 4 alpha t)).
 
     Obtained from heat_gaussian by differentiating in z at z = 0.
+    x: scalar or array of any shape.
     """
     value = as_mu(mu).require_numeric()
     if not alpha > 0:
@@ -91,9 +89,8 @@ def heat_odd_gaussian(mu, alpha: float, t: float, x):
     if t < 0:
         raise ValueError("semigroup time must be nonnegative")
     u = 1.0 + 4.0 * alpha * t
-    xa = np.asarray(x, dtype=float)
-    out = xa * u ** (-value - 1.5) * np.exp(-alpha * xa * xa / u)
-    return float(out) if np.isscalar(x) else out
+    xa, shaped = _as_grid(x)
+    return shaped(xa * u ** (-value - 1.5) * np.exp(-alpha * xa * xa / u))
 
 
 def _heat_kernel(value: float, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
@@ -101,7 +98,7 @@ def _heat_kernel(value: float, x: np.ndarray, y: np.ndarray, t: float) -> np.nda
 
 
 def heat_apply_kernel(mu, f, t: float, x, *, sigma: float = 0.0, quad_n: int = 96):
-    """T(t) f at x by quadrature of the positive kernel.
+    """T(t) f at x by quadrature of the positive kernel; x: scalar or array of any shape.
 
     ``sigma`` is f's Gaussian envelope rate, as in fourier_quadrature: f
     decays like e^(-sigma y^2) times at most polynomial growth.  The rule
@@ -127,8 +124,7 @@ def heat_apply_kernel(mu, f, t: float, x, *, sigma: float = 0.0, quad_n: int = 9
     value = as_mu(mu).require_numeric()
     if not 0.0 < t < math.inf:
         raise ValueError("kernel form needs a finite t > 0")
-    scalar = np.isscalar(x)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    xa, shaped = _as_grid(x)
     rate = 0.25 / t
     y, wg, _ = _scaled_rule(value, f, sigma, rate, quad_n)
     stretch = 1.0 + 4.0 * sigma * t
@@ -136,14 +132,14 @@ def heat_apply_kernel(mu, f, t: float, x, *, sigma: float = 0.0, quad_n: int = 9
     peak = np.max(np.abs(xa), initial=0.0) * math.sqrt(sigma + rate) / stretch
     if not peak <= reach:
         raise ValueError(
-            f"max |x| must be finite and keep the integrand's peak within the {quad_n}-node rule's reach "
+            f"max |x| must keep the integrand's peak within the {quad_n}-node rule's reach "
             f"{reach:.4g} in u, not {peak:.4g} (t = {t:g}, sigma = {sigma:g})"
         )
     # The Jacobian (sigma + 1/4t)^(-mu-1/2) times the kernel's (4t)^(-mu-1/2)
     # is stretch^(-mu-1/2), exactly 1 at sigma = 0.
     kern = _array_memo(_heat_kernel, value, xa, y, t)
     vals = np.exp(-xa * xa / (4.0 * t)) / gamma_half(value) * stretch ** (-value - 0.5) * (kern @ wg)
-    return float(vals[0]) if scalar else vals
+    return shaped(vals)
 
 
 def heat_pde_residual(
@@ -174,13 +170,14 @@ def heat_pde_residual(
         raise ValueError("residual check excludes |x| < 0.1 near the 1/x singularity")
     if not t > h:
         raise ValueError("need t > h for the centered time difference")
+    left, mid, right = psi(np.array([x - h, x, x + h]), t)
     pt = (psi(x, t + h) - psi(x, t - h)) / (2.0 * h)
-    px = (psi(x + h, t) - psi(x - h, t)) / (2.0 * h)
-    pxx = (psi(x + h, t) - 2.0 * psi(x, t) + psi(x - h, t)) / (h * h)
+    px = (right - left) / (2.0 * h)
+    pxx = (right - 2.0 * mid + left) / (h * h)
     rhs = pxx + (2.0 * value / x) * px
     if family == "odd":
-        rhs -= (2.0 * value / (x * x)) * psi(x, t)
-    return abs(pt - rhs)
+        rhs -= (2.0 * value / (x * x)) * mid
+    return float(abs(pt - rhs))
 
 
 def heat_spectral_matrix(mu, t: float, size: int) -> np.ndarray:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import as_mu, gamma_exact_table, gamma_step, gamma_table, mu_binomial
+from .core import _as_grid, as_mu, gamma_exact_table, gamma_step, gamma_table, mu_binomial
 from .poly import BivariatePoly, DensePoly
 
 __all__ = [
@@ -83,22 +83,22 @@ def hermite_coeffs(mu, n: int, *, exact: bool = False) -> DensePoly:
 
 
 def hermite_eval(mu, n: int, x):
-    """Evaluate H_n(x; mu) by the three-term recursion; x may be an ndarray.
+    """Evaluate H_n(x; mu) by the three-term recursion; x: scalar or array of any shape.
 
     H_{n+1} = (n+1)/(n+1+2 mu theta(n+1)) * (2 x H_n - 2 n H_{n-1}).
     """
     if n < 0:
         raise ValueError("polynomial degree must be nonnegative")
     value = as_mu(mu).require_numeric()
-    x = np.asarray(x, dtype=float) if isinstance(x, (list, tuple, np.ndarray)) else x
-    h_prev = x * 0 + 1.0 if isinstance(x, np.ndarray) else 1.0
+    x, shaped = _as_grid(x)
+    h_prev = np.ones_like(x)
     if n == 0:
-        return h_prev
+        return shaped(h_prev)
     h_cur = 2.0 * x / gamma_step(value, 1)
     for k in range(1, n):
         h_next = (k + 1) / gamma_step(value, k + 1) * (2.0 * x * h_cur - 2.0 * k * h_prev)
         h_prev, h_cur = h_cur, h_next
-    return h_cur
+    return shaped(h_cur)
 
 
 def _mu_like(mu, p: DensePoly):

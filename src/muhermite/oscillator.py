@@ -164,7 +164,7 @@ def build(mu, size: int) -> OscillatorRep:
         raise ValueError("oscillator truncation needs size >= 4")
     # The letters in OscillatorRep field order: a, adag, q, p, h, j, f.
     kinds = ("A", "Adag", "Q", "P", "H", "J", "F")
-    return OscillatorRep(value, size, *(operator_matrix(param, kind, size).matrix for kind in kinds))
+    return OscillatorRep(value, size, *(operator_matrix(param, kind, size) for kind in kinds))
 
 
 def _require_word(rep: OscillatorRep, k: int) -> None:

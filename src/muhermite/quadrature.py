@@ -119,14 +119,17 @@ def _hermite_rule_cached(mu: float, n: int) -> QuadratureRule:
     return QuadratureRule(nodes, weights, 2 * n - 1, "hermite_mu", mass)
 
 
-def gauss_hermite_mu(mu, n: int) -> QuadratureRule:
-    """Gauss rule for |x|^(2 mu) e^(-x^2) dx, exact through degree 2n - 1."""
-    value = as_mu(mu).require_numeric()
+def _check_size(n: int) -> int:
     if n < 1:
         raise ValueError("a quadrature rule needs at least one node")
     if n > 256:
         raise ValueError("rule size capped at 256 nodes")
-    return _hermite_rule_cached(value, n)
+    return n
+
+
+def gauss_hermite_mu(mu, n: int) -> QuadratureRule:
+    """Gauss rule for |x|^(2 mu) e^(-x^2) dx, exact through degree 2n - 1."""
+    return _hermite_rule_cached(as_mu(mu).require_numeric(), _check_size(n))
 
 
 def _scaled_rule(value: float, f, sigma: float, rate: float, quad_n: int):
@@ -168,30 +171,28 @@ def _jacobi_coefficients(a: float, b: float, n: int):
 
 
 @lru_cache(maxsize=MU_CACHE_SIZE)
-def _jacobi_rule_cached(a: float, b: float, n: int, normalized: bool) -> QuadratureRule:
+def _jacobi_rule_cached(a: float, b: float, n: int):
+    """The rules for (1-t)^a (1+t)^b of unit mass and of its mass beta_0.
+
+    The averaging measure at mu is (a, b) = (mu - 1, mu), so gauss_alpha_mu
+    and jacobi_rule share one eigenproblem per mu.
+    """
     alpha, beta = _jacobi_coefficients(a, b, n + 1)
     nodes, weights = _gauss_rule(alpha[:n], np.sqrt(beta[1:]))
-    mass = 1.0 if normalized else beta[0]
-    name = "alpha_mu" if normalized else "jacobi"
-    return QuadratureRule(nodes, mass * weights, 2 * n - 1, name, mass)
+    return (
+        QuadratureRule(nodes, weights, 2 * n - 1, "alpha_mu", 1.0),
+        QuadratureRule(nodes, beta[0] * weights, 2 * n - 1, "jacobi", beta[0]),
+    )
 
 
 def jacobi_rule(a: float, b: float, n: int) -> QuadratureRule:
     """Gauss rule for (1-t)^a (1+t)^b dt on (-1, 1); a, b > -1."""
     if a <= -1.0 or b <= -1.0:
         raise ValueError("Jacobi exponents must exceed -1")
-    if n < 1:
-        raise ValueError("a quadrature rule needs at least one node")
-    if n > 256:
-        raise ValueError("rule size capped at 256 nodes")
-    return _jacobi_rule_cached(float(a), float(b), n, False)
+    return _jacobi_rule_cached(float(a), float(b), _check_size(n))[1]
 
 
 def gauss_alpha_mu(mu, n: int) -> QuadratureRule:
     """Gauss rule for the unit-mass averaging measure on (-1, 1), mu > 0."""
     value = as_mu(mu).require_positive()
-    if n < 1:
-        raise ValueError("a quadrature rule needs at least one node")
-    if n > 256:
-        raise ValueError("rule size capped at 256 nodes")
-    return _jacobi_rule_cached(value - 1.0, value, n, True)
+    return _jacobi_rule_cached(value - 1.0, value, _check_size(n))[0]

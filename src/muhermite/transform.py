@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _array_memo, as_mu, gamma_half, gamma_mu, gamma_step, log_gamma_mu
+from .core import _array_memo, _as_grid, as_mu, gamma_half, gamma_mu, gamma_step, log_gamma_mu
 from .efun import c_s_mu, e_mu
 from .hermite import hermite_coeffs, hermite_eval
 from .poly import DensePoly
@@ -44,7 +44,6 @@ from .quadrature import _recurrence_table, _scaled_rule
 
 __all__ = [
     "SpectralVector",
-    "OperatorMatrix",
     "phi_eval",
     "phi_poly_table",
     "phi_poly_coeffs",
@@ -77,27 +76,6 @@ class SpectralVector:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Truncated matrix of one canonical operator on the phi basis.
-
-    Truncation corrupts the last rows/columns of operator products;
-    identity checks must stay on interior indices (see the oscillator
-    module for the policy).
-    """
-
-    kind: str
-    mu: float
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.matrix.setflags(write=False)
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-
 def phi_poly_table(mu, n_max: int, x: np.ndarray) -> np.ndarray:
     """Polynomial factors phi_n(x) e^(x^2/2), n = 0..n_max, all x at once."""
     value = as_mu(mu).require_numeric()
@@ -106,11 +84,9 @@ def phi_poly_table(mu, n_max: int, x: np.ndarray) -> np.ndarray:
 
 
 def phi_eval(mu, n: int, x):
-    """Eigenfunction phi_n at x (scalar or ndarray)."""
-    scalar = np.isscalar(x)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = phi_poly_table(mu, n, xa)[n] * np.exp(-0.5 * xa * xa)
-    return float(vals[0]) if scalar else vals
+    """Eigenfunction phi_n at x; x: scalar or array of any shape."""
+    xa, shaped = _as_grid(x)
+    return shaped(phi_poly_table(mu, n, xa)[n] * np.exp(-0.5 * xa * xa))
 
 
 def phi_poly_coeffs(mu, n: int) -> DensePoly:
@@ -154,14 +130,10 @@ def expand(
 
 
 def synthesize(vec: SpectralVector, x):
-    """Pointwise sum c_n phi_n(x)."""
-    scalar = np.isscalar(x)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    """Pointwise sum c_n phi_n(x); x: scalar or array of any shape."""
+    xa, shaped = _as_grid(x)
     table = _array_memo(phi_poly_table, vec.mu, len(vec) - 1, xa)
-    vals = (vec.coeffs[:, None] * table).sum(axis=0) * np.exp(-0.5 * xa * xa)
-    if scalar:
-        return complex(vals[0]) if np.iscomplexobj(vals) else float(vals[0])
-    return vals
+    return shaped((vec.coeffs[:, None] * table).sum(axis=0) * np.exp(-0.5 * xa * xa))
 
 
 def l2mu_norm(f, *, sigma: float, mu, quad_n: int = 96) -> float:
@@ -219,7 +191,7 @@ def fourier_quadrature(
     quad_n: int = 96,
     inverse: bool = False,
 ):
-    """Transform of f at x (scalar or ndarray) by direct quadrature.
+    """Transform of f at x by direct quadrature; x: scalar or array of any shape.
 
     ``sigma`` is f's Gaussian envelope rate and must be supplied: the
     substitution t -> t / sqrt(sigma) maps the integral onto the fixed
@@ -239,24 +211,24 @@ def fourier_quadrature(
     8 nodes too, and at 4 or fewer, where it is negative, only x = 0 passes.
     """
     value = as_mu(mu).require_numeric()
-    scalar = np.isscalar(x)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    xa, shaped = _as_grid(x)
     t, wg, jac = _scaled_rule(value, f, sigma, 0.0, quad_n)
     reach = 2.0 * math.sqrt(2.0 * quad_n) - 2.0 * math.sqrt(11.0 * math.log(10.0)) + 8.5 / math.sqrt(quad_n)
     omega = np.max(np.abs(xa), initial=0.0) / math.sqrt(sigma)
     if not omega <= max(reach, 0.0):
         raise ValueError(
-            f"max |x| / sqrt(sigma) must be finite and within the {quad_n}-node rule's reach {reach:.4g}, "
+            f"max |x| / sqrt(sigma) must be within the {quad_n}-node rule's reach {reach:.4g}, "
             f"not {omega:.6g}"
         )
     kernel = _array_memo(_kernel_matrix, value, -xa if inverse else xa, t)
     vals = jac / (2.0 ** (value + 0.5) * gamma_half(value)) * (kernel @ wg)
-    return complex(vals[0]) if scalar else vals
+    return shaped(vals)
 
 
 # Closed forms of the transform on Gaussian-type inputs, prefactor included,
 # so each compares directly with fourier_quadrature on the matching input;
 # 2^(-mu-1/2) is the prefactor 1 / (2^(mu+1/2) Gamma(mu+1/2)) times Gamma(mu+1/2).
+# In each, x: scalar or array of any shape.
 
 
 def transform_of_gaussian(mu, lam: float, x):
@@ -264,8 +236,8 @@ def transform_of_gaussian(mu, lam: float, x):
     value = as_mu(mu).require_numeric()
     if not lam > 0:
         raise ValueError("the Gaussian rate lam must be positive")
-    x = np.asarray(x, dtype=float)
-    return 2.0 ** (-value - 0.5) * lam ** (-value - 0.5) * np.exp(-x * x / (4.0 * lam))
+    x, shaped = _as_grid(x)
+    return shaped(2.0 ** (-value - 0.5) * lam ** (-value - 0.5) * np.exp(-x * x / (4.0 * lam)))
 
 
 def transform_of_monomial_gaussian(mu, n: int, lam: float, x):
@@ -277,11 +249,10 @@ def transform_of_monomial_gaussian(mu, n: int, lam: float, x):
     value = as_mu(mu).require_numeric()
     if not lam > 0:
         raise ValueError("the Gaussian rate lam must be positive")
-    x = np.asarray(x, dtype=float)
+    x, shaped = _as_grid(x)
     amp = 2.0 ** (-value - 0.5) * lam ** (-0.5 * n - 0.5 - value) * gamma_mu(value, n) / math.factorial(n) / 2.0**n
-    return (-1j) ** n * amp * np.exp(-x * x / (4.0 * lam)) * hermite_eval(
-        value, n, x / (2.0 * math.sqrt(lam))
-    )
+    h = hermite_eval(value, n, x / (2.0 * math.sqrt(lam)))
+    return shaped((-1j) ** n * amp * np.exp(-x * x / (4.0 * lam)) * h)
 
 
 def transform_of_efun_gaussian(mu, lam: float, y: float, x):
@@ -292,9 +263,9 @@ def transform_of_efun_gaussian(mu, lam: float, y: float, x):
     value = as_mu(mu).require_numeric()
     if not lam > 0:
         raise ValueError("the Gaussian rate lam must be positive")
-    x = np.asarray(x, dtype=float)
+    x, shaped = _as_grid(x)
     amp = 2.0 ** (-value - 0.5) * lam ** (-value - 0.5)
-    return amp * np.exp(-(x * x + y * y) / (4.0 * lam)) * e_mu(value, x * y / (2.0 * lam))
+    return shaped(amp * np.exp(-(x * x + y * y) / (4.0 * lam)) * e_mu(value, x * y / (2.0 * lam)))
 
 
 def transform_of_hermite_gaussian(mu, n: int, beta: float, lam: float, x):
@@ -309,15 +280,15 @@ def transform_of_hermite_gaussian(mu, n: int, beta: float, lam: float, x):
     value = as_mu(mu).require_numeric()
     if not (beta * beta > lam * lam > 0):
         raise ValueError("needs beta^2 > lam^2 > 0")
-    x = np.asarray(x, dtype=float)
+    x, shaped = _as_grid(x)
     ratio2 = (beta / lam) ** 2 - 1.0
     amp = 2.0 ** (-value - 0.5) * lam ** (-2.0 * value - 1.0) * ratio2 ** (0.5 * n)
     arg = beta * x / (2.0 * lam * math.sqrt(beta * beta - lam * lam))
-    return (-1j) ** n * amp * np.exp(-x * x / (4.0 * lam * lam)) * hermite_eval(value, n, arg)
+    return shaped((-1j) ** n * amp * np.exp(-x * x / (4.0 * lam * lam)) * hermite_eval(value, n, arg))
 
 
-def operator_matrix(mu, kind: str, size: int) -> OperatorMatrix:
-    """Truncated matrix of one canonical operator on the phi basis.
+def operator_matrix(mu, kind: str, size: int) -> np.ndarray:
+    """Truncated matrix of one canonical operator on the phi basis, read-only.
 
     kinds: 'A' (lowering), 'Adag' (raising), 'Q' (position), 'P'
     (momentum), 'H' (hamiltonian, diagonal n + mu + 1/2), 'J' (parity,
@@ -344,7 +315,8 @@ def operator_matrix(mu, kind: str, size: int) -> OperatorMatrix:
         m = np.diag((-1j) ** np.arange(size))
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
-    return OperatorMatrix(kind=kind, mu=value, matrix=m)
+    m.setflags(write=False)
+    return m
 
 
 def _momentum_svd(value: float, size: int):
@@ -353,6 +325,6 @@ def _momentum_svd(value: float, size: int):
     P couples only opposite parities, so this one SVD gives every function
     of P.  For odd size R has an extra row; s is zero-padded to its length.
     """
-    r = (1j * operator_matrix(value, "P", size).matrix[0::2, 1::2]).real
+    r = (1j * operator_matrix(value, "P", size)[0::2, 1::2]).real
     u, s, vt = np.linalg.svd(r)
     return u, np.pad(s, (0, r.shape[0] - len(s))), vt.T

@@ -31,7 +31,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import as_mu, beta_function, gamma_mu, gamma_mu_exact
+from .core import _as_grid, as_mu, beta_function, gamma_mu, gamma_mu_exact
 from .efun import c_s_mu, e_mu
 from .hermite import dunkl_apply
 from .poly import DensePoly
@@ -157,21 +157,24 @@ def translate_gaussian_closed(mu, lam: float, x, y: float):
 
         e^(-lam (x^2 + y^2)) e(-2 lam x y; mu).
 
-    Accepts scalar or ndarray x.
+    x: scalar or array of any shape.
     """
     value = as_mu(mu).require_numeric()
     if not lam > 0:
         raise ValueError("the Gaussian rate lam must be positive")
-    out = np.exp(-lam * (np.asarray(x) ** 2 + y * y)) * e_mu(value, -2.0 * lam * np.asarray(x) * y)
-    return out if isinstance(x, np.ndarray) else float(out)
+    xa, shaped = _as_grid(x)
+    return shaped(np.exp(-lam * (xa**2 + y * y)) * e_mu(value, -2.0 * lam * xa * y))
 
 
-def translate_odd_gaussian_closed(mu, lam: float, x: float, y: float):
+def translate_odd_gaussian_closed(mu, lam: float, x, y: float):
     """Closed form of the translate of xi e^(-lam xi^2):
 
         (x + y) e^(-lam (x^2 + y^2)) e(-2 lam x y; mu).
+
+    x: scalar or array of any shape.
     """
-    return (x + y) * translate_gaussian_closed(mu, lam, x, y)
+    xa, shaped = _as_grid(x)
+    return shaped((xa + y) * translate_gaussian_closed(mu, lam, xa, y))
 
 
 def translate_spectral_matrix(mu, y: float, size: int) -> np.ndarray:

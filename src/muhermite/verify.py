@@ -257,12 +257,12 @@ def criterion_heat_consistency() -> CriterionResult:
             odd_c = expand(mu, odd, size - 1, sigma=alpha)
             for t, flow in flows.items():
                 closed = heat_gaussian(mu, alpha, 0.0, t, grid).real
-                kernel = heat_apply_kernel(mu, even, t, grid)
+                kernel = heat_apply_kernel(mu, even, t, grid, sigma=alpha)
                 spectral = synthesize(SpectralVector(mu, flow @ np.asarray(even_c.coeffs)), grid).real
                 worst_routes = max(worst_routes, float(np.max(np.abs(closed - kernel))))
                 worst_routes = max(worst_routes, float(np.max(np.abs(closed - spectral))))
                 closed_o = heat_odd_gaussian(mu, alpha, t, grid)
-                kernel_o = heat_apply_kernel(mu, odd, t, grid)
+                kernel_o = heat_apply_kernel(mu, odd, t, grid, sigma=alpha)
                 spectral_o = synthesize(SpectralVector(mu, flow @ np.asarray(odd_c.coeffs)), grid).real
                 worst_routes = max(worst_routes, float(np.max(np.abs(closed_o - kernel_o))))
                 worst_routes = max(worst_routes, float(np.max(np.abs(closed_o - spectral_o))))
@@ -389,7 +389,7 @@ def criterion_classical_reduction() -> CriterionResult:
     notes.append("coefficients exact" if coeff_ok else "COEFFICIENT MISMATCH")
     gamma_ok = all(gamma_mu_exact(Fraction(0), n) == math.factorial(n) for n in range(21))
     notes.append("factorials exact" if gamma_ok else "GAMMA MISMATCH")
-    diag = np.diag(operator_matrix(0.0, "H", 16).matrix).real
+    diag = np.diag(operator_matrix(0.0, "H", 16)).real
     eig_ok = bool(np.all(diag == np.arange(16) + 0.5))
     notes.append("eigenvalues n+1/2" if eig_ok else "EIGENVALUE MISMATCH")
     report = osc.check_commutation(osc.build(0.0, 16))

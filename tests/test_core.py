@@ -198,3 +198,36 @@ def test_mu_caches_stay_bounded():
     after = _array_memo.info()
     assert after.misses == held.misses + 1
     assert after[2:] == held[2:]
+
+
+# The package's names before each module's __all__ became the one export
+# list, less OperatorMatrix, which was deleted (operator_matrix returns the
+# read-only ndarray itself).
+_EARLIER_EXPORTS = """
+BivariatePoly CheckReport CriterionResult DensePoly IDENTITY_TAGS IdentityDefect IdentityReport MuParam
+OscillatorRep QuadratureRule SpectralVector __version__ alpha_mu_moment as_mu build c_s_mu check_commutation
+check_equations_of_motion check_ladder_powers check_representation check_rodrigues_operator check_rotation
+check_structure dunkl_apply dunkl_definition e_mu expand fourier_quadrature fourier_spectral gamma_half gamma_mu
+gamma_mu_exact gauss_alpha_mu gauss_hermite_mu heat_apply_kernel heat_gaussian heat_gaussian_params heat_kernel
+heat_odd_gaussian heat_pde_residual heat_poly heat_spectral_matrix hermite_coeffs hermite_eval identity_sides
+inversion_expand jacobi_rule l2mu_norm log_gamma_mu mehler_rhs mu_binomial mu_binomial_exact operator_matrix
+phi_eval phi_poly_coeffs phi_poly_table raise_apply run_acceptance run_all run_criterion synthesize theta
+transform_of_efun_gaussian transform_of_gaussian transform_of_hermite_gaussian transform_of_monomial_gaussian
+translate_alpha translate_gaussian_closed translate_odd_gaussian_closed translate_poly translate_spectral_matrix
+translate_xi verify_identity
+""".split()
+
+
+def test_package_exports_every_module_export():
+    import importlib
+
+    import muhermite
+
+    public = set(muhermite.__all__)
+    for name in ("core", "efun", "exact", "heat", "hermite", "oscillator", "poly", "quadrature", "transform",
+                 "translate", "verify"):
+        module = importlib.import_module(f"muhermite.{name}")
+        assert set(module.__all__) <= public, name
+        assert all(getattr(muhermite, n) is getattr(module, n) for n in module.__all__)
+    assert set(_EARLIER_EXPORTS) <= public
+    assert len(muhermite.__all__) == len(public)

@@ -125,7 +125,7 @@ class TestPdeResidual:
 
 def test_spectral_matrix_is_heat_of_momentum_square():
     mu, t, size = 0.5, 0.4, 12
-    p = operator_matrix(mu, "P", size).matrix
+    p = operator_matrix(mu, "P", size)
     m = (p @ p).real
     assert_allclose(heat_spectral_matrix(mu, t, size), expm(-t * m), rtol=1e-13)
 
@@ -134,7 +134,7 @@ def test_spectral_matrix_is_heat_of_momentum_square():
 @pytest.mark.parametrize("mu", [0.0, 0.5, 1.5, -0.25])
 def test_spectral_matrix_keeps_parity_at_every_size(mu, size):
     t = 0.4
-    p = operator_matrix(mu, "P", size).matrix
+    p = operator_matrix(mu, "P", size)
     flow = heat_spectral_matrix(mu, t, size)
     # any eigen-route errs by ~eps of the unit diagonal, so entries near 1e-4
     # (corners at size 13) need the absolute term; parity zeros must be exact

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from muhermite import verify
 from muhermite.core import _array_memo, gamma_half
 from muhermite.efun import c_s_mu, e_mu
+from muhermite.heat import heat_apply_kernel, heat_gaussian, heat_odd_gaussian
 from muhermite.hermite import hermite_eval
 from muhermite.quadrature import gauss_hermite_mu
 from muhermite.transform import (
@@ -28,6 +29,7 @@ from muhermite.transform import (
     transform_of_hermite_gaussian,
     transform_of_monomial_gaussian,
 )
+from muhermite.translate import translate_gaussian_closed, translate_odd_gaussian_closed
 
 MUS = (0.0, 0.5, 1.5)
 
@@ -234,16 +236,64 @@ def test_momentum_singular_values_are_the_positive_gauss_nodes(n, mu):
     assert_allclose(np.sort(s), want, rtol=0, atol=1e-13)
 
 
+def _gauss(t):
+    return np.exp(-t * t)
+
+
+# Every public float function that takes a real grid x, as (mu, x) -> value.
+# They all read x through core._as_grid.
+GRID_ROUTES = {
+    "phi_eval": lambda mu, x: phi_eval(mu, 3, x),
+    "synthesize": lambda mu, x: synthesize(expand(mu, _gauss, 12, sigma=1.0), x),
+    "synthesize_complex": lambda mu, x: synthesize(fourier_spectral(expand(mu, _gauss, 12, sigma=1.0)), x),
+    "fourier_quadrature": lambda mu, x: fourier_quadrature(mu, _gauss, x, sigma=1.0),
+    "fourier_quadrature_inverse": lambda mu, x: fourier_quadrature(mu, _gauss, x, sigma=1.0, inverse=True),
+    "transform_of_gaussian": lambda mu, x: transform_of_gaussian(mu, 0.7, x),
+    "transform_of_monomial_gaussian": lambda mu, x: transform_of_monomial_gaussian(mu, 3, 0.7, x),
+    "transform_of_efun_gaussian": lambda mu, x: transform_of_efun_gaussian(mu, 0.7, 0.4, x),
+    "transform_of_hermite_gaussian": lambda mu, x: transform_of_hermite_gaussian(mu, 3, 1.0, 0.6, x),
+    "heat_gaussian": lambda mu, x: heat_gaussian(mu, 0.8, 0.3, 0.3, x),
+    "heat_gaussian_complex": lambda mu, x: heat_gaussian(mu, 0.8 + 0.2j, 0.2 + 0.1j, 0.3, x),
+    "heat_odd_gaussian": lambda mu, x: heat_odd_gaussian(mu, 0.8, 0.3, x),
+    "heat_apply_kernel": lambda mu, x: heat_apply_kernel(mu, _gauss, 0.4, x, sigma=1.0),
+    "c_s_mu.c": lambda mu, x: c_s_mu(mu, x)[0],
+    "c_s_mu.s": lambda mu, x: c_s_mu(mu, x)[1],
+    "hermite_eval": lambda mu, x: hermite_eval(mu, 5, x),
+    "translate_gaussian_closed": lambda mu, x: translate_gaussian_closed(mu, 0.5, x, 0.3),
+    "translate_odd_gaussian_closed": lambda mu, x: translate_odd_gaussian_closed(mu, 0.5, x, 0.3),
+}
+
+
 @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("mu", [-0.25, 0.0, 0.5])
 def test_non_finite_x_refused_on_every_route(mu, x):
-    # cos and sin (mu = 0) and the recurrence (mu != 0) agree
-    with pytest.raises(ValueError, match="finite"):
-        c_s_mu(mu, x)
-    with pytest.raises(ValueError, match="finite"):
-        c_s_mu(mu, np.array([1.0, x]))
-    with pytest.raises(ValueError, match="finite"):
-        fourier_quadrature(mu, lambda t: np.exp(-t * t), [x, 1.0], sigma=1.0)
+    # in any shape, on every route: cos and sin (mu = 0) and the recurrence
+    # (mu != 0) alike
+    for call in GRID_ROUTES.values():
+        for bad in (x, [x, 1.0], np.array([[1.0], [x]])):
+            with pytest.raises(ValueError, match="finite"):
+                call(mu, bad)
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.3141])
+@pytest.mark.parametrize("name", sorted(GRID_ROUTES))
+def test_one_grid_convention(name, mu):
+    call = GRID_ROUTES[name]
+    # a scalar of any spelling gives the same Python float or complex
+    scalars = [call(mu, v) for v in (1.25, np.float64(1.25), np.array(1.25))]
+    assert {type(v) for v in scalars} <= {float, complex}
+    assert len({type(v) for v in scalars}) == 1
+    assert scalars[0] == scalars[1] == scalars[2]
+    # a scalar is the one-point grid, bit for bit
+    assert scalars[0] == call(mu, [1.25])[0]
+    # a 2-D x keeps its shape and runs the flat grid's arithmetic
+    grid = np.array([[-1.5, -0.25, 0.0], [0.5, 1.25, 2.0]])
+    flat = call(mu, grid.ravel())
+    got = call(mu, grid)
+    assert got.shape == (2, 3)
+    assert_array_equal(got, flat.reshape(2, 3))
+    # a list is read as the array it spells
+    assert_array_equal(call(mu, grid.tolist()), got)
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
@@ -365,33 +415,37 @@ def test_criterion_4_builds_one_kernel_per_distinct_grid(monkeypatch):
 class TestOperatorMatrix:
     def test_lowering_entries(self):
         mu = 0.5
-        m = operator_matrix(mu, "A", 6).matrix
+        m = operator_matrix(mu, "A", 6)
         for n in range(1, 6):
             assert_allclose(m[n - 1, n], math.sqrt(n + 2 * mu * (n % 2)), rtol=1e-15)
         assert np.count_nonzero(m) == 5
 
     def test_adjoint_pair(self):
-        a = operator_matrix(0.75, "A", 8).matrix
-        adag = operator_matrix(0.75, "Adag", 8).matrix
+        a = operator_matrix(0.75, "A", 8)
+        adag = operator_matrix(0.75, "Adag", 8)
         assert_allclose(adag, a.conj().T, atol=1e-15)
 
     def test_position_momentum_hermitian(self):
         for kind in ("Q", "P", "H"):
-            m = operator_matrix(0.8, kind, 10).matrix
+            m = operator_matrix(0.8, kind, 10)
             assert_allclose(m, m.conj().T, atol=1e-14)
 
     def test_parity_and_transform_diagonals(self):
-        j = operator_matrix(0.5, "J", 6).matrix
-        f = operator_matrix(0.5, "F", 6).matrix
+        j = operator_matrix(0.5, "J", 6)
+        f = operator_matrix(0.5, "F", 6)
         assert_allclose(np.diag(j), [1, -1, 1, -1, 1, -1], atol=1e-15)
         assert_allclose(np.diag(f), [(-1j) ** n for n in range(6)], atol=1e-15)
         assert_allclose(f @ f @ f @ f, np.eye(6), atol=1e-14)
 
     def test_energy_levels(self):
         mu = 1.5
-        h = operator_matrix(mu, "H", 7).matrix
+        h = operator_matrix(mu, "H", 7)
         assert_allclose(np.diag(h).real, [n + mu + 0.5 for n in range(7)], rtol=1e-15)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             operator_matrix(0.5, "X", 4)
+
+    def test_read_only(self):
+        with pytest.raises(ValueError):
+            operator_matrix(0.5, "A", 4)[0, 1] = 1.0

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 from muhermite.core import gamma_mu, gamma_mu_exact, mu_binomial_exact
 from muhermite.hermite import binomial_poly
 from muhermite.poly import DensePoly
+from muhermite.quadrature import _jacobi_rule_cached, gauss_alpha_mu, jacobi_rule
 from muhermite.translate import (
     heron_delta,
     heron_psi,
@@ -166,7 +167,7 @@ def test_spectral_matrix_row_matches_alpha_route():
 @pytest.mark.parametrize("size", [3, 12, 13])
 def test_spectral_matrix_is_power_series_in_momentum(size, y, mu):
     # e(i y P; mu) = sum_m (i y P)^m / gamma_mu(m), summed independently of the SVD
-    step = 1j * y * operator_matrix(mu, "P", size).matrix
+    step = 1j * y * operator_matrix(mu, "P", size)
     term = np.eye(size, dtype=complex)
     want = term.copy()
     for m in range(1, 120):
@@ -190,3 +191,18 @@ def test_spectral_matrix_at_large_y_matches_mpmath():
         want[0::2, 1::2] = (u * sn) @ v.T
         want[1::2, 0::2] = -want[0::2, 1::2].T
         assert_allclose(translate_spectral_matrix(mu, y, 64), want, rtol=0, atol=1e-12)
+
+
+def test_alpha_and_xi_routes_share_one_jacobi_build():
+    # the averaging measure is the Jacobi weight (1-t)^(mu-1) (1+t)^mu over
+    # its mass: both routes read one eigenproblem per mu
+    _jacobi_rule_cached.cache_clear()
+    phi = gaussian(0.5)
+    translate_alpha(0.6, phi, 1.2, 0.7)
+    translate_xi(0.6, phi, 1.2, 0.7)
+    info = _jacobi_rule_cached.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    unit, full = gauss_alpha_mu(0.6, 80), jacobi_rule(0.6 - 1.0, 0.6, 80)
+    assert full.nodes is unit.nodes
+    assert np.array_equal(full.weights, full.mass * unit.weights)
+    assert (unit.mass, unit.measure, full.measure) == (1.0, "alpha_mu", "jacobi")
