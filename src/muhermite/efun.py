@@ -146,7 +146,14 @@ def e_mu(mu, z):
     """
     value = as_mu(mu).require_numeric()
     if isinstance(z, np.ndarray) and z.ndim:
-        return _series(value, z.astype(complex if np.iscomplexobj(z) else float))
+        if np.iscomplexobj(z):
+            return _series(value, z.astype(complex))
+        if z.size == 1:
+            # a real one-point grid, as a scalar x reaches the closed forms:
+            # Python float arithmetic rounds as the array loop does, at a
+            # third of its cost
+            return np.full(z.shape, _series(value, float(z.flat[0])))
+        return _series(value, z.astype(float))
     # any other z, numpy scalars too, is summed in Python arithmetic
     if np.iscomplexobj(z):
         return complex(_series(value, complex(z)))

@@ -4,7 +4,10 @@ Every identity handled here reduces, after clearing the Gaussian factor
 where one appears, to an equality of polynomials whose coefficients are
 rational functions of the deformation parameter.  Fixing mu to an exact
 rational (fractions.Fraction) therefore turns each check into exact
-integer arithmetic: a pass is a proof at that mu, with no tolerance.
+arithmetic: a pass is a proof at that mu, with no tolerance.  Each side is
+held as integer numerators over one denominator in lowest terms (see
+poly.py), so building it is integer arithmetic and the check is one
+comparison of the two stored forms.
 Cleared of denominators, both sides are polynomials in mu whose degree
 grows with n (gamma_mu(n) has degree ceil(n/2)); only agreement at more mu
 values than that degree would certify all mu.  The suite runs six values
@@ -20,17 +23,20 @@ degrees share (the iterates of the Rodrigues and raising recursions, the
 closed-form H_m already built) is carried to the next degree instead of
 being rebuilt; factorials come from math.factorial.  The carried state
 belongs to one side's route, so the two sides stay as independent as
-before.
+before.  The closed-form H_m are built once per mu and shared by every tag
+that reads them.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count, islice
 
-from .core import as_mu, gamma_mu_exact
+from .core import MU_CACHE_SIZE, as_mu, gamma_exact_table, gamma_mu_exact
 from .hermite import binomial_poly, dunkl_definition, hermite_coeffs, inversion_weights
 from .poly import BivariatePoly, DensePoly, fraction_str
 
@@ -41,10 +47,24 @@ __all__ = ["IDENTITY_TAGS", "IdentityReport", "identity_sides", "verify_identity
 # stays inside the generator.
 
 
+@lru_cache(maxsize=MU_CACHE_SIZE)
+def _hermite_table(mu: Fraction) -> list:
+    """The H_m built so far at one mu; _hermites appends to it under the lock."""
+    return []
+
+
+_hermite_lock = threading.Lock()
+
+
 def _hermites(mu: Fraction):
-    """H_0, H_1, ... from the closed-form coefficients, each built once."""
+    """H_0, H_1, ... from the closed-form coefficients, each built once per mu."""
+    table = _hermite_table(mu)
     for m in count():
-        yield hermite_coeffs(mu, m, exact=True)
+        if m == len(table):
+            with _hermite_lock:
+                if m == len(table):
+                    table.append(hermite_coeffs(mu, m, exact=True))
+        yield table[m]
 
 
 def _ratio(mu: Fraction, n: int) -> Fraction:
@@ -53,15 +73,15 @@ def _ratio(mu: Fraction, n: int) -> Fraction:
 
 def _translation_series(mu: Fraction, n: int) -> BivariatePoly:
     """sum_j y^j / gamma_mu(j) D^j x^n, by repeated differentiation."""
+    gam = gamma_exact_table(mu, n)
     q = DensePoly.monomial(n, Fraction(1))
-    terms = {}
+    columns = {}
     for j in range(n + 1):
         if q.is_zero():
             break
-        inv = 1 / gamma_mu_exact(mu, j)
-        terms.update({(i, j): c * inv for i, c in enumerate(q.coeffs) if c})
+        columns[j] = q.scale(1 / gam[j])
         q = dunkl_definition(mu, q)
-    return BivariatePoly.from_dict(terms)
+    return BivariatePoly.from_x_polys(columns)
 
 
 def _test_poly(n: int) -> DensePoly:
@@ -133,15 +153,16 @@ def _sides_inversion(mu: Fraction):
 
 def _sides_generating(mu: Fraction):
     # Coefficient of z^n in exp(-z^2) * e_mu(2 x z), by Cauchy product of the
-    # two series, against H_n / n! from the closed-form coefficients.
+    # two series: the z^m term of e_mu(2 x z) is (2x)^m / gamma_mu(m), and
+    # the z^(2j) term of exp(-z^2) is (-1)^j / j!.  Against H_n / n! from the
+    # closed-form coefficients.
+    powers = []
     for n, h in enumerate(_hermites(mu)):
-        coeffs = [0] * (n + 1)
-        sign = Fraction(1)
+        powers.append(DensePoly.monomial(n, 2**n / gamma_mu_exact(mu, n)))
+        lhs = DensePoly.zero()
         for j in range(n // 2 + 1):
-            m = n - 2 * j
-            coeffs[m] = 2**m / gamma_mu_exact(mu, m) * (sign / math.factorial(j))
-            sign = -sign
-        yield [("", DensePoly.from_coeffs(coeffs), h.scale(Fraction(1, math.factorial(n))))]
+            lhs = lhs + powers[n - 2 * j].scale(Fraction((-1) ** j, math.factorial(j)))
+        yield [("", lhs, h.scale(Fraction(1, math.factorial(n))))]
 
 
 def _sides_binomial(mu: Fraction):
@@ -165,28 +186,20 @@ def _sides_heat_monomial(mu: Fraction):
     # (gamma_mu(n)/n!) y^n H_n(x/(2y); mu) expanded as a polynomial in x, y.
     for n, h in enumerate(_hermites(mu)):
         q = DensePoly.monomial(n, Fraction(1))
-        flow = {}
-        series = {}
-        sign = Fraction(1)
+        flow, series = {}, {}
         for k in range(n // 2 + 1):
-            inv = Fraction(1, math.factorial(k))
-            for i, c in enumerate(q.coeffs):
-                if c:
-                    flow[(i, 2 * k)] = c * (sign * inv)
-                    series[(i, k)] = c * inv
-            q = dunkl_definition(mu, dunkl_definition(mu, q))
-            sign = -sign
+            if k:
+                q = dunkl_definition(mu, dunkl_definition(mu, q))
+            series[k] = q.scale(Fraction(1, math.factorial(k)))
+            flow[2 * k] = -series[k] if k % 2 else series[k]
         scale = gamma_mu_exact(mu, n) / math.factorial(n)
-        subst = {}
-        for m, c in enumerate(h.coeffs):
-            if c != 0:
-                subst[(m, n - m)] = scale * c / 2**m
+        subst = BivariatePoly.homogenized(h.dilate(Fraction(1, 2)).scale(scale), n)
         closed = {}
         for k in range(n // 2 + 1):
             closed[(n - 2 * k, k)] = gamma_mu_exact(mu, n) / (math.factorial(k) * gamma_mu_exact(mu, n - 2 * k))
         yield [
-            ("flow", BivariatePoly.from_dict(flow), BivariatePoly.from_dict(subst)),
-            ("series", BivariatePoly.from_dict(series), BivariatePoly.from_dict(closed)),
+            ("flow", BivariatePoly.from_x_polys(flow), subst),
+            ("series", BivariatePoly.from_x_polys(series), BivariatePoly.from_dict(closed)),
         ]
 
 
@@ -203,15 +216,13 @@ def _sides_second_order(mu: Fraction):
     for n in count():
         phi = _test_poly(n)
         lhs = dunkl_definition(mu, dunkl_definition(mu, phi))
-        # Combined closed form of the square: on x^k the second-order operator
-        # phi'' + (2 mu / x) phi' - (mu / x^2)(phi - phi(-x)) acts as
-        # multiplication by k(k-1) + 2 mu k - 2 mu theta(k) with a shift by 2.
-        out = [Fraction(0)] * max(phi.degree - 1, 0)
-        for k, c in enumerate(phi.coeffs):
-            if k < 2 or c == 0:
-                continue
-            out[k - 2] = c * (k * (k - 1) + 2 * mu * k - 2 * mu * (k % 2))
-        yield [("", lhs, DensePoly.from_coeffs(out))]
+        # Second-order form of the square, with no first-order D in it:
+        # phi'' + (mu / x) (2 phi' - (phi - phi(-x)) / x).  On x^k the bracket
+        # is 2 (k - theta(k)) x^(k-1), which vanishes at x = 0, so both
+        # divisions by x are exact.
+        diff = (phi - phi.reflect()).div_x()
+        rhs = phi.derivative().derivative() + (phi.derivative().scale(2) - diff).div_x().scale(mu)
+        yield [("", lhs, rhs)]
 
 
 _BUILDERS = {
@@ -279,7 +290,7 @@ def _first_mismatch(lhs, rhs):
     if lhs == rhs:
         return None
     if isinstance(lhs, DensePoly):
-        for k in range(max(len(lhs.coeffs), len(rhs.coeffs))):
+        for k in range(max(lhs.degree, rhs.degree) + 1):
             if lhs[k] != rhs[k]:
                 return f"x^{k}", lhs[k], rhs[k]
         return None

@@ -21,6 +21,7 @@ All constructors here are field-generic: with a rational mu and
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -43,8 +44,8 @@ __all__ = [
 
 
 def factorials(n: int, exact: bool) -> list:
-    """0!, 1!, ..., n! as Fractions (exact) or floats."""
-    out = [Fraction(1) if exact else 1.0]
+    """0!, 1!, ..., n! as ints (exact) or floats."""
+    out = [1 if exact else 1.0]
     for k in range(1, n + 1):
         out.append(out[-1] * k)
     return out
@@ -67,7 +68,7 @@ def hermite_coeffs(mu, n: int, *, exact: bool = False) -> DensePoly:
     fact = factorials(n, exact)
     if exact:
         gam = gamma_exact_table(param, n)
-        two = Fraction(2)
+        two = 2
     else:
         param.require_numeric()
         gam = gamma_table(param.value, n).values
@@ -104,7 +105,7 @@ def hermite_eval(mu, n: int, x):
 def _mu_like(mu, p: DensePoly):
     """mu in the same field as p's coefficients."""
     param = as_mu(mu)
-    if any(isinstance(c, Fraction) for c in p.coeffs):
+    if p.exact:
         return param.require_exact()
     return param.require_numeric()
 
@@ -128,18 +129,18 @@ def dunkl_apply(mu, p: DensePoly) -> DensePoly:
 def dunkl_definition(mu, p: DensePoly) -> DensePoly:
     """Same operator from its definition: p'(x) + mu (p(x) - p(-x)) / x.
 
-    The reflection difference kills even monomials, so the division by x
-    is exact on polynomials.  Kept as an independent route for the exact
-    verifier; agrees with dunkl_apply identically.
+    The reflection difference kills even monomials, so its division by x is
+    exact on polynomials.  Built from the derivative, the reflection and the
+    division by x, never from the monomial rule: kept as an independent
+    route for the exact verifier; agrees with dunkl_apply identically.
     """
     if p.is_zero():
         return p
     m = _mu_like(mu, p)
-    diff_over_x = [0] * max(p.degree, 0)
-    for k, c in enumerate(p.coeffs):
-        if k % 2 == 1 and c != 0:
-            diff_over_x[k - 1] = 2 * c
-    return p.derivative() + DensePoly.from_coeffs(diff_over_x).scale(m)
+    if not p.exact and not all(cmath.isfinite(c) for c in p.coeffs):
+        # inf - inf in the reflection difference would be a silent nan
+        raise ValueError("dunkl_definition needs finite coefficients")
+    return p.derivative() + (p - p.reflect()).div_x().scale(m)
 
 
 def raise_apply(mu, p: DensePoly) -> DensePoly:

@@ -207,11 +207,6 @@ def _poly_apply(p: DensePoly, m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _arg_scaled(p: DensePoly, lam: complex) -> DensePoly:
-    """p(lam * x) as a coefficient polynomial."""
-    return DensePoly.from_coeffs(tuple(c * lam**k for k, c in enumerate(p.coeffs)))
-
-
 def check_structure(rep: OscillatorRep, tolerance: float = 1e-11) -> CheckReport:
     """Number-operator actions, parity and transform algebra, spectrum.
 
@@ -375,8 +370,8 @@ def check_ladder_powers(rep: OscillatorRep, n_max: int = 3, tolerance: float = 1
     # D H_3(lam x) = 6 lam H_2(lam x)
     h3, h2 = hermite_coeffs(value, 3), hermite_coeffs(value, 2)
     for tag, lam in (("hermite", 1.0), ("hermite_scaled", 0.5)):
-        lhs = bracket(_poly_apply(_arg_scaled(h3, lam), q, eye)) @ e0
-        rhs = (6.0 * lam) * _poly_apply(_arg_scaled(h2, lam), q, e0)
+        lhs = bracket(_poly_apply(h3.dilate(lam), q, eye)) @ e0
+        rhs = (6.0 * lam) * _poly_apply(h2.dilate(lam), q, e0)
         entries.append(_matrix_defect(rep, f"derivative_intertwine_{tag}", 4, lhs, rhs))
 
     return CheckReport(name="ladder_powers", mu=value, size=size, tolerance=tolerance, entries=tuple(entries))
@@ -399,7 +394,7 @@ def check_rodrigues_operator(rep: OscillatorRep, n_max: int = 8, tolerance: floa
     entries = []
     for n in range(n_max + 1):
         poly = hermite_coeffs(value, n)
-        scaled = _arg_scaled(poly, root_half)
+        scaled = poly.dilate(root_half)
         pref = gamma_mu(value, n) / (2.0 ** (n / 2.0) * math.factorial(n))
         pref_ladder = gamma_mu(value, n) / (2.0**n * math.factorial(n))
         norm = math.sqrt(gamma_mu(value, n)) / (2.0 ** (n / 2.0) * math.factorial(n))
@@ -411,7 +406,7 @@ def check_rodrigues_operator(rep: OscillatorRep, n_max: int = 8, tolerance: floa
             ("momentum_power_formula", p_pow, 1j**n * pref, scaled, rep.q),
             ("momentum_power_ladder", p_pow, 1j**n * pref_ladder, scaled, rep.adag),
             ("position_power_formula", q_pow, (-1j) ** n * pref, scaled, rep.p),
-            ("position_power_ladder", q_pow, (-1j) ** n * pref_ladder, _arg_scaled(poly, 1j * root_half), rep.adag),
+            ("position_power_ladder", q_pow, (-1j) ** n * pref_ladder, poly.dilate(1j * root_half), rep.adag),
             ("raising_power_formula", np.linalg.matrix_power(rep.adag, n) @ e0, pref, poly, rep.q),
             ("basis_reconstruction", e_n, norm, poly, rep.q),
             ("basis_reconstruction_dual", e_n, (-1j) ** n * norm, poly, rep.p),

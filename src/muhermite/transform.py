@@ -76,11 +76,16 @@ class SpectralVector:
         return len(self.coeffs)
 
 
-def phi_poly_table(mu, n_max: int, x: np.ndarray) -> np.ndarray:
-    """Polynomial factors phi_n(x) e^(x^2/2), n = 0..n_max, all x at once."""
+def phi_poly_table(mu, n_max: int, x) -> np.ndarray:
+    """Polynomial factors phi_n(x) e^(x^2/2), n = 0..n_max, all x at once.
+
+    x is read as every grid is (core._as_grid), so a non-finite entry raises
+    ValueError; the table has shape (n_max + 1, *x.shape), row n in x's shape.
+    """
     value = as_mu(mu).require_numeric()
+    xa, _ = _as_grid(x)
     off = np.sqrt(gamma_step(value, np.arange(1, n_max + 1)) / 2.0)
-    return _recurrence_table(np.zeros(n_max), off, gamma_half(value), x)
+    return _recurrence_table(np.zeros(n_max), off, gamma_half(value), xa).reshape((n_max + 1,) + np.shape(x))
 
 
 def phi_eval(mu, n: int, x):

@@ -79,7 +79,7 @@ def translate_poly(mu, p: DensePoly, y) -> DensePoly:
     exact = (
         param.exact is not None
         and isinstance(y, (int, Fraction))
-        and any(isinstance(c, Fraction) for c in p.coeffs)
+        and p.exact
     )
     out = p
     d = p

@@ -169,6 +169,7 @@ def test_gamma_half_and_beta():
 
 def test_mu_caches_stay_bounded():
     from muhermite.core import _ARRAY_MEMO_BYTES, MU_CACHE_SIZE, _array_memo, _exact_mu, _gamma_exact_table, _gamma_table_cached
+    from muhermite.exact import _hermite_table, verify_identity
     from muhermite.quadrature import _hermite_rule_cached, _jacobi_rule_cached, gauss_alpha_mu, gauss_hermite_mu
 
     for k in range(300):
@@ -179,6 +180,11 @@ def test_mu_caches_stay_bounded():
         gamma_mu_exact(Fraction(k, 7), 3)
     for cached in (_gamma_table_cached, _gamma_exact_table, _exact_mu, _hermite_rule_cached, _jacobi_rule_cached):
         assert 0 < cached.cache_info().currsize <= MU_CACHE_SIZE
+
+    # the exact H_m, shared by the identity checks, are kept per mu
+    for k in range(100):
+        assert verify_identity("lowering", Fraction(k + 1, 101), 3).passed
+    assert 0 < _hermite_table.cache_info().currsize <= MU_CACHE_SIZE
 
     # the array memo is bounded in bytes, not entries
     _array_memo.clear()

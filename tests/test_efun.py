@@ -180,6 +180,22 @@ def test_array_sum_rounds_like_the_scalar_sum(mu):
     assert e_mu(mu, np.complex128(z)) == e_mu(mu, np.array(z)) == e_mu(mu, z)
 
 
+@given(
+    st.floats(min_value=-0.49, max_value=4.0),
+    st.floats(min_value=-120.0, max_value=120.0),
+)
+@example(-0.45, -35.0)
+@example(0.5, 0.0)
+def test_real_one_point_grid_is_summed_as_the_scalar(mu, z):
+    # A real one-point array takes the Python float sum; it must give the
+    # bits of the array loop, which sums z beside a 0 (the same term count).
+    loop = e_mu(mu, np.array([z, 0.0]))[0]
+    one = e_mu(mu, np.array([z]))
+    assert one.shape == (1,) and one.dtype == np.float64
+    assert one[0] == loop == e_mu(mu, z)
+    assert e_mu(mu, np.full((1, 1), z)).shape == (1, 1)
+
+
 @pytest.mark.parametrize("mu", [0.0, 0.5, 1.5])
 @pytest.mark.parametrize("x", [11.9, 12.1, -12.1])
 def test_cos_sin_on_both_sides_of_the_series_switch(mu, x):

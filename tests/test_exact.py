@@ -1,10 +1,13 @@
 import json
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 import muhermite.exact as exact
 from muhermite.exact import IDENTITY_TAGS, identity_sides, verify_identity
+from muhermite.hermite import hermite_coeffs
 from muhermite.poly import DensePoly
 from muhermite.verify import criterion_exact_identities
 
@@ -114,3 +117,39 @@ def test_criterion_counts_every_degree_check():
     result = criterion_exact_identities()
     assert result.passed, result.detail
     assert result.detail.startswith("12 tags x 6 mu, 1524 degree checks,")
+
+
+def test_criterion_1_builds_each_hermite_table_once_per_mu():
+    # the closed-form H_m are built once per mu and read by all eight tags
+    # that use them: six mu, six builds, every other read a hit
+    exact._hermite_table.cache_clear()
+    assert criterion_exact_identities().passed
+    info = exact._hermite_table.cache_info()
+    assert info.misses == 6
+    assert info.hits == 7 * 6
+
+
+@pytest.mark.parametrize("mu", [Fraction(k, 19) for k in range(11, 17)])
+def test_hermite_table_is_shared_safely_between_threads(mu):
+    # threads walking one fresh mu's table at once must append each H_m once,
+    # at index m; they start together, with a short switch interval
+    start = threading.Barrier(8)
+    results = []
+
+    def walk():
+        start.wait(timeout=60)
+        results.append(verify_identity("lowering", mu, 12).passed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [True] * 8
+    assert exact._hermite_table(mu) == [hermite_coeffs(mu, m, exact=True) for m in range(13)]

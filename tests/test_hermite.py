@@ -83,6 +83,15 @@ def test_dunkl_two_routes_agree():
     assert dunkl_apply(MU, p).max_abs_diff(dunkl_definition(MU, p)) == 0
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(math.inf, 0.0)])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_dunkl_definition_refuses_non_finite_coefficients(bad, k):
+    coeffs = [1.0, -2.0, 0.5]
+    coeffs[k] = bad
+    with pytest.raises(ValueError, match="finite"):
+        dunkl_definition(0.5, DensePoly.from_coeffs(coeffs))
+
+
 def test_dunkl_on_monomials():
     # x^n -> (n + 2 mu theta(n)) x^(n-1)
     for n in range(1, 8):

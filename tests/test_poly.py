@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -92,6 +93,20 @@ def _no_trailing_zero(p):
     return not p.coeffs or p.coeffs[-1] != 0
 
 
+def _values(cs) -> tuple:
+    """The reference: coefficients as Fractions, trailing zeros trimmed."""
+    out = [Fraction(c) for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _canonical(p) -> bool:
+    # exact: integer numerators over a positive denominator, in lowest terms
+    nums = [v for _, v in p.nums] if isinstance(p, BivariatePoly) else p.nums
+    return not p.exact or (p.den > 0 and math.gcd(*nums, p.den) == 1)
+
+
 @given(_sparse_fractions, _sparse_fractions, st.fractions(max_denominator=9), st.fractions(max_denominator=9))
 def test_zero_skipping_arithmetic_is_exact(a, b, s, r):
     p, q = DensePoly.from_coeffs(a), DensePoly.from_coeffs(b)
@@ -103,6 +118,87 @@ def test_zero_skipping_arithmetic_is_exact(a, b, s, r):
     ):
         assert got(r) == want
         assert _no_trailing_zero(got)
+    _check_against_fraction_arithmetic(p, q, a, b, s)
+    _check_canonical_form(p, s)
+    _check_bivariate_against_fraction_arithmetic(a, b, s)
+
+
+def _check_against_fraction_arithmetic(p, q, a, b, s):
+    # every exact operation gives the coefficients Fraction arithmetic gives
+    fa, fb = list(_values(a)), list(_values(b))
+    n = max(len(fa), len(fb))
+    pa, pb = fa + [Fraction(0)] * (n - len(fa)), fb + [Fraction(0)] * (n - len(fb))
+    prod = [Fraction(0)] * max(len(fa) + len(fb) - 1, 0)
+    for i, x in enumerate(fa):
+        for j, y in enumerate(fb):
+            prod[i + j] += x * y
+    signed = [x if k % 2 == 0 else -x for k, x in enumerate(fa)]
+    for got, want in (
+        (p + q, [x + y for x, y in zip(pa, pb)]),
+        (p - q, [x - y for x, y in zip(pa, pb)]),
+        (p * q, prod),
+        (p.scale(s), [s * x for x in fa]),
+        (p.derivative(), [k * x for k, x in enumerate(fa)][1:]),
+        (p.reflect(), signed),
+        (p.shift_up(2), [0, 0] + fa),
+        ((p - p.reflect()).div_x(), [x - y for x, y in zip(fa, signed)][1:]),
+        (p.dilate(s), [x * s**k for k, x in enumerate(fa)]),
+    ):
+        assert got.coeffs == _values(want)
+        assert _canonical(got)
+    stacked = {(i, 0): x for i, x in enumerate(fa)} | {(i, 2): y for i, y in enumerate(fb)}
+    assert BivariatePoly.from_x_polys({0: p, 2: q}).as_dict() == {k: v for k, v in stacked.items() if v}
+
+
+def _check_canonical_form(p, s):
+    # equal values reached by other routes are equal objects with equal hashes
+    assert _canonical(p)
+    same = [(p + p.shift_up(1)) - p.shift_up(1), DensePoly.from_coeffs(p.coeffs), p.shift_up(1).div_x()]
+    if s:
+        same.append(p.scale(s).scale(1 / s))
+    for other in same:
+        assert other == p
+        assert hash(other) == hash(p)
+    # a change far below every coefficient's size is still a change
+    broken = p + DensePoly.monomial(0, Fraction(1, 10**9))
+    assert broken != p
+    assert broken.max_abs_diff(p) > 0
+
+
+def _check_bivariate_against_fraction_arithmetic(a, b, s):
+    # the drawn lists, laid out on a 3 x 3 grid of (i, j) keys
+    da = {(k % 3, k // 3): Fraction(v) for k, v in enumerate(a) if v}
+    db = {(k % 3, k // 3): Fraction(v) for k, v in enumerate(b) if v}
+    p, q = BivariatePoly.from_dict(da), BivariatePoly.from_dict(db)
+    keys = set(da) | set(db)
+    prod: dict = {}
+    for (i, j), x in da.items():
+        for (k, l), y in db.items():
+            prod[(i + k, j + l)] = prod.get((i + k, j + l), 0) + x * y
+    for got, want in (
+        (p + q, {k: da.get(k, 0) + db.get(k, 0) for k in keys}),
+        (p - q, {k: da.get(k, 0) - db.get(k, 0) for k in keys}),
+        (p * q, prod),
+        (p.scale(s), {k: s * v for k, v in da.items()}),
+        (p.swap(), {(j, i): v for (i, j), v in da.items()}),
+    ):
+        assert got.as_dict() == {k: v for k, v in want.items() if v != 0}
+        assert _canonical(got)
+        assert got == BivariatePoly.from_dict(got.as_dict())
+
+
+def test_div_x_needs_a_zero_constant_term():
+    with pytest.raises(ValueError, match="not a polynomial"):
+        DensePoly.from_coeffs((Fraction(1, 3), Fraction(1))).div_x()
+    assert DensePoly.zero().div_x().is_zero()
+
+
+def test_homogenized_puts_every_term_in_degree_n():
+    p = DensePoly.from_coeffs((Fraction(1, 2), 0, Fraction(-3, 4)))
+    got = BivariatePoly.homogenized(p, 5)
+    assert got.as_dict() == {(0, 5): Fraction(1, 2), (2, 3): Fraction(-3, 4)}
+    with pytest.raises(ValueError, match="below the degree"):
+        BivariatePoly.homogenized(p, 1)
 
 
 def test_float_arithmetic_matches_plain_formulas():

@@ -269,15 +269,26 @@ GRID_ROUTES = {
 def test_non_finite_x_refused_on_every_route(mu, x):
     # in any shape, on every route: cos and sin (mu = 0) and the recurrence
     # (mu != 0) alike
-    for call in GRID_ROUTES.values():
+    for call in [*GRID_ROUTES.values(), lambda mu, x: phi_poly_table(mu, 4, x)]:
         for bad in (x, [x, 1.0], np.array([[1.0], [x]])):
             with pytest.raises(ValueError, match="finite"):
                 call(mu, bad)
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.3141])
-@pytest.mark.parametrize("name", sorted(GRID_ROUTES))
+@pytest.mark.parametrize("name", [*sorted(GRID_ROUTES), "phi_poly_table"])
 def test_one_grid_convention(name, mu):
+    if name == "phi_poly_table":
+        # a table holds one row per degree, each row in x's shape, and runs
+        # the flat grid's arithmetic
+        grid = np.array([[-1.5, -0.25, 0.0], [0.5, 1.25, 2.0]])
+        got = phi_poly_table(mu, 4, grid)
+        assert got.shape == (5, 2, 3)
+        assert_array_equal(got, phi_poly_table(mu, 4, grid.ravel()).reshape(5, 2, 3))
+        assert_array_equal(phi_poly_table(mu, 4, grid.tolist()), got)
+        assert phi_poly_table(mu, 4, 1.25).shape == (5,)
+        assert_array_equal(phi_poly_table(mu, 4, 1.25), phi_poly_table(mu, 4, [1.25])[:, 0])
+        return
     call = GRID_ROUTES[name]
     # a scalar of any spelling gives the same Python float or complex
     scalars = [call(mu, v) for v in (1.25, np.float64(1.25), np.array(1.25))]
