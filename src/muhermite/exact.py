@@ -24,7 +24,9 @@ closed-form H_m already built) is carried to the next degree instead of
 being rebuilt; factorials come from math.factorial.  The carried state
 belongs to one side's route, so the two sides stay as independent as
 before.  The closed-form H_m are built once per mu and shared by every tag
-that reads them.
+that reads them; so are the iterates D^j x^n of the derivative-plus-reflection
+D, which the binomial, odd-even and heat-monomial tags read, held per mu and
+per D in force (a patched D gets a table of its own).
 """
 
 from __future__ import annotations
@@ -49,11 +51,11 @@ __all__ = ["IDENTITY_TAGS", "IdentityReport", "identity_sides", "verify_identity
 
 @lru_cache(maxsize=MU_CACHE_SIZE)
 def _hermite_table(mu: Fraction) -> list:
-    """The H_m built so far at one mu; _hermites appends to it under the lock."""
+    """The H_m built so far at one mu; _hermites appends to it under _table_lock."""
     return []
 
 
-_hermite_lock = threading.Lock()
+_table_lock = threading.Lock()
 
 
 def _hermites(mu: Fraction):
@@ -61,10 +63,30 @@ def _hermites(mu: Fraction):
     table = _hermite_table(mu)
     for m in count():
         if m == len(table):
-            with _hermite_lock:
+            with _table_lock:
                 if m == len(table):
                     table.append(hermite_coeffs(mu, m, exact=True))
         yield table[m]
+
+
+@lru_cache(maxsize=MU_CACHE_SIZE)
+def _derivative_table(mu: Fraction, d) -> dict:
+    """n -> [x^n, D x^n, ..., D^n x^n] under d; _derivatives fills it under _table_lock."""
+    return {}
+
+
+def _derivatives(mu: Fraction, n: int) -> list:
+    """D^j x^n for j = 0..n, built once per mu, D in force and degree n."""
+    d = dunkl_definition
+    table = _derivative_table(mu, d)
+    if n not in table:
+        with _table_lock:
+            if n not in table:
+                row = [DensePoly.monomial(n, Fraction(1))]
+                for _ in range(n):
+                    row.append(d(mu, row[-1]))
+                table[n] = row
+    return table[n]
 
 
 def _ratio(mu: Fraction, n: int) -> Fraction:
@@ -74,13 +96,11 @@ def _ratio(mu: Fraction, n: int) -> Fraction:
 def _translation_series(mu: Fraction, n: int) -> BivariatePoly:
     """sum_j y^j / gamma_mu(j) D^j x^n, by repeated differentiation."""
     gam = gamma_exact_table(mu, n)
-    q = DensePoly.monomial(n, Fraction(1))
     columns = {}
-    for j in range(n + 1):
+    for j, q in enumerate(_derivatives(mu, n)):
         if q.is_zero():
             break
         columns[j] = q.scale(1 / gam[j])
-        q = dunkl_definition(mu, q)
     return BivariatePoly.from_x_polys(columns)
 
 
@@ -185,12 +205,10 @@ def _sides_heat_monomial(mu: Fraction):
     # derivative-based D, against the Hermite substitution
     # (gamma_mu(n)/n!) y^n H_n(x/(2y); mu) expanded as a polynomial in x, y.
     for n, h in enumerate(_hermites(mu)):
-        q = DensePoly.monomial(n, Fraction(1))
+        powers = _derivatives(mu, n)
         flow, series = {}, {}
         for k in range(n // 2 + 1):
-            if k:
-                q = dunkl_definition(mu, dunkl_definition(mu, q))
-            series[k] = q.scale(Fraction(1, math.factorial(k)))
+            series[k] = powers[2 * k].scale(Fraction(1, math.factorial(k)))
             flow[2 * k] = -series[k] if k % 2 else series[k]
         scale = gamma_mu_exact(mu, n) / math.factorial(n)
         subst = BivariatePoly.homogenized(h.dilate(Fraction(1, 2)).scale(scale), n)

@@ -19,7 +19,9 @@ Each decision is written once.  `_brackets` holds the bracket of each
 letter pair ([A, X], i[P, X], i[X, Q]), which acts on a polynomial in
 its letter as the reflection-corrected derivative; the power, ground
 and intertwining identities loop over its rows.  `_matrix_defect` is
-the one defect measure, a vector being a one-column matrix.
+the one defect measure, a vector being a one-column matrix.  `_powers`
+gives a letter's powers by successive products, built once per letter
+in each family; nothing is kept on a rep or across reps.
 `check_table` lists the check families in report order for both
 `run_all` and the CLI.
 
@@ -199,6 +201,14 @@ def _commutator(x, y):
     return x @ y - y @ x
 
 
+def _powers(m: np.ndarray, k: int) -> list:
+    """[I, M, M^2, ..., M^k] by successive products."""
+    out = [np.eye(len(m), dtype=m.dtype)]
+    for _ in range(k):
+        out.append(out[-1] @ m)
+    return out
+
+
 def _poly_apply(p: DensePoly, m: np.ndarray, v: np.ndarray) -> np.ndarray:
     """p(M) v by Horner on v; pass the identity for the matrix p(M) itself."""
     acc = np.zeros(v.shape, dtype=complex)
@@ -248,14 +258,15 @@ def check_structure(rep: OscillatorRep, tolerance: float = 1e-11) -> CheckReport
     entries.append(_matrix_defect(rep, "quarter_turn_position", 2, rep.f.conj().T @ rep.q @ rep.f, rep.p))
 
     e0 = rep.basis_vector(0)
+    a_pow, adag_pow = _powers(rep.a, 5), _powers(rep.adag, 6)
     for m, n in ((1, 3), (2, 5), (3, 3), (4, 6)):
         word = m + n
-        lhs = np.linalg.matrix_power(rep.a, m) @ np.linalg.matrix_power(rep.adag, n) @ e0
+        lhs = a_pow[m] @ adag_pow[n] @ e0
         ratio = gamma_mu(value, n) / gamma_mu(value, n - m)
-        rhs = ratio * (np.linalg.matrix_power(rep.adag, n - m) @ e0)
+        rhs = ratio * (adag_pow[n - m] @ e0)
         entries.append(_matrix_defect(rep, f"ladder_chain_{m}_{n}", word, lhs, rhs))
     for m, n in ((3, 2), (5, 4)):
-        lhs = np.linalg.matrix_power(rep.a, m) @ np.linalg.matrix_power(rep.adag, n) @ e0
+        lhs = a_pow[m] @ adag_pow[n] @ e0
         entries.append(_matrix_defect(rep, f"ladder_chain_kill_{m}_{n}", m + n, lhs, np.zeros(size)))
 
     return CheckReport(name="structure", mu=value, size=size, tolerance=tolerance, entries=tuple(entries))
@@ -328,35 +339,26 @@ def check_ladder_powers(rep: OscillatorRep, n_max: int = 3, tolerance: float = 1
     entries = []
 
     deformed = eye + 2.0 * value * rep.j
+    top = 2 * n_max + 1
+    powers = {name: _powers(letter, top) for name, letter, _ in rows}
     for n in range(1, n_max + 1):
         even, odd = 2 * n, 2 * n + 1
-        for name, letter, bracket in rows:
-            x_even = np.linalg.matrix_power(letter, even)
-            entries.append(
-                _matrix_defect(
-                    rep, f"even_{name}_power_{n}", even + 1,
-                    bracket(x_even), even * np.linalg.matrix_power(letter, even - 1),
-                )
-            )
-            entries.append(
-                _matrix_defect(
-                    rep, f"odd_{name}_power_{n}", odd + 1,
-                    bracket(np.linalg.matrix_power(letter, odd)), x_even @ (even * eye + deformed),
-                )
-            )
+        for name, _, bracket in rows:
+            x = powers[name]
+            lhs, rhs = bracket(x[even]), even * x[even - 1]
+            entries.append(_matrix_defect(rep, f"even_{name}_power_{n}", even + 1, lhs, rhs))
+            lhs, rhs = bracket(x[odd]), x[even] @ (even * eye + deformed)
+            entries.append(_matrix_defect(rep, f"odd_{name}_power_{n}", odd + 1, lhs, rhs))
 
     e0 = rep.basis_vector(0)
     entries.append(_matrix_defect(rep, "ground_raising_vs_position", 1, rep.adag @ e0 / math.sqrt(2.0), rep.q @ e0))
     entries.append(_matrix_defect(rep, "ground_position_vs_momentum", 1, rep.q @ e0, -1j * (rep.p @ e0)))
-    for n in range(1, 2 * n_max + 2):
+    for n in range(1, top + 1):
         ratio = gamma_mu(value, n) / gamma_mu(value, n - 1)
-        for name, letter, bracket in (position, momentum, ladder):
+        for name, _, bracket in (position, momentum, ladder):
+            x = powers[name]
             entries.append(
-                _matrix_defect(
-                    rep, f"ground_{name}_power_{n}", n + 1,
-                    bracket(np.linalg.matrix_power(letter, n)) @ e0,
-                    ratio * (np.linalg.matrix_power(letter, n - 1) @ e0),
-                )
+                _matrix_defect(rep, f"ground_{name}_power_{n}", n + 1, bracket(x[n]) @ e0, ratio * (x[n - 1] @ e0))
             )
 
     generic = DensePoly.from_coeffs((-1.0, 5.0, 2.0, -3.0, 1.0))
@@ -391,6 +393,7 @@ def check_rodrigues_operator(rep: OscillatorRep, n_max: int = 8, tolerance: floa
     value, size = rep.mu, rep.size
     e0 = rep.basis_vector(0)
     root_half = 1.0 / math.sqrt(2.0)
+    p_pow, q_pow, adag_pow = (_powers(letter, n_max) for letter in (rep.p, rep.q, rep.adag))
     entries = []
     for n in range(n_max + 1):
         poly = hermite_coeffs(value, n)
@@ -398,16 +401,15 @@ def check_rodrigues_operator(rep: OscillatorRep, n_max: int = 8, tolerance: floa
         pref = gamma_mu(value, n) / (2.0 ** (n / 2.0) * math.factorial(n))
         pref_ladder = gamma_mu(value, n) / (2.0**n * math.factorial(n))
         norm = math.sqrt(gamma_mu(value, n)) / (2.0 ** (n / 2.0) * math.factorial(n))
-        p_pow = np.linalg.matrix_power(rep.p, n) @ e0
-        q_pow = np.linalg.matrix_power(rep.q, n) @ e0
+        p_n, q_n = p_pow[n] @ e0, q_pow[n] @ e0
         e_n = rep.basis_vector(n)
         # (tag, lhs, coefficient, polynomial, letter): lhs = coefficient * polynomial(letter) e_0
         rows = (
-            ("momentum_power_formula", p_pow, 1j**n * pref, scaled, rep.q),
-            ("momentum_power_ladder", p_pow, 1j**n * pref_ladder, scaled, rep.adag),
-            ("position_power_formula", q_pow, (-1j) ** n * pref, scaled, rep.p),
-            ("position_power_ladder", q_pow, (-1j) ** n * pref_ladder, poly.dilate(1j * root_half), rep.adag),
-            ("raising_power_formula", np.linalg.matrix_power(rep.adag, n) @ e0, pref, poly, rep.q),
+            ("momentum_power_formula", p_n, 1j**n * pref, scaled, rep.q),
+            ("momentum_power_ladder", p_n, 1j**n * pref_ladder, scaled, rep.adag),
+            ("position_power_formula", q_n, (-1j) ** n * pref, scaled, rep.p),
+            ("position_power_ladder", q_n, (-1j) ** n * pref_ladder, poly.dilate(1j * root_half), rep.adag),
+            ("raising_power_formula", adag_pow[n] @ e0, pref, poly, rep.q),
             ("basis_reconstruction", e_n, norm, poly, rep.q),
             ("basis_reconstruction_dual", e_n, (-1j) ** n * norm, poly, rep.p),
         )

@@ -12,13 +12,24 @@ Two families are exposed:
   Jacobi weight; its n-th moment is n! / gamma_mu(n).
 
 Both are built the same way (Golub-Welsch; Gautschi 2004): the nodes
-are the eigenvalues of the symmetric tridiagonal Jacobi matrix, from
+are the eigenvalues of a symmetric tridiagonal Jacobi matrix, from
 numpy's ``eigvalsh``, each polished by one Newton step on p_n; the
 weights are the Christoffel numbers 1 / sum_{k<n} p_k(x_j)^2, scaled to
 the exact mass.  Every p_k comes from ``_recurrence_table``, the same
 evaluator that tabulates the eigenfunctions in ``transform``.  Weights
 are never read off eigenvectors: the tiny outer weights (~1e-210 at
 n = 256) would lose their relative accuracy.
+
+The hermite_mu weight is even, so the square of its n x n Jacobi matrix
+splits into parity blocks, and the nonzero nodes are +-sqrt(t) for the
+zeros t of the m-point rule of t^a e^(-t), n = 2m + (n mod 2) and
+a = mu - 1/2 + (n mod 2) (Gautschi 2004, symmetric measures).  Their
+eigenproblem is m x m, an eighth of the O(n^3) work.  Only the nodes
+come from t: the Newton step and the Christoffel numbers run on the x
+recurrence, at the nonnegative nodes (with x = 0 for odd n), since a
+polish in t loses relative accuracy at the smallest nodes.  The
+negative half is the mirror image, so the rule is symmetric bit for
+bit by construction and needs no fold onto its mirror.
 """
 
 from __future__ import annotations
@@ -52,27 +63,40 @@ def _recurrence_table(diag, off, mass: float, x) -> np.ndarray:
     return out
 
 
+def _eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric tridiagonal matrix (diag, off)."""
+    n = len(diag)
+    jacobi = np.zeros((n, n))
+    jacobi.flat[:: n + 1] = diag
+    jacobi.flat[n :: n + 1] = off[: n - 1]  # lower triangle, which eigvalsh reads
+    return np.linalg.eigvalsh(jacobi)
+
+
+def _polish(diag: np.ndarray, off: np.ndarray, nodes: np.ndarray):
+    """One Newton step on p_n at each node, and the Christoffel numbers there.
+
+    n = len(diag) and ``off`` carries n entries; the last one enters only
+    p_n.  The weights are those of the unit-mass measure, unnormalized.
+    """
+    n = len(diag)
+    # Christoffel-Darboux: p_n' p_{n-1} = sum_{k<n} p_k^2 / off[n-1] at a zero of p_n.
+    table = _recurrence_table(diag, off, 1.0, nodes)
+    christoffel = np.einsum("kj,kj->j", table[:n], table[:n])
+    nodes = nodes - off[n - 1] * table[n] * table[n - 1] / christoffel
+    # Each (n + 1)-row table is released before the next is made: in a sweep
+    # over fresh mu this transient sets the peak memory.
+    del table
+    table = _recurrence_table(diag, off[: n - 1], 1.0, nodes)
+    return nodes, 1.0 / np.einsum("kj,kj->j", table, table)
+
+
 def _gauss_rule(diag: np.ndarray, off: np.ndarray):
     """Unit-mass Gauss rule of size n = len(diag).
 
     ``off`` carries n entries; the last one enters only p_n, for the
     Newton step, and not the Jacobi matrix.
     """
-    n = len(diag)
-    jacobi = np.zeros((n, n))
-    jacobi.flat[:: n + 1] = diag
-    jacobi.flat[n :: n + 1] = off[: n - 1]  # lower triangle, which eigvalsh reads
-    nodes = np.linalg.eigvalsh(jacobi)
-    # Each n x n buffer is released before the next is made: in a sweep over
-    # fresh mu this transient sets the peak memory.
-    del jacobi
-    # Christoffel-Darboux: p_n' p_{n-1} = sum_{k<n} p_k^2 / off[n-1] at a zero of p_n.
-    table = _recurrence_table(diag, off, 1.0, nodes)
-    christoffel = np.einsum("kj,kj->j", table[:n], table[:n])
-    nodes = nodes - off[n - 1] * table[n] * table[n - 1] / christoffel
-    del table
-    table = _recurrence_table(diag, off[: n - 1], 1.0, nodes)
-    weights = 1.0 / np.einsum("kj,kj->j", table, table)
+    nodes, weights = _polish(diag, off, _eigenvalues(diag, off))
     return nodes, weights / weights.sum()
 
 
@@ -109,17 +133,27 @@ class QuadratureRule:
 
 @lru_cache(maxsize=MU_CACHE_SIZE)
 def _hermite_rule_cached(mu: float, n: int) -> QuadratureRule:
+    m, odd = divmod(n, 2)
+    # x^2 at the nonzero nodes: the Jacobi matrix of t^a e^(-t), a = mu - 1/2 + odd.
+    a = mu - 0.5 + odd
+    j = np.arange(m)
+    t = _eigenvalues(2.0 * j + a + 1.0, np.sqrt((j + 1.0) * (j + 1.0 + a)))
+    half = np.concatenate((np.zeros(odd), np.sqrt(t)))
     off = np.sqrt(gamma_step(mu, np.arange(1, n + 1)) / 2.0)
-    nodes, weights = _gauss_rule(np.zeros(n), off)
+    half, weights = _polish(np.zeros(n), off, half)
     mass = gamma_half(mu)
-    # The spectrum is symmetric; rounding breaks the symmetry at ~1 ulp,
-    # so fold the rule onto its mirror image.
-    nodes = 0.5 * (nodes - nodes[::-1])
-    weights = mass * 0.5 * (weights + weights[::-1])
-    return QuadratureRule(nodes, weights, 2 * n - 1, "hermite_mu", mass)
+    # Each positive node stands for itself and its mirror image.
+    weights = weights * (mass / (2.0 * weights.sum() - weights[:odd].sum()))
+    nodes = np.concatenate((-half[::-1][:m], half))
+    return QuadratureRule(nodes, np.concatenate((weights[::-1][:m], weights)), 2 * n - 1, "hermite_mu", mass)
 
 
-def _check_size(n: int) -> int:
+def _check_size(n) -> int:
+    # bool is an int subclass, and a float size would share the cache
+    # entry of its integer value or fail deep inside numpy
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise TypeError(f"rule size must be an integer, got {n!r}")
+    n = int(n)
     if n < 1:
         raise ValueError("a quadrature rule needs at least one node")
     if n > 256:

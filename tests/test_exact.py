@@ -153,3 +153,71 @@ def test_hermite_table_is_shared_safely_between_threads(mu):
     assert not any(t.is_alive() for t in threads)
     assert results == [True] * 8
     assert exact._hermite_table(mu) == [hermite_coeffs(mu, m, exact=True) for m in range(13)]
+
+
+DERIVATIVE_TAGS = ("binomial_expansion", "odd_even_factor", "heat_monomial")
+
+
+def test_derivative_table_is_shared_by_the_three_tags():
+    # one table of D^j x^n per mu and D in force, read by all three tags
+    mu = Fraction(3, 23)
+    exact._derivative_table.cache_clear()
+    for tag in DERIVATIVE_TAGS:
+        assert verify_identity(tag, mu, 9).passed
+    info = exact._derivative_table.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    table = exact._derivative_table(mu, exact.dunkl_definition)
+    assert sorted(table) == list(range(10))
+    assert table[5][2] == DensePoly.monomial(3, 4 * (5 + 2 * mu))  # D x^5 = (5 + 2 mu) x^4, D x^4 = 4 x^3
+
+
+def test_perturbed_derivative_bites_after_criterion_1_is_warm(monkeypatch):
+    # criterion 1 fills the D^j x^n table at mu = 1/3 with the true D; a
+    # patched D must not read that table
+    assert criterion_exact_identities().passed
+    exact_d = exact.dunkl_definition
+
+    def perturbed(mu, p):
+        out = exact_d(mu, p)
+        return out if out.is_zero() else out + DensePoly.monomial(0, Fraction(1, 10**9))
+
+    monkeypatch.setattr(exact, "dunkl_definition", perturbed)
+    for tag in DERIVATIVE_TAGS:
+        report = verify_identity(tag, Fraction(1, 3), 8)
+        ce = report.counterexample
+        assert (report.passed, ce and ce["n"], ce and ce["monomial"]) == PERTURBED_D[tag]
+    monkeypatch.undo()
+    assert all(verify_identity(tag, Fraction(1, 3), 8).passed for tag in DERIVATIVE_TAGS)
+
+
+def test_derivative_table_is_filled_once_between_threads(monkeypatch):
+    # eight threads walk one fresh (mu, D) table at once: every D^j x^n is
+    # built exactly once, so D runs n times per degree n
+    exact_d = exact.dunkl_definition
+    calls = []
+
+    def counted(mu, p):
+        calls.append(None)
+        return exact_d(mu, p)
+
+    monkeypatch.setattr(exact, "dunkl_definition", counted)
+    start = threading.Barrier(8)
+    results = []
+
+    def walk():
+        start.wait(timeout=60)
+        results.append(verify_identity("binomial_expansion", Fraction(5, 17), 12).passed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=walk) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [True] * 8
+    assert len(calls) == sum(range(13))

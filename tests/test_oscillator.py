@@ -218,6 +218,18 @@ def test_run_all_reports_are_pinned(rep):
     assert list(check_table()) == [r.name for r in run_all(rep)]
 
 
+def test_reports_do_not_depend_on_what_ran_first():
+    # each family builds its letter powers afresh: a rep dropped before the
+    # next is built may hand its id to it, so nothing may be kept across reps
+    def reports(mu, size, ladder_n_max=3):
+        return [r.to_json() for r in run_all(build(mu, size), ladder_n_max=ladder_n_max)]
+
+    keys = [(0.5, 12), (0.5, 24), (-0.25, 12), (0.5, 12, 2), (1.5, 16)]
+    first = [reports(*key) for key in keys]
+    assert [reports(*key) for key in reversed(keys)] == first[::-1]
+    assert first[0] != first[3] and first[0] != first[1]
+
+
 @pytest.mark.parametrize("name", list(check_table()))
 def test_cli_check_matches_run_all(name, capsys):
     code = main(["oscillator", "--mu", "0.5", "--size", "24", "--check", name])

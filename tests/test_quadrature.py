@@ -81,6 +81,93 @@ def test_full_size_rule_matches_scipy_laguerre(mu):
     assert rule.weights.min() < 1e-200
 
 
+def _laguerre_reduction(mu, n):
+    """The n-point hermite_mu rule from scipy's generalized Laguerre rule in t = x^2.
+
+    n = 2m: nodes +-sqrt(t_k), t_k the roots of L_m^(mu-1/2), weights w_k / 2.
+    n = 2m+1: nodes 0 and +-sqrt(t_k) with L_m^(mu+1/2), weights w_k / (2 t_k)
+    and Gamma(mu + 1/2) - sum w_k / t_k at the origin.
+    """
+    m, odd = divmod(n, 2)
+    t, w = roots_genlaguerre(m, mu - 0.5 + odd) if m else (np.empty(0), np.empty(0))
+    if odd:
+        w = w / t
+        centre = [math.gamma(mu + 0.5) - w.sum()]
+    else:
+        centre = []
+    root = np.sqrt(t)
+    return np.concatenate((-root[::-1], [0.0] * odd, root)), np.concatenate((0.5 * w[::-1], centre, 0.5 * w))
+
+
+@pytest.mark.parametrize("mu", [-0.49, -0.25, 0.0, 0.5, 3.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 33, 255])
+def test_odd_and_small_rules_match_scipy_laguerre(mu, n):
+    rule = gauss_hermite_mu(mu, n)
+    nodes, weights = _laguerre_reduction(mu, n)
+    if n % 2:
+        # scipy's weight at the origin is the mass less all the others, so it is
+        # good to n ulps of the mass only (at mu = 3, n = 255 it is 1.6e-6 of
+        # 3.3); the 25-digit test below checks it per weight
+        assert abs(rule.weights[n // 2] - weights[n // 2]) <= 1e-13 * rule.mass
+        weights[n // 2] = rule.weights[n // 2]
+    assert_allclose(rule.nodes, nodes, rtol=1e-12, atol=0)
+    assert_allclose(rule.weights, weights, rtol=1e-10, atol=0)
+
+
+def _mp_hermite_half_rule(mu, n):
+    """Nonnegative nodes and their weights of the n-point hermite_mu rule, to 25 digits.
+
+    Each root of L_m^(a)(t), a = mu - 1/2 + (n mod 2), is polished by Newton's
+    method on the three-term recurrence in mpmath, from scipy's roots.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    m, odd = divmod(n, 2)
+    with mpmath.workdps(25):
+        a = mpmath.mpf(mu) - mpmath.mpf(1) / 2 + odd
+
+        def laguerre(t):
+            prev, cur = mpmath.mpf(1), 1 + a - t
+            for k in range(1, m):
+                prev, cur = cur, ((2 * k + 1 + a - t) * cur - (k + a) * prev) / (k + 1)
+            return cur, (m * cur - (m + a) * prev) / t
+
+        roots, weights = [], []
+        for t in roots_genlaguerre(m, float(a))[0]:
+            t = mpmath.mpf(t)
+            for _ in range(3):  # from scipy's ~1e-13; the last slope is good to ~1e-26
+                value, slope = laguerre(t)
+                t -= value / slope
+            roots.append(t)
+            weights.append(mpmath.gamma(m + a + 1) / (mpmath.factorial(m) * t * slope**2) / (2 * t**odd))
+        nodes = [mpmath.sqrt(t) for t in roots]
+        if odd:
+            nodes.insert(0, mpmath.mpf(0))
+            weights.insert(0, mpmath.gamma(mpmath.mpf(mu) + mpmath.mpf(1) / 2) - 2 * mpmath.fsum(weights))
+        return np.array(nodes, dtype=float), np.array(weights, dtype=float)
+
+
+@pytest.mark.parametrize("n", [96, 97, 256])
+def test_small_nodes_keep_their_relative_accuracy_near_the_pole(n):
+    # at mu = -0.49 the smallest t = x^2 of an even rule is 2e-4 (n = 96) or
+    # 8e-5 (n = 256), so an error of eps |T| in t would be a relative 1e-9 in
+    # x; the Newton step in x restores it.  Worst per node 1.7e-16, 2.7e-16
+    # and 6.5e-16, per weight 2.0e-14, 2.5e-14 and 1.05e-13.
+    rule = gauss_hermite_mu(-0.49, n)
+    nodes, weights = _mp_hermite_half_rule(-0.49, n)
+    assert_allclose(rule.nodes[n // 2 :], nodes, rtol=2e-15, atol=0)
+    assert_allclose(rule.weights[n // 2 :], weights, rtol=2e-13, atol=0)
+
+
+@pytest.mark.parametrize("rule", [gauss_hermite_mu, gauss_alpha_mu, lambda mu, n: jacobi_rule(mu - 1.0, mu, n)])
+def test_rule_size_must_be_an_integer(rule):
+    # a float or bool size used to slip through: 8.0 shared the cache entry
+    # of 8 or failed inside numpy, 2.5 and True raised obscure TypeErrors
+    for size in (8.0, 2.5, True, np.float64(8.0), np.bool_(True)):
+        with pytest.raises(TypeError, match="rule size must be an integer"):
+            rule(0.5, size)
+    assert_allclose(rule(0.5, np.int64(8)).nodes, rule(0.5, 8).nodes, rtol=0, atol=0)
+
+
 def test_jacobi_rule_matches_scipy():
     # The second case is the rule translate_xi uses, (mu - 1, mu) at a small
     # mu, with the strongly singular endpoint t = 1.
