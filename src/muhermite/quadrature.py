@@ -24,11 +24,13 @@ The hermite_mu weight is even, so the square of its n x n Jacobi matrix
 splits into parity blocks, and the nonzero nodes are +-sqrt(t) for the
 zeros t of the m-point rule of t^a e^(-t), n = 2m + (n mod 2) and
 a = mu - 1/2 + (n mod 2) (Gautschi 2004, symmetric measures).  Their
-eigenproblem is m x m, an eighth of the O(n^3) work.  Only the nodes
-come from t: the Newton step and the Christoffel numbers run on the x
-recurrence, at the nonnegative nodes (with x = 0 for odd n), since a
-polish in t loses relative accuracy at the smallest nodes.  The
-negative half is the mirror image, so the rule is symmetric bit for
+eigenproblem is m x m, an eighth of the O(n^3) work.  The matrix is
+built from a + 1 = mu + 1/2 + (n mod 2), which keeps every bit of
+mu + 1/2 as mu -> -1/2, where the smallest t is about (a + 1) / m.
+Only the nodes come from t: the Newton step and the Christoffel numbers
+run on the x recurrence, at the nonnegative nodes (with x = 0 for odd
+n), since a polish in t loses relative accuracy at the smallest nodes.
+The negative half is the mirror image, so the rule is symmetric bit for
 bit by construction and needs no fold onto its mirror.
 """
 
@@ -134,10 +136,12 @@ class QuadratureRule:
 @lru_cache(maxsize=MU_CACHE_SIZE)
 def _hermite_rule_cached(mu: float, n: int) -> QuadratureRule:
     m, odd = divmod(n, 2)
-    # x^2 at the nonzero nodes: the Jacobi matrix of t^a e^(-t), a = mu - 1/2 + odd.
-    a = mu - 0.5 + odd
+    # x^2 at the nonzero nodes: the Jacobi matrix of t^a e^(-t), a = mu - 1/2 + odd,
+    # read through a + 1 = mu + 1/2 + odd; a itself would round mu's last bit
+    # away, a relative 3e-4 of a + 1 at mu = -1/2 + 1e-13.
+    a1 = (mu + 0.5) + odd
     j = np.arange(m)
-    t = _eigenvalues(2.0 * j + a + 1.0, np.sqrt((j + 1.0) * (j + 1.0 + a)))
+    t = _eigenvalues(2.0 * j + a1, np.sqrt((j + 1.0) * (j + a1)))
     half = np.concatenate((np.zeros(odd), np.sqrt(t)))
     off = np.sqrt(gamma_step(mu, np.arange(1, n + 1)) / 2.0)
     half, weights = _polish(np.zeros(n), off, half)

@@ -118,12 +118,16 @@ def _mp_hermite_half_rule(mu, n):
     """Nonnegative nodes and their weights of the n-point hermite_mu rule, to 25 digits.
 
     Each root of L_m^(a)(t), a = mu - 1/2 + (n mod 2), is polished by Newton's
-    method on the three-term recurrence in mpmath, from scipy's roots.
+    method on the three-term recurrence in mpmath, at 30 digits, until the
+    step is below 1e-22 of the root; the next step would be near the floor.
+    The start is scipy's roots at a, or at a + 1 = 1e-9 nearer the pole,
+    where scipy loses them, with the smallest root scaled by (a + 1) / 1e-9:
+    it is about (a + 1) / m there.
     """
     mpmath = pytest.importorskip("mpmath")
     m, odd = divmod(n, 2)
-    with mpmath.workdps(25):
-        a = mpmath.mpf(mu) - mpmath.mpf(1) / 2 + odd
+    with mpmath.workdps(30):
+        a = mpmath.mpf(mu) + mpmath.mpf(1) / 2 + odd - 1
 
         def laguerre(t):
             prev, cur = mpmath.mpf(1), 1 + a - t
@@ -131,14 +135,24 @@ def _mp_hermite_half_rule(mu, n):
                 prev, cur = cur, ((2 * k + 1 + a - t) * cur - (k + a) * prev) / (k + 1)
             return cur, (m * cur - (m + a) * prev) / t
 
+        a_start = max(float(a), -1.0 + 1e-9)
+        start = [mpmath.mpf(t) for t in roots_genlaguerre(m, a_start)[0]]
+        if start:
+            start[0] *= (a + 1) / (mpmath.mpf(a_start) + 1)
+        scale = mpmath.gamma(m + a + 1) / mpmath.factorial(m)
         roots, weights = [], []
-        for t in roots_genlaguerre(m, float(a))[0]:
-            t = mpmath.mpf(t)
-            for _ in range(3):  # from scipy's ~1e-13; the last slope is good to ~1e-26
+        for t in start:
+            for _ in range(50):
                 value, slope = laguerre(t)
-                t -= value / slope
+                step = value / slope
+                t -= step
+                if abs(step) < mpmath.mpf(10) ** -22 * t:
+                    break  # the slope before that step is good to about 1e-20
+            else:
+                raise AssertionError(f"Newton did not settle on the root near {t}")
             roots.append(t)
-            weights.append(mpmath.gamma(m + a + 1) / (mpmath.factorial(m) * t * slope**2) / (2 * t**odd))
+            weights.append(scale / (t * slope**2) / (2 * t**odd))
+        assert all(left < right for left, right in zip(roots, roots[1:]))
         nodes = [mpmath.sqrt(t) for t in roots]
         if odd:
             nodes.insert(0, mpmath.mpf(0))
@@ -146,14 +160,21 @@ def _mp_hermite_half_rule(mu, n):
         return np.array(nodes, dtype=float), np.array(weights, dtype=float)
 
 
-@pytest.mark.parametrize("n", [96, 97, 256])
-def test_small_nodes_keep_their_relative_accuracy_near_the_pole(n):
-    # at mu = -0.49 the smallest t = x^2 of an even rule is 2e-4 (n = 96) or
-    # 8e-5 (n = 256), so an error of eps |T| in t would be a relative 1e-9 in
-    # x; the Newton step in x restores it.  Worst per node 1.7e-16, 2.7e-16
-    # and 6.5e-16, per weight 2.0e-14, 2.5e-14 and 1.05e-13.
-    rule = gauss_hermite_mu(-0.49, n)
-    nodes, weights = _mp_hermite_half_rule(-0.49, n)
+@pytest.mark.parametrize(
+    "mu, n",
+    [(-0.49, 96), (-0.49, 97), (-0.49, 256)] + [(-0.5 + eps, n) for eps in (1e-12, 1e-13, 1e-15) for n in (96, 256)],
+)
+def test_small_nodes_keep_their_relative_accuracy_near_the_pole(mu, n):
+    # the smallest t = x^2 of an even rule is about (mu + 1/2) / m: 2e-4 at
+    # mu = -0.49 and n = 96, 8e-18 at mu = -1/2 + 1e-15 and n = 256.  An error
+    # of eps |T| in t would be a relative 1e-9 in x at mu = -0.49 and would
+    # leave nothing near the pole; an error in a + 1 = mu + 1/2 moves the
+    # smallest node by half of it.  Worst per node 1.3e-15 (mu = -1/2 + 1e-13,
+    # n = 256), per weight 8.3e-14 (mu = -1/2 + 1e-12, n = 256), at an outer
+    # node, where the last bit of x moves the weight by a relative 2 x^2 eps.
+    rule = gauss_hermite_mu(mu, n)
+    nodes, weights = _mp_hermite_half_rule(mu, n)
+    assert np.all(np.isfinite(rule.nodes)) and np.all(np.isfinite(rule.weights))
     assert_allclose(rule.nodes[n // 2 :], nodes, rtol=2e-15, atol=0)
     assert_allclose(rule.weights[n // 2 :], weights, rtol=2e-13, atol=0)
 
