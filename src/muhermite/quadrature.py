@@ -15,9 +15,10 @@ Both are built the same way (Golub-Welsch; Gautschi 2004): the nodes
 are the eigenvalues of a symmetric tridiagonal Jacobi matrix, from
 numpy's ``eigvalsh``, each polished by one Newton step on p_n; the
 weights are the Christoffel numbers 1 / sum_{k<n} p_k(x_j)^2, scaled to
-the exact mass.  Every p_k comes from ``_recurrence_table``, the same
-evaluator that tabulates the eigenfunctions in ``transform``.  Weights
-are never read off eigenvectors: the tiny outer weights (~1e-210 at
+the exact mass.  Every p_k comes from ``_recurrence_table``, the one
+three-term evaluator: it tabulates the eigenfunctions in ``transform``, and its
+derivative rows (Gautschi 2004, 2.1) give the p', p'' the oscillator's bridge reads.
+Weights are never read off eigenvectors: the tiny outer weights (~1e-210 at
 n = 256) would lose their relative accuracy.
 
 The hermite_mu weight is even, so the square of its n x n Jacobi matrix
@@ -48,21 +49,27 @@ from .core import MU_CACHE_SIZE, as_mu, beta_function, gamma_half, gamma_step
 __all__ = ["QuadratureRule", "gauss_hermite_mu", "gauss_alpha_mu", "jacobi_rule"]
 
 
-def _recurrence_table(diag, off, mass: float, x) -> np.ndarray:
-    """Orthonormal polynomials p_0..p_m at every x, m = len(off).
+def _recurrence_table(diag, off, mass: float, x, order: int = 0) -> np.ndarray:
+    """Orthonormal polynomials p_0..p_m at every x, m = len(off), shape (m + 1, x.size).
 
     The recursion is x p_k = off[k] p_{k+1} + diag[k] p_k + off[k-1] p_{k-1}
-    with p_0 = mass^(-1/2); ``diag`` needs at least len(off) entries.
+    with p_0 = mass^(-1/2); ``diag`` needs at least len(off) entries.  With order > 0
+    the shape is (order + 1, m + 1, x.size), row [j, k] is p_k^(j) and the p rows keep their bits:
+    p^(j)_{k+1} = (j p^(j-1)_k + (x - diag[k]) p^(j)_k - off[k-1] p^(j)_{k-1}) / off[k].
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     m = len(off)
-    out = np.empty((m + 1, x.size))
-    out[0] = 1.0 / math.sqrt(mass)
-    if m >= 1:
-        out[1] = (x - diag[0]) * out[0] / off[0]
-    for k in range(1, m):
-        out[k + 1] = ((x - diag[k]) * out[k] - off[k - 1] * out[k - 1]) / off[k]
-    return out
+    out = np.zeros((order + 1, m + 1, x.size))
+    out[0, 0] = 1.0 / math.sqrt(mass)
+    for j, p in enumerate(out):
+        for k in range(m):
+            step = (x - diag[k]) * p[k]
+            if k:
+                step -= off[k - 1] * p[k - 1]
+            if j:
+                step += j * out[j - 1, k]
+            p[k + 1] = step / off[k]
+    return out if order else out[0]
 
 
 def _eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -121,9 +128,6 @@ class QuadratureRule:
 
     def integrate(self, f) -> float:
         return float(np.dot(self.weights, f(self.nodes)))
-
-    def integrate_values(self, values: np.ndarray):
-        return np.dot(self.weights, values)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -36,17 +36,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _array_memo, _as_grid, as_mu, gamma_half, gamma_mu, gamma_step, log_gamma_mu
+from .core import _array_memo, _as_grid, as_mu, gamma_half, gamma_mu, gamma_step
 from .efun import c_s_mu, e_mu
-from .hermite import hermite_coeffs, hermite_eval
-from .poly import DensePoly
+from .hermite import hermite_eval
 from .quadrature import _recurrence_table, _scaled_rule
 
 __all__ = [
     "SpectralVector",
     "phi_eval",
     "phi_poly_table",
-    "phi_poly_coeffs",
     "expand",
     "synthesize",
     "l2mu_norm",
@@ -76,6 +74,12 @@ class SpectralVector:
         return len(self.coeffs)
 
 
+def _phi_rows(value: float, n_max: int, x: np.ndarray, order: int = 0) -> np.ndarray:
+    """phi_n e^(x^2/2), n <= n_max, at a flat x; order > 0 as in ``_recurrence_table``."""
+    off = np.sqrt(gamma_step(value, np.arange(1, n_max + 1)) / 2.0)
+    return _recurrence_table(np.zeros(n_max), off, gamma_half(value), x, order)
+
+
 def phi_poly_table(mu, n_max: int, x) -> np.ndarray:
     """Polynomial factors phi_n(x) e^(x^2/2), n = 0..n_max, all x at once.
 
@@ -84,26 +88,13 @@ def phi_poly_table(mu, n_max: int, x) -> np.ndarray:
     """
     value = as_mu(mu).require_numeric()
     xa, _ = _as_grid(x)
-    off = np.sqrt(gamma_step(value, np.arange(1, n_max + 1)) / 2.0)
-    return _recurrence_table(np.zeros(n_max), off, gamma_half(value), xa).reshape((n_max + 1,) + np.shape(x))
+    return _phi_rows(value, n_max, xa).reshape((n_max + 1,) + np.shape(x))
 
 
 def phi_eval(mu, n: int, x):
     """Eigenfunction phi_n at x; x: scalar or array of any shape."""
     xa, shaped = _as_grid(x)
     return shaped(phi_poly_table(mu, n, xa)[n] * np.exp(-0.5 * xa * xa))
-
-
-def phi_poly_coeffs(mu, n: int) -> DensePoly:
-    """phi_n's polynomial factor as an explicit coefficient vector."""
-    value = as_mu(mu).require_numeric()
-    log_norm = (
-        0.5 * log_gamma_mu(value, n)
-        - 0.5 * math.log(gamma_half(value))
-        - 0.5 * n * math.log(2.0)
-        - math.lgamma(n + 1)
-    )
-    return hermite_coeffs(value, n).scale(math.exp(log_norm))
 
 
 def expand(

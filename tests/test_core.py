@@ -219,7 +219,7 @@ check_structure dunkl_apply dunkl_definition e_mu expand fourier_quadrature four
 gamma_mu_exact gauss_alpha_mu gauss_hermite_mu heat_apply_kernel heat_gaussian heat_gaussian_params heat_kernel
 heat_odd_gaussian heat_pde_residual heat_poly heat_spectral_matrix hermite_coeffs hermite_eval identity_sides
 inversion_expand jacobi_rule l2mu_norm log_gamma_mu mehler_rhs mu_binomial mu_binomial_exact operator_matrix
-phi_eval phi_poly_coeffs phi_poly_table raise_apply run_acceptance run_all run_criterion synthesize theta
+phi_eval phi_poly_table raise_apply run_acceptance run_all run_criterion synthesize theta
 transform_of_efun_gaussian transform_of_gaussian transform_of_hermite_gaussian transform_of_monomial_gaussian
 translate_alpha translate_gaussian_closed translate_odd_gaussian_closed translate_poly translate_spectral_matrix
 translate_xi verify_identity

@@ -18,7 +18,6 @@ from muhermite.hermite import (
     raise_apply,
 )
 from muhermite.poly import DensePoly
-from muhermite.transform import phi_poly_coeffs
 
 MU = Fraction(1, 3)
 
@@ -172,7 +171,6 @@ class TestHeatPoly:
 def test_float_coefficients_raise_instead_of_overflowing(mu):
     for build, first_over in (
         (lambda n: hermite_coeffs(mu, n), 151),
-        (lambda n: phi_poly_coeffs(mu, n), 151),
         (lambda n: heat_poly(mu, n, 0.3), 171),
     ):
         assert np.all(np.isfinite(np.array(build(150).coeffs, dtype=float)))

@@ -131,6 +131,14 @@ def test_ladder_power_on_ground_gives_gamma_ratio():
         assert_allclose(np.linalg.norm(vec), math.sqrt(gamma_mu(mu, n)), rtol=1e-12)
 
 
+@pytest.mark.parametrize("mu", [-0.45, 0.0, 0.5, 1.5])
+@pytest.mark.parametrize("size", [24, 32, 33, 40, 64, 96])
+def test_every_family_passes_at_larger_sizes(mu, size):
+    # odd sizes put a rule node at x = 0, where the bridge takes its limits
+    for report in run_all(build(mu, size)):
+        assert report.passed, f"{report.name}: {report.worst().tag} {report.max_defect:.3g}"
+
+
 def test_representation_bridge_tolerance():
     report = check_representation(build(0.5, 24))
     assert report.passed
@@ -232,8 +240,9 @@ def test_reports_do_not_depend_on_what_ran_first():
 
 @pytest.mark.parametrize("name", list(check_table()))
 def test_cli_check_matches_run_all(name, capsys):
-    code = main(["oscillator", "--mu", "0.5", "--size", "24", "--check", name])
-    blob = json.loads(capsys.readouterr().out)
-    (family,) = [r for r in run_all(build(0.5, 24)) if r.name == name]
-    assert code == 0
-    assert blob == [family.to_json()]
+    for size in (24, 48):
+        code = main(["oscillator", "--mu", "0.5", "--size", str(size), "--check", name])
+        blob = json.loads(capsys.readouterr().out)
+        (family,) = [r for r in run_all(build(0.5, size)) if r.name == name]
+        assert code == 0, size
+        assert blob == [family.to_json()]

@@ -1,12 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.special import roots_genlaguerre, roots_jacobi
 
-from muhermite.core import alpha_mu_moment, gamma_half, gamma_mu
-from muhermite.quadrature import gauss_alpha_mu, gauss_hermite_mu, jacobi_rule
+from muhermite.core import alpha_mu_moment, gamma_half, gamma_mu, gamma_mu_exact, gamma_step
+from muhermite.hermite import hermite_coeffs
+from muhermite.quadrature import _recurrence_table, gauss_alpha_mu, gauss_hermite_mu, jacobi_rule
 
 
 class TestGaussHermiteMu:
@@ -47,11 +49,6 @@ class TestGaussHermiteMu:
         rule = gauss_hermite_mu(1.2, 16)
         got = rule.integrate(lambda t: t**7)
         assert abs(got) < 1e-13 * math.gamma(1.2 + 4.0)
-
-    def test_integrate_values_matches_integrate(self):
-        rule = gauss_hermite_mu(0.5, 12)
-        f = lambda t: np.cos(t) * t**2
-        assert_allclose(rule.integrate(f), rule.integrate_values(f(rule.nodes)), rtol=1e-15)
 
     def test_node_count_guard(self):
         with pytest.raises(ValueError):
@@ -233,3 +230,23 @@ def test_first_even_moment_identity():
         lhs = math.gamma(r + mu + 0.5) / math.gamma(mu + 0.5)
         rhs = gamma_mu(mu, 2 * r) / (4.0**r * math.factorial(r))
         assert_allclose(lhs, rhs, rtol=1e-13)
+
+
+def test_derivative_rows_match_exact_hermite_derivatives():
+    # p_n = phi_n e^(x^2/2) = c_n H_n(x; mu), c_n^2 = gamma_mu(n) / (2^n n!^2 Gamma(mu + 1/2));
+    # the reference differentiates H_n's exact rational coefficients
+    mu, n_max = Fraction(1, 3), 20
+    x = np.linspace(-4.5, 4.5, 19)
+    off = np.sqrt(gamma_step(float(mu), np.arange(1, n_max + 1)) / 2.0)
+    args = (np.zeros(n_max), off, gamma_half(float(mu)), x)
+    rows = _recurrence_table(*args, order=2)
+    assert rows.shape == (3, n_max + 1, len(x))
+    assert rows[0].tobytes() == _recurrence_table(*args).tobytes()
+    points = [Fraction(t) for t in x]
+    for n in range(n_max + 1):
+        h = hermite_coeffs(mu, n, exact=True)
+        c = math.sqrt(float(gamma_mu_exact(mu, n) / (2**n * math.factorial(n) ** 2)) / math.gamma(float(mu) + 0.5))
+        for j, poly in enumerate((h, h.derivative(), h.derivative().derivative())):
+            want = c * np.array([float(poly(t)) for t in points])
+            # relative to the row's size, since a row passes near its zeros
+            assert_allclose(rows[j, n], want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=f"n={n} j={j}")

@@ -5,10 +5,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from muhermite import verify
-from muhermite.core import _array_memo, gamma_half
+from muhermite.core import _array_memo, gamma_half, gamma_mu
 from muhermite.efun import c_s_mu, e_mu
 from muhermite.heat import heat_apply_kernel, heat_gaussian, heat_odd_gaussian
-from muhermite.hermite import hermite_eval
+from muhermite.hermite import hermite_coeffs, hermite_eval
 from muhermite.quadrature import gauss_hermite_mu
 from muhermite.transform import (
     SpectralVector,
@@ -21,7 +21,6 @@ from muhermite.transform import (
     l2mu_norm,
     operator_matrix,
     phi_eval,
-    phi_poly_coeffs,
     phi_poly_table,
     synthesize,
     transform_of_efun_gaussian,
@@ -43,10 +42,13 @@ def test_phi_orthonormal_small():
 
 
 def test_phi_eval_consistent_with_coefficients():
+    # phi_n = sqrt(gamma_mu(n) / Gamma(mu + 1/2)) / (2^(n/2) n!) e^(-x^2/2) H_n, H_n from its coefficients
+    mu = 0.75
     x = np.linspace(-2.5, 2.5, 9)
     for n in (0, 3, 6):
-        p = phi_poly_coeffs(0.75, n)
-        assert_allclose(phi_eval(0.75, n, x), p(x) * np.exp(-0.5 * x * x), rtol=1e-12)
+        norm = math.sqrt(gamma_mu(mu, n) / gamma_half(mu)) / (2.0 ** (n / 2.0) * math.factorial(n))
+        want = norm * hermite_coeffs(mu, n)(x) * np.exp(-0.5 * x * x)
+        assert_allclose(phi_eval(mu, n, x), want, rtol=1e-12)
 
 
 def test_expand_recovers_finite_combination():
