@@ -11,7 +11,7 @@ theory.  Also here: the product kernel of the Mehler type summation and
 the heat kernel, both of which are elementary expressions in e(.; mu).
 
 The series is summed by one term recursion term_{m+1} = term_m * z /
-(m + 1 + 2 mu theta(m+1)), for scalars and arrays alike, with a term
+(m + 1 + 2 mu theta(m+1)), for scalars and (in place) arrays alike, with a term
 count fixed up front from r = max |z|: the sum runs through the first
 m > r whose term r^m / gamma_mu(m) is below 2^-53 times the largest
 one.  The absolute error is then of order eps * e(|z|; mu), the sum of
@@ -27,7 +27,8 @@ nu = mu - 1/2, c(x; mu) = Gamma(nu+1) (|x|/2)^(-nu) J_nu(|x|) and s(x; mu)
 recurrence (DLMF 3.6(iii)) gives the ratios of the J, and Gegenbauer's
 Neumann sum (DLMF 10.23(ii)) normalizes them, so no power of x, gamma
 function or route switch is needed at any |x| up to 1e4; mu = 0 is
-exactly cos/sin.
+exactly cos/sin.  Both loops update their arrays in place, with the operations of
+the plain formulas in their order, so the bits are those of fresh arrays.
 """
 
 from __future__ import annotations
@@ -81,20 +82,23 @@ def _series(mu: float, z):
         # term * z before dividing) must stay inside float64
         log_size = peak + math.log(np.exp(log_terms[: n + 1] - peak).sum())
         _check_range(log_size + math.log(r), r)
-    by_parts = isinstance(z, np.ndarray) and np.iscomplexobj(z)
-    if by_parts:
-        z = np.ascontiguousarray(z)
-    acc = term = 1.0 + 0.0 * z
-    for m in range(1, n + 1):
-        term = term * z
-        if by_parts:
-            # numpy divides a complex array by a real through its reciprocal,
-            # rounding twice; dividing the parts rounds once, as Python does.
-            parts = term.view(float)
-            np.divide(parts, gamma_step(mu, m), out=parts)
-        else:
-            term = term / gamma_step(mu, m)
-        acc = acc + term
+    steps = gamma_step(mu, np.arange(1, n + 1)).tolist()
+    if not isinstance(z, np.ndarray):
+        acc = term = 1.0 + 0.0 * z
+        for step in steps:
+            term = term * z / step
+            acc = acc + term
+        return acc
+    z = np.ascontiguousarray(z)
+    term = 1.0 + 0.0 * z
+    acc = term.copy()
+    # numpy divides a complex array by a real through its reciprocal,
+    # rounding twice; dividing the parts rounds once, as Python does.
+    parts = term.view(float)
+    for step in steps:
+        np.multiply(term, z, out=term)
+        np.divide(parts, step, out=parts)
+        np.add(acc, term, out=acc)
     return acc
 
 
@@ -120,14 +124,16 @@ def _miller(nu: float, x):
     x2 = x * x
     q = 0.0 * x2  # x^2 / d_{2m+3}; zero above the start order
     u = 1.0 + q
+    e, d = np.empty_like(x2), np.empty_like(x2)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for m in range(int(r + 10.0 * r ** (1.0 / 3.0) + 40.0) // 2 + 1, -1, -1):
-            e = 2.0 * (nu + 2 * m + 2) - q
-            q = x2 / e
-            d = 2.0 * (nu + 2 * m + 1) - q
+            np.subtract(2.0 * (nu + 2 * m + 2), q, out=e)
+            np.divide(x2, e, out=q)
+            np.subtract(2.0 * (nu + 2 * m + 1), q, out=d)
             rho = (nu + 2 * m + 2) / (m + 1) * ((nu + m) / (nu + 2 * m) if m else 1.0)
-            u = 1.0 + rho * q * u / d
-            q = x2 / d
+            np.multiply(np.multiply(q, rho, out=e), u, out=e)  # e is free until the next step
+            np.add(np.divide(e, d, out=e), 1.0, out=u)  # u = 1 + rho q u / d
+            np.divide(x2, d, out=q)
     finite = np.isfinite(u)
     if not finite.all():
         # a d_k rounded to exactly 0 (x at a zero of some J_{nu+k}, to the

@@ -89,6 +89,19 @@ def _derivatives(mu: Fraction, n: int) -> list:
     return table[n]
 
 
+@lru_cache(maxsize=MU_CACHE_SIZE)
+def _binomial_table(mu: Fraction) -> dict:
+    """n -> binomial_poly(mu, n, exact=True); the binomial and odd-even tags share it."""
+    return {}
+
+
+def _binomial(mu: Fraction, n: int) -> BivariatePoly:
+    table = _binomial_table(mu)
+    if n not in table:
+        table[n] = binomial_poly(mu, n, exact=True)
+    return table[n]
+
+
 def _ratio(mu: Fraction, n: int) -> Fraction:
     return gamma_mu_exact(mu, n + 1) / ((n + 1) * gamma_mu_exact(mu, n))
 
@@ -187,7 +200,7 @@ def _sides_generating(mu: Fraction):
 
 def _sides_binomial(mu: Fraction):
     for n in count():
-        yield [("", _translation_series(mu, n), binomial_poly(mu, n, exact=True))]
+        yield [("", _translation_series(mu, n), _binomial(mu, n))]
 
 
 def _sides_odd_even(mu: Fraction):
@@ -196,7 +209,7 @@ def _sides_odd_even(mu: Fraction):
         if n % 2 == 0:
             yield []
             continue
-        rhs = x_plus_y * binomial_poly(mu, n - 1, exact=True)
+        rhs = x_plus_y * _binomial(mu, n - 1)
         yield [("", _translation_series(mu, n), rhs)]
 
 

@@ -178,8 +178,13 @@ def binomial_poly(mu, n: int, *, exact: bool = False) -> BivariatePoly:
         raise ValueError("polynomial degree must be nonnegative")
     param = as_mu(mu)
     if exact:
-        gam = gamma_exact_table(param, n)
-        return BivariatePoly.from_dict({(j, n - j): gam[n] / (gam[j] * gam[n - j]) for j in range(n + 1)})
+        # gam = u / v: gam[n] / (gam[j] gam[n - j]) = u_n v_j v_{n-j} / (v_n u_j u_{n-j}), over their lcm
+        gam = gamma_exact_table(param, n)[: n + 1]
+        u, v = [g.numerator for g in gam], [g.denominator for g in gam]
+        dens = [v[n] * u[j] * u[n - j] for j in range(n + 1)]
+        den = math.lcm(*dens)
+        nums = {(j, n - j): u[n] * v[j] * v[n - j] * (den // d) for j, d in enumerate(dens)}
+        return BivariatePoly._result(nums, den, True)
     value = param.require_numeric()
     return BivariatePoly.from_dict({(j, n - j): mu_binomial(value, n, j) for j in range(n + 1)})
 

@@ -21,7 +21,8 @@ its letter as the reflection-corrected derivative; the power, ground
 and intertwining identities loop over its rows.  `_matrix_defect` is
 the one defect measure, a vector being a one-column matrix.  `_powers`
 gives a letter's powers by successive products, built once per letter
-in each family; nothing is kept on a rep or across reps.
+in each family, and `_poly_columns` a polynomial family on a letter for
+every degree in one Horner pass; nothing is kept on a rep or across reps.
 `check_table` lists the check families in report order for both
 `run_all` and the CLI.  The representation bridge applies D from its
 definition to the rows p, p', p'' of `quadrature._recurrence_table` at
@@ -184,10 +185,13 @@ def _matrix_defect(rep: OscillatorRep, tag: str, word_length: int, lhs, rhs) -> 
     has no edge and its one column defect is the raw interior defect.
     """
     _require_word(rep, word_length)
-    lhs, rhs = lhs.reshape(len(lhs), -1), rhs.reshape(len(rhs), -1)
     cols = np.abs(lhs - rhs).max(axis=0).tolist()
-    keep = min(len(cols), rep.size - word_length)
-    scale = max(1.0, float(np.abs(lhs[:, :keep]).max()), float(np.abs(rhs[:, :keep]).max()))
+    if lhs.ndim == 1:
+        cols, keep = [cols], 1
+    else:
+        keep = min(len(cols), rep.size - word_length)
+        lhs, rhs = lhs[:, :keep], rhs[:, :keep]
+    scale = float(max(1.0, np.abs(lhs).max(), np.abs(rhs).max()))
     interior_raw = max(cols[:keep])
     return IdentityDefect(
         tag=tag,
@@ -200,8 +204,11 @@ def _matrix_defect(rep: OscillatorRep, tag: str, word_length: int, lhs, rhs) -> 
     )
 
 
-def _commutator(x, y):
-    return x @ y - y @ x
+def _commutator(x, y, v=None):
+    """XY - YX, or given a vector v, X(Y v) - Y(X v) without the matrix products."""
+    if v is None:
+        return x @ y - y @ x
+    return x @ (y @ v) - y @ (x @ v)
 
 
 def _powers(m: np.ndarray, k: int) -> list:
@@ -217,6 +224,18 @@ def _poly_apply(p: DensePoly, m: np.ndarray, v: np.ndarray) -> np.ndarray:
     acc = np.zeros(v.shape, dtype=complex)
     for c in reversed(p.coeffs):
         acc = m @ acc + complex(c) * v
+    return acc
+
+
+def _poly_columns(polys: list, m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Column n is polys[n](M) v, all n in one Horner pass; below its degree a column stays zero,
+    so it takes the steps _poly_apply takes for polys[n] alone."""
+    coeffs = np.zeros((max(p.degree for p in polys) + 1, len(polys)), dtype=complex)
+    for n, p in enumerate(polys):
+        coeffs[: p.degree + 1, n] = p.coeffs
+    acc = np.zeros((len(v), len(polys)), dtype=complex)
+    for c in coeffs[::-1]:
+        acc = m @ acc + c * v[:, None]
     return acc
 
 
@@ -313,12 +332,13 @@ def _brackets(rep: OscillatorRep) -> tuple:
 
     The brackets are [A, X], i[P, X] and i[X, Q] against the raising,
     position and momentum letters.  Each acts on a polynomial in its
-    letter as the reflection-corrected derivative does.
+    letter as the reflection-corrected derivative does.  Given a vector v,
+    a bracket returns its action on v, by matrix-vector products only.
     """
     return (
-        ("ladder", rep.adag, lambda m: _commutator(rep.a, m)),
-        ("position", rep.q, lambda m: 1j * _commutator(rep.p, m)),
-        ("momentum", rep.p, lambda m: 1j * _commutator(m, rep.q)),
+        ("ladder", rep.adag, lambda m, v=None: _commutator(rep.a, m, v)),
+        ("position", rep.q, lambda m, v=None: 1j * _commutator(rep.p, m, v)),
+        ("momentum", rep.p, lambda m, v=None: 1j * _commutator(m, rep.q, v)),
     )
 
 
@@ -361,7 +381,7 @@ def check_ladder_powers(rep: OscillatorRep, n_max: int = 3, tolerance: float = 1
         for name, _, bracket in (position, momentum, ladder):
             x = powers[name]
             entries.append(
-                _matrix_defect(rep, f"ground_{name}_power_{n}", n + 1, bracket(x[n]) @ e0, ratio * (x[n - 1] @ e0))
+                _matrix_defect(rep, f"ground_{name}_power_{n}", n + 1, bracket(x[n], e0), ratio * (x[n - 1] @ e0))
             )
 
     generic = DensePoly.from_coeffs((-1.0, 5.0, 2.0, -3.0, 1.0))
@@ -399,28 +419,31 @@ def check_rodrigues_operator(rep: OscillatorRep, n_max: int = 8, tolerance: floa
     e0 = rep.basis_vector(0)
     root_half = 1.0 / math.sqrt(2.0)
     p_pow, q_pow, adag_pow = (_powers(letter, n_max) for letter in (rep.p, rep.q, rep.adag))
+    # H_n, H_n(x / sqrt 2) and H_n(i x / sqrt 2) on their letters, each pair for all n at once
+    polys = [hermite_coeffs(value, n) for n in range(n_max + 1)]
+    scaled = [poly.dilate(root_half) for poly in polys]
+    imag = [poly.dilate(1j * root_half) for poly in polys]
+    pairs = ((scaled, rep.q), (scaled, rep.adag), (scaled, rep.p), (imag, rep.adag), (polys, rep.q), (polys, rep.p))
+    scaled_q, scaled_adag, scaled_p, imag_adag, poly_q, poly_p = (_poly_columns(f, m, e0) for f, m in pairs)
     entries = []
     for n in range(n_max + 1):
-        poly = hermite_coeffs(value, n)
-        scaled = poly.dilate(root_half)
         pref = gamma_mu(value, n) / (2.0 ** (n / 2.0) * math.factorial(n))
         pref_ladder = gamma_mu(value, n) / (2.0**n * math.factorial(n))
         norm = math.sqrt(gamma_mu(value, n)) / (2.0 ** (n / 2.0) * math.factorial(n))
         p_n, q_n = p_pow[n] @ e0, q_pow[n] @ e0
         e_n = rep.basis_vector(n)
-        # (tag, lhs, coefficient, polynomial, letter): lhs = coefficient * polynomial(letter) e_0
+        # (tag, lhs, coefficient, values): lhs = coefficient * column n of values
         rows = (
-            ("momentum_power_formula", p_n, 1j**n * pref, scaled, rep.q),
-            ("momentum_power_ladder", p_n, 1j**n * pref_ladder, scaled, rep.adag),
-            ("position_power_formula", q_n, (-1j) ** n * pref, scaled, rep.p),
-            ("position_power_ladder", q_n, (-1j) ** n * pref_ladder, poly.dilate(1j * root_half), rep.adag),
-            ("raising_power_formula", adag_pow[n] @ e0, pref, poly, rep.q),
-            ("basis_reconstruction", e_n, norm, poly, rep.q),
-            ("basis_reconstruction_dual", e_n, (-1j) ** n * norm, poly, rep.p),
+            ("momentum_power_formula", p_n, 1j**n * pref, scaled_q),
+            ("momentum_power_ladder", p_n, 1j**n * pref_ladder, scaled_adag),
+            ("position_power_formula", q_n, (-1j) ** n * pref, scaled_p),
+            ("position_power_ladder", q_n, (-1j) ** n * pref_ladder, imag_adag),
+            ("raising_power_formula", adag_pow[n] @ e0, pref, poly_q),
+            ("basis_reconstruction", e_n, norm, poly_q),
+            ("basis_reconstruction_dual", e_n, (-1j) ** n * norm, poly_p),
         )
-        for tag, lhs, coefficient, polynomial, letter in rows:
-            rhs = coefficient * _poly_apply(polynomial, letter, e0)
-            entries.append(_matrix_defect(rep, f"{tag}_{n}", n, lhs, rhs))
+        for tag, lhs, coefficient, values in rows:
+            entries.append(_matrix_defect(rep, f"{tag}_{n}", n, lhs, coefficient * values[:, n]))
     return CheckReport(name="rodrigues_operator", mu=value, size=size, tolerance=tolerance, entries=tuple(entries))
 
 
@@ -462,12 +485,15 @@ def check_representation(rep: OscillatorRep, tolerance: float = 1e-8) -> CheckRe
     phi_n = e^(-x^2/2) p and theta = theta(n), D from its definition gives
     D phi_n = e^(-x^2/2) q, q = p' + 2 mu theta p / x - x p, and D^2 phi_n =
     e^(-x^2/2) (Dq - x q), Dq = q' + 2 mu (1 - theta) q / x.  p, p' and p'' are
-    the recurrence's rows at the nodes of the (size + 8)-node rule, which
-    integrates each product exactly; at its node x = 0 (odd size) p / x -> p'(0)
+    the recurrence's rows at the nodes of the min(256, size + 8)-node rule; its
+    products have degree 2 (size - 2), so it is exact up to size 257 and a larger
+    size raises ValueError.  At its node x = 0 (odd size) p / x -> p'(0)
     and p'/x - p/x^2 -> 0 for odd p, q / x -> q'(0) for odd q.  No ladder
     matrix enters.  The transform column is bridged through the spectral route.
     """
     value, size = rep.mu, rep.size
+    if size > 257:
+        raise ValueError(f"the representation bridge needs size <= 257 (a rule of at most 256 nodes), got {size}")
     inner = size - 1
     rule = gauss_hermite_mu(value, min(256, size + 8))
     x, w = rule.nodes, rule.weights

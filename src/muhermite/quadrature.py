@@ -15,8 +15,8 @@ Both are built the same way (Golub-Welsch; Gautschi 2004): the nodes
 are the eigenvalues of a symmetric tridiagonal Jacobi matrix, from
 numpy's ``eigvalsh``, each polished by one Newton step on p_n; the
 weights are the Christoffel numbers 1 / sum_{k<n} p_k(x_j)^2, scaled to
-the exact mass.  Every p_k comes from ``_recurrence_table``, the one
-three-term evaluator: it tabulates the eigenfunctions in ``transform``, and its
+the exact mass.  Every p_k comes from ``_recurrence_table``, the one three-term evaluator
+(each row written in place): it tabulates the eigenfunctions in ``transform``, and its
 derivative rows (Gautschi 2004, 2.1) give the p', p'' the oscillator's bridge reads.
 Weights are never read off eigenvectors: the tiny outer weights (~1e-210 at
 n = 256) would lose their relative accuracy.
@@ -56,19 +56,29 @@ def _recurrence_table(diag, off, mass: float, x, order: int = 0) -> np.ndarray:
     with p_0 = mass^(-1/2); ``diag`` needs at least len(off) entries.  With order > 0
     the shape is (order + 1, m + 1, x.size), row [j, k] is p_k^(j) and the p rows keep their bits:
     p^(j)_{k+1} = (j p^(j-1)_k + (x - diag[k]) p^(j)_k - off[k-1] p^(j)_{k-1}) / off[k].
+    Rows are written in place, in the order ((x - diag[k]) p_k - off[k-1] p_{k-1} + j p^(j-1)_k) / off[k],
+    from one x - diag block (x itself for a +0.0 diag: x - 0.0 is x) and one scratch row.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     m = len(off)
+    off = np.asarray(off, dtype=float).tolist()
+    diag = np.asarray(diag[:m], dtype=float)
+    shifted = list(x - diag[:, None]) if diag.any() or np.signbit(diag).any() else [x] * m
     out = np.zeros((order + 1, m + 1, x.size))
     out[0, 0] = 1.0 / math.sqrt(mass)
+    scratch = np.empty(x.size)
+    below = None  # the rows of order j - 1
     for j, p in enumerate(out):
+        rows = list(p)
         for k in range(m):
-            step = (x - diag[k]) * p[k]
+            row = rows[k + 1]
+            np.multiply(shifted[k], rows[k], out=row)
             if k:
-                step -= off[k - 1] * p[k - 1]
+                np.subtract(row, np.multiply(rows[k - 1], off[k - 1], out=scratch), out=row)
             if j:
-                step += j * out[j - 1, k]
-            p[k + 1] = step / off[k]
+                np.add(row, np.multiply(below[k], j, out=scratch), out=row)
+            np.divide(row, off[k], out=row)
+        below = rows
     return out if order else out[0]
 
 
@@ -205,10 +215,11 @@ def _jacobi_coefficients(a: float, b: float, n: int):
         # n = 1 uses the cancelled form, which stays finite at s = -1.
         alpha[1] = (b * b - a * a) / ((2.0 + s) * (4.0 + s))
         beta[1] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + s) ** 2 * (3.0 + s))
-    for k in range(2, n):
-        t = 2.0 * k + s
-        alpha[k] = (b * b - a * a) / (t * (t + 2.0))
-        beta[k] = 4.0 * k * (k + a) * (k + b) * (k + s) / (t * t * (t + 1.0) * (t - 1.0))
+    # k >= 2 as arrays, each operation in the order of the scalar formulas
+    k = np.arange(2.0, n)
+    t = 2.0 * k + s
+    alpha[2:] = (b * b - a * a) / (t * (t + 2.0))
+    beta[2:] = 4.0 * k * (k + a) * (k + b) * (k + s) / (t * t * (t + 1.0) * (t - 1.0))
     return alpha, beta
 
 

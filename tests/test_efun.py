@@ -7,8 +7,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from muhermite.core import gamma_mu
-from muhermite.efun import c_s_mu, e_mu, heat_kernel, mehler_rhs
+from muhermite.core import gamma_mu, gamma_step
+from muhermite.efun import _miller, _series, c_s_mu, e_mu, heat_kernel, mehler_rhs
 from muhermite.quadrature import gauss_alpha_mu, gauss_hermite_mu
 from muhermite.transform import phi_eval
 
@@ -303,3 +303,57 @@ def test_averaging_integral_in_real_arithmetic_matches_the_complex_exp(mu):
     got = _averaging_integral(mu, z)
     assert got.shape == (20, 48)
     assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+def _plain_partial_sums(mu, z, count):
+    """acc_0 .. acc_{count-1} of sum z^m / gamma_mu(m), every step a fresh value.
+
+    A complex array term is divided part by part, as a Python complex is.
+    """
+    acc = term = 1.0 + 0.0 * z
+    sums = [acc]
+    for m in range(1, count):
+        term = term * z
+        if isinstance(term, np.ndarray) and np.iscomplexobj(term):
+            term = (term.view(float) / gamma_step(mu, m)).view(complex)
+        else:
+            term = term / gamma_step(mu, m)
+        acc = acc + term
+        sums.append(acc)
+    return sums
+
+
+@pytest.mark.parametrize("mu", [-0.45, 0.0, 0.731, 3.0])
+def test_series_steps_in_place_keep_every_bit(mu):
+    # the summed value is one of the plain loop's partial sums, bit for bit,
+    # on a real and a complex array and on a real and a complex scalar
+    z = np.linspace(-25.0, 25.0, 101)
+    for arg in (z, z * (0.3 + 0.7j), -17.3, complex(4.0, -9.5)):
+        got = _series(mu, arg)
+        sums = _plain_partial_sums(mu, arg, 160)
+        key = (lambda v: np.asarray(v).tobytes()) if isinstance(arg, np.ndarray) else repr
+        assert key(got) in {key(s) for s in sums}, (mu, arg)
+
+
+def _plain_miller(nu, x):
+    """The backward recurrence of c_s_mu, every step a fresh array."""
+    r = float(np.max(np.abs(x)))
+    x2 = x * x
+    q = 0.0 * x2
+    u = 1.0 + q
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for m in range(int(r + 10.0 * r ** (1.0 / 3.0) + 40.0) // 2 + 1, -1, -1):
+            e = 2.0 * (nu + 2 * m + 2) - q
+            q = x2 / e
+            d = 2.0 * (nu + 2 * m + 1) - q
+            rho = (nu + 2 * m + 2) / (m + 1) * ((nu + m) / (nu + 2 * m) if m else 1.0)
+            u = 1.0 + rho * q * u / d
+            q = x2 / d
+    return 1.0 / u, x / (d * u)
+
+
+@pytest.mark.parametrize("mu", [-0.45, 0.01, 0.731, 5.0])
+def test_miller_steps_in_place_keep_every_bit(mu):
+    x = np.concatenate((np.linspace(-300.0, 300.0, 241), [0.0, 1e-300, 9999.5]))
+    for got, want in zip(_miller(mu - 0.5, x), _plain_miller(mu - 0.5, x)):
+        assert got.tobytes() == want.tobytes()

@@ -7,7 +7,8 @@ import pytest
 
 import muhermite.exact as exact
 from muhermite.exact import IDENTITY_TAGS, identity_sides, verify_identity
-from muhermite.hermite import hermite_coeffs
+from muhermite.core import MU_CACHE_SIZE
+from muhermite.hermite import binomial_poly, hermite_coeffs
 from muhermite.poly import DensePoly
 from muhermite.verify import criterion_exact_identities
 
@@ -169,6 +170,17 @@ def test_derivative_table_is_shared_by_the_three_tags():
     table = exact._derivative_table(mu, exact.dunkl_definition)
     assert sorted(table) == list(range(10))
     assert table[5][2] == DensePoly.monomial(3, 4 * (5 + 2 * mu))  # D x^5 = (5 + 2 mu) x^4, D x^4 = 4 x^3
+
+
+def test_binomial_rows_are_shared_by_the_binomial_and_odd_even_tags(monkeypatch):
+    # the odd-even tag at degree n reads the row the binomial tag built at n - 1
+    mu = Fraction(4, 29)
+    built = []
+    monkeypatch.setattr(exact, "binomial_poly", lambda *a, **k: built.append(a[1]) or binomial_poly(*a, **k))
+    for tag in ("binomial_expansion", "odd_even_factor"):
+        assert verify_identity(tag, mu, 9).passed
+    assert built == list(range(10))
+    assert exact._binomial_table.cache_info().maxsize == MU_CACHE_SIZE
 
 
 def test_perturbed_derivative_bites_after_criterion_1_is_warm(monkeypatch):

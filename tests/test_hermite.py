@@ -129,6 +129,19 @@ def test_binomial_poly_specializations():
     assert q(1, 1) == 2**6
 
 
+@pytest.mark.parametrize("mu", [Fraction(0), MU, Fraction(-1, 4), Fraction(-3, 4), Fraction(7, 2)])
+def test_binomial_poly_row_over_one_denominator(mu):
+    # the row is built from integer numerators and denominators; each
+    # coefficient is still gamma_mu(n) / (gamma_mu(j) gamma_mu(n - j)) exactly,
+    # also at mu = -3/4, where gamma_mu(1) = -1/2 is negative
+    for n in range(16):
+        want = {
+            (j, n - j): gamma_mu_exact(mu, n) / (gamma_mu_exact(mu, j) * gamma_mu_exact(mu, n - j))
+            for j in range(n + 1)
+        }
+        assert binomial_poly(mu, n, exact=True).as_dict() == want
+
+
 class TestHeatPoly:
     def test_classical_quadratic(self):
         got = heat_poly(Fraction(0), 2, Fraction(1), exact=True)

@@ -7,7 +7,9 @@ from numpy.testing import assert_allclose
 
 from muhermite.cli import main
 from muhermite.core import gamma_mu
+from muhermite.hermite import hermite_coeffs
 from muhermite.oscillator import (
+    _matrix_defect,
     build,
     check_commutation,
     check_equations_of_motion,
@@ -246,3 +248,92 @@ def test_cli_check_matches_run_all(name, capsys):
         (family,) = [r for r in run_all(build(0.5, size)) if r.name == name]
         assert code == 0, size
         assert blob == [family.to_json()]
+
+
+def _reference_rodrigues(rep, n_max):
+    """(tag, word, lhs, rhs) of the Rodrigues family, each right-hand side by its own Horner pass."""
+
+    def horner(poly, m):
+        acc = np.zeros(rep.size, dtype=complex)
+        for c in reversed(poly.coeffs):
+            acc = m @ acc + complex(c) * e0
+        return acc
+
+    mu, e0, half = rep.mu, rep.basis_vector(0), 1.0 / math.sqrt(2.0)
+    rows = []
+    for n in range(n_max + 1):
+        poly = hermite_coeffs(mu, n)
+        scaled, g = poly.dilate(half), gamma_mu(mu, n)
+        pref, ladder = g / (2.0 ** (n / 2.0) * math.factorial(n)), g / (2.0**n * math.factorial(n))
+        norm = math.sqrt(g) / (2.0 ** (n / 2.0) * math.factorial(n))
+        p_n, q_n = _successive_power(rep.p, n) @ e0, _successive_power(rep.q, n) @ e0
+        rows += [
+            (f"momentum_power_formula_{n}", n, p_n, 1j**n * pref * horner(scaled, rep.q)),
+            (f"momentum_power_ladder_{n}", n, p_n, 1j**n * ladder * horner(scaled, rep.adag)),
+            (f"position_power_formula_{n}", n, q_n, (-1j) ** n * pref * horner(scaled, rep.p)),
+            (f"position_power_ladder_{n}", n, q_n, (-1j) ** n * ladder * horner(poly.dilate(1j * half), rep.adag)),
+            (f"raising_power_formula_{n}", n, _successive_power(rep.adag, n) @ e0, pref * horner(poly, rep.q)),
+            (f"basis_reconstruction_{n}", n, rep.basis_vector(n), norm * horner(poly, rep.q)),
+            (f"basis_reconstruction_dual_{n}", n, rep.basis_vector(n), (-1j) ** n * norm * horner(poly, rep.p)),
+        ]
+    return rows
+
+
+def _successive_power(m, n):
+    out = np.eye(len(m), dtype=m.dtype)
+    for _ in range(n):
+        out = out @ m
+    return out
+
+
+def _reference_ground_brackets(rep, top):
+    """(tag, word, lhs, rhs) of the ground entries, each bracket a full matrix commutator on e_0."""
+    e0 = rep.basis_vector(0)
+    brackets = {
+        "position": (rep.q, lambda m: 1j * (rep.p @ m - m @ rep.p)),
+        "momentum": (rep.p, lambda m: 1j * (m @ rep.q - rep.q @ m)),
+        "ladder": (rep.adag, lambda m: rep.a @ m - m @ rep.a),
+    }
+    rows = []
+    for n in range(1, top + 1):
+        ratio = gamma_mu(rep.mu, n) / gamma_mu(rep.mu, n - 1)
+        for name, (letter, bracket) in brackets.items():
+            lhs = bracket(_successive_power(letter, n)) @ e0
+            rows.append((f"ground_{name}_power_{n}", n + 1, lhs, ratio * (_successive_power(letter, n - 1) @ e0)))
+    return rows
+
+
+@pytest.mark.parametrize("mu", [-0.45, 0.0, 0.731, 1.5])
+@pytest.mark.parametrize("size", [24, 33])
+def test_letter_blocks_match_the_per_n_reference(mu, size):
+    # run_all evaluates each (polynomial family, letter) pair for every n in one
+    # Horner pass and a ground bracket by matrix-vector products; against one
+    # Horner pass per n and the full matrix commutator the defects agree to
+    # rounding (bit for bit where gemm and gemv round alike), with the same verdicts
+    rep = build(mu, size)
+    reports = {r.name: r for r in run_all(rep)}
+    for name, rows in (
+        ("rodrigues_operator", _reference_rodrigues(rep, 8)),
+        ("ladder_powers", _reference_ground_brackets(rep, 7)),
+    ):
+        entries = {e.tag: e for e in reports[name].entries}
+        for tag, word, lhs, rhs in rows:
+            got, want = entries[tag], _matrix_defect(rep, tag, word, lhs, rhs)
+            assert got.word_length == want.word_length
+            assert_allclose(got.scale, want.scale, rtol=1e-15)
+            tol = 1e-15 * want.scale
+            assert_allclose(got.column_defects, want.column_defects, rtol=1e-15, atol=tol, err_msg=tag)
+            assert (got.interior < reports[name].tolerance) == (want.interior < reports[name].tolerance), tag
+
+
+def test_representation_bridge_refuses_sizes_past_its_rule():
+    # the bridge's products have degree 2 (size - 2); 256 nodes, the largest
+    # rule, integrate them exactly through size 257 and no further
+    assert check_representation(build(0.5, 257)).passed
+    with pytest.raises(ValueError, match="size <= 257"):
+        check_representation(build(0.5, 258))
+
+
+def test_cli_representation_past_its_rule_exits_2(capsys):
+    assert main(["oscillator", "--mu", "0.5", "--size", "258", "--check", "representation"]) == 2
+    assert "size <= 257" in capsys.readouterr().err

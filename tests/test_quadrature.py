@@ -8,7 +8,7 @@ from scipy.special import roots_genlaguerre, roots_jacobi
 
 from muhermite.core import alpha_mu_moment, gamma_half, gamma_mu, gamma_mu_exact, gamma_step
 from muhermite.hermite import hermite_coeffs
-from muhermite.quadrature import _recurrence_table, gauss_alpha_mu, gauss_hermite_mu, jacobi_rule
+from muhermite.quadrature import _jacobi_coefficients, _recurrence_table, gauss_alpha_mu, gauss_hermite_mu, jacobi_rule
 
 
 class TestGaussHermiteMu:
@@ -250,3 +250,41 @@ def test_derivative_rows_match_exact_hermite_derivatives():
             want = c * np.array([float(poly(t)) for t in points])
             # relative to the row's size, since a row passes near its zeros
             assert_allclose(rows[j, n], want, rtol=1e-12, atol=1e-12 * np.abs(want).max(), err_msg=f"n={n} j={j}")
+
+
+def _plain_recurrence(diag, off, mass, x, order):
+    """The recursion one step at a time, every step a fresh array."""
+    out = np.zeros((order + 1, len(off) + 1, x.size))
+    out[0, 0] = 1.0 / math.sqrt(mass)
+    for j in range(order + 1):
+        for k in range(len(off)):
+            step = (x - diag[k]) * out[j, k]
+            if k:
+                step -= off[k - 1] * out[j, k - 1]
+            if j:
+                step += j * out[j - 1, k]
+            out[j, k + 1] = step / off[k]
+    return out
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_recurrence_table_steps_in_place_keep_every_bit(order):
+    # zero diagonal (hermite_mu, phi) and a nonzero one (Jacobi), nodes at -0.0 and 0.0 too
+    x = np.concatenate((np.linspace(-4.0, 4.0, 37), [-0.0, 0.0]))
+    alpha, beta = _jacobi_coefficients(0.731 - 1.0, 0.731, 41)
+    hermite_off = np.sqrt(gamma_step(0.731, np.arange(1, 41)) / 2.0)
+    for diag, off, mass in ((np.zeros(40), hermite_off, gamma_half(0.731)), (alpha, np.sqrt(beta[1:]), 1.0)):
+        got = _recurrence_table(diag, off, mass, x, order)
+        want = _plain_recurrence(diag, off, mass, x, order)
+        assert got.tobytes() == (want if order else want[0]).tobytes()
+
+
+@pytest.mark.parametrize("a, b", [(-0.5, 0.5), (0.731 - 1.0, 0.731), (0.25, 0.25), (3.5, -0.75)])
+def test_jacobi_coefficients_as_arrays_keep_every_bit(a, b):
+    # the k >= 2 coefficients, formula by formula in Python floats
+    alpha, beta = _jacobi_coefficients(a, b, 193)
+    s = a + b
+    for k in range(2, 193):
+        t = 2.0 * k + s
+        assert alpha[k] == (b * b - a * a) / (t * (t + 2.0))
+        assert beta[k] == 4.0 * k * (k + a) * (k + b) * (k + s) / (t * t * (t + 1.0) * (t - 1.0))
