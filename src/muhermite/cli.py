@@ -208,11 +208,14 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_oscillator(args) -> int:
-    rep = osc.build(args.mu, args.size)
     table = osc.check_table(args.ladder_nmax, args.rodrigues_nmax)
     if args.check is not None and args.check not in table:
         raise ValueError(f"unknown --check {args.check!r}; known: {', '.join(sorted(table))}")
-    reports = [table[name](rep) for name in ([args.check] if args.check else table)]
+    names = [args.check] if args.check else list(table)
+    if "representation" in names:
+        osc._check_bridge_size(args.size)  # before the build and every family
+    rep = osc.build(args.mu, args.size)
+    reports = [table[name](rep) for name in names]
     _emit(json.dumps([r.to_json() for r in reports], indent=2) + "\n", args.out)
     return 0 if all(r.passed for r in reports) else 1
 

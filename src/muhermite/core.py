@@ -267,7 +267,11 @@ def _gamma_table_cached(mu: float, size: int) -> GammaMuTable:
     steps = gamma_step(mu, np.arange(1, size + 1))
     with np.errstate(over="ignore"):
         values = np.cumprod(np.concatenate(([1.0], steps)))
-    logs = np.cumsum(np.concatenate(([0.0], np.log(steps))))
+    terms = np.concatenate(([0.0], np.log(steps)))
+    logs = np.cumsum(terms)
+    below = np.concatenate(([0.0], logs[:-1]))  # add back each step's rounding error (TwoSum)
+    added = logs - below
+    logs = logs + np.cumsum((below - (logs - added)) + (terms - added))
     values.setflags(write=False)
     logs.setflags(write=False)
     return GammaMuTable(mu=mu, values=values, log_values=logs)

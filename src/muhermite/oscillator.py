@@ -477,6 +477,12 @@ def check_rotation(rep: OscillatorRep, angles=(0.3, 1.1), tolerance: float = 1e-
     return CheckReport(name="rotation", mu=value, size=size, tolerance=tolerance, entries=tuple(entries))
 
 
+def _check_bridge_size(size: int) -> int:
+    if size > 257:
+        raise ValueError(f"the representation bridge needs size <= 257 (a rule of at most 256 nodes), got {size}")
+    return size
+
+
 def check_representation(rep: OscillatorRep, tolerance: float = 1e-8) -> CheckReport:
     """Matrix entries against weighted-measure inner products.
 
@@ -491,9 +497,7 @@ def check_representation(rep: OscillatorRep, tolerance: float = 1e-8) -> CheckRe
     and p'/x - p/x^2 -> 0 for odd p, q / x -> q'(0) for odd q.  No ladder
     matrix enters.  The transform column is bridged through the spectral route.
     """
-    value, size = rep.mu, rep.size
-    if size > 257:
-        raise ValueError(f"the representation bridge needs size <= 257 (a rule of at most 256 nodes), got {size}")
+    value, size = rep.mu, _check_bridge_size(rep.size)
     inner = size - 1
     rule = gauss_hermite_mu(value, min(256, size + 8))
     x, w = rule.nodes, rule.weights

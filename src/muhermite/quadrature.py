@@ -14,9 +14,13 @@ Two families are exposed:
 Both are built the same way (Golub-Welsch; Gautschi 2004): the nodes
 are the eigenvalues of a symmetric tridiagonal Jacobi matrix, from
 numpy's ``eigvalsh``, each polished by one Newton step on p_n; the
-weights are the Christoffel numbers 1 / sum_{k<n} p_k(x_j)^2, scaled to
-the exact mass.  Every p_k comes from ``_recurrence_table``, the one three-term evaluator
-(each row written in place): it tabulates the eigenfunctions in ``transform``, and its
+weights are the Christoffel numbers 1 / S, S = sum_{k<n} p_k(x_j)^2, scaled to
+the exact mass.  One recurrence pass gives both: S' = K S at a zero of p_n carries
+S across the Newton step (an O(step^2) remainder), with K = p_n'' / p_n' from the
+weight's differential equation (DLMF 18.8.1): (a - b + (a + b + 2) t) / (1 - t^2)
+for (1 - t)^a (1 + t)^b, and 2x - 2 mu / x for hermite_mu (Laguerre in x^2).
+Every p_k comes from ``_recurrence_table``, the one three-term evaluator (each row
+written in place): it tabulates the eigenfunctions in ``transform``, and its
 derivative rows (Gautschi 2004, 2.1) give the p', p'' the oscillator's bridge reads.
 Weights are never read off eigenvectors: the tiny outer weights (~1e-210 at
 n = 256) would lose their relative accuracy.
@@ -91,31 +95,31 @@ def _eigenvalues(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(jacobi)
 
 
-def _polish(diag: np.ndarray, off: np.ndarray, nodes: np.ndarray):
-    """One Newton step on p_n at each node, and the Christoffel numbers there.
+def _polish(diag: np.ndarray, off: np.ndarray, nodes: np.ndarray, curvature):
+    """One Newton step on p_n at each node, and the Christoffel numbers there, from one table.
 
     n = len(diag) and ``off`` carries n entries; the last one enters only
     p_n.  The weights are those of the unit-mass measure, unnormalized.
+    ``curvature(x)`` is K = p_n'' / p_n' at a zero of p_n.  With S = sum_{k<n} p_k^2
+    = off[n-1] (p_n' p_{n-1} - p_{n-1}' p_n) (confluent Christoffel-Darboux), S' =
+    K S + O(p_n), so S at the zero x - step is S (1 - K step) + O(step^2); the step
+    is Newton's own, not the rounded node's move, so the weight is the true zero's.
     """
     n = len(diag)
     # Christoffel-Darboux: p_n' p_{n-1} = sum_{k<n} p_k^2 / off[n-1] at a zero of p_n.
     table = _recurrence_table(diag, off, 1.0, nodes)
     christoffel = np.einsum("kj,kj->j", table[:n], table[:n])
-    nodes = nodes - off[n - 1] * table[n] * table[n - 1] / christoffel
-    # Each (n + 1)-row table is released before the next is made: in a sweep
-    # over fresh mu this transient sets the peak memory.
-    del table
-    table = _recurrence_table(diag, off[: n - 1], 1.0, nodes)
-    return nodes, 1.0 / np.einsum("kj,kj->j", table, table)
+    step = off[n - 1] * table[n] * table[n - 1] / christoffel
+    return nodes - step, 1.0 / (christoffel * (1.0 - curvature(nodes) * step))
 
 
-def _gauss_rule(diag: np.ndarray, off: np.ndarray):
+def _gauss_rule(diag: np.ndarray, off: np.ndarray, curvature):
     """Unit-mass Gauss rule of size n = len(diag).
 
     ``off`` carries n entries; the last one enters only p_n, for the
-    Newton step, and not the Jacobi matrix.
+    Newton step, and not the Jacobi matrix; ``curvature`` is as in ``_polish``.
     """
-    nodes, weights = _polish(diag, off, _eigenvalues(diag, off))
+    nodes, weights = _polish(diag, off, _eigenvalues(diag, off), curvature)
     return nodes, weights / weights.sum()
 
 
@@ -158,7 +162,9 @@ def _hermite_rule_cached(mu: float, n: int) -> QuadratureRule:
     t = _eigenvalues(2.0 * j + a1, np.sqrt((j + 1.0) * (j + a1)))
     half = np.concatenate((np.zeros(odd), np.sqrt(t)))
     off = np.sqrt(gamma_step(mu, np.arange(1, n + 1)) / 2.0)
-    half, weights = _polish(np.zeros(n), off, half)
+    # at the x = 0 node of an odd rule p_n(0) = 0, so the step is 0 and K is not formed
+    curvature = lambda x: 2.0 * x - np.divide(2.0 * mu, x, out=np.zeros_like(x), where=x != 0.0)
+    half, weights = _polish(np.zeros(n), off, half, curvature)
     mass = gamma_half(mu)
     # Each positive node stands for itself and its mirror image.
     weights = weights * (mass / (2.0 * weights.sum() - weights[:odd].sum()))
@@ -231,7 +237,8 @@ def _jacobi_rule_cached(a: float, b: float, n: int):
     and jacobi_rule share one eigenproblem per mu.
     """
     alpha, beta = _jacobi_coefficients(a, b, n + 1)
-    nodes, weights = _gauss_rule(alpha[:n], np.sqrt(beta[1:]))
+    # K from (1 - t^2) y'' + (b - a - (a + b + 2) t) y' + n (n + a + b + 1) y = 0
+    nodes, weights = _gauss_rule(alpha[:n], np.sqrt(beta[1:]), lambda t: (a - b + (a + b + 2.0) * t) / (1.0 - t * t))
     return (
         QuadratureRule(nodes, weights, 2 * n - 1, "alpha_mu", 1.0),
         QuadratureRule(nodes, beta[0] * weights, 2 * n - 1, "jacobi", beta[0]),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import muhermite.oscillator as osc
 from muhermite.cli import main
 from muhermite.core import gamma_mu
 from muhermite.hermite import hermite_coeffs
@@ -337,3 +338,16 @@ def test_representation_bridge_refuses_sizes_past_its_rule():
 def test_cli_representation_past_its_rule_exits_2(capsys):
     assert main(["oscillator", "--mu", "0.5", "--size", "258", "--check", "representation"]) == 2
     assert "size <= 257" in capsys.readouterr().err
+
+
+def test_cli_refuses_the_bridge_size_before_any_family_runs(monkeypatch, capsys):
+    calls = []
+    for name in ["build"] + [f"check_{family}" for family in check_table()]:
+        real = getattr(osc, name)
+        monkeypatch.setattr(osc, name, lambda *a, _name=name, _real=real, **k: calls.append(_name) or _real(*a, **k))
+    assert main(["oscillator", "--mu", "0.5", "--size", "258"]) == 2
+    assert "the representation bridge needs size <= 257" in capsys.readouterr().err
+    assert calls == []
+    # a family with no size limit still runs at that size
+    assert main(["oscillator", "--mu", "0.5", "--size", "258", "--check", "structure"]) == 0
+    assert calls == ["build", "check_structure"]

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.special import roots_genlaguerre, roots_jacobi
 
 from muhermite.core import alpha_mu_moment, gamma_half, gamma_mu, gamma_mu_exact, gamma_step
+import muhermite.quadrature as quadrature
 from muhermite.hermite import hermite_coeffs
 from muhermite.quadrature import _jacobi_coefficients, _recurrence_table, gauss_alpha_mu, gauss_hermite_mu, jacobi_rule
 
@@ -288,3 +290,112 @@ def test_jacobi_coefficients_as_arrays_keep_every_bit(a, b):
         t = 2.0 * k + s
         assert alpha[k] == (b * b - a * a) / (t * (t + 2.0))
         assert beta[k] == 4.0 * k * (k + a) * (k + b) * (k + s) / (t * t * (t + 1.0) * (t - 1.0))
+
+
+# Uncached rule builders, each returning its nodes: hermite_mu (mu, n), and the
+# Jacobi weight (a, b) behind both gauss_alpha_mu and jacobi_rule.
+_HERMITE_BUILDS = [(mu, n) for mu in (-0.45, 0.0, 0.7731, 3.0) for n in (2, 32, 33, 256)]
+_JACOBI_BUILDS = [(mu - 1.0, mu, n) for mu in (0.05, 0.7731, 2.4) for n in (2, 80, 192)] + [
+    (0.3, -0.6, n) for n in (2, 80, 192)
+]
+
+
+def _build(case):
+    if len(case) == 2:
+        return quadrature._hermite_rule_cached.__wrapped__(*case).nodes
+    return quadrature._jacobi_rule_cached.__wrapped__(*case)[1].nodes
+
+
+@pytest.mark.parametrize("case", _HERMITE_BUILDS + _JACOBI_BUILDS, ids=str)
+def test_polish_curvature_is_the_second_derivative_ratio(monkeypatch, case):
+    # _polish carries the Christoffel number across the Newton step with
+    # K = p_n'' / p_n' at a zero of p_n; a slip in K's sign or formula shows
+    # against the order-2 rows of the same recurrence at the rule's nodes.
+    # K crosses 0 between nodes, where the rounded node's p_n term of the
+    # differential equation is left (1.3e-8 of K at one Jacobi n = 192 node),
+    # so the rtol is of the size of K's two terms
+    seen = []
+    polish = quadrature._polish
+
+    def recorder(diag, off, x, curvature):
+        seen.append((diag, off, curvature))
+        return polish(diag, off, x, curvature)
+
+    monkeypatch.setattr(quadrature, "_polish", recorder)
+    nodes = _build(case)
+    ((diag, off, curvature),) = seen
+    x = nodes[nodes != 0.0]
+    rows = _recurrence_table(diag, off, 1.0, x, order=2)
+    if len(case) == 2:
+        terms = 2.0 * np.abs(x) + 2.0 * abs(case[0]) / np.abs(x)
+    else:
+        terms = (abs(case[0] - case[1]) + abs(case[0] + case[1] + 2.0) * np.abs(x)) / (1.0 - x * x)
+    assert np.all(np.abs(curvature(x) - rows[2, len(diag)] / rows[1, len(diag)]) <= 1e-9 * terms)
+
+
+@pytest.mark.parametrize("case", [(0.7731, 32), (0.7731, 33), (0.7731 - 1.0, 0.7731, 80), (0.3, -0.6, 2)], ids=str)
+def test_each_rule_build_runs_the_recurrence_once(monkeypatch, case):
+    calls = []
+    table = quadrature._recurrence_table
+    monkeypatch.setattr(quadrature, "_recurrence_table", lambda *a, **k: calls.append(a) or table(*a, **k))
+    _build(case)
+    assert len(calls) == 1
+
+
+def _christoffel_at_true_zeros(diag, beta, mass, nodes):
+    """Christoffel numbers at the true zeros of P_n, to 30 digits, by Newton from the given nodes.
+
+    P is monic, P_{k+1} = (x - diag[k]) P_k - beta[k] P_{k-1} (beta[0] unused), and
+    the Christoffel number is 1 / sum_{k<n} P_k^2 / h_k, h_k = mass beta[1] ... beta[k].
+    Every argument is a Decimal; the arithmetic is 30-digit decimal on object
+    arrays, about ten times faster than mpmath's pure-Python numbers.  One Newton
+    step from a float node lands within ~1e-30 of the zero; the next step is checked.
+    """
+    n = len(diag)
+    with localcontext(prec=30):
+        x = np.array([Decimal(float(v)) for v in nodes], dtype=object)
+        zero, one = np.full_like(x, Decimal(0)), np.full_like(x, Decimal(1))
+        prev, cur, dprev, dcur = zero, one, zero, zero
+        for k in range(n):
+            shifted = x - diag[k]
+            prev, cur, dprev, dcur = cur, shifted * cur - beta[k] * prev, dcur, cur + shifted * dcur - beta[k] * dprev
+        x = x - cur / dcur
+        inv_h = [1 / mass]
+        for k in range(1, n):
+            inv_h.append(inv_h[-1] / beta[k])
+        prev, cur, total = zero, one, zero
+        for k in range(n):
+            total = total + cur * cur * inv_h[k]
+            prev, cur = cur, (x - diag[k]) * cur - beta[k] * prev
+        assert all(abs(c / d) <= Decimal("1e-26") * max(abs(v), 1) for c, d, v in zip(cur, dcur, x))
+        return np.array([float(1 / v) for v in total])
+
+
+@pytest.mark.parametrize(
+    "case", [(-0.95, 0.05, 80), (1.4, 2.4, 80), (-0.45, 96), (-0.45, 97), (1.5, 96), (1.5, 97)], ids=str
+)
+def test_one_pass_weights_match_christoffel_numbers_at_the_true_zeros(case):
+    # worst 5.7e-14 (Jacobi (1.4, 2.4)); the two-pass weights at the rounded nodes
+    # were 1.3e-13 there.  hermite_mu: the nonnegative half, the rule is its mirror
+    mpmath = pytest.importorskip("mpmath")
+    with localcontext(prec=30), mpmath.workdps(34):
+        if len(case) == 3:
+            a, b, n = case
+            rule = jacobi_rule(a, b, n)
+            a, b, s = Decimal(a), Decimal(b), Decimal(a) + Decimal(b)
+            diag = [(b - a) / (s + 2)] + [(b * b - a * a) / ((2 * k + s) * (2 * k + s + 2)) for k in range(1, n)]
+            beta = [0, 4 * (1 + a) * (1 + b) / ((2 + s) ** 2 * (3 + s))] + [
+                4 * k * (k + a) * (k + b) * (k + s) / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1))
+                for k in range(2, n)
+            ]
+            mass = 2 ** (mpmath.mpf(case[0]) + case[1] + 1) * mpmath.beta(mpmath.mpf(case[0]) + 1, case[1] + 1)
+            nodes, weights = rule.nodes, rule.weights
+        else:
+            mu, n = case
+            rule = gauss_hermite_mu(mu, n)
+            diag = [Decimal(0)] * n
+            beta = [0] + [(k + 2 * Decimal(mu) * (k % 2)) / 2 for k in range(1, n)]
+            mass = mpmath.gamma(mpmath.mpf(mu) + 0.5)
+            nodes, weights = rule.nodes[n // 2 :], rule.weights[n // 2 :]
+        mass = Decimal(mpmath.nstr(mass, 34, min_fixed=-mpmath.inf, max_fixed=mpmath.inf))
+    assert_allclose(weights, _christoffel_at_true_zeros(diag, beta, mass, nodes), rtol=2e-13, atol=0)
