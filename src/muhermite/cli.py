@@ -212,8 +212,7 @@ def _cmd_oscillator(args) -> int:
     if args.check is not None and args.check not in table:
         raise ValueError(f"unknown --check {args.check!r}; known: {', '.join(sorted(table))}")
     names = [args.check] if args.check else list(table)
-    if "representation" in names:
-        osc._check_bridge_size(args.size)  # before the build and every family
+    osc._check_limits(args.mu, args.size, names, args.ladder_nmax, args.rodrigues_nmax)  # before the build
     rep = osc.build(args.mu, args.size)
     reports = [table[name](rep) for name in names]
     _emit(json.dumps([r.to_json() for r in reports], indent=2) + "\n", args.out)
@@ -314,8 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=int, default=32)
     p.add_argument("--check", default=None, help=f"run a single named check: {', '.join(osc.check_table())}")
     p.add_argument("--ladder-nmax", type=int, default=3)
-    p.add_argument("--rodrigues-nmax", type=int, default=8, help="highest power in the Rodrigues family; its monomial "
-                   "form cancels: at --size 48 it passes through 20 and fails at 24 for mu = 0 and 1.5 (tol 1e-11)")
+    p.add_argument("--rodrigues-nmax", type=int, default=8, help="highest power in the Rodrigues family: at most "
+                   "--size - 2, and at most 170 (less where gamma_mu(n) overflows)")
     p.set_defaults(handler=_cmd_oscillator)
 
     p = sub.add_parser("verify", help="acceptance suite; with --mu, the exact identity suite at that mu")

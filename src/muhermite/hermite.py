@@ -92,14 +92,25 @@ def hermite_eval(mu, n: int, x):
         raise ValueError("polynomial degree must be nonnegative")
     value = as_mu(mu).require_numeric()
     x, shaped = _as_grid(x)
-    h_prev = np.ones_like(x)
+    two_x = 2.0 * x
+    for h in _hermite_steps(value, n, lambda v: two_x * v, np.ones_like(x)):
+        pass
+    return shaped(h)
+
+
+def _hermite_steps(value: float, n: int, times_two_x, h):
+    """H_0 h, ..., H_n h by hermite_eval's recursion, the package's one copy of it;
+    times_two_x(v) gives 2 x v, for x a grid or a matrix acting on vectors."""
+    h_prev = h
+    yield h_prev
     if n == 0:
-        return shaped(h_prev)
-    h_cur = 2.0 * x / gamma_step(value, 1)
+        return
+    h_cur = times_two_x(h_prev) / gamma_step(value, 1)
+    yield h_cur
     for k in range(1, n):
-        h_next = (k + 1) / gamma_step(value, k + 1) * (2.0 * x * h_cur - 2.0 * k * h_prev)
+        h_next = (k + 1) / gamma_step(value, k + 1) * (times_two_x(h_cur) - 2.0 * k * h_prev)
         h_prev, h_cur = h_cur, h_next
-    return shaped(h_cur)
+        yield h_cur
 
 
 def _mu_like(mu, p: DensePoly):

@@ -18,11 +18,12 @@ backward-style residual.
 Each decision is written once.  `_brackets` holds the bracket of each
 letter pair ([A, X], i[P, X], i[X, Q]), which acts on a polynomial in
 its letter as the reflection-corrected derivative; the power, ground
-and intertwining identities loop over its rows.  `_matrix_defect` is
-the one defect measure, a vector being a one-column matrix.  `_powers`
-gives a letter's powers by successive products, built once per letter
-in each family, and `_poly_columns` a polynomial family on a letter for
-every degree in one Horner pass; nothing is kept on a rep or across reps.
+and intertwining identities loop over its rows.  `_matrix_defect` is the
+one defect measure, one |.| pass over a matrix identity or over a block
+of vector identities, each column measured as if alone.  `_powers` gives
+the letter powers the matrix identities need, `_krylov` the vectors
+X^n e_0, and `hermite._hermite_steps`, the one three-term recursion,
+H_n(sX) e_0 for every n; nothing is kept on a rep or across reps.
 `check_table` lists the check families in report order for both
 `run_all` and the CLI.  The representation bridge applies D from its
 definition to the rows p, p', p'' of `quadrature._recurrence_table` at
@@ -43,8 +44,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import as_mu, gamma_mu
-from .hermite import dunkl_apply, hermite_coeffs
+from .core import as_mu, gamma_table
+from .hermite import _hermite_steps, dunkl_apply
 from .poly import DensePoly
 from .quadrature import gauss_hermite_mu
 from .transform import SpectralVector, _phi_rows, fourier_spectral, operator_matrix
@@ -173,42 +174,36 @@ def build(mu, size: int) -> OscillatorRep:
     return OscillatorRep(value, size, *(operator_matrix(param, kind, size) for kind in kinds))
 
 
-def _require_word(rep: OscillatorRep, k: int) -> None:
-    if k > rep.max_word:
-        raise ValueError(f"word length {k} exceeds the truncation interior (max {rep.max_word})")
+def _require_word(size: int, k: int) -> None:
+    if k > size - 1:
+        raise ValueError(f"word length {k} exceeds the truncation interior (max {size - 1})")
 
 
-def _matrix_defect(rep: OscillatorRep, tag: str, word_length: int, lhs, rhs) -> IdentityDefect:
-    """Defect of lhs = rhs; a vector is a one-column matrix.
+def _matrix_defect(rep: OscillatorRep, tag, word_length, lhs, rhs):
+    """Defect of lhs = rhs, from one |.| pass over the stacked (lhs - rhs, lhs, rhs).
 
-    _require_word keeps the first column interior, so a vector identity
-    has no edge and its one column defect is the raw interior defect.
+    A matrix identity is asserted on its interior columns.  Given lists of tags and word
+    lengths, lhs and rhs hold that many vector identities as columns, and each defect in the
+    returned list is that of its column alone: a vector is kept interior, so it has no edge.
     """
-    _require_word(rep, word_length)
-    cols = np.abs(lhs - rhs).max(axis=0).tolist()
-    if lhs.ndim == 1:
-        cols, keep = [cols], 1
-    else:
+    if isinstance(tag, str) and lhs.ndim == 1:
+        return _matrix_defect(rep, [tag], [word_length], lhs[:, None], rhs[:, None])[0]
+    _require_word(rep.size, word_length if isinstance(tag, str) else max(word_length))
+    cols, lhs_max, rhs_max = np.abs(np.array((lhs - rhs, lhs, rhs))).max(axis=1).tolist()
+    if isinstance(tag, str):
         keep = min(len(cols), rep.size - word_length)
-        lhs, rhs = lhs[:, :keep], rhs[:, :keep]
-    scale = float(max(1.0, np.abs(lhs).max(), np.abs(rhs).max()))
-    interior_raw = max(cols[:keep])
-    return IdentityDefect(
-        tag=tag,
-        word_length=word_length,
-        interior=interior_raw / scale,
-        interior_raw=interior_raw,
-        edge_raw=max(cols[keep:], default=0.0),
-        scale=scale,
-        column_defects=tuple(cols),
-    )
+        scale, raw = max(1.0, max(lhs_max[:keep]), max(rhs_max[:keep])), max(cols[:keep])
+        return IdentityDefect(tag, word_length, raw / scale, raw, max(cols[keep:], default=0.0), scale, tuple(cols))
+    scales = [max(1.0, a, b) for a, b in zip(lhs_max, rhs_max)]
+    return [IdentityDefect(t, w, c / s, c, 0.0, s, (c,)) for t, w, c, s in zip(tag, word_length, cols, scales)]
 
 
 def _commutator(x, y, v=None):
-    """XY - YX, or given a vector v, X(Y v) - Y(X v) without the matrix products."""
+    """XY - YX, or given a vector v, X(Y v) - Y(X v), where X or Y may be a function applying it."""
     if v is None:
         return x @ y - y @ x
-    return x @ (y @ v) - y @ (x @ v)
+    x, y = x if callable(x) else x.__matmul__, y if callable(y) else y.__matmul__
+    return x(y(v)) - y(x(v))
 
 
 def _powers(m: np.ndarray, k: int) -> list:
@@ -219,23 +214,19 @@ def _powers(m: np.ndarray, k: int) -> list:
     return out
 
 
+def _krylov(m: np.ndarray, v: np.ndarray, k: int) -> np.ndarray:
+    """The columns v, M v, ..., M^k v."""
+    out = [v]
+    for _ in range(k):
+        out.append(m @ out[-1])
+    return np.stack(out, axis=1)
+
+
 def _poly_apply(p: DensePoly, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """p(M) v by Horner on v; pass the identity for the matrix p(M) itself."""
+    """p(M) v by Horner on v."""
     acc = np.zeros(v.shape, dtype=complex)
     for c in reversed(p.coeffs):
         acc = m @ acc + complex(c) * v
-    return acc
-
-
-def _poly_columns(polys: list, m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Column n is polys[n](M) v, all n in one Horner pass; below its degree a column stays zero,
-    so it takes the steps _poly_apply takes for polys[n] alone."""
-    coeffs = np.zeros((max(p.degree for p in polys) + 1, len(polys)), dtype=complex)
-    for n, p in enumerate(polys):
-        coeffs[: p.degree + 1, n] = p.coeffs
-    acc = np.zeros((len(v), len(polys)), dtype=complex)
-    for c in coeffs[::-1]:
-        acc = m @ acc + c * v[:, None]
     return acc
 
 
@@ -281,15 +272,12 @@ def check_structure(rep: OscillatorRep, tolerance: float = 1e-11) -> CheckReport
 
     e0 = rep.basis_vector(0)
     a_pow, adag_pow = _powers(rep.a, 5), _powers(rep.adag, 6)
-    for m, n in ((1, 3), (2, 5), (3, 3), (4, 6)):
-        word = m + n
-        lhs = a_pow[m] @ adag_pow[n] @ e0
-        ratio = gamma_mu(value, n) / gamma_mu(value, n - m)
-        rhs = ratio * (adag_pow[n - m] @ e0)
-        entries.append(_matrix_defect(rep, f"ladder_chain_{m}_{n}", word, lhs, rhs))
-    for m, n in ((3, 2), (5, 4)):
-        lhs = a_pow[m] @ adag_pow[n] @ e0
-        entries.append(_matrix_defect(rep, f"ladder_chain_kill_{m}_{n}", m + n, lhs, np.zeros(size)))
+    gam = gamma_table(value, 6).values
+    chains = ((1, 3), (2, 5), (3, 3), (4, 6), (3, 2), (5, 4))  # A^m A*^n e_0, killed when m > n
+    lhs = np.stack([a_pow[m] @ adag_pow[n] @ e0 for m, n in chains], axis=1)
+    rhs = [gam[n] / gam[n - m] * (adag_pow[n - m] @ e0) if m <= n else np.zeros(size) for m, n in chains]
+    tags = [f"ladder_chain_{'kill_' * (m > n)}{m}_{n}" for m, n in chains]
+    entries += _matrix_defect(rep, tags, [m + n for m, n in chains], lhs, np.stack(rhs, axis=1))
 
     return CheckReport(name="structure", mu=value, size=size, tolerance=tolerance, entries=tuple(entries))
 
@@ -353,10 +341,8 @@ def check_ladder_powers(rep: OscillatorRep, n_max: int = 3, tolerance: float = 1
     polynomial in one letter applies the reflection-corrected derivative
     to that polynomial.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    _require_word(rep, 2 * n_max + 2)
     value, size = rep.mu, rep.size
+    _check_limits(value, size, ["ladder_powers"], ladder_n_max=n_max)
     eye = rep.identity()
     ladder, position, momentum = rows = _brackets(rep)
     entries = []
@@ -376,28 +362,32 @@ def check_ladder_powers(rep: OscillatorRep, n_max: int = 3, tolerance: float = 1
     e0 = rep.basis_vector(0)
     entries.append(_matrix_defect(rep, "ground_raising_vs_position", 1, rep.adag @ e0 / math.sqrt(2.0), rep.q @ e0))
     entries.append(_matrix_defect(rep, "ground_position_vs_momentum", 1, rep.q @ e0, -1j * (rep.p @ e0)))
-    for n in range(1, top + 1):
-        ratio = gamma_mu(value, n) / gamma_mu(value, n - 1)
-        for name, _, bracket in (position, momentum, ladder):
-            x = powers[name]
-            entries.append(
-                _matrix_defect(rep, f"ground_{name}_power_{n}", n + 1, bracket(x[n], e0), ratio * (x[n - 1] @ e0))
-            )
+    gam, degrees = gamma_table(value, top).values, range(1, top + 1)
+    ground = []
+    for name, _, bracket in (position, momentum, ladder):
+        x = powers[name]
+        lhs = np.stack([bracket(x[n], e0) for n in degrees], axis=1)
+        rhs = np.stack([gam[n] / gam[n - 1] * (x[n - 1] @ e0) for n in degrees], axis=1)
+        tags = [f"ground_{name}_power_{n}" for n in degrees]
+        ground.append(_matrix_defect(rep, tags, [n + 1 for n in degrees], lhs, rhs))
+    entries += [entry for row in zip(*ground) for entry in row]
 
+    # B(p(X) e_0) - p(X)(B e_0) = (D p)(X) e_0, and D H_3(lam x) = 6 lam H_2(lam x)
     generic = DensePoly.from_coeffs((-1.0, 5.0, 2.0, -3.0, 1.0))
     derived = dunkl_apply(value, generic)
+    tags, lhs, rhs = [], [], []
     for name, (_, letter, bracket) in (("position", position), ("raising", ladder), ("momentum", momentum)):
-        lhs = bracket(_poly_apply(generic, letter, eye)) @ e0
-        rhs = _poly_apply(derived, letter, e0)
-        entries.append(_matrix_defect(rep, f"derivative_intertwine_{name}", generic.degree + 1, lhs, rhs))
-
+        tags.append(f"derivative_intertwine_{name}")
+        lhs.append(bracket(partial(_poly_apply, generic, letter), e0))
+        rhs.append(_poly_apply(derived, letter, e0))
     _, q, bracket = position
-    # D H_3(lam x) = 6 lam H_2(lam x)
-    h3, h2 = hermite_coeffs(value, 3), hermite_coeffs(value, 2)
     for tag, lam in (("hermite", 1.0), ("hermite_scaled", 0.5)):
-        lhs = bracket(_poly_apply(h3.dilate(lam), q, eye)) @ e0
-        rhs = (6.0 * lam) * _poly_apply(h2.dilate(lam), q, e0)
-        entries.append(_matrix_defect(rep, f"derivative_intertwine_{tag}", 4, lhs, rhs))
+        tags.append(f"derivative_intertwine_{tag}")
+        times_two_x = (2.0 * lam * q).__matmul__
+        lhs.append(bracket(lambda v: list(_hermite_steps(value, 3, times_two_x, v))[3], e0))
+        rhs.append((6.0 * lam) * list(_hermite_steps(value, 2, times_two_x, e0))[2])
+    words = [generic.degree + 1] * 3 + [4, 4]
+    entries += _matrix_defect(rep, tags, words, np.stack(lhs, axis=1), np.stack(rhs, axis=1))
 
     return CheckReport(name="ladder_powers", mu=value, size=size, tolerance=tolerance, entries=tuple(entries))
 
@@ -408,43 +398,41 @@ def check_rodrigues_operator(rep: OscillatorRep, n_max: int = 8, tolerance: floa
     P^n e_0 is i^n gamma(n)/(2^(n/2) n!) times the degree-n polynomial
     evaluated at Q/sqrt(2) applied to e_0; the dual swaps Q and P with
     the conjugate phase; the raising form drops the argument scaling;
-    and the normalized version reconstructs the basis vectors e_n.
-    The monomial forms cancel as n_max grows: at size 48 the check passes through
-    n_max = 20 (worst 8.2e-13) and fails at 24 for mu = 0 (1.01e-11) and 1.5 (1.14e-11).
+    and the normalized version reconstructs the basis vectors e_n.  Both
+    sides are columns for every n at once, X^n e_0 and H_n(sX) e_0 from
+    the recursion, so no monomial form cancels (see _check_limits).
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    _require_word(rep, n_max + 1)
     value, size = rep.mu, rep.size
+    _check_limits(value, size, ["rodrigues_operator"], rodrigues_n_max=n_max)
     e0 = rep.basis_vector(0)
+    degrees = range(n_max + 1)
+    gam, fact = gamma_table(value, n_max).values[: n_max + 1], np.array([float(math.factorial(n)) for n in degrees])
+    half = 2.0 ** (-0.5 * np.arange(n_max + 1))
+    pref, pref_ladder, norm = gam / fact * half, gam / fact * half**2, np.sqrt(gam) / fact * half
+    phase = np.array([1, 1j, -1, -1j])[np.arange(n_max + 1) % 4]  # i^n, exactly
+
+    def hermite(letter, s):  # column n is H_n(s X) e_0
+        return np.stack(list(_hermite_steps(value, n_max, (2.0 * s * letter).__matmul__, e0)), axis=1)
+
     root_half = 1.0 / math.sqrt(2.0)
-    p_pow, q_pow, adag_pow = (_powers(letter, n_max) for letter in (rep.p, rep.q, rep.adag))
-    # H_n, H_n(x / sqrt 2) and H_n(i x / sqrt 2) on their letters, each pair for all n at once
-    polys = [hermite_coeffs(value, n) for n in range(n_max + 1)]
-    scaled = [poly.dilate(root_half) for poly in polys]
-    imag = [poly.dilate(1j * root_half) for poly in polys]
-    pairs = ((scaled, rep.q), (scaled, rep.adag), (scaled, rep.p), (imag, rep.adag), (polys, rep.q), (polys, rep.p))
-    scaled_q, scaled_adag, scaled_p, imag_adag, poly_q, poly_p = (_poly_columns(f, m, e0) for f, m in pairs)
-    entries = []
-    for n in range(n_max + 1):
-        pref = gamma_mu(value, n) / (2.0 ** (n / 2.0) * math.factorial(n))
-        pref_ladder = gamma_mu(value, n) / (2.0**n * math.factorial(n))
-        norm = math.sqrt(gamma_mu(value, n)) / (2.0 ** (n / 2.0) * math.factorial(n))
-        p_n, q_n = p_pow[n] @ e0, q_pow[n] @ e0
-        e_n = rep.basis_vector(n)
-        # (tag, lhs, coefficient, values): lhs = coefficient * column n of values
-        rows = (
-            ("momentum_power_formula", p_n, 1j**n * pref, scaled_q),
-            ("momentum_power_ladder", p_n, 1j**n * pref_ladder, scaled_adag),
-            ("position_power_formula", q_n, (-1j) ** n * pref, scaled_p),
-            ("position_power_ladder", q_n, (-1j) ** n * pref_ladder, imag_adag),
-            ("raising_power_formula", adag_pow[n] @ e0, pref, poly_q),
-            ("basis_reconstruction", e_n, norm, poly_q),
-            ("basis_reconstruction_dual", e_n, (-1j) ** n * norm, poly_p),
-        )
-        for tag, lhs, coefficient, values in rows:
-            entries.append(_matrix_defect(rep, f"{tag}_{n}", n, lhs, coefficient * values[:, n]))
-    return CheckReport(name="rodrigues_operator", mu=value, size=size, tolerance=tolerance, entries=tuple(entries))
+    p_n, q_n, basis = _krylov(rep.p, e0, n_max), _krylov(rep.q, e0, n_max), rep.identity()[:, : n_max + 1]
+    poly_q = hermite(rep.q, 1.0)
+    # (tag, lhs, coefficients, values): column n of lhs = coefficient n times column n of values
+    rows = (
+        ("momentum_power_formula", p_n, phase * pref, hermite(rep.q, root_half)),
+        ("momentum_power_ladder", p_n, phase * pref_ladder, hermite(rep.adag, root_half)),
+        ("position_power_formula", q_n, phase.conj() * pref, hermite(rep.p, root_half)),
+        ("position_power_ladder", q_n, phase.conj() * pref_ladder, hermite(rep.adag, 1j * root_half)),
+        ("raising_power_formula", _krylov(rep.adag, e0, n_max), pref, poly_q),
+        ("basis_reconstruction", basis, norm, poly_q),
+        ("basis_reconstruction_dual", basis, phase.conj() * norm, hermite(rep.p, 1.0)),
+    )
+    blocks = [
+        _matrix_defect(rep, [f"{tag}_{n}" for n in degrees], list(degrees), lhs, coefficients * values)
+        for tag, lhs, coefficients, values in rows
+    ]
+    entries = tuple(entry for row in zip(*blocks) for entry in row)
+    return CheckReport(name="rodrigues_operator", mu=value, size=size, tolerance=tolerance, entries=entries)
 
 
 def check_rotation(rep: OscillatorRep, angles=(0.3, 1.1), tolerance: float = 1e-12) -> CheckReport:
@@ -477,10 +465,30 @@ def check_rotation(rep: OscillatorRep, angles=(0.3, 1.1), tolerance: float = 1e-
     return CheckReport(name="rotation", mu=value, size=size, tolerance=tolerance, entries=tuple(entries))
 
 
-def _check_bridge_size(size: int) -> int:
-    if size > 257:
+def _check_limits(mu, size: int, names, ladder_n_max: int = 1, rodrigues_n_max: int = 1) -> None:
+    """Raise what the named families raise on their size and n_max; the CLI calls it before the build.
+
+    The Rodrigues prefactors gamma_mu(n) / (2^(n/2) n!) leave the float range past n = 170, where
+    171! overflows, or earlier where gamma_mu(n) does.
+    """
+    for name, n_max, word in (
+        ("ladder_powers", ladder_n_max, 2 * ladder_n_max + 2),
+        ("rodrigues_operator", rodrigues_n_max, rodrigues_n_max + 1),
+    ):
+        if name in names:
+            if n_max < 1:
+                raise ValueError("n_max must be >= 1")
+            _require_word(size, word)
+    if "rodrigues_operator" in names:
+        value = as_mu(mu).require_numeric()
+        top = int(np.isfinite(gamma_table(value, 170).values[:171]).sum()) - 1
+        if rodrigues_n_max > top:
+            raise OverflowError(
+                f"Rodrigues n_max {rodrigues_n_max} is past the float range of the prefactors "
+                f"gamma_mu(n) / (2^(n/2) n!): n <= {top} at mu = {value:g}"
+            )
+    if "representation" in names and size > 257:
         raise ValueError(f"the representation bridge needs size <= 257 (a rule of at most 256 nodes), got {size}")
-    return size
 
 
 def check_representation(rep: OscillatorRep, tolerance: float = 1e-8) -> CheckReport:
@@ -497,7 +505,8 @@ def check_representation(rep: OscillatorRep, tolerance: float = 1e-8) -> CheckRe
     and p'/x - p/x^2 -> 0 for odd p, q / x -> q'(0) for odd q.  No ladder
     matrix enters.  The transform column is bridged through the spectral route.
     """
-    value, size = rep.mu, _check_bridge_size(rep.size)
+    value, size = rep.mu, rep.size
+    _check_limits(value, size, ["representation"])
     inner = size - 1
     rule = gauss_hermite_mu(value, min(256, size + 8))
     x, w = rule.nodes, rule.weights

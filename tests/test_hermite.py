@@ -27,6 +27,17 @@ def scale_argument(p: DensePoly, lam) -> DensePoly:
     return DensePoly.from_coeffs(tuple(c * lam**k for k, c in enumerate(p.coeffs)))
 
 
+def test_hermite_eval_keeps_the_plain_loop_bits():
+    # the recursion is shared with the oscillator checks; on a grid it takes the plain loop's steps
+    x = np.linspace(-7.0, 7.0, 301)
+    for mu in (0.6, -0.45, 2.0):
+        prev, cur = np.ones_like(x), 2.0 * x / (1 + 2 * mu)
+        for k in range(1, 40):
+            prev, cur = cur, (k + 1) / (k + 1 + 2 * mu * ((k + 1) % 2)) * (2.0 * x * cur - 2.0 * k * prev)
+            assert hermite_eval(mu, k + 1, x).tobytes() == cur.tobytes()
+        assert hermite_eval(mu, 0, x).tobytes() == np.ones_like(x).tobytes()
+
+
 def test_classical_reduction_matches_numpy():
     for n in range(13):
         mine = hermite_coeffs(Fraction(0), n, exact=True).as_float()

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 import muhermite.oscillator as osc
 from muhermite.cli import main
 from muhermite.core import gamma_mu
-from muhermite.hermite import hermite_coeffs
 from muhermite.oscillator import (
     _matrix_defect,
     build,
@@ -252,30 +251,31 @@ def test_cli_check_matches_run_all(name, capsys):
 
 
 def _reference_rodrigues(rep, n_max):
-    """(tag, word, lhs, rhs) of the Rodrigues family, each right-hand side by its own Horner pass."""
+    """(tag, word, lhs, rhs) of the Rodrigues family, each n on its own: X^n e_0 as a matrix power
+    on e_0, and H_n(s X) e_0 by the three-term recursion run to degree n."""
 
-    def horner(poly, m):
-        acc = np.zeros(rep.size, dtype=complex)
-        for c in reversed(poly.coeffs):
-            acc = m @ acc + complex(c) * e0
-        return acc
+    def hermite(m, n):
+        prev, cur = 0.0 * e0, e0
+        for k in range(n):  # H_{k+1} = (k + 1) / gamma_step(k + 1) (2 x H_k - 2 k H_{k-1})
+            step = k + 1 + 2 * mu * ((k + 1) % 2)
+            prev, cur = cur, (k + 1) / step * (2.0 * (m @ cur) - 2.0 * k * prev)
+        return cur
 
     mu, e0, half = rep.mu, rep.basis_vector(0), 1.0 / math.sqrt(2.0)
     rows = []
     for n in range(n_max + 1):
-        poly = hermite_coeffs(mu, n)
-        scaled, g = poly.dilate(half), gamma_mu(mu, n)
+        g = gamma_mu(mu, n)
         pref, ladder = g / (2.0 ** (n / 2.0) * math.factorial(n)), g / (2.0**n * math.factorial(n))
         norm = math.sqrt(g) / (2.0 ** (n / 2.0) * math.factorial(n))
         p_n, q_n = _successive_power(rep.p, n) @ e0, _successive_power(rep.q, n) @ e0
         rows += [
-            (f"momentum_power_formula_{n}", n, p_n, 1j**n * pref * horner(scaled, rep.q)),
-            (f"momentum_power_ladder_{n}", n, p_n, 1j**n * ladder * horner(scaled, rep.adag)),
-            (f"position_power_formula_{n}", n, q_n, (-1j) ** n * pref * horner(scaled, rep.p)),
-            (f"position_power_ladder_{n}", n, q_n, (-1j) ** n * ladder * horner(poly.dilate(1j * half), rep.adag)),
-            (f"raising_power_formula_{n}", n, _successive_power(rep.adag, n) @ e0, pref * horner(poly, rep.q)),
-            (f"basis_reconstruction_{n}", n, rep.basis_vector(n), norm * horner(poly, rep.q)),
-            (f"basis_reconstruction_dual_{n}", n, rep.basis_vector(n), (-1j) ** n * norm * horner(poly, rep.p)),
+            (f"momentum_power_formula_{n}", n, p_n, 1j**n * pref * hermite(half * rep.q, n)),
+            (f"momentum_power_ladder_{n}", n, p_n, 1j**n * ladder * hermite(half * rep.adag, n)),
+            (f"position_power_formula_{n}", n, q_n, (-1j) ** n * pref * hermite(half * rep.p, n)),
+            (f"position_power_ladder_{n}", n, q_n, (-1j) ** n * ladder * hermite(1j * half * rep.adag, n)),
+            (f"raising_power_formula_{n}", n, _successive_power(rep.adag, n) @ e0, pref * hermite(rep.q, n)),
+            (f"basis_reconstruction_{n}", n, rep.basis_vector(n), norm * hermite(rep.q, n)),
+            (f"basis_reconstruction_dual_{n}", n, rep.basis_vector(n), (-1j) ** n * norm * hermite(rep.p, n)),
         ]
     return rows
 
@@ -308,8 +308,8 @@ def _reference_ground_brackets(rep, top):
 @pytest.mark.parametrize("size", [24, 33])
 def test_letter_blocks_match_the_per_n_reference(mu, size):
     # run_all evaluates each (polynomial family, letter) pair for every n in one
-    # Horner pass and a ground bracket by matrix-vector products; against one
-    # Horner pass per n and the full matrix commutator the defects agree to
+    # recursion pass and a ground bracket by matrix-vector products; against one
+    # recursion per n and the full matrix commutator the defects agree to
     # rounding (bit for bit where gemm and gemv round alike), with the same verdicts
     rep = build(mu, size)
     reports = {r.name: r for r in run_all(rep)}
@@ -350,4 +350,217 @@ def test_cli_refuses_the_bridge_size_before_any_family_runs(monkeypatch, capsys)
     assert calls == []
     # a family with no size limit still runs at that size
     assert main(["oscillator", "--mu", "0.5", "--size", "258", "--check", "structure"]) == 0
+    assert calls == ["build", "check_structure"]
+
+
+def _one_defect(rep, tag, word, lhs, rhs):
+    """The defect of one identity as the measure defines it, written out on its own."""
+    cols = np.abs(lhs - rhs).max(axis=0).tolist()
+    if lhs.ndim == 1:
+        cols, keep = [cols], 1
+    else:
+        keep = min(len(cols), rep.size - word)
+        lhs, rhs = lhs[:, :keep], rhs[:, :keep]
+    scale = float(max(1.0, np.abs(lhs).max(), np.abs(rhs).max()))
+    raw = max(cols[:keep])
+    return osc.IdentityDefect(tag, word, raw / scale, raw, max(cols[keep:], default=0.0), scale, tuple(cols))
+
+
+def test_block_measure_matches_each_column_alone():
+    # a block of k vector identities gives, bit for bit, the defect of each column measured alone
+    rep = build(0.5, 12)
+    rng = np.random.default_rng(19)
+    for k in (1, 2, 5):
+        lhs = rng.standard_normal((12, k)) + 1j * rng.standard_normal((12, k))
+        near = lhs * (1.0 + 1e-13 * rng.standard_normal((12, k)))
+        lhs[:, 0] = 0.0  # a zero column, and against the real zero rhs one with both sides zero
+        words = [int(w) for w in rng.integers(0, rep.max_word, k)]
+        words[-1] = rep.max_word
+        tags = [f"column_{j}" for j in range(k)]
+        for rhs in (near, np.zeros((12, k))):
+            got = _matrix_defect(rep, tags, words, lhs, rhs)
+            assert len(got) == k
+            for j, entry in enumerate(got):
+                want = _one_defect(rep, tags[j], words[j], lhs[:, j], rhs[:, j])
+                assert entry == want and entry.to_json() == want.to_json()
+                assert _matrix_defect(rep, tags[j], words[j], lhs[:, j], rhs[:, j]) == want
+    with pytest.raises(ValueError, match="word length 12 exceeds"):
+        _matrix_defect(rep, ["a", "b"], [1, 12], lhs[:, :2], lhs[:, :2])
+
+
+def _vector_identities(rep):
+    """(tag, word, lhs, rhs) of the vector identities run_all measures as blocks, one at a time,
+    by the same products: the ladder chains and the ground brackets."""
+    mu, e0 = rep.mu, rep.basis_vector(0)
+    a_pow = [_successive_power(rep.a, m) for m in range(6)]
+    adag_pow = [_successive_power(rep.adag, n) for n in range(7)]
+    rows = []
+    for m, n in ((1, 3), (2, 5), (3, 3), (4, 6)):
+        rhs = gamma_mu(mu, n) / gamma_mu(mu, n - m) * (adag_pow[n - m] @ e0)
+        rows.append((f"ladder_chain_{m}_{n}", m + n, a_pow[m] @ adag_pow[n] @ e0, rhs))
+    for m, n in ((3, 2), (5, 4)):
+        rows.append((f"ladder_chain_kill_{m}_{n}", m + n, a_pow[m] @ adag_pow[n] @ e0, np.zeros(rep.size)))
+    brackets = {
+        "position": (rep.q, lambda x, v: 1j * (rep.p @ (x @ v) - x @ (rep.p @ v))),
+        "momentum": (rep.p, lambda x, v: 1j * (x @ (rep.q @ v) - rep.q @ (x @ v))),
+        "ladder": (rep.adag, lambda x, v: rep.a @ (x @ v) - x @ (rep.a @ v)),
+    }
+    for name, (letter, bracket) in brackets.items():
+        for n in range(1, 8):
+            ratio = gamma_mu(mu, n) / gamma_mu(mu, n - 1)
+            rhs = ratio * (_successive_power(letter, n - 1) @ e0)
+            rows.append((f"ground_{name}_power_{n}", n + 1, bracket(_successive_power(letter, n), e0), rhs))
+    return rows
+
+
+@pytest.mark.parametrize("mu", [-0.45, 0.0, 0.3141, 1.5])
+@pytest.mark.parametrize("size", [12, 24, 33, 48])
+def test_entries_outside_the_changed_forms_match_one_identity_at_a_time(monkeypatch, mu, size):
+    # stacking vector identities into blocks and taking |.| once over (lhs - rhs, lhs, rhs)
+    # moves no bit of any entry other than the Rodrigues and intertwining ones
+    rep = build(mu, size)
+    want, real = {}, osc._matrix_defect
+
+    def record(rep_, tag, word, lhs, rhs):
+        if isinstance(tag, str):  # a matrix identity or a lone vector, measured here on its own
+            want[tag] = _one_defect(rep_, tag, word, lhs, rhs)
+        return real(rep_, tag, word, lhs, rhs)
+
+    monkeypatch.setattr(osc, "_matrix_defect", record)
+    reports = run_all(rep)
+    for tag, word, lhs, rhs in _vector_identities(rep):
+        want[tag] = _one_defect(rep, tag, word, lhs, rhs)
+    checked = 0
+    for report in reports:
+        for entry in report.entries:
+            if report.name != "rodrigues_operator" and not entry.tag.startswith("derivative_intertwine"):
+                assert entry == want[entry.tag] and entry.to_json() == want[entry.tag].to_json(), entry.tag
+                checked += 1
+    assert checked == 151 - 63 - 5 + (mu == 0.0)
+
+
+@pytest.mark.parametrize("mu", [-0.45, 0.0, 0.3141, 1.5])
+@pytest.mark.parametrize("size", [12, 24, 33, 48])
+def test_changed_entries_stay_at_rounding(mu, size):
+    # the entries whose form changed: the Rodrigues family at n_max = 8 against the monomial
+    # forms' worst of 2.05e-15 on this grid, and the intertwining entries on vectors
+    rep = build(mu, size)
+    assert check_rodrigues_operator(rep).max_defect <= 2.05e-15
+    intertwine = [e for e in check_ladder_powers(rep).entries if e.tag.startswith("derivative_intertwine")]
+    assert len(intertwine) == 5 and max(e.interior for e in intertwine) <= 1e-15
+
+
+@pytest.mark.parametrize("mu", [-0.45, 0.0, 1.5, 2.35])
+@pytest.mark.parametrize("size, n_max", [(48, 24), (64, 32), (96, 94), (128, 126)])
+def test_rodrigues_passes_past_the_monomial_ceiling(mu, size, n_max):
+    # the monomial forms failed from (48, 24) on, with errors of 1e-11 to 9e-10
+    report = check_rodrigues_operator(build(mu, size), n_max)
+    assert report.passed and report.max_defect <= 5e-14, (report.worst().tag, report.max_defect)
+
+
+def _mp_rodrigues_right_sides(rep, n_max):
+    """tag -> coefficient * H_n(s X) e_0 in 30-digit arithmetic on the float letters, H_n from
+    its explicit sum n! sum_k (-1)^k (2 s X)^(n-2k) / (k! gamma_mu(n-2k)) on e_0."""
+    import mpmath as mp
+
+    size, mu, one = rep.size, mp.mpf(rep.mu), mp.mpc(1)
+    gam = [mp.mpf(1)]
+    for k in range(1, n_max + 1):
+        gam.append(gam[-1] * (k + 2 * mu * (k % 2)))
+    fact = [mp.factorial(n) for n in range(n_max + 1)]
+
+    def hermite(m, s):
+        entries = [(i, j, 2 * s * mp.mpc(complex(m[i, j]))) for i, j in zip(*np.nonzero(m))]
+        powers = [[one] + [0 * one] * (size - 1)]  # (2 s X)^j e_0
+        for _ in range(n_max):
+            out = [0 * one] * size
+            for i, j, c in entries:
+                out[i] += c * powers[-1][j]
+            powers.append(out)
+        columns = []
+        for n in range(n_max + 1):
+            terms = [((-1) ** k * fact[n] / (fact[k] * gam[n - 2 * k]), powers[n - 2 * k]) for k in range(n // 2 + 1)]
+            columns.append([mp.fsum(c * power[i] for c, power in terms) for i in range(size)])
+        return columns
+
+    half, phase = 1 / mp.sqrt(2), [one, 1j * one, -one, -1j * one]
+    out = {}
+    values = {
+        "q_half": hermite(rep.q, half), "adag_half": hermite(rep.adag, half), "p_half": hermite(rep.p, half),
+        "adag_imag": hermite(rep.adag, 1j * half), "q": hermite(rep.q, 1), "p": hermite(rep.p, 1),
+    }
+    for n in range(n_max + 1):
+        pref, ladder = gam[n] / (mp.sqrt(2) ** n * fact[n]), gam[n] / (2**n * fact[n])
+        norm, i_n = mp.sqrt(gam[n]) / (mp.sqrt(2) ** n * fact[n]), phase[n % 4]
+        for tag, coefficient, key in (
+            ("momentum_power_formula", i_n * pref, "q_half"),
+            ("momentum_power_ladder", i_n * ladder, "adag_half"),
+            ("position_power_formula", mp.conj(i_n) * pref, "p_half"),
+            ("position_power_ladder", mp.conj(i_n) * ladder, "adag_imag"),
+            ("raising_power_formula", pref, "q"),
+            ("basis_reconstruction", norm, "q"),
+            ("basis_reconstruction_dual", mp.conj(i_n) * norm, "p"),
+        ):
+            out[f"{tag}_{n}"] = [coefficient * v for v in values[key][n]]
+    return out
+
+
+@pytest.mark.parametrize("mu, size, n_max", [(-0.45, 24, 8), (0.731, 33, 8), (1.5, 48, 24)])
+def test_rodrigues_right_sides_match_30_digit_products(monkeypatch, mu, size, n_max):
+    import mpmath as mp
+
+    rep = build(mu, size)
+    seen, real = {}, osc._matrix_defect
+
+    def record(rep_, tags, words, lhs, rhs):
+        out = real(rep_, tags, words, lhs, rhs)
+        seen.update((tag, (rhs[:, j], out[j].scale)) for j, tag in enumerate(tags))
+        return out
+
+    monkeypatch.setattr(osc, "_matrix_defect", record)
+    check_rodrigues_operator(rep, n_max)
+    with mp.workdps(30):
+        want = _mp_rodrigues_right_sides(rep, n_max)
+        assert seen.keys() == want.keys()
+        for tag, (rhs, scale) in seen.items():
+            err = max(abs(mp.mpc(complex(v)) - w) for v, w in zip(rhs, want[tag]))
+            assert err <= 1e-15 * scale, (tag, float(err), scale)
+
+
+@pytest.mark.parametrize("mu, top", [(0.0, 170), (2.35, 168), (60.0, 152)])
+def test_rodrigues_refuses_n_max_past_the_float_range_of_its_prefactors(mu, top):
+    # 171! and, for larger mu, gamma_mu(n) overflow; up to there every figure is finite and passes
+    report = check_rodrigues_operator(build(mu, top + 2), top)
+    assert report.passed
+    assert all(math.isfinite(v) for e in report.entries for v in (e.interior, e.interior_raw, e.scale))
+    with pytest.raises(OverflowError, match=f"past the float range of the prefactors .* n <= {top} at mu"):
+        check_rodrigues_operator(build(mu, top + 3), top + 1)
+
+
+def test_cli_rodrigues_past_the_monomial_ceiling_exits_0(capsys):
+    args = ["oscillator", "--mu", "0", "--size", "48", "--rodrigues-nmax", "24", "--check", "rodrigues_operator"]
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)[0]["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--rodrigues-nmax", "300"], "word length 301 exceeds the truncation interior (max 249)"),
+        (["--ladder-nmax", "200"], "word length 402 exceeds the truncation interior (max 249)"),
+        (["--rodrigues-nmax", "200"], "past the float range of the prefactors"),
+        (["--rodrigues-nmax", "0"], "n_max must be >= 1"),
+        (["--ladder-nmax", "0"], "n_max must be >= 1"),
+    ],
+)
+def test_cli_refuses_the_n_max_limits_before_any_family_runs(monkeypatch, capsys, flags, message):
+    calls = []
+    for name in ["build"] + [f"check_{family}" for family in check_table()]:
+        real = getattr(osc, name)
+        monkeypatch.setattr(osc, name, lambda *a, _name=name, _real=real, **k: calls.append(_name) or _real(*a, **k))
+    assert main(["oscillator", "--mu", "0.5", "--size", "250", *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+    # a family the limit does not concern still runs
+    assert main(["oscillator", "--mu", "0.5", "--size", "24", "--check", "structure", *flags]) == 0
     assert calls == ["build", "check_structure"]
