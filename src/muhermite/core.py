@@ -110,7 +110,7 @@ class MuParam:
 
 # Bound for the caches keyed by mu: a sweep over fresh mu must not grow
 # memory without limit.  A full ``muhermite verify`` run holds at most 24
-# keys in any of them.
+# keys in any of them, and 57 in the scaled-rule plan (keyed by sigma too).
 MU_CACHE_SIZE = 64
 
 
@@ -187,13 +187,22 @@ def _exact_mu(numerator: int, denominator: int) -> MuParam:
     return MuParam(value=float(frac), exact=frac)
 
 
+@lru_cache(maxsize=MU_CACHE_SIZE, typed=True)
+def _float_mu(value: float, sign: float) -> MuParam:
+    # sign keeps -0.0 apart from 0.0 (equal keys); typed, so value keeps its type
+    return MuParam(value=value)
+
+
 def as_mu(mu) -> MuParam:
-    """Normalize any accepted mu spelling to a MuParam; an integer of any type is exact."""
+    """Normalize any accepted mu spelling to a MuParam; an integer of any type is exact.
+
+    A float's MuParam is built once per value, sign and type (MU_CACHE_SIZE entries); nan and inf always raise.
+    """
     if isinstance(mu, MuParam):
         return mu
     # The float layer's spelling first: the numbers checks below are slow ABC checks.
     if isinstance(mu, float):
-        return MuParam(value=mu)
+        return _float_mu(mu, math.copysign(1.0, mu))
     if isinstance(mu, Fraction):
         return _exact_mu(mu.numerator, mu.denominator)
     if isinstance(mu, numbers.Integral):
@@ -353,8 +362,12 @@ def alpha_mu_moment(mu, n: int) -> float:
 
 
 def gamma_half(mu) -> float:
-    """Gamma(mu + 1/2), the total mass of |x|^(2 mu) e^(-x^2) dx."""
-    return math.gamma(as_mu(mu).require_numeric() + 0.5)
+    """Gamma(mu + 1/2), the total mass of |x|^(2 mu) e^(-x^2) dx; OverflowError past mu = 171.1."""
+    value = as_mu(mu).require_numeric()
+    try:
+        return math.gamma(value + 0.5)
+    except OverflowError:
+        raise OverflowError(f"Gamma(mu + 1/2) at mu = {value:g} is past the float range, mu <= 171.1") from None
 
 
 def beta_function(a: float, b: float) -> float:

@@ -190,6 +190,17 @@ def gauss_hermite_mu(mu, n: int) -> QuadratureRule:
     return _hermite_rule_cached(as_mu(mu).require_numeric(), _check_size(n))
 
 
+@lru_cache(maxsize=MU_CACHE_SIZE, typed=True)
+def _scaled_plan(value: float, sigma: float, rate: float, quad_n: int):
+    rule = gauss_hermite_mu(value, quad_n)
+    s = math.sqrt(sigma + rate)
+    t = rule.nodes / s
+    growth = np.exp(sigma * t * t)
+    for row in (t, growth):
+        row.setflags(write=False)
+    return t, rule.weights, growth, s ** (-2.0 * value - 1.0)
+
+
 def _scaled_rule(value: float, f, sigma: float, rate: float, quad_n: int):
     """The hermite_mu rule matched to f(t) e^(-rate t^2) |t|^(2 mu) dt.
 
@@ -200,14 +211,13 @@ def _scaled_rule(value: float, f, sigma: float, rate: float, quad_n: int):
     jac = s^(-2 mu - 1).  The exponent sigma t^2 = sigma u^2 / (sigma + rate)
     stays below the node's u^2, so recovering f's polynomial part is safe.
     Returns (t, wg, jac); sigma must be finite and >= 0, sigma + rate > 0.
+    The f-independent t, e^(sigma t^2) and jac are built once per checked (mu, sigma,
+    rate, quad_n) and kept read-only (MU_CACHE_SIZE entries); warm calls keep the bits.
     """
     if not (math.isfinite(sigma) and sigma >= 0.0 and sigma + rate > 0.0):
         raise ValueError(f"needs a finite Gaussian envelope rate sigma >= 0 with sigma + {rate:g} > 0")
-    rule = gauss_hermite_mu(value, quad_n)
-    s = math.sqrt(sigma + rate)
-    t = rule.nodes / s
-    wg = rule.weights * (np.asarray(f(t)) * np.exp(sigma * t * t))
-    return t, wg, s ** (-2.0 * value - 1.0)
+    t, weights, growth, jac = _scaled_plan(value, sigma, rate, _check_size(quad_n))
+    return t, weights * (np.asarray(f(t)) * growth), jac
 
 
 def _jacobi_coefficients(a: float, b: float, n: int):

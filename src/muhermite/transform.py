@@ -39,7 +39,7 @@ import numpy as np
 from .core import _array_memo, _as_grid, as_mu, gamma_half, gamma_mu, gamma_step
 from .efun import c_s_mu, e_mu
 from .hermite import hermite_eval
-from .quadrature import _recurrence_table, _scaled_rule
+from .quadrature import _check_size, _recurrence_table, _scaled_rule
 
 __all__ = [
     "SpectralVector",
@@ -115,7 +115,7 @@ def expand(
     value = as_mu(mu).require_numeric()
     if quad_n is None:
         quad_n = max(2 * (n_max + 1), n_max + 32)
-    if quad_n < n_max + 8:
+    if _check_size(quad_n) < n_max + 8:
         raise ValueError("quadrature size too small for the requested n_max")
     # The basis functions carry e^(-t^2/2), so the rule is matched to rate 1/2.
     t, wg, jac = _scaled_rule(value, f, sigma, 0.5, quad_n)

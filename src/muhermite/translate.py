@@ -28,14 +28,15 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .core import _as_grid, as_mu, beta_function, gamma_mu, gamma_mu_exact
+from .core import MU_CACHE_SIZE, _as_grid, as_mu, beta_function, gamma_mu, gamma_mu_exact
 from .efun import c_s_mu, e_mu
 from .hermite import dunkl_apply
 from .poly import DensePoly
-from .quadrature import gauss_alpha_mu, jacobi_rule
+from .quadrature import _check_size, gauss_alpha_mu, jacobi_rule
 from .transform import _momentum_svd
 
 __all__ = [
@@ -116,6 +117,17 @@ def translate_alpha(mu, phi, x: float, y: float, *, quad_n: int = 80):
     return complex(half) if np.iscomplexobj(plus) else float(half)
 
 
+@lru_cache(maxsize=MU_CACHE_SIZE)
+def _xi_plan(value: float, quad_n: int):
+    # (1-t)^(1-mu) (1+t)^(-mu) converts sums against the rule's (1-t)^(mu-1) (1+t)^mu
+    # weight into plain dt integration of the assembled integrand.
+    rule = jacobi_rule(value - 1.0, value, quad_n)
+    t = rule.nodes
+    weighted = rule.weights * ((1.0 - t) ** (1.0 - value) * (1.0 + t) ** (-value))
+    weighted.setflags(write=False)
+    return t, weighted, beta_function(0.5, value)
+
+
 def translate_xi(mu, phi, x: float, y: float, *, quad_n: int = 80):
     """Translation via the Heron-density integral over Xi(x,y) (mu > 0, xy != 0):
 
@@ -126,28 +138,27 @@ def translate_xi(mu, phi, x: float, y: float, *, quad_n: int = 80):
     are evaluated as separate factors.  Tracking each branch's traversal
     direction against the set's ascending orientation, the Jacobian
     factor is |xy|/omega for every branch and either sign of xy.
+
+    Density and Jacobian read xi only through xi^2, so the branches share them bit for bit.
+    Nodes, compensated weights and B(1/2, mu) are built once per checked (mu, quad_n) and
+    kept (MU_CACHE_SIZE entries); a warm call returns a cold call's floats.
     """
     value = as_mu(mu).require_positive()
     if x == 0.0 or y == 0.0:
         raise ValueError("the density form needs x != 0 and y != 0; use translate_alpha")
-    rule = jacobi_rule(value - 1.0, value, quad_n)
-    t = rule.nodes
+    t, weighted, bnorm = _xi_plan(value, _check_size(quad_n))
     om = _omega(x, y, t)
-    # Converts sums against the rule's (1-t)^(mu-1) (1+t)^mu weight into
-    # plain dt integration of the assembled integrand.
-    comp = (1.0 - t) ** (1.0 - value) * (1.0 + t) ** (-value)
-    bnorm = beta_function(0.5, value)
+    psi = np.maximum(heron_psi(x, y, om), 0.0)
+    density = (2.0 * np.sqrt(psi) / abs(x * y)) ** (2.0 * value)
+    jac = abs(x * y) / om
     total = 0.0
     is_complex = False
     for sign in (1.0, -1.0):
         xi = sign * om
-        psi = np.maximum(heron_psi(x, y, xi), 0.0)
-        density = (2.0 * np.sqrt(psi) / abs(x * y)) ** (2.0 * value)
         kernel = np.sign(x * y) * sign / (x + y - xi)
-        jac = abs(x * y) / om
         vals = np.asarray(phi(xi))
         is_complex = is_complex or np.iscomplexobj(vals)
-        total = total + (rule.weights * comp * kernel * density * jac * vals).sum()
+        total = total + (weighted * kernel * density * jac * vals).sum()
     total = total / bnorm
     return complex(total) if is_complex else float(total)
 

@@ -37,6 +37,12 @@ def test_gamma_exact_fraction(capsys):
     assert (code, out.strip()) == (0, "110/9")
 
 
+def test_quad_past_the_float_range_of_the_mass_exits_2(capsys):
+    code, out, err = run(capsys, "quad", "--kind", "hermite", "--mu", "171.2", "--n", "8")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: Gamma(mu + 1/2) at mu = 171.2 is past the float range, mu <= 171.1"
+
+
 def test_gamma_float_mu(capsys):
     code, out, _ = run(capsys, "gamma", "--mu", "0.25", "--n", "2")
     assert code == 0

@@ -23,7 +23,8 @@ from muhermite.core import (
 )
 from muhermite.efun import e_mu
 from muhermite.quadrature import gauss_hermite_mu
-from muhermite.transform import expand, fourier_quadrature, transform_of_gaussian
+from muhermite.heat import heat_apply_kernel
+from muhermite.transform import expand, fourier_quadrature, l2mu_norm, transform_of_gaussian
 
 
 def test_theta_is_parity_indicator():
@@ -180,10 +181,23 @@ def test_gamma_half_and_beta():
     assert_allclose(beta_function(2.5, 1.5), math.gamma(2.5) * math.gamma(1.5) / math.gamma(4.0), rtol=1e-13)
 
 
+def test_gamma_half_names_mu_past_the_float_range():
+    assert math.isfinite(gamma_half(171.1))
+    f = lambda t: np.exp(-t * t)
+    for refused in (
+        lambda: gamma_half(171.2),
+        lambda: fourier_quadrature(200.0, f, [0.0, 1.0], sigma=1.0),
+        lambda: heat_apply_kernel(200.0, f, 0.4, [0.0, 1.0]),
+    ):
+        with pytest.raises(OverflowError, match=r"at mu = (171\.2|200) is past the float range, mu <= 171\.1"):
+            refused()
+
+
 def test_mu_caches_stay_bounded():
-    from muhermite.core import _ARRAY_MEMO_BYTES, MU_CACHE_SIZE, _array_memo, _exact_mu, _gamma_exact_table, _gamma_table_cached
+    from muhermite.core import _ARRAY_MEMO_BYTES, MU_CACHE_SIZE, _array_memo, _exact_mu, _float_mu, _gamma_exact_table, _gamma_table_cached
     from muhermite.exact import _derivative_table, _hermite_table, verify_identity
-    from muhermite.quadrature import _hermite_rule_cached, _jacobi_rule_cached, gauss_alpha_mu, gauss_hermite_mu
+    from muhermite.quadrature import _hermite_rule_cached, _jacobi_rule_cached, _scaled_plan, gauss_alpha_mu, gauss_hermite_mu
+    from muhermite.translate import _xi_plan, translate_xi
 
     for k in range(300):
         mu = 0.1 + k / 128.0
@@ -191,7 +205,12 @@ def test_mu_caches_stay_bounded():
         gauss_hermite_mu(mu, 4)
         gauss_alpha_mu(mu, 4)
         gamma_mu_exact(Fraction(k, 7), 3)
-    for cached in (_gamma_table_cached, _gamma_exact_table, _exact_mu, _hermite_rule_cached, _jacobi_rule_cached):
+        l2mu_norm(lambda t: np.exp(-t * t), sigma=1.0, mu=mu, quad_n=4)
+        translate_xi(mu, lambda t: np.exp(-t * t), 0.5, 0.7, quad_n=4)
+    for cached in (
+        _gamma_table_cached, _gamma_exact_table, _exact_mu, _hermite_rule_cached, _jacobi_rule_cached,
+        _float_mu, _scaled_plan, _xi_plan,
+    ):
         assert 0 < cached.cache_info().currsize <= MU_CACHE_SIZE
 
     # the exact H_m and D^j x^n, shared by the identity checks, are kept per mu
