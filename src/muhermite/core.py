@@ -133,7 +133,10 @@ class _ArrayMemo:
     """LRU memo of read-only arrays built by pure functions, bounded in bytes.
 
     ``memo(build, *args)`` returns ``build(*args)``, built once per distinct
-    argument list; array arguments are keyed by dtype, shape and bytes.  The
+    argument list; array arguments are keyed by dtype, shape and bytes.
+    ``memo.keyed(key, build, *args)`` stores the same result under the given
+    hashable key instead, which must pin ``build(*args)`` at least as finely
+    as the arguments do (a plan's key in place of the arrays it fixes).  The
     result is made read-only.  Least recently used entries are evicted until
     the stored arrays total at most ``budget`` bytes, and one larger than the
     whole budget is returned without being stored.  A build that raises
@@ -155,7 +158,10 @@ class _ArrayMemo:
             return _MemoInfo(self._hits, self._misses, self._nbytes, len(self._entries))
 
     def __call__(self, build, *args) -> np.ndarray:
-        key = (build,) + tuple(map(_memo_key, args))
+        return self.keyed(tuple(map(_memo_key, args)), build, *args)
+
+    def keyed(self, key, build, *args) -> np.ndarray:
+        key = (build, key)
         with self._lock:
             out = self._entries.get(key)
             if out is not None:
@@ -240,12 +246,14 @@ class GammaMuTable:
 
     ``values[n]`` overflows to inf once n is large enough (~170); the
     parallel ``log_values`` stay finite and are the supported accessor
-    in that regime.
+    in that regime.  ``steps[k - 1]`` is the recursion step gamma_step(mu, k),
+    k = 1..n, which the deformed exponential's series divides by.
     """
 
     mu: float
     values: np.ndarray
     log_values: np.ndarray
+    steps: np.ndarray
 
     def __len__(self) -> int:
         return len(self.values)
@@ -281,9 +289,9 @@ def _gamma_table_cached(mu: float, size: int) -> GammaMuTable:
     below = np.concatenate(([0.0], logs[:-1]))  # add back each step's rounding error (TwoSum)
     added = logs - below
     logs = logs + np.cumsum((below - (logs - added)) + (terms - added))
-    values.setflags(write=False)
-    logs.setflags(write=False)
-    return GammaMuTable(mu=mu, values=values, log_values=logs)
+    for row in (values, logs, steps):
+        row.setflags(write=False)
+    return GammaMuTable(mu=mu, values=values, log_values=logs, steps=steps)
 
 
 def gamma_table(mu, n_max: int) -> GammaMuTable:

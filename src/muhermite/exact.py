@@ -25,8 +25,10 @@ being rebuilt; factorials come from math.factorial.  The carried state
 belongs to one side's route, so the two sides stay as independent as
 before.  The closed-form H_m are built once per mu and shared by every tag
 that reads them; so are the iterates D^j x^n of the derivative-plus-reflection
-D, which the binomial, odd-even and heat-monomial tags read, held per mu and
-per D in force (a patched D gets a table of its own).
+D, which the binomial, odd-even and heat-monomial tags read, and the
+odd-degree translation series built from them, which the binomial and
+odd-even tags read, each held per mu and per D in force (a patched D gets
+tables of its own).
 """
 
 from __future__ import annotations
@@ -106,15 +108,31 @@ def _ratio(mu: Fraction, n: int) -> Fraction:
     return gamma_mu_exact(mu, n + 1) / ((n + 1) * gamma_mu_exact(mu, n))
 
 
+@lru_cache(maxsize=MU_CACHE_SIZE)
+def _series_table(mu: Fraction, d) -> dict:
+    """odd n -> the translation series of x^n under d, which the binomial and odd-even tags share."""
+    return {}
+
+
 def _translation_series(mu: Fraction, n: int) -> BivariatePoly:
-    """sum_j y^j / gamma_mu(j) D^j x^n, by repeated differentiation."""
+    """sum_j y^j / gamma_mu(j) D^j x^n, by repeated differentiation.
+
+    An odd degree's series has two readers, the binomial and the odd-even tag, so
+    it is built once per mu, D in force and n; an even one has one and is not kept.
+    """
+    table = _series_table(mu, dunkl_definition)
+    if n in table:
+        return table[n]
     gam = gamma_exact_table(mu, n)
     columns = {}
     for j, q in enumerate(_derivatives(mu, n)):
         if q.is_zero():
             break
         columns[j] = q.scale(1 / gam[j])
-    return BivariatePoly.from_x_polys(columns)
+    series = BivariatePoly.from_x_polys(columns)
+    if n % 2:
+        table[n] = series
+    return series
 
 
 def _test_poly(n: int) -> DensePoly:

@@ -27,9 +27,9 @@ import math
 
 import numpy as np
 
-from .core import _array_memo, _as_grid, as_mu, gamma_half
+from .core import _array_memo, _as_grid, _memo_key, as_mu, gamma_half
 from .efun import e_mu
-from .quadrature import _scaled_rule, gauss_hermite_mu
+from .quadrature import _scaled_rule
 from .transform import _momentum_svd
 
 __all__ = [
@@ -119,16 +119,16 @@ def heat_apply_kernel(mu, f, t: float, x, *, sigma: float = 0.0, quad_n: int = 9
     the peak is y = |x|.  Gaussians lose 1e-10 at u 2.2-3.7 below it.
 
     The matrix e(x y_i / 2t; mu) does not depend on f; it is built once per
-    (mu, x, nodes, t) and kept in a byte-bounded memo (see README).
+    (scaled-rule plan, x, t) and kept in a byte-bounded memo (see README).
     """
     value = as_mu(mu).require_numeric()
     if not 0.0 < t < math.inf:
         raise ValueError("kernel form needs a finite t > 0")
     xa, shaped = _as_grid(x)
     rate = 0.25 / t
-    y, wg, _ = _scaled_rule(value, f, sigma, rate, quad_n)
+    y, wg, _, plan = _scaled_rule(value, f, sigma, rate, quad_n)
     stretch = 1.0 + 4.0 * sigma * t
-    reach = gauss_hermite_mu(value, quad_n).nodes.max() - 4.0
+    reach = plan.top - 4.0
     peak = np.max(np.abs(xa), initial=0.0) * math.sqrt(sigma + rate) / stretch
     if not peak <= reach:
         raise ValueError(
@@ -137,7 +137,7 @@ def heat_apply_kernel(mu, f, t: float, x, *, sigma: float = 0.0, quad_n: int = 9
         )
     # The Jacobian (sigma + 1/4t)^(-mu-1/2) times the kernel's (4t)^(-mu-1/2)
     # is stretch^(-mu-1/2), exactly 1 at sigma = 0.
-    kern = _array_memo(_heat_kernel, value, xa, y, t)
+    kern = _array_memo.keyed((plan.key, _memo_key(xa), t), _heat_kernel, value, xa, y, t)
     vals = np.exp(-xa * xa / (4.0 * t)) / gamma_half(value) * stretch ** (-value - 0.5) * (kern @ wg)
     return shaped(vals)
 

@@ -45,6 +45,7 @@ import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -190,15 +191,26 @@ def gauss_hermite_mu(mu, n: int) -> QuadratureRule:
     return _hermite_rule_cached(as_mu(mu).require_numeric(), _check_size(n))
 
 
+class _ScaledPlan(NamedTuple):
+    """The f-independent part of one scaled rule, and the key it was built for."""
+
+    key: tuple  # (mu, sigma, rate, quad_n)
+    t: np.ndarray
+    weights: np.ndarray
+    growth: np.ndarray  # e^(sigma t^2)
+    jac: float
+    top: float  # the largest node u of the unscaled rule
+
+
 @lru_cache(maxsize=MU_CACHE_SIZE, typed=True)
-def _scaled_plan(value: float, sigma: float, rate: float, quad_n: int):
+def _scaled_plan(value: float, sigma: float, rate: float, quad_n: int) -> _ScaledPlan:
     rule = gauss_hermite_mu(value, quad_n)
     s = math.sqrt(sigma + rate)
     t = rule.nodes / s
     growth = np.exp(sigma * t * t)
     for row in (t, growth):
         row.setflags(write=False)
-    return t, rule.weights, growth, s ** (-2.0 * value - 1.0)
+    return _ScaledPlan((value, sigma, rate, quad_n), t, rule.weights, growth, s ** (-2.0 * value - 1.0), rule.nodes.max())
 
 
 def _scaled_rule(value: float, f, sigma: float, rate: float, quad_n: int):
@@ -210,14 +222,16 @@ def _scaled_rule(value: float, f, sigma: float, rate: float, quad_n: int):
     jac * sum_i k(t_i) wg_i, where wg = weights * f(t) e^(sigma t^2) and
     jac = s^(-2 mu - 1).  The exponent sigma t^2 = sigma u^2 / (sigma + rate)
     stays below the node's u^2, so recovering f's polynomial part is safe.
-    Returns (t, wg, jac); sigma must be finite and >= 0, sigma + rate > 0.
+    Returns (t, wg, jac, plan); sigma must be finite and >= 0, sigma + rate > 0.
     The f-independent t, e^(sigma t^2) and jac are built once per checked (mu, sigma,
     rate, quad_n) and kept read-only (MU_CACHE_SIZE entries); warm calls keep the bits.
+    ``plan.key`` is that tuple: equal keys give equal t bit for bit, so a matrix
+    built on t can be memoized by the key instead of t's bytes.
     """
     if not (math.isfinite(sigma) and sigma >= 0.0 and sigma + rate > 0.0):
         raise ValueError(f"needs a finite Gaussian envelope rate sigma >= 0 with sigma + {rate:g} > 0")
-    t, weights, growth, jac = _scaled_plan(value, sigma, rate, _check_size(quad_n))
-    return t, weights * (np.asarray(f(t)) * growth), jac
+    plan = _scaled_plan(value, sigma, rate, _check_size(quad_n))
+    return plan.t, plan.weights * (np.asarray(f(plan.t)) * plan.growth), plan.jac, plan
 
 
 def _jacobi_coefficients(a: float, b: float, n: int):

@@ -25,8 +25,9 @@ c = 1/2 for expand and 0 for the norm and the transform, written once in
 analytically, so no oscillatory or unbounded factor is ever integrated
 blindly.  The matrices those routes multiply f's samples by (the kernel,
 the basis tables) do not depend on f; each is built once per distinct
-argument list and kept in ``core._array_memo``, while f is sampled on
-every call.
+argument list and kept in ``core._array_memo``, keyed by the scaled
+rule's plan key where it is built on the scaled nodes, while f is sampled
+on every call.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _array_memo, _as_grid, as_mu, gamma_half, gamma_mu, gamma_step
+from .core import _array_memo, _as_grid, _memo_key, as_mu, gamma_half, gamma_mu, gamma_step
 from .efun import c_s_mu, e_mu
 from .hermite import hermite_eval
 from .quadrature import _check_size, _recurrence_table, _scaled_rule
@@ -118,8 +119,8 @@ def expand(
     if _check_size(quad_n) < n_max + 8:
         raise ValueError("quadrature size too small for the requested n_max")
     # The basis functions carry e^(-t^2/2), so the rule is matched to rate 1/2.
-    t, wg, jac = _scaled_rule(value, f, sigma, 0.5, quad_n)
-    coeffs = jac * (_array_memo(phi_poly_table, value, n_max, t) * wg).sum(axis=1)
+    t, wg, jac, plan = _scaled_rule(value, f, sigma, 0.5, quad_n)
+    coeffs = jac * (_array_memo.keyed((plan.key, n_max), phi_poly_table, value, n_max, t) * wg).sum(axis=1)
     norm_sq = l2mu_norm(f, sigma=sigma, mu=value, quad_n=quad_n) ** 2
     defect = float(norm_sq - np.sum(np.abs(coeffs) ** 2))
     return SpectralVector(mu=value, coeffs=coeffs, parseval_defect=defect)
@@ -135,7 +136,7 @@ def synthesize(vec: SpectralVector, x):
 def l2mu_norm(f, *, sigma: float, mu, quad_n: int = 96) -> float:
     """Weighted L^2 norm of f, which must decay like e^(-sigma x^2)."""
     value = as_mu(mu).require_numeric()
-    _, wg, jac = _scaled_rule(value, lambda t: np.abs(np.asarray(f(t))) ** 2, 2.0 * sigma, 0.0, quad_n)
+    _, wg, jac, _ = _scaled_rule(value, lambda t: np.abs(np.asarray(f(t))) ** 2, 2.0 * sigma, 0.0, quad_n)
     return math.sqrt(jac * float(wg.sum()))
 
 
@@ -208,7 +209,7 @@ def fourier_quadrature(
     """
     value = as_mu(mu).require_numeric()
     xa, shaped = _as_grid(x)
-    t, wg, jac = _scaled_rule(value, f, sigma, 0.0, quad_n)
+    t, wg, jac, plan = _scaled_rule(value, f, sigma, 0.0, quad_n)
     reach = 2.0 * math.sqrt(2.0 * quad_n) - 2.0 * math.sqrt(11.0 * math.log(10.0)) + 8.5 / math.sqrt(quad_n)
     omega = np.max(np.abs(xa), initial=0.0) / math.sqrt(sigma)
     if not omega <= max(reach, 0.0):
@@ -216,7 +217,7 @@ def fourier_quadrature(
             f"max |x| / sqrt(sigma) must be within the {quad_n}-node rule's reach {reach:.4g}, "
             f"not {omega:.6g}"
         )
-    kernel = _array_memo(_kernel_matrix, value, -xa if inverse else xa, t)
+    kernel = _array_memo.keyed((plan.key, _memo_key(xa), bool(inverse)), _kernel_matrix, value, -xa if inverse else xa, t)
     vals = jac / (2.0 ** (value + 0.5) * gamma_half(value)) * (kernel @ wg)
     return shaped(vals)
 

@@ -109,8 +109,7 @@ def translate_alpha(mu, phi, x: float, y: float, *, quad_n: int = 80):
     rule = gauss_alpha_mu(value, quad_n)
     om = _omega(x, y, rule.nodes)
     s = x + y
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(om > 0.0, s / np.where(om > 0.0, om, 1.0), 0.0)
+    ratio = np.divide(s, om, out=np.zeros_like(om), where=om > 0.0)
     plus = np.asarray(phi(om))
     minus = np.asarray(phi(-om))
     half = 0.5 * (rule.weights * ((1.0 + ratio) * plus + (1.0 - ratio) * minus)).sum()

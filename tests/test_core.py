@@ -15,6 +15,7 @@ from muhermite.core import (
     gamma_half,
     gamma_mu,
     gamma_mu_exact,
+    gamma_step,
     gamma_table,
     log_gamma_mu,
     mu_binomial,
@@ -144,6 +145,13 @@ class TestGammaMu:
         assert_allclose(t.values[:11], [gamma_mu(0.5, n) for n in range(11)], rtol=1e-14)
         assert_allclose(t.log_values[1:11], np.log(t.values[1:11]), rtol=1e-13)
 
+    def test_table_steps_are_the_recursion_steps_read_only(self):
+        # the e_mu series divides by these; they keep the bits of one gamma_step call
+        for mu in (-0.45, 0.0, 0.731):
+            t = gamma_table(mu, 100)
+            assert_array_equal(t.steps, gamma_step(mu, np.arange(1, len(t.steps) + 1)))
+            assert len(t.steps) == len(t) - 1 and not t.steps.flags.writeable
+
     def test_overflow_raises_and_log_stays_finite(self):
         with pytest.raises(OverflowError, match="log_gamma_mu"):
             gamma_mu(0.5, 200)
@@ -238,6 +246,27 @@ def test_mu_caches_stay_bounded():
     after = _array_memo.info()
     assert after.misses == held.misses + 1
     assert after[2:] == held[2:]
+
+
+def test_every_lru_cache_in_the_package_is_bounded_by_mu_cache_size():
+    # found by scanning module globals, so a new plan cache cannot escape the bound
+    import functools
+    import importlib
+    import pkgutil
+
+    import muhermite
+    from muhermite.core import MU_CACHE_SIZE
+
+    caches = {}
+    for info in pkgutil.iter_modules(muhermite.__path__):
+        if info.name == "__main__":  # running it is the CLI
+            continue
+        module = importlib.import_module(f"muhermite.{info.name}")
+        for name, obj in vars(module).items():
+            if isinstance(obj, functools._lru_cache_wrapper) and obj.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
+    assert len(caches) >= 13 and {"efun._term_count", "exact._series_table"} <= set(caches)
+    assert {name: size for name, size in caches.items() if size != MU_CACHE_SIZE} == {}
 
 
 # The package's names before each module's __all__ became the one export

@@ -1,14 +1,15 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from muhermite.core import gamma_mu, gamma_step
-from muhermite.efun import _miller, _series, c_s_mu, e_mu, heat_kernel, mehler_rhs
+from muhermite.core import MU_CACHE_SIZE, gamma_mu, gamma_step
+from muhermite.efun import _miller, _series, _term_count, c_s_mu, e_mu, heat_kernel, mehler_rhs
 from muhermite.quadrature import gauss_alpha_mu, gauss_hermite_mu
 from muhermite.transform import phi_eval
 
@@ -131,6 +132,59 @@ def test_non_finite_argument_refused():
     for z in (math.inf, math.nan, complex(0.0, math.inf), np.array([0.0, math.nan])):
         with pytest.raises(ValueError, match="finite"):
             e_mu(0.5, z)
+
+
+def _mp_exp(z):
+    with mpmath.workdps(40):
+        return complex(mpmath.exp(mpmath.mpc(z)))
+
+
+def test_mu_zero_is_within_two_ulp_of_a_40_digit_exp():
+    # numpy's exp at mu = 0, for every spelling of 0, scalar and array alike;
+    # the series was 9.7e-11 relative off at z = -7.92 and 1.3e288 at -703
+    real = np.linspace(-700.0, 700.0, 1401)
+    want = np.array([_mp_exp(z).real for z in real])
+    for mu in (0.0, -0.0, 0, Fraction(0), "0"):
+        for got in (e_mu(mu, real), np.array([e_mu(mu, z) for z in real])):
+            assert got.dtype == np.float64
+            assert np.all(np.abs(got - want) <= 2 * np.spacing(want)), mu
+    rng = np.random.default_rng(5)
+    zc = rng.uniform(0.0, 700.0, 400) * np.exp(1j * rng.uniform(-np.pi, np.pi, 400))
+    want = np.array([_mp_exp(z) for z in zc])
+    for got in (e_mu(0.0, zc), np.array([e_mu(0.0, complex(z)) for z in zc])):
+        assert got.dtype == np.complex128
+        assert np.all(np.abs(got - want) <= 2 * 2.0**-52 * np.abs(want))
+    assert type(e_mu(0.0, 1.5)) is float and type(e_mu(0.0, 1.5j)) is complex
+
+
+def test_mu_zero_keeps_the_series_overflow_boundary_and_checks():
+    # |z| + ln |z| past ln(float max), as the series checks it at mu = 0
+    assert e_mu(0.0, 703.0) == pytest.approx(2.0371395384060414e305, rel=1e-15)
+    assert 0.0 < e_mu(0.0, -703.0) < 1e-305
+    assert math.isfinite(abs(e_mu(0.0, 703j)))
+    for z in (703.5, -703.5, 703.5j, np.array([0.0, 703.5]), np.array([703.5 + 0j]), np.full((1, 1), -703.5)):
+        with pytest.raises(OverflowError, match="overflows float64"):
+            e_mu(0.0, z)
+    for z in (math.inf, math.nan, complex(0.0, math.inf), np.array([0.0, math.nan])):
+        with pytest.raises(ValueError, match="finite"):
+            e_mu(0.0, z)
+
+
+def test_series_term_count_is_planned_per_mu_and_radius():
+    _term_count.cache_clear()
+    z = np.linspace(-8.0, 8.0, 201)
+    cold = e_mu(0.5, z)
+    assert_array_equal(e_mu(0.5, z), cold)
+    e_mu(0.5, -8.0)  # the same radius as the grid
+    assert _term_count.cache_info()[:2] == (2, 1)
+    e_mu(0.0, z)  # exp reads no plan
+    assert _term_count.cache_info()[:2] == (2, 1)
+    # a refused radius raises on every call and plans nothing
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            e_mu(0.5, 800.0)
+    assert _term_count.cache_info().currsize == 1
+    assert _term_count.cache_info().maxsize == MU_CACHE_SIZE
 
 
 def _mp_series(mu, z, dps=50):

@@ -183,6 +183,24 @@ def test_binomial_rows_are_shared_by_the_binomial_and_odd_even_tags(monkeypatch)
     assert exact._binomial_table.cache_info().maxsize == MU_CACHE_SIZE
 
 
+def test_translation_series_is_shared_by_the_binomial_and_odd_even_tags(monkeypatch):
+    # the odd-even tag at odd n reads the series the binomial tag built at n,
+    # and the binomial tag reads the odd ones the odd-even tag built first
+    mu = Fraction(5, 31)
+    built = []
+    derivatives = exact._derivatives
+    monkeypatch.setattr(exact, "_derivatives", lambda mu, n: built.append(n) or derivatives(mu, n))
+    for tag in ("binomial_expansion", "odd_even_factor"):
+        assert verify_identity(tag, mu, 9).passed
+    assert built == list(range(10))
+    built.clear()
+    mu = Fraction(6, 31)
+    for tag in ("odd_even_factor", "binomial_expansion"):
+        assert verify_identity(tag, mu, 9).passed
+    assert built == [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
+    assert exact._series_table.cache_info().maxsize == MU_CACHE_SIZE
+
+
 def test_perturbed_derivative_bites_after_criterion_1_is_warm(monkeypatch):
     # criterion 1 fills the D^j x^n table at mu = 1/3 with the true D; a
     # patched D must not read that table

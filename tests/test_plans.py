@@ -12,12 +12,14 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from muhermite.core import _array_memo, _float_mu, as_mu, beta_function
+from muhermite.efun import _term_count, e_mu
 from muhermite.heat import heat_apply_kernel
 from muhermite.quadrature import _scaled_plan, _scaled_rule, gauss_hermite_mu, jacobi_rule
 from muhermite.transform import expand, fourier_quadrature, l2mu_norm
 from muhermite.translate import _xi_plan, translate_alpha, translate_xi
 
 X = np.linspace(-1.5, 1.5, 13)
+Z = np.linspace(-8.0, 8.0, 201)
 PAIRS = ((0.4, 1.1), (1.3, -0.6), (-0.9, -1.7), (0.7, 0.7))
 
 
@@ -48,12 +50,19 @@ def _calls(mu):
         "expand": lambda: (lambda v: np.append(v.coeffs, v.parseval_defect))(expand(mu, gaussian, 30, sigma=0.7)),
         "l2mu_norm": lambda: np.asarray(l2mu_norm(gaussian, sigma=0.7, mu=mu)),
     }
+    for grid in (Z, Z * (0.3 - 0.8j)):
+        calls[f"e_mu_{grid.dtype}"] = lambda grid=grid: e_mu(mu, grid)
     if mu > 0.0:
         for phi in (gaussian, wave):
-            calls[f"translate_xi_{phi.__name__}"] = lambda phi=phi: np.array(
-                [translate_xi(mu, phi, x, y) for x, y in PAIRS]
-            )
+            for route in (translate_xi, translate_alpha):
+                calls[f"{route.__name__}_{phi.__name__}"] = lambda phi=phi, route=route: np.array(
+                    [route(mu, phi, x, y) for x, y in PAIRS]
+                )
     return calls
+
+
+def _plan_hits():
+    return tuple(plan.cache_info().hits for plan in (_float_mu, _scaled_plan, _xi_plan, _term_count))
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.3141, 1.5])
@@ -61,16 +70,47 @@ def test_warm_call_equals_a_cold_call_bit_for_bit(mu):
     for name, call in _calls(mu).items():
         _clear_every_cache()
         cold = call()
-        hits = (_float_mu.cache_info().hits, _scaled_plan.cache_info().hits, _xi_plan.cache_info().hits)
+        hits = _plan_hits()
         warm = call()
         assert_array_equal(warm, cold, err_msg=name)
         # the warm call read the plans the cold call built
-        after = (_float_mu.cache_info().hits, _scaled_plan.cache_info().hits, _xi_plan.cache_info().hits)
+        after = _plan_hits()
         assert after[0] > hits[0], name
         if name.startswith(("fourier", "inverse", "heat", "expand", "l2mu")):
             assert after[1] > hits[1], name
         if name.startswith("translate_xi"):
             assert after[2] > hits[2], name
+        if name.startswith("e_mu") and mu != 0.0:
+            assert after[3] > hits[3], name
+
+
+def _memo_calls(mu, sigma):
+    """The calls whose matrices the memo keeps by the scaled rule's plan key."""
+    return {
+        "fourier_quadrature": lambda: fourier_quadrature(mu, gaussian, X, sigma=sigma),
+        "inverse": lambda: fourier_quadrature(mu, gaussian, X, sigma=sigma, inverse=True),
+        "heat_apply_kernel": lambda: heat_apply_kernel(mu, gaussian, 0.4, X, sigma=sigma),
+        "expand": lambda: expand(mu, gaussian, 30, sigma=sigma).coeffs,
+    }
+
+
+@pytest.mark.parametrize(
+    "spellings",
+    [((0.0, 1.0), (-0.0, 1.0)), ((-0.0, 1.0), (0.0, 1.0)), ((0.5, 1), (0.5, 1.0)), ((0.5, 1.0), (0.5, 1))],
+)
+def test_plan_keys_that_compare_equal_share_a_matrix_with_equal_bits(spellings):
+    # -0.0 == 0.0 and 1 == 1.0 give equal plan keys, so the second spelling reads
+    # the first one's matrix; it must be the matrix a cold call builds for it
+    first, second = spellings
+    for name, call in _memo_calls(*second).items():
+        _clear_every_cache()
+        cold = call()
+        _clear_every_cache()
+        _memo_calls(*first)[name]()
+        held = _array_memo.info()
+        warm = call()
+        assert _array_memo.info().hits > held.hits, name
+        assert_array_equal(warm, cold, err_msg=name)
 
 
 def _xi_per_branch(mu, phi, x, y, quad_n=80):
@@ -176,3 +216,38 @@ def test_plans_never_skip_validation():
         for refused in (translate_xi, translate_alpha):
             with pytest.raises(ValueError, match="positive"):
                 refused(mu, f, 0.4, 1.1)
+
+
+def _variants():
+    """Calls that differ from the first of their kind in one memo-key argument each.
+
+    x's shape is not among them: every grid is read flat, so a reshaped x shares its matrix.
+    """
+    assert 0.25 / 0.4000000000000002 == 0.25 / 0.40000000000000024
+    fq = lambda mu=0.5, x=X, sigma=0.7, quad_n=96, inverse=False: fourier_quadrature(
+        mu, gaussian, x, sigma=sigma, quad_n=quad_n, inverse=inverse
+    )
+    heat = lambda mu=0.5, x=X, t=0.4, sigma=0.7, quad_n=96: heat_apply_kernel(mu, gaussian, t, x, sigma=sigma, quad_n=quad_n)
+    exp = lambda mu=0.5, n_max=30, sigma=0.7, quad_n=96: expand(mu, gaussian, n_max, sigma=sigma, quad_n=quad_n).coeffs
+    return [
+        fq, lambda: fq(inverse=True), lambda: fq(x=-X), lambda: fq(x=X[:-1]),
+        lambda: fq(sigma=0.8), lambda: fq(quad_n=80), lambda: fq(mu=0.6),
+        heat, lambda: heat(t=0.5), lambda: heat(x=-X),
+        # adjacent floats whose rate 0.25 / t rounds to one value: one plan key, two kernels
+        lambda: heat(t=0.4000000000000002), lambda: heat(t=0.40000000000000024), lambda: heat(sigma=0.8), lambda: heat(quad_n=80), lambda: heat(mu=0.6),
+        exp, lambda: exp(n_max=31), lambda: exp(sigma=0.8), lambda: exp(quad_n=80), lambda: exp(mu=0.6),
+    ]
+
+
+def test_plan_keys_tell_every_argument_apart():
+    # each variant builds its own matrix, with the bits of a cold call
+    _clear_every_cache()
+    for k, call in enumerate(_variants()):
+        misses = _array_memo.info().misses
+        warm = call()
+        assert _array_memo.info().misses == misses + 1, k
+        _array_memo.clear()
+        assert_array_equal(warm, call(), err_msg=str(k))
+        _array_memo.clear()
+        for earlier in _variants()[: k + 1]:
+            earlier()
