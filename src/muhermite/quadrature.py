@@ -19,9 +19,10 @@ the exact mass.  One recurrence pass gives both: S' = K S at a zero of p_n carri
 S across the Newton step (an O(step^2) remainder), with K = p_n'' / p_n' from the
 weight's differential equation (DLMF 18.8.1): (a - b + (a + b + 2) t) / (1 - t^2)
 for (1 - t)^a (1 + t)^b, and 2x - 2 mu / x for hermite_mu (Laguerre in x^2).
-Every p_k comes from ``_recurrence_table``, the one three-term evaluator (each row
-written in place): it tabulates the eigenfunctions in ``transform``, and its
-derivative rows (Gautschi 2004, 2.1) give the p', p'' the oscillator's bridge reads.
+Every p_k comes from ``_recurrence_table``, the one three-term evaluator (rows
+rescaled so that each step is two in-place numpy calls): it tabulates the
+eigenfunctions in ``transform``, and its derivative rows (Gautschi 2004, 2.1) give
+the p', p'' the oscillator's bridge reads.
 Weights are never read off eigenvectors: the tiny outer weights (~1e-210 at
 n = 256) would lose their relative accuracy.
 
@@ -49,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MU_CACHE_SIZE, as_mu, beta_function, gamma_half, gamma_step
+from .core import MU_CACHE_SIZE, as_mu, gamma_half, gamma_step
 
 __all__ = ["QuadratureRule", "gauss_hermite_mu", "gauss_alpha_mu", "jacobi_rule"]
 
@@ -59,31 +60,48 @@ def _recurrence_table(diag, off, mass: float, x, order: int = 0) -> np.ndarray:
 
     The recursion is x p_k = off[k] p_{k+1} + diag[k] p_k + off[k-1] p_{k-1}
     with p_0 = mass^(-1/2); ``diag`` needs at least len(off) entries.  With order > 0
-    the shape is (order + 1, m + 1, x.size), row [j, k] is p_k^(j) and the p rows keep their bits:
+    the shape is (order + 1, m + 1, x.size) and row [j, k] is p_k^(j):
     p^(j)_{k+1} = (j p^(j-1)_k + (x - diag[k]) p^(j)_k - off[k-1] p^(j)_{k-1}) / off[k].
-    Rows are written in place, in the order ((x - diag[k]) p_k - off[k-1] p_{k-1} + j p^(j-1)_k) / off[k],
-    from one x - diag block (x itself for a +0.0 diag: x - 0.0 is x) and one scratch row.
+    Rows are carried as q_k = p_k / s_k, s_0 = s_1 = 1, s_{k+1} = s_{k-1} off[k-1] / off[k],
+    so q_{k+1} = a_k q_k - q_{k-1} (+ j c_k q^(j-1)_k), a_k = (x - diag[k]) c_k and
+    c_k = s_k / (off[k] s_{k+1}), rounded as s_k / (off[k-1] s_{k-1}) for k >= 1.  One 2-D op
+    prefills rows 1..m with a_k (x c_k for a +0.0 diag: a -0.0 entry turns x = -0.0 into
+    +0.0), each step is then two in-place calls (four for a derivative row), and one
+    multiply by s_k restores p.  The p rows are the same bits at every order, and on a
+    zero diagonal p_k(-x) = (-1)^k p_k(x) bit for bit.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     m = len(off)
-    off = np.asarray(off, dtype=float).tolist()
+    off = np.asarray(off, dtype=float)
     diag = np.asarray(diag[:m], dtype=float)
-    shifted = list(x - diag[:, None]) if diag.any() or np.signbit(diag).any() else [x] * m
-    out = np.zeros((order + 1, m + 1, x.size))
+    scale = np.ones(m + 1)  # s_k
+    ratio = off[:-1] / off[1:]
+    scale[2::2] = np.cumprod(ratio[0::2])
+    scale[3::2] = np.cumprod(ratio[1::2])
+    c = scale[:-1] / np.append(off[:1], off[:-1] * scale[:-2])
+    out = np.empty((order + 1, m + 1, x.size))
+    a = out[0, 1:]
+    if diag.any() or np.signbit(diag).any():
+        np.multiply(np.subtract(x, diag[:, None], out=a), c[:, None], out=a)
+    else:
+        np.multiply(x, c[:, None], out=a)
+    out[1:, 1:] = a
+    out[:, 0] = 0.0
     out[0, 0] = 1.0 / math.sqrt(mass)
     scratch = np.empty(x.size)
+    c = c.tolist()
     below = None  # the rows of order j - 1
     for j, p in enumerate(out):
         rows = list(p)
         for k in range(m):
             row = rows[k + 1]
-            np.multiply(shifted[k], rows[k], out=row)
+            np.multiply(row, rows[k], out=row)
             if k:
-                np.subtract(row, np.multiply(rows[k - 1], off[k - 1], out=scratch), out=row)
+                np.subtract(row, rows[k - 1], out=row)
             if j:
-                np.add(row, np.multiply(below[k], j, out=scratch), out=row)
-            np.divide(row, off[k], out=row)
+                np.add(row, np.multiply(below[k], j * c[k], out=scratch), out=row)
         below = rows
+    out *= scale[:, None]
     return out if order else out[0]
 
 
@@ -235,12 +253,16 @@ def _scaled_rule(value: float, f, sigma: float, rate: float, quad_n: int):
 
 
 def _jacobi_coefficients(a: float, b: float, n: int):
-    """Monic recursion coefficients for the weight (1-t)^a (1+t)^b on (-1, 1)."""
+    """Monic recursion coefficients for (1-t)^a (1+t)^b on (-1, 1) over its mass, so beta[0] = 1.
+
+    The unit-mass rule never reads the mass, which leaves the float range long
+    before the rule does (``_jacobi_mass``).
+    """
     alpha = np.empty(n)
     beta = np.empty(n)
     s = a + b
     alpha[0] = (b - a) / (s + 2.0)
-    beta[0] = 2.0 ** (s + 1.0) * beta_function(a + 1.0, b + 1.0)
+    beta[0] = 1.0
     if n > 1:
         # n = 1 uses the cancelled form, which stays finite at s = -1.
         alpha[1] = (b * b - a * a) / ((2.0 + s) * (4.0 + s))
@@ -253,9 +275,24 @@ def _jacobi_coefficients(a: float, b: float, n: int):
     return alpha, beta
 
 
+def _jacobi_mass(a: float, b: float) -> float:
+    """2^(a+b+1) B(a+1, b+1), the mass of (1-t)^a (1+t)^b, in log space.
+
+    Each factor leaves the float range from a + b ~ 1e3 on, while their product
+    may not; OverflowError where the mass itself does.
+    """
+    log_mass = (a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
+    try:
+        return math.exp(log_mass)
+    except OverflowError:
+        raise OverflowError(
+            f"the Jacobi mass 2^(a+b+1) B(a+1, b+1) at (a, b) = ({a:g}, {b:g}) is e^{log_mass:.6g}, past the float range"
+        ) from None
+
+
 @lru_cache(maxsize=MU_CACHE_SIZE)
-def _jacobi_rule_cached(a: float, b: float, n: int):
-    """The rules for (1-t)^a (1+t)^b of unit mass and of its mass beta_0.
+def _jacobi_rule_cached(a: float, b: float, n: int) -> QuadratureRule:
+    """The unit-mass rule for (1-t)^a (1+t)^b.
 
     The averaging measure at mu is (a, b) = (mu - 1, mu), so gauss_alpha_mu
     and jacobi_rule share one eigenproblem per mu.
@@ -263,20 +300,20 @@ def _jacobi_rule_cached(a: float, b: float, n: int):
     alpha, beta = _jacobi_coefficients(a, b, n + 1)
     # K from (1 - t^2) y'' + (b - a - (a + b + 2) t) y' + n (n + a + b + 1) y = 0
     nodes, weights = _gauss_rule(alpha[:n], np.sqrt(beta[1:]), lambda t: (a - b + (a + b + 2.0) * t) / (1.0 - t * t))
-    return (
-        QuadratureRule(nodes, weights, 2 * n - 1, "alpha_mu", 1.0),
-        QuadratureRule(nodes, beta[0] * weights, 2 * n - 1, "jacobi", beta[0]),
-    )
+    return QuadratureRule(nodes, weights, 2 * n - 1, "alpha_mu", 1.0)
 
 
 def jacobi_rule(a: float, b: float, n: int) -> QuadratureRule:
-    """Gauss rule for (1-t)^a (1+t)^b dt on (-1, 1); a, b > -1."""
-    if a <= -1.0 or b <= -1.0:
-        raise ValueError("Jacobi exponents must exceed -1")
-    return _jacobi_rule_cached(float(a), float(b), _check_size(n))[1]
+    """Gauss rule for (1-t)^a (1+t)^b dt on (-1, 1); a, b finite and > -1."""
+    a, b = float(a), float(b)
+    if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
+        raise ValueError("Jacobi exponents must be finite and exceed -1")
+    rule = _jacobi_rule_cached(a, b, _check_size(n))
+    mass = _jacobi_mass(a, b)
+    return QuadratureRule(rule.nodes, mass * rule.weights, rule.exactness_degree, "jacobi", mass)
 
 
 def gauss_alpha_mu(mu, n: int) -> QuadratureRule:
     """Gauss rule for the unit-mass averaging measure on (-1, 1), mu > 0."""
     value = as_mu(mu).require_positive()
-    return _jacobi_rule_cached(value - 1.0, value, _check_size(n))[0]
+    return _jacobi_rule_cached(value - 1.0, value, _check_size(n))

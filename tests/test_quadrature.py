@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from scipy.special import roots_genlaguerre, roots_jacobi
 from muhermite.core import alpha_mu_moment, gamma_half, gamma_mu, gamma_mu_exact, gamma_step
 import muhermite.quadrature as quadrature
 from muhermite.hermite import hermite_coeffs
+from muhermite.translate import translate_alpha
 from muhermite.quadrature import _jacobi_coefficients, _recurrence_table, gauss_alpha_mu, gauss_hermite_mu, jacobi_rule
 
 
@@ -201,6 +203,10 @@ def test_jacobi_rule_matches_scipy():
 def test_jacobi_rule_parameter_guard():
     with pytest.raises(ValueError):
         jacobi_rule(-1.0, 0.0, 5)
+    # refused up front: a nan exponent would reach eigvalsh, an inf one build a nan rule
+    for a, b in ((math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.5), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="Jacobi exponents must be finite and exceed -1"):
+            jacobi_rule(a, b, 10)
 
 
 class TestGaussAlphaMu:
@@ -269,16 +275,63 @@ def _plain_recurrence(diag, off, mass, x, order):
     return out
 
 
-@pytest.mark.parametrize("order", [0, 1, 2])
-def test_recurrence_table_steps_in_place_keep_every_bit(order):
+def _recurrence_cases():
     # zero diagonal (hermite_mu, phi) and a nonzero one (Jacobi), nodes at -0.0 and 0.0 too
     x = np.concatenate((np.linspace(-4.0, 4.0, 37), [-0.0, 0.0]))
     alpha, beta = _jacobi_coefficients(0.731 - 1.0, 0.731, 41)
     hermite_off = np.sqrt(gamma_step(0.731, np.arange(1, 41)) / 2.0)
-    for diag, off, mass in ((np.zeros(40), hermite_off, gamma_half(0.731)), (alpha, np.sqrt(beta[1:]), 1.0)):
+    return x, ((np.zeros(40), hermite_off, gamma_half(0.731)), (alpha, np.sqrt(beta[1:]), 1.0))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_recurrence_table_matches_the_plain_recursion(order):
+    # the rows are carried scaled, q_k = p_k / s_k, so they round apart from the
+    # plain steps: within 2 (k + 1) eps of row k's largest value (0.96 k eps seen);
+    # rows that vanish identically stay exact zeros
+    x, cases = _recurrence_cases()
+    eps = np.finfo(float).eps
+    for diag, off, mass in cases:
         got = _recurrence_table(diag, off, mass, x, order)
         want = _plain_recurrence(diag, off, mass, x, order)
-        assert got.tobytes() == (want if order else want[0]).tobytes()
+        if order:
+            assert got[0].tobytes() == _recurrence_table(diag, off, mass, x).tobytes()
+        else:
+            got = got[None]
+        envelope = np.abs(want).max(axis=2, keepdims=True)
+        bound = 2.0 * eps * (np.arange(len(off) + 1)[:, None] + 1.0) * envelope
+        assert np.all(np.abs(got - want) <= bound)
+
+
+def test_recurrence_table_is_its_own_mirror_image_bit_for_bit():
+    # p_k(-x) = (-1)^k p_k(x) on a zero diagonal, at x = -0.0 and 0.0 too; the
+    # rules' mirror halves and the transform's mirror fold rely on it
+    x, ((diag, off, mass), _) = _recurrence_cases()
+    sign = (-1.0) ** np.arange(len(off) + 1)[:, None]
+    for order in (0, 2):
+        p = _recurrence_table(diag, off, mass, x, order)
+        mirror = _recurrence_table(diag, off, mass, -x, order)
+        rows = (p, mirror) if order == 0 else (p[0], mirror[0])
+        assert rows[1].tobytes() == (sign * rows[0]).tobytes()
+
+
+@pytest.mark.parametrize("case", ["mu=-1/2+1e-13", "mu=170", "jacobi a=-1+1e-12"])
+def test_recurrence_table_stays_finite_and_quiet_at_the_extremes(case):
+    # 256 rows and their derivatives at the rule's own nodes and at the ends:
+    # the scales s_k swing with off[k-1] / off[k], 3e-7 at mu = -1/2 + 1e-13
+    if case.startswith("jacobi"):
+        a = -1.0 + 1e-12
+        alpha, beta = _jacobi_coefficients(a, a + 1.0, 257)
+        diag, off, mass = alpha[:256], np.sqrt(beta[1:]), 1.0
+        x = np.append(gauss_alpha_mu(1e-12, 256).nodes, [-1.0, 1.0])
+    else:
+        mu = -0.5 + 1e-13 if case == "mu=-1/2+1e-13" else 170.0
+        diag, off, mass = np.zeros(256), np.sqrt(gamma_step(mu, np.arange(1, 257)) / 2.0), gamma_half(mu)
+        x = np.append(gauss_hermite_mu(mu, 256).nodes, [-0.0, 0.0])
+    with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise", divide="raise"):
+        warnings.simplefilter("error")
+        rows = _recurrence_table(diag, off, mass, x, order=2)
+    assert np.all(np.isfinite(rows))
+    assert rows[0].tobytes() == _recurrence_table(diag, off, mass, x).tobytes()
 
 
 @pytest.mark.parametrize("a, b", [(-0.5, 0.5), (0.731 - 1.0, 0.731), (0.25, 0.25), (3.5, -0.75)])
@@ -303,7 +356,7 @@ _JACOBI_BUILDS = [(mu - 1.0, mu, n) for mu in (0.05, 0.7731, 2.4) for n in (2, 8
 def _build(case):
     if len(case) == 2:
         return quadrature._hermite_rule_cached.__wrapped__(*case).nodes
-    return quadrature._jacobi_rule_cached.__wrapped__(*case)[1].nodes
+    return quadrature._jacobi_rule_cached.__wrapped__(*case).nodes
 
 
 @pytest.mark.parametrize("case", _HERMITE_BUILDS + _JACOBI_BUILDS, ids=str)
@@ -371,24 +424,33 @@ def _christoffel_at_true_zeros(diag, beta, mass, nodes):
         return np.array([float(1 / v) for v in total])
 
 
+def _jacobi_recursion(a, b, n):
+    """Monic recursion coefficients of (1-t)^a (1+t)^b as 30-digit Decimals, beta[0] unused."""
+    a, b = Decimal(a), Decimal(b)
+    s = a + b
+    diag = [(b - a) / (s + 2)] + [(b * b - a * a) / ((2 * k + s) * (2 * k + s + 2)) for k in range(1, n)]
+    beta = [0, 4 * (1 + a) * (1 + b) / ((2 + s) ** 2 * (3 + s))] + [
+        4 * k * (k + a) * (k + b) * (k + s) / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1)) for k in range(2, n)
+    ]
+    return diag, beta
+
+
 @pytest.mark.parametrize(
-    "case", [(-0.95, 0.05, 80), (1.4, 2.4, 80), (-0.45, 96), (-0.45, 97), (1.5, 96), (1.5, 97)], ids=str
+    "case",
+    [(-0.95, 0.05, 80), (1.4, 2.4, 80), (-0.45, 96), (-0.45, 97), (1.5, 96), (1.5, 97), (0.77, 256), (2.4, 256)],
+    ids=str,
 )
 def test_one_pass_weights_match_christoffel_numbers_at_the_true_zeros(case):
     # worst 5.7e-14 (Jacobi (1.4, 2.4)); the two-pass weights at the rounded nodes
-    # were 1.3e-13 there.  hermite_mu: the nonnegative half, the rule is its mirror
+    # were 1.3e-13 there.  hermite_mu: the nonnegative half, the rule is its mirror;
+    # at the 256 nodes the benchmark builds, 2.9e-14 (mu = 0.77) and 2.3e-14 (mu = 2.4)
     mpmath = pytest.importorskip("mpmath")
     with localcontext(prec=30), mpmath.workdps(34):
         if len(case) == 3:
             a, b, n = case
             rule = jacobi_rule(a, b, n)
-            a, b, s = Decimal(a), Decimal(b), Decimal(a) + Decimal(b)
-            diag = [(b - a) / (s + 2)] + [(b * b - a * a) / ((2 * k + s) * (2 * k + s + 2)) for k in range(1, n)]
-            beta = [0, 4 * (1 + a) * (1 + b) / ((2 + s) ** 2 * (3 + s))] + [
-                4 * k * (k + a) * (k + b) * (k + s) / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1))
-                for k in range(2, n)
-            ]
-            mass = 2 ** (mpmath.mpf(case[0]) + case[1] + 1) * mpmath.beta(mpmath.mpf(case[0]) + 1, case[1] + 1)
+            diag, beta = _jacobi_recursion(a, b, n)
+            mass = 2 ** (mpmath.mpf(a) + b + 1) * mpmath.beta(mpmath.mpf(a) + 1, b + 1)
             nodes, weights = rule.nodes, rule.weights
         else:
             mu, n = case
@@ -399,3 +461,53 @@ def test_one_pass_weights_match_christoffel_numbers_at_the_true_zeros(case):
             nodes, weights = rule.nodes[n // 2 :], rule.weights[n // 2 :]
         mass = Decimal(mpmath.nstr(mass, 34, min_fixed=-mpmath.inf, max_fixed=mpmath.inf))
     assert_allclose(weights, _christoffel_at_true_zeros(diag, beta, mass, nodes), rtol=2e-13, atol=0)
+
+
+@pytest.mark.parametrize("mu", [1.3, 0.4])
+def test_averaging_weights_match_christoffel_numbers_within_the_node_rounding_bound(mu):
+    # gauss_alpha_mu at the 192 nodes the benchmark builds.  Next to t = +-1 a
+    # weight moves by |K(t)| = |d log w / dt| times the rounding of its node, so the
+    # bound is 2e-13 + eps |K(t)|, its multiple set from measured errors: the outermost
+    # weights 5.1e-13 (mu = 1.3) and 3.5e-13 (mu = 0.4) off, 0.48 eps |K| past the 2e-13
+    rule = gauss_alpha_mu(mu, 192)
+    a, b, t = mu - 1.0, mu, rule.nodes
+    diag, beta = _jacobi_recursion(a, b, 192)
+    want = _christoffel_at_true_zeros(diag, beta, Decimal(1), t)
+    curvature = np.abs((a - b + (a + b + 2.0) * t) / (1.0 - t * t))
+    assert np.all(np.abs(rule.weights / want - 1.0) <= 2e-13 + np.finfo(float).eps * curvature)
+
+
+class TestJacobiMass:
+    # the unit-mass rule reads no mass; jacobi_rule forms it in log space
+    @pytest.mark.parametrize("mu", [1e3, 1e5, 1e7])
+    def test_averaging_rule_past_the_mass_overflow(self, mu):
+        rule = gauss_alpha_mu(mu, 64)
+        assert rule.weights.sum() == pytest.approx(1.0, rel=1e-15, abs=0.0)
+        for n in range(1, 26):
+            # n! / gamma_mu(n) from exact rationals (log-gamma would round at 3e-14 here);
+            # odd moments nearly cancel, so measure against the n-th absolute moment
+            want = float(math.factorial(n) / gamma_mu_exact(Fraction(mu), n))
+            scale = rule.integrate(lambda t: np.abs(t) ** n)
+            assert abs(rule.integrate(lambda t: t**n) - want) <= 8e-15 * scale
+
+    def test_translate_alpha_past_the_mass_overflow(self):
+        # z^2 translates to x^2 + y^2 + 2 x y E[t], E[t] = 1 / gamma_mu(1) = 1 / (2 mu + 1)
+        x, y, mu = 0.3, 0.2, 1e5
+        got = translate_alpha(mu, lambda z: z * z, x, y)
+        assert got == pytest.approx(x * x + y * y + 2.0 * x * y * alpha_mu_moment(mu, 1), rel=1e-14)
+
+    @pytest.mark.parametrize("a, b", [(1e5, 1e5), (1e3, 0.5), (0.3, -0.6), (1.4, 2.4)])
+    def test_mass_formed_in_log_space(self, a, b):
+        # log-gamma rounds each of its terms, so the mass is good to eps times their size:
+        # 1.2e-10 relative at a = b = 1e5, where the true mass is 0.0056
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            want = float(2 ** (mpmath.mpf(a) + b + 1) * mpmath.beta(mpmath.mpf(a) + 1, b + 1))
+        rule = jacobi_rule(a, b, 8)
+        terms = abs(math.lgamma(a + 1.0)) + abs(math.lgamma(b + 1.0)) + abs(math.lgamma(a + b + 2.0)) + 1.0
+        assert rule.mass == pytest.approx(want, rel=4.0 * np.finfo(float).eps * terms)
+        assert np.array_equal(rule.weights, rule.mass * quadrature._jacobi_rule_cached(a, b, 8).weights)
+
+    def test_a_mass_past_the_float_range_raises_naming_it(self):
+        with pytest.raises(OverflowError, match=r"Jacobi mass .* \(a, b\) = \(1e\+06, 1\) .* past the float range"):
+            jacobi_rule(1e6, 1.0, 8)

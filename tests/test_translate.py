@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -95,6 +96,18 @@ class TestTwoRoutes:
     def test_alpha_needs_positive_mu(self):
         with pytest.raises(ValueError, match="mu must be positive"):
             translate_alpha(0.0, gaussian(0.5), 1.0, 0.5)
+
+    def test_large_mu_routes_agree_and_xi_names_its_limit(self):
+        # the Jacobi mass 2^(2 mu) B(mu, mu + 1) is formed in log space, so both routes
+        # run at mu = 1e3; past its weights' float range the density form raises, with
+        # no RuntimeWarning and no nan, and the averaging route still serves
+        a = translate_alpha(1e3, gaussian(0.6), 0.3, 0.2)
+        assert_allclose(translate_xi(1e3, gaussian(0.6), 0.3, 0.2), a, rtol=1e-11)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=r"at mu = 100000 are past the float range; translate_alpha"):
+                translate_xi(1e5, gaussian(0.6), 0.3, 0.2)
+            assert np.isfinite(translate_alpha(1e5, gaussian(0.6), 0.3, 0.2))
 
 
 class TestClosedGaussian:
