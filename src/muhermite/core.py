@@ -40,8 +40,6 @@ __all__ = [
     "gamma_table",
     "log_gamma_mu",
     "mu_binomial",
-    "mu_binomial_exact",
-    "alpha_mu_moment",
     "gamma_half",
     "beta_function",
 ]
@@ -349,24 +347,6 @@ def mu_binomial(mu, n: int, j: int) -> float:
     return math.exp(
         table.log_values[n] - table.log_values[j] - table.log_values[n - j]
     )
-
-
-def mu_binomial_exact(mu, n: int, j: int) -> Fraction:
-    if not 0 <= j <= n:
-        raise ValueError("mu_binomial needs 0 <= j <= n")
-    gam = gamma_exact_table(mu, n)
-    return gam[n] / (gam[j] * gam[n - j])
-
-
-def alpha_mu_moment(mu, n: int) -> float:
-    """n-th moment of the reference averaging measure on (-1, 1): n!/gamma_mu(n).
-
-    Only defined for mu > 0, where that measure exists.
-    """
-    value = as_mu(mu).require_positive()
-    if n < 0:
-        raise ValueError("moment order must be nonnegative")
-    return math.exp(math.lgamma(n + 1) - log_gamma_mu(value, n))
 
 
 def gamma_half(mu) -> float:

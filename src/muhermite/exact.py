@@ -23,18 +23,19 @@ degrees share (the iterates of the Rodrigues and raising recursions, the
 closed-form H_m already built) is carried to the next degree instead of
 being rebuilt; factorials come from math.factorial.  The carried state
 belongs to one side's route, so the two sides stay as independent as
-before.  The closed-form H_m are built once per mu and shared by every tag
-that reads them; so are the iterates D^j x^n of the derivative-plus-reflection
-D, which the binomial, odd-even and heat-monomial tags read, and the
-odd-degree translation series built from them, which the binomial and
-odd-even tags read, each held per mu and per D in force (a patched D gets
-tables of its own).
+before.  One shared table per mu and D in force (a patched D gets a table
+of its own) holds what several tags read: the closed-form H_m, read by every
+tag that uses them; the iterates D^j x^n of the derivative-plus-reflection D,
+which the binomial, odd-even and heat-monomial tags read; and the binomial
+rows and the odd-degree translation series (built from those iterates),
+which the binomial and odd-even tags read.
 """
 
 from __future__ import annotations
 
 import math
 import threading
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,10 +52,18 @@ __all__ = ["IDENTITY_TAGS", "IdentityReport", "identity_sides", "verify_identity
 # stays inside the generator.
 
 
+_Tables = namedtuple("_Tables", "hermites derivatives binomials series")
+
+
 @lru_cache(maxsize=MU_CACHE_SIZE)
-def _hermite_table(mu: Fraction) -> list:
-    """The H_m built so far at one mu; _hermites appends to it under _table_lock."""
-    return []
+def _tables(mu: Fraction, d) -> _Tables:
+    """What the tags share at one mu under the D in force, d.
+
+    hermites: the H_m built so far; derivatives: n -> [x^n, D x^n, ..., D^n x^n];
+    binomials: n -> binomial_poly(mu, n, exact=True); series: odd n -> the
+    translation series of x^n.  The first two are filled under _table_lock.
+    """
+    return _Tables([], {}, {}, {})
 
 
 _table_lock = threading.Lock()
@@ -62,7 +71,7 @@ _table_lock = threading.Lock()
 
 def _hermites(mu: Fraction):
     """H_0, H_1, ... from the closed-form coefficients, each built once per mu."""
-    table = _hermite_table(mu)
+    table = _tables(mu, dunkl_definition).hermites
     for m in count():
         if m == len(table):
             with _table_lock:
@@ -71,16 +80,10 @@ def _hermites(mu: Fraction):
         yield table[m]
 
 
-@lru_cache(maxsize=MU_CACHE_SIZE)
-def _derivative_table(mu: Fraction, d) -> dict:
-    """n -> [x^n, D x^n, ..., D^n x^n] under d; _derivatives fills it under _table_lock."""
-    return {}
-
-
 def _derivatives(mu: Fraction, n: int) -> list:
     """D^j x^n for j = 0..n, built once per mu, D in force and degree n."""
     d = dunkl_definition
-    table = _derivative_table(mu, d)
+    table = _tables(mu, d).derivatives
     if n not in table:
         with _table_lock:
             if n not in table:
@@ -91,14 +94,9 @@ def _derivatives(mu: Fraction, n: int) -> list:
     return table[n]
 
 
-@lru_cache(maxsize=MU_CACHE_SIZE)
-def _binomial_table(mu: Fraction) -> dict:
-    """n -> binomial_poly(mu, n, exact=True); the binomial and odd-even tags share it."""
-    return {}
-
-
 def _binomial(mu: Fraction, n: int) -> BivariatePoly:
-    table = _binomial_table(mu)
+    """binomial_poly(mu, n, exact=True), which the binomial and odd-even tags share."""
+    table = _tables(mu, dunkl_definition).binomials
     if n not in table:
         table[n] = binomial_poly(mu, n, exact=True)
     return table[n]
@@ -108,19 +106,13 @@ def _ratio(mu: Fraction, n: int) -> Fraction:
     return gamma_mu_exact(mu, n + 1) / ((n + 1) * gamma_mu_exact(mu, n))
 
 
-@lru_cache(maxsize=MU_CACHE_SIZE)
-def _series_table(mu: Fraction, d) -> dict:
-    """odd n -> the translation series of x^n under d, which the binomial and odd-even tags share."""
-    return {}
-
-
 def _translation_series(mu: Fraction, n: int) -> BivariatePoly:
     """sum_j y^j / gamma_mu(j) D^j x^n, by repeated differentiation.
 
     An odd degree's series has two readers, the binomial and the odd-even tag, so
     it is built once per mu, D in force and n; an even one has one and is not kept.
     """
-    table = _series_table(mu, dunkl_definition)
+    table = _tables(mu, dunkl_definition).series
     if n in table:
         return table[n]
     gam = gamma_exact_table(mu, n)
@@ -137,14 +129,14 @@ def _translation_series(mu: Fraction, n: int) -> BivariatePoly:
 
 def _test_poly(n: int) -> DensePoly:
     """Deterministic dense test polynomial of degree n with mixed parity."""
-    return DensePoly.from_coeffs([Fraction(j + 1) for j in range(n + 1)])
+    return DensePoly([Fraction(j + 1) for j in range(n + 1)])
 
 
 def _test_even_poly(n: int) -> DensePoly:
     coeffs = [Fraction(0)] * (n + 1)
     for j in range(0, n + 1, 2):
         coeffs[j] = Fraction(j // 2 + 2)
-    return DensePoly.from_coeffs(coeffs)
+    return DensePoly(coeffs)
 
 
 def _sides_three_term(mu: Fraction):
@@ -176,7 +168,7 @@ def _sides_raising(mu: Fraction):
 def _sides_rodrigues(mu: Fraction):
     # Gaussian-conjugated derivative: D acting through e^(-x^2) leaves the
     # polynomial factor p -> (D p) - 2 x p.
-    p = DensePoly.from_coeffs([Fraction(1)])
+    p = DensePoly([Fraction(1)])
     for n, h in enumerate(_hermites(mu)):
         rhs = h.scale(gamma_mu_exact(mu, n) / math.factorial(n))
         yield [("", p.scale(Fraction((-1) ** n)), rhs)]
@@ -184,7 +176,7 @@ def _sides_rodrigues(mu: Fraction):
 
 
 def _sides_iterated_raising(mu: Fraction):
-    q = DensePoly.from_coeffs([Fraction(1)])
+    q = DensePoly([Fraction(1)])
     for n, h in enumerate(_hermites(mu)):
         yield [("", q, h.scale(gamma_mu_exact(mu, n) / math.factorial(n)))]
         q = q.shift_up(1).scale(Fraction(2)) - dunkl_definition(mu, q)
@@ -222,7 +214,7 @@ def _sides_binomial(mu: Fraction):
 
 
 def _sides_odd_even(mu: Fraction):
-    x_plus_y = BivariatePoly.from_dict({(1, 0): Fraction(1), (0, 1): Fraction(1)})
+    x_plus_y = BivariatePoly((((1, 0), Fraction(1)), ((0, 1), Fraction(1))))
     for n in count():
         if n % 2 == 0:
             yield []
@@ -248,7 +240,7 @@ def _sides_heat_monomial(mu: Fraction):
             closed[(n - 2 * k, k)] = gamma_mu_exact(mu, n) / (math.factorial(k) * gamma_mu_exact(mu, n - 2 * k))
         yield [
             ("flow", BivariatePoly.from_x_polys(flow), subst),
-            ("series", BivariatePoly.from_x_polys(series), BivariatePoly.from_dict(closed)),
+            ("series", BivariatePoly.from_x_polys(series), BivariatePoly(closed.items())),
         ]
 
 

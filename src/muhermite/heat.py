@@ -51,13 +51,13 @@ def heat_gaussian_params(mu, alpha, z, t: float):
         alpha' = alpha / u,  z' = z / u,
 
     so the image is pref * e^(-alpha' x^2) e(2 z' x; mu).  alpha and z
-    may be complex (Re alpha > 0); t is semigroup time >= 0.
+    may be complex (Re alpha > 0); t is semigroup time, finite and >= 0.
     """
     value = as_mu(mu).require_numeric()
     if not (alpha.real if isinstance(alpha, complex) else alpha) > 0:
         raise ValueError("the Gaussian rate alpha must have positive real part")
-    if t < 0:
-        raise ValueError("semigroup time must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("semigroup time must be finite and nonnegative")
     u = 1.0 + 4.0 * alpha * t
     if abs(u) < 1e-12:
         raise ValueError("1 + 4 alpha t vanishes; the Gaussian image degenerates")
@@ -86,8 +86,8 @@ def heat_odd_gaussian(mu, alpha: float, t: float, x):
     value = as_mu(mu).require_numeric()
     if not alpha > 0:
         raise ValueError("the Gaussian rate alpha must be positive")
-    if t < 0:
-        raise ValueError("semigroup time must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("semigroup time must be finite and nonnegative")
     u = 1.0 + 4.0 * alpha * t
     xa, shaped = _as_grid(x)
     return shaped(xa * u ** (-value - 1.5) * np.exp(-alpha * xa * xa / u))
@@ -142,28 +142,22 @@ def heat_apply_kernel(mu, f, t: float, x, *, sigma: float = 0.0, quad_n: int = 9
     return shaped(vals)
 
 
-def heat_pde_residual(
-    mu,
-    family: str,
-    t: float,
-    x: float,
-    *,
-    h: float = 1e-4,
-    alpha: float = 1.0,
-) -> float:
+def heat_pde_residual(mu, family: str, t: float, x: float) -> float:
     """Finite-difference defect of the radial heat equation on a closed-form flow.
 
     family 'even' (heat_gaussian at z = 0): psi_t = psi_xx + (2 mu / x) psi_x
     family 'odd' (heat_odd_gaussian)      : psi_t = psi_xx + (2 mu / x) psi_x - (2 mu / x^2) psi
 
-    Central differences with step h in both variables; needs t > h and
-    |x| >= 0.1 (the 1/x terms are genuinely singular at the origin).
+    Both flows start from rate alpha = 1.  Central differences with step
+    h = 1e-4 in both variables; needs t > h and |x| >= 0.1 (the 1/x terms
+    are genuinely singular at the origin).
     """
     value = as_mu(mu).require_numeric()
+    h = 1e-4
     if family == "even":
-        psi = lambda x, t: heat_gaussian(value, alpha, 0.0, t, x)
+        psi = lambda x, t: heat_gaussian(value, 1.0, 0.0, t, x)
     elif family == "odd":
-        psi = lambda x, t: heat_odd_gaussian(value, alpha, t, x)
+        psi = lambda x, t: heat_odd_gaussian(value, 1.0, t, x)
     else:
         raise ValueError("family must be 'even' or 'odd'")
     if abs(x) < 0.1:
@@ -187,8 +181,8 @@ def heat_spectral_matrix(mu, t: float, size: int) -> np.ndarray:
     well inside the block, or inputs whose expansion has decayed by then.
     """
     value = as_mu(mu).require_numeric()
-    if t < 0:
-        raise ValueError("semigroup time must be nonnegative")
+    if not 0.0 <= t < math.inf:
+        raise ValueError("semigroup time must be finite and nonnegative")
     u, s, v = _momentum_svd(value, size)
     # P^2 is R R^T (even) and R^T R (odd); parity couplings stay exact zeros.
     decay = np.exp(-t * s * s)

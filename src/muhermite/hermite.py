@@ -35,9 +35,7 @@ __all__ = [
     "hermite_eval",
     "dunkl_apply",
     "dunkl_definition",
-    "raise_apply",
     "inversion_weights",
-    "inversion_expand",
     "binomial_poly",
     "heat_poly",
 ]
@@ -54,7 +52,7 @@ def factorials(n: int, exact: bool) -> list:
 def _finite_poly(coeffs: list, exact: bool, what: str) -> DensePoly:
     if not exact and not all(math.isfinite(c) for c in coeffs):
         raise OverflowError(f"{what} overflows float64; use exact=True with a rational mu")
-    return DensePoly.from_coeffs(coeffs)
+    return DensePoly(coeffs)
 
 
 def hermite_coeffs(mu, n: int, *, exact: bool = False) -> DensePoly:
@@ -134,7 +132,7 @@ def dunkl_apply(mu, p: DensePoly) -> DensePoly:
         if k == 0 or c == 0:
             continue
         out[k - 1] = c * gamma_step(m, k)
-    return DensePoly.from_coeffs(out)
+    return DensePoly(out)
 
 
 def dunkl_definition(mu, p: DensePoly) -> DensePoly:
@@ -154,11 +152,6 @@ def dunkl_definition(mu, p: DensePoly) -> DensePoly:
     return p.derivative() + (p - p.reflect()).div_x().scale(m)
 
 
-def raise_apply(mu, p: DensePoly) -> DensePoly:
-    """Raising operator 2 x p - (D p); sends H_n to a positive multiple of H_{n+1}."""
-    return p.shift_up(1).scale(2) - dunkl_apply(mu, p)
-
-
 def inversion_weights(n: int, *, exact: bool = False) -> list:
     """Weights c_k with (2x)^n / gamma_mu(n) = sum_k c_k H_{n-2k}(x; mu).
 
@@ -169,15 +162,6 @@ def inversion_weights(n: int, *, exact: bool = False) -> list:
     fact = factorials(n, exact)
     one = Fraction(1) if exact else 1.0
     return [one / (fact[k] * fact[n - 2 * k]) for k in range(n // 2 + 1)]
-
-
-def inversion_expand(mu, n: int, *, exact: bool = False) -> DensePoly:
-    """Reassemble (2x)^n / gamma_mu(n) from the Hermite family."""
-    weights = inversion_weights(n, exact=exact)
-    acc = DensePoly.zero()
-    for k, w in enumerate(weights):
-        acc = acc + hermite_coeffs(mu, n - 2 * k, exact=exact).scale(w)
-    return acc
 
 
 def binomial_poly(mu, n: int, *, exact: bool = False) -> BivariatePoly:
@@ -197,7 +181,7 @@ def binomial_poly(mu, n: int, *, exact: bool = False) -> BivariatePoly:
         nums = {(j, n - j): u[n] * v[j] * v[n - j] * (den // d) for j, d in enumerate(dens)}
         return BivariatePoly._result(nums, den, True)
     value = param.require_numeric()
-    return BivariatePoly.from_dict({(j, n - j): mu_binomial(value, n, j) for j in range(n + 1)})
+    return BivariatePoly(((j, n - j), mu_binomial(value, n, j)) for j in range(n + 1))
 
 
 def heat_poly(mu, n: int, t, *, exact: bool = False) -> DensePoly:

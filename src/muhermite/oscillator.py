@@ -37,7 +37,6 @@ basis vector being a normalized raising-power image of it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -47,7 +46,7 @@ import numpy as np
 from .core import as_mu, gamma_table
 from .hermite import _hermite_steps, dunkl_apply
 from .poly import DensePoly
-from .quadrature import gauss_hermite_mu
+from .quadrature import _as_int, gauss_hermite_mu
 from .transform import SpectralVector, _phi_rows, fourier_spectral, operator_matrix
 
 __all__ = [
@@ -66,13 +65,18 @@ __all__ = [
     "run_all",
 ]
 
+# The bound on a family's scaled interior defect; the rotation family (exact
+# diagonal phases) and the representation bridge (Gauss quadrature) set their own.
+_TOLERANCE = 1e-11
+
 
 @dataclass(frozen=True)
 class OscillatorRep:
     """Matrix realization on the first `size` basis vectors.
 
-    `max_word` is the longest operator word with a nonempty interior;
-    checks refuse words past it instead of silently reporting garbage.
+    The longest operator word with a nonempty interior has size - 1
+    letters; checks refuse words past it instead of silently reporting
+    garbage.
     """
 
     mu: float
@@ -84,10 +88,6 @@ class OscillatorRep:
     h: np.ndarray
     j: np.ndarray
     f: np.ndarray
-
-    @property
-    def max_word(self) -> int:
-        return self.size - 1
 
     def identity(self) -> np.ndarray:
         return np.eye(self.size, dtype=complex)
@@ -159,14 +159,12 @@ class CheckReport:
             "identities": [e.to_json() for e in self.entries],
         }
 
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
-
 
 def build(mu, size: int) -> OscillatorRep:
     """Assemble the truncated operator family on `size` basis vectors."""
     param = as_mu(mu)
     value = param.require_numeric()
+    size = _as_int(size, "oscillator size")
     if size < 4:
         raise ValueError("oscillator truncation needs size >= 4")
     # The letters in OscillatorRep field order: a, adag, q, p, h, j, f.
@@ -230,7 +228,7 @@ def _poly_apply(p: DensePoly, m: np.ndarray, v: np.ndarray) -> np.ndarray:
     return acc
 
 
-def check_structure(rep: OscillatorRep, tolerance: float = 1e-11) -> CheckReport:
+def check_structure(rep: OscillatorRep) -> CheckReport:
     """Number-operator actions, parity and transform algebra, spectrum.
 
     Covers the diagonal facts: A* A e_n = (n + 2 mu theta_n) e_n and its
@@ -279,10 +277,10 @@ def check_structure(rep: OscillatorRep, tolerance: float = 1e-11) -> CheckReport
     tags = [f"ladder_chain_{'kill_' * (m > n)}{m}_{n}" for m, n in chains]
     entries += _matrix_defect(rep, tags, [m + n for m, n in chains], lhs, np.stack(rhs, axis=1))
 
-    return CheckReport(name="structure", mu=value, size=size, tolerance=tolerance, entries=tuple(entries))
+    return CheckReport(name="structure", mu=value, size=size, tolerance=_TOLERANCE, entries=tuple(entries))
 
 
-def check_equations_of_motion(rep: OscillatorRep, tolerance: float = 1e-11) -> CheckReport:
+def check_equations_of_motion(rep: OscillatorRep) -> CheckReport:
     """Heisenberg equations and their ladder and squared-letter forms."""
     entries = [
         _matrix_defect(rep, "momentum_hamiltonian", 2, 1j * _commutator(rep.p, rep.h), rep.q),
@@ -292,10 +290,10 @@ def check_equations_of_motion(rep: OscillatorRep, tolerance: float = 1e-11) -> C
         _matrix_defect(rep, "momentum_position_squared", 3, 1j * _commutator(rep.p, rep.q @ rep.q), 2.0 * rep.q),
         _matrix_defect(rep, "momentum_squared_position", 3, 1j * _commutator(rep.p @ rep.p, rep.q), 2.0 * rep.p),
     ]
-    return CheckReport(name="equations_of_motion", mu=rep.mu, size=rep.size, tolerance=tolerance, entries=tuple(entries))
+    return CheckReport(name="equations_of_motion", mu=rep.mu, size=rep.size, tolerance=_TOLERANCE, entries=tuple(entries))
 
 
-def check_commutation(rep: OscillatorRep, tolerance: float = 1e-11) -> CheckReport:
+def check_commutation(rep: OscillatorRep) -> CheckReport:
     """Deformed canonical commutator and parity anticommutation.
 
     i(PQ - QP) equals the identity plus 2 mu times parity; only at
@@ -312,7 +310,7 @@ def check_commutation(rep: OscillatorRep, tolerance: float = 1e-11) -> CheckRepo
     ]
     if rep.mu == 0.0:
         entries.append(_matrix_defect(rep, "canonical_commutator", 2, comm, eye))
-    return CheckReport(name="commutation", mu=rep.mu, size=rep.size, tolerance=tolerance, entries=tuple(entries))
+    return CheckReport(name="commutation", mu=rep.mu, size=rep.size, tolerance=_TOLERANCE, entries=tuple(entries))
 
 
 def _brackets(rep: OscillatorRep) -> tuple:
@@ -330,7 +328,7 @@ def _brackets(rep: OscillatorRep) -> tuple:
     )
 
 
-def check_ladder_powers(rep: OscillatorRep, n_max: int = 3, tolerance: float = 1e-11) -> CheckReport:
+def check_ladder_powers(rep: OscillatorRep, n_max: int = 3) -> CheckReport:
     """Commutators with letter powers, and derivative action on e_0.
 
     Even powers commute down classically, [A, A*^(2n)] = 2n A*^(2n-1);
@@ -373,7 +371,7 @@ def check_ladder_powers(rep: OscillatorRep, n_max: int = 3, tolerance: float = 1
     entries += [entry for row in zip(*ground) for entry in row]
 
     # B(p(X) e_0) - p(X)(B e_0) = (D p)(X) e_0, and D H_3(lam x) = 6 lam H_2(lam x)
-    generic = DensePoly.from_coeffs((-1.0, 5.0, 2.0, -3.0, 1.0))
+    generic = DensePoly((-1.0, 5.0, 2.0, -3.0, 1.0))
     derived = dunkl_apply(value, generic)
     tags, lhs, rhs = [], [], []
     for name, (_, letter, bracket) in (("position", position), ("raising", ladder), ("momentum", momentum)):
@@ -389,10 +387,10 @@ def check_ladder_powers(rep: OscillatorRep, n_max: int = 3, tolerance: float = 1
     words = [generic.degree + 1] * 3 + [4, 4]
     entries += _matrix_defect(rep, tags, words, np.stack(lhs, axis=1), np.stack(rhs, axis=1))
 
-    return CheckReport(name="ladder_powers", mu=value, size=size, tolerance=tolerance, entries=tuple(entries))
+    return CheckReport(name="ladder_powers", mu=value, size=size, tolerance=_TOLERANCE, entries=tuple(entries))
 
 
-def check_rodrigues_operator(rep: OscillatorRep, n_max: int = 8, tolerance: float = 1e-11) -> CheckReport:
+def check_rodrigues_operator(rep: OscillatorRep, n_max: int = 8) -> CheckReport:
     """Letter powers on e_0 against matrix polynomial closed forms.
 
     P^n e_0 is i^n gamma(n)/(2^(n/2) n!) times the degree-n polynomial
@@ -432,10 +430,10 @@ def check_rodrigues_operator(rep: OscillatorRep, n_max: int = 8, tolerance: floa
         for tag, lhs, coefficients, values in rows
     ]
     entries = tuple(entry for row in zip(*blocks) for entry in row)
-    return CheckReport(name="rodrigues_operator", mu=value, size=size, tolerance=tolerance, entries=entries)
+    return CheckReport(name="rodrigues_operator", mu=value, size=size, tolerance=_TOLERANCE, entries=entries)
 
 
-def check_rotation(rep: OscillatorRep, angles=(0.3, 1.1), tolerance: float = 1e-12) -> CheckReport:
+def check_rotation(rep: OscillatorRep) -> CheckReport:
     """Phase-rotation conjugation of position, momentum, and lowering.
 
     exp(i lam H) is an exact diagonal phase, and conjugating a banded
@@ -448,7 +446,7 @@ def check_rotation(rep: OscillatorRep, angles=(0.3, 1.1), tolerance: float = 1e-
     value, size = rep.mu, rep.size
     diag_h = np.diag(rep.h).real
     entries = []
-    for lam in angles:
+    for lam in (0.3, 1.1):
         u = np.diag(np.exp(1j * lam * diag_h))
         ustar = u.conj().T
         cos, sin = math.cos(lam), math.sin(lam)
@@ -462,7 +460,7 @@ def check_rotation(rep: OscillatorRep, angles=(0.3, 1.1), tolerance: float = 1e-
     entries.append(
         _matrix_defect(rep, "quarter_turn_momentum", 0, quarter @ rep.q @ quarter.conj().T, rep.p)
     )
-    return CheckReport(name="rotation", mu=value, size=size, tolerance=tolerance, entries=tuple(entries))
+    return CheckReport(name="rotation", mu=value, size=size, tolerance=1e-12, entries=tuple(entries))
 
 
 def _check_limits(mu, size: int, names, ladder_n_max: int = 1, rodrigues_n_max: int = 1) -> None:
@@ -491,7 +489,7 @@ def _check_limits(mu, size: int, names, ladder_n_max: int = 1, rodrigues_n_max: 
         raise ValueError(f"the representation bridge needs size <= 257 (a rule of at most 256 nodes), got {size}")
 
 
-def check_representation(rep: OscillatorRep, tolerance: float = 1e-8) -> CheckReport:
+def check_representation(rep: OscillatorRep) -> CheckReport:
     """Matrix entries against weighted-measure inner products.
 
     The concrete model realizes position as multiplication by x, momentum
@@ -538,7 +536,7 @@ def check_representation(rep: OscillatorRep, tolerance: float = 1e-8) -> CheckRe
     coeffs = 1.0 / (1.0 + np.arange(size)) + 0.25j
     spectral = fourier_spectral(SpectralVector(mu=value, coeffs=coeffs.copy()))
     entries.append(_matrix_defect(rep, "transform_bridge", 0, rep.f @ coeffs, np.asarray(spectral.coeffs)))
-    return CheckReport(name="representation", mu=value, size=size, tolerance=tolerance, entries=tuple(entries))
+    return CheckReport(name="representation", mu=value, size=size, tolerance=1e-8, entries=tuple(entries))
 
 
 def check_table(ladder_n_max: int = 3, rodrigues_n_max: int = 8) -> dict:

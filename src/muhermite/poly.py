@@ -113,10 +113,6 @@ class DensePoly:
         return cls._of(tuple(nums), den, True)
 
     @staticmethod
-    def from_coeffs(seq) -> "DensePoly":
-        return DensePoly(seq)
-
-    @staticmethod
     def zero() -> "DensePoly":
         return DensePoly._of((), 1, False)
 
@@ -250,12 +246,6 @@ class DensePoly:
             acc = acc * x + c
         return acc
 
-    def map_coeffs(self, fn) -> "DensePoly":
-        return DensePoly(fn(c) for c in self.coeffs)
-
-    def as_float(self) -> "DensePoly":
-        return self.map_coeffs(float)
-
     def max_abs_diff(self, other: "DensePoly") -> float:
         n = max(len(self.nums), len(other.nums))
         if n == 0:
@@ -296,16 +286,8 @@ class BivariatePoly:
         return cls._of(tuple(zip(keys, nums)), den, True)
 
     @staticmethod
-    def from_dict(d: dict) -> "BivariatePoly":
-        return BivariatePoly(d.items())
-
-    @staticmethod
     def zero() -> "BivariatePoly":
         return BivariatePoly._of((), 1, False)
-
-    @staticmethod
-    def term(i: int, j: int, coeff=1) -> "BivariatePoly":
-        return BivariatePoly.from_dict({(i, j): coeff})
 
     @staticmethod
     def from_x_polys(polys: dict) -> "BivariatePoly":
@@ -315,11 +297,6 @@ class BivariatePoly:
             d = {(i, j): c * (den // p.den) for j, p in polys.items() for i, c in enumerate(p.nums) if c}
             return BivariatePoly._result(d, den, True)
         return BivariatePoly(((i, j), c) for j, p in polys.items() for i, c in enumerate(p.coeffs))
-
-    @staticmethod
-    def from_x_poly(p: DensePoly, y_power: int = 0) -> "BivariatePoly":
-        """p(x) y^y_power."""
-        return BivariatePoly.from_x_polys({y_power: p})
 
     @staticmethod
     def homogenized(p: DensePoly, n: int) -> "BivariatePoly":
@@ -384,10 +361,6 @@ class BivariatePoly:
                 key = (i + k, j + l)
                 d[key] = d.get(key, 0) + x * y
         return BivariatePoly._result(d, da * db, exact)
-
-    def swap(self) -> "BivariatePoly":
-        """Exchange the two variables."""
-        return BivariatePoly._of(tuple(sorted(((j, i), c) for (i, j), c in self.nums)), self.den, self.exact)
 
     def __call__(self, x, y):
         return sum(c * x**i * y**j for (i, j), c in self.terms)

@@ -191,12 +191,16 @@ def _hermite_rule_cached(mu: float, n: int) -> QuadratureRule:
     return QuadratureRule(nodes, np.concatenate((weights[::-1][:m], weights)), 2 * n - 1, "hermite_mu", mass)
 
 
-def _check_size(n) -> int:
+def _as_int(n, what: str) -> int:
     # bool is an int subclass, and a float size would share the cache
     # entry of its integer value or fail deep inside numpy
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise TypeError(f"rule size must be an integer, got {n!r}")
-    n = int(n)
+        raise TypeError(f"{what} must be an integer, got {n!r}")
+    return int(n)
+
+
+def _check_size(n) -> int:
+    n = _as_int(n, "rule size")
     if n < 1:
         raise ValueError("a quadrature rule needs at least one node")
     if n > 256:

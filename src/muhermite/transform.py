@@ -40,7 +40,7 @@ import numpy as np
 from .core import _array_memo, _as_grid, _memo_key, as_mu, gamma_half, gamma_mu, gamma_step
 from .efun import c_s_mu, e_mu
 from .hermite import hermite_eval
-from .quadrature import _check_size, _recurrence_table, _scaled_rule
+from .quadrature import _as_int, _check_size, _recurrence_table, _scaled_rule
 
 __all__ = [
     "SpectralVector",
@@ -50,7 +50,6 @@ __all__ = [
     "synthesize",
     "l2mu_norm",
     "fourier_spectral",
-    "fourier_eigenvalue_pair",
     "fourier_quadrature",
     "transform_of_gaussian",
     "transform_of_monomial_gaussian",
@@ -138,18 +137,6 @@ def l2mu_norm(f, *, sigma: float, mu, quad_n: int = 96) -> float:
     value = as_mu(mu).require_numeric()
     _, wg, jac, _ = _scaled_rule(value, lambda t: np.abs(np.asarray(f(t))) ** 2, 2.0 * sigma, 0.0, quad_n)
     return math.sqrt(jac * float(wg.sum()))
-
-
-def fourier_eigenvalue_pair(n: int, re, im):
-    """(-i)^n * (re + i im) as an exact (re, im) pair; field-generic."""
-    k = n % 4
-    if k == 0:
-        return re, im
-    if k == 1:
-        return im, -re
-    if k == 2:
-        return -re, -im
-    return -im, re
 
 
 def fourier_spectral(vec: SpectralVector) -> SpectralVector:
@@ -292,7 +279,7 @@ def operator_matrix(mu, kind: str, size: int) -> np.ndarray:
     diagonal (-1)^n), 'F' (transform, diagonal (-i)^n).
     """
     value = as_mu(mu).require_numeric()
-    if size < 2:
+    if _as_int(size, "matrix size") < 2:
         raise ValueError("operator matrices need size >= 2")
     # A phi_n = sqrt(gamma(n)/gamma(n-1)) phi_{n-1} = sqrt(n + 2 mu theta(n)) phi_{n-1}
     lower = np.sqrt(gamma_step(value, np.arange(1, size)))

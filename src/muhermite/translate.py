@@ -41,8 +41,6 @@ from .transform import _momentum_svd
 
 __all__ = [
     "heron_psi",
-    "heron_delta",
-    "xi_support",
     "translate_poly",
     "translate_alpha",
     "translate_xi",
@@ -55,19 +53,6 @@ __all__ = [
 def heron_psi(x: float, y: float, xi: float) -> float:
     """((x+y)^2 - xi^2)(xi^2 - (x-y)^2) / 16; positive iff |x|,|y|,|xi| form a triangle."""
     return ((x + y) ** 2 - xi * xi) * (xi * xi - (x - y) ** 2) / 16.0
-
-
-def heron_delta(x: float, y: float, xi: float) -> float:
-    """Area of the triangle with side lengths |x|, |y|, |xi|; 0 if none exists."""
-    psi = heron_psi(x, y, xi)
-    return math.sqrt(psi) if psi > 0.0 else 0.0
-
-
-def xi_support(x: float, y: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    """The two open intervals {xi : heron_psi(x,y,xi) > 0}, as ((lo,hi), (lo,hi))."""
-    inner = abs(abs(x) - abs(y))
-    outer = abs(x) + abs(y)
-    return ((-outer, -inner), (inner, outer))
 
 
 def translate_poly(mu, p: DensePoly, y) -> DensePoly:
@@ -104,7 +89,11 @@ def translate_alpha(mu, phi, x: float, y: float, *, quad_n: int = 80):
 
         1/2 int (1 + (x+y)/omega(t)) phi(omega(t)) dalpha(t)
       + 1/2 int (1 - (x+y)/omega(t)) phi(-omega(t)) dalpha(t).
+
+    x and y must be finite.
     """
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("translate_alpha needs a finite x and y")
     value = as_mu(mu).require_positive()
     rule = gauss_alpha_mu(value, quad_n)
     om = _omega(x, y, rule.nodes)
@@ -149,7 +138,10 @@ def translate_xi(mu, phi, x: float, y: float, *, quad_n: int = 80):
     Nodes, compensated weights and B(1/2, mu) are built once per checked (mu, quad_n) and
     kept (MU_CACHE_SIZE entries); a warm call returns a cold call's floats.  Where those
     weights leave the float range (mu past about 2.9e3 at 80 nodes) it raises OverflowError.
+    x and y must be finite.
     """
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("translate_xi needs a finite x and y")
     value = as_mu(mu).require_positive()
     if x == 0.0 or y == 0.0:
         raise ValueError("the density form needs x != 0 and y != 0; use translate_alpha")

@@ -307,7 +307,7 @@ def criterion_heat_consistency() -> CriterionResult:
         for family in ("even", "odd"):
             for t in (0.1, 0.5, 2.0):
                 for xv in (-2.5, -1.5, -0.7, 0.3, 0.7, 1.5, 2.5):
-                    worst_pde = max(worst_pde, heat_pde_residual(mu, family, t, xv, h=1e-4))
+                    worst_pde = max(worst_pde, heat_pde_residual(mu, family, t, xv))
     passed = worst_routes < 1e-6 and worst_comp < 1e-10 and worst_pde < 1e-6
     detail = (
         f"route spread {worst_routes:.2e} (tol 1e-6); composition {worst_comp:.2e} (tol 1e-10); "
@@ -387,10 +387,10 @@ def criterion_oscillator() -> CriterionResult:
 
 
 def _classical_hermite(n: int) -> DensePoly:
-    prev = DensePoly.from_coeffs((Fraction(1),))
+    prev = DensePoly((Fraction(1),))
     if n == 0:
         return prev
-    cur = DensePoly.from_coeffs((Fraction(0), Fraction(2)))
+    cur = DensePoly((Fraction(0), Fraction(2)))
     for k in range(1, n):
         nxt = cur.shift_up(1).scale(Fraction(2)) - prev.scale(Fraction(2 * k))
         prev, cur = cur, nxt
@@ -421,7 +421,7 @@ def criterion_classical_reduction() -> CriterionResult:
     notes.append(f"exponential defect {efun_defect:.1e}")
     t = Fraction(1, 3)
     flowed = heat_poly(Fraction(0), 4, t, exact=True)
-    classic = DensePoly.from_coeffs((12 * t * t, Fraction(0), 12 * t, Fraction(0), Fraction(1)))
+    classic = DensePoly((12 * t * t, Fraction(0), 12 * t, Fraction(0), Fraction(1)))
     heat_ok = flowed == classic
     notes.append("heat flow classical" if heat_ok else "HEAT MISMATCH")
     xs = np.linspace(-2.0, 2.0, 9)

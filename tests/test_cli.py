@@ -167,6 +167,23 @@ def test_heat_kernel_route_via_cli_at_large_t(capsys, family):
     assert np.allclose(b, a, rtol=1e-10, atol=1e-10 * max(map(abs, a)))
 
 
+@pytest.mark.parametrize("route", ["closed", "spectral"])
+def test_heat_at_an_infinite_time_exits_two(capsys, route):
+    # both routes printed nan and exited 0
+    code, out, err = run(capsys, "heat", "--mu", "0.5", "--t", "inf", "--route", route, "--size", "5", "--num", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "finite and nonnegative" in err
+
+
+@pytest.mark.parametrize("route", ["alpha", "xi"])
+def test_translate_at_an_infinite_shift_exits_two(capsys, route):
+    code, out, err = run(
+        capsys, "translate", "--mu", "0.75", "--y", "inf", "--route", route, "--xmin", "0.5", "--xmax", "1.5", "--num", "3"
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "needs a finite x and y" in err
+
+
 def test_translate_cli(capsys):
     code, out, _ = run(
         capsys,

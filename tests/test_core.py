@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from muhermite.core import (
     MuParam,
-    alpha_mu_moment,
     as_mu,
     beta_function,
     gamma_half,
@@ -19,10 +18,10 @@ from muhermite.core import (
     gamma_table,
     log_gamma_mu,
     mu_binomial,
-    mu_binomial_exact,
     theta,
 )
 from muhermite.efun import e_mu
+from muhermite.hermite import binomial_poly
 from muhermite.quadrature import gauss_hermite_mu
 from muhermite.heat import heat_apply_kernel
 from muhermite.transform import expand, fourier_quadrature, l2mu_norm, transform_of_gaussian
@@ -168,19 +167,14 @@ class TestGammaMu:
 def test_mu_binomial_symmetry_and_normalization():
     mu = Fraction(3, 4)
     for n in range(9):
+        p = binomial_poly(mu, n, exact=True)
+        assert p(Fraction(1, 3), Fraction(5, 7)) == p(Fraction(5, 7), Fraction(1, 3))
+        coeffs = p.as_dict()
         for j in range(n + 1):
-            b = mu_binomial_exact(mu, n, j)
-            assert b == mu_binomial_exact(mu, n, n - j)
+            b = coeffs[(j, n - j)]
             assert b > 0
             assert_allclose(mu_binomial(float(mu), n, j), float(b), rtol=1e-13)
-    assert mu_binomial_exact(mu, 6, 0) == 1
-
-
-def test_alpha_mu_moment_is_factorial_over_gamma():
-    for mu in (0.3, 0.75, 2.0):
-        for n in range(10):
-            want = math.factorial(n) / gamma_mu(mu, n)
-            assert_allclose(alpha_mu_moment(mu, n), want, rtol=1e-13)
+    assert binomial_poly(mu, 6, exact=True).as_dict()[(0, 6)] == 1
 
 
 def test_gamma_half_and_beta():
@@ -203,7 +197,7 @@ def test_gamma_half_names_mu_past_the_float_range():
 
 def test_mu_caches_stay_bounded():
     from muhermite.core import _ARRAY_MEMO_BYTES, MU_CACHE_SIZE, _array_memo, _exact_mu, _float_mu, _gamma_exact_table, _gamma_table_cached
-    from muhermite.exact import _derivative_table, _hermite_table, verify_identity
+    from muhermite.exact import _tables, verify_identity
     from muhermite.quadrature import _hermite_rule_cached, _jacobi_rule_cached, _scaled_plan, gauss_alpha_mu, gauss_hermite_mu
     from muhermite.translate import _xi_plan, translate_xi
 
@@ -225,8 +219,7 @@ def test_mu_caches_stay_bounded():
     for k in range(100):
         assert verify_identity("lowering", Fraction(k + 1, 101), 3).passed
         assert verify_identity("binomial_expansion", Fraction(k + 1, 101), 3).passed
-    assert 0 < _hermite_table.cache_info().currsize <= MU_CACHE_SIZE
-    assert 0 < _derivative_table.cache_info().currsize <= MU_CACHE_SIZE
+    assert 0 < _tables.cache_info().currsize <= MU_CACHE_SIZE
 
     # the array memo is bounded in bytes, not entries
     _array_memo.clear()
@@ -265,22 +258,24 @@ def test_every_lru_cache_in_the_package_is_bounded_by_mu_cache_size():
         for name, obj in vars(module).items():
             if isinstance(obj, functools._lru_cache_wrapper) and obj.__module__ == module.__name__:
                 caches[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
-    assert len(caches) >= 13 and {"efun._term_count", "exact._series_table"} <= set(caches)
+    assert len(caches) >= 10 and {"efun._term_count", "exact._tables"} <= set(caches)
     assert {name: size for name, size in caches.items() if size != MU_CACHE_SIZE} == {}
 
 
 # The package's names before each module's __all__ became the one export
 # list, less OperatorMatrix, which was deleted (operator_matrix returns the
-# read-only ndarray itself).
+# read-only ndarray itself), and less four names whose formula the library
+# writes once elsewhere: alpha_mu_moment, inversion_expand, mu_binomial_exact
+# and raise_apply.
 _EARLIER_EXPORTS = """
 BivariatePoly CheckReport CriterionResult DensePoly IDENTITY_TAGS IdentityDefect IdentityReport MuParam
-OscillatorRep QuadratureRule SpectralVector __version__ alpha_mu_moment as_mu build c_s_mu check_commutation
+OscillatorRep QuadratureRule SpectralVector __version__ as_mu build c_s_mu check_commutation
 check_equations_of_motion check_ladder_powers check_representation check_rodrigues_operator check_rotation
 check_structure dunkl_apply dunkl_definition e_mu expand fourier_quadrature fourier_spectral gamma_half gamma_mu
 gamma_mu_exact gauss_alpha_mu gauss_hermite_mu heat_apply_kernel heat_gaussian heat_gaussian_params heat_kernel
 heat_odd_gaussian heat_pde_residual heat_poly heat_spectral_matrix hermite_coeffs hermite_eval identity_sides
-inversion_expand jacobi_rule l2mu_norm log_gamma_mu mehler_rhs mu_binomial mu_binomial_exact operator_matrix
-phi_eval phi_poly_table raise_apply run_acceptance run_all run_criterion synthesize theta
+jacobi_rule l2mu_norm log_gamma_mu mehler_rhs mu_binomial operator_matrix
+phi_eval phi_poly_table run_acceptance run_all run_criterion synthesize theta
 transform_of_efun_gaussian transform_of_gaussian transform_of_hermite_gaussian transform_of_monomial_gaussian
 translate_alpha translate_gaussian_closed translate_odd_gaussian_closed translate_poly translate_spectral_matrix
 translate_xi verify_identity
@@ -300,3 +295,30 @@ def test_package_exports_every_module_export():
         assert all(getattr(muhermite, n) is getattr(module, n) for n in module.__all__)
     assert set(_EARLIER_EXPORTS) <= public
     assert len(muhermite.__all__) == len(public)
+
+
+def test_every_export_is_called_by_the_library_or_named_in_the_readme():
+    # an export that no module reads and the README does not name is a second
+    # public name for a formula written elsewhere, or dead code
+    import ast
+    import pathlib
+    import re
+
+    import muhermite
+
+    package = pathlib.Path(muhermite.__file__).parent
+    read = set()
+    for path in package.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            # a definition's references to its own name (recursion) do not count
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id != own:
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute) and node.attr != own:
+                    read.add(node.attr)
+    readme = (package.parents[1] / "README.md").read_text()
+    spans = re.findall(r"`([^`]*)`", readme)
+    named = {name for name in muhermite.__all__ if any(re.search(rf"\b{name}\b", s) for s in spans)}
+    public = [name for name in muhermite.__all__ if not name.startswith("__")]  # __version__ is metadata
+    assert [name for name in public if name not in read | named] == []

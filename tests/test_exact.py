@@ -7,7 +7,6 @@ import pytest
 
 import muhermite.exact as exact
 from muhermite.exact import IDENTITY_TAGS, identity_sides, verify_identity
-from muhermite.core import MU_CACHE_SIZE
 from muhermite.hermite import binomial_poly, hermite_coeffs
 from muhermite.poly import DensePoly
 from muhermite.verify import criterion_exact_identities
@@ -120,14 +119,16 @@ def test_criterion_counts_every_degree_check():
     assert result.detail.startswith("12 tags x 6 mu, 1524 degree checks,")
 
 
-def test_criterion_1_builds_each_hermite_table_once_per_mu():
+def test_criterion_1_builds_each_hermite_table_once_per_mu(monkeypatch):
     # the closed-form H_m are built once per mu and read by all eight tags
-    # that use them: six mu, six builds, every other read a hit
-    exact._hermite_table.cache_clear()
+    # that use them: six mu, six shared tables, no H_m built twice
+    exact._tables.cache_clear()
+    built = []
+    monkeypatch.setattr(exact, "hermite_coeffs", lambda mu, m, **k: built.append((mu, m)) or hermite_coeffs(mu, m, **k))
     assert criterion_exact_identities().passed
-    info = exact._hermite_table.cache_info()
-    assert info.misses == 6
-    assert info.hits == 7 * 6
+    assert exact._tables.cache_info().misses == 6
+    assert len({mu for mu, _ in built}) == 6
+    assert len(built) == len(set(built))
 
 
 @pytest.mark.parametrize("mu", [Fraction(k, 19) for k in range(11, 17)])
@@ -153,7 +154,7 @@ def test_hermite_table_is_shared_safely_between_threads(mu):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [True] * 8
-    assert exact._hermite_table(mu) == [hermite_coeffs(mu, m, exact=True) for m in range(13)]
+    assert exact._tables(mu, exact.dunkl_definition).hermites == [hermite_coeffs(mu, m, exact=True) for m in range(13)]
 
 
 DERIVATIVE_TAGS = ("binomial_expansion", "odd_even_factor", "heat_monomial")
@@ -162,12 +163,12 @@ DERIVATIVE_TAGS = ("binomial_expansion", "odd_even_factor", "heat_monomial")
 def test_derivative_table_is_shared_by_the_three_tags():
     # one table of D^j x^n per mu and D in force, read by all three tags
     mu = Fraction(3, 23)
-    exact._derivative_table.cache_clear()
+    exact._tables.cache_clear()
     for tag in DERIVATIVE_TAGS:
         assert verify_identity(tag, mu, 9).passed
-    info = exact._derivative_table.cache_info()
+    info = exact._tables.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
-    table = exact._derivative_table(mu, exact.dunkl_definition)
+    table = exact._tables(mu, exact.dunkl_definition).derivatives
     assert sorted(table) == list(range(10))
     assert table[5][2] == DensePoly.monomial(3, 4 * (5 + 2 * mu))  # D x^5 = (5 + 2 mu) x^4, D x^4 = 4 x^3
 
@@ -180,7 +181,7 @@ def test_binomial_rows_are_shared_by_the_binomial_and_odd_even_tags(monkeypatch)
     for tag in ("binomial_expansion", "odd_even_factor"):
         assert verify_identity(tag, mu, 9).passed
     assert built == list(range(10))
-    assert exact._binomial_table.cache_info().maxsize == MU_CACHE_SIZE
+    assert sorted(exact._tables(mu, exact.dunkl_definition).binomials) == list(range(10))
 
 
 def test_translation_series_is_shared_by_the_binomial_and_odd_even_tags(monkeypatch):
@@ -198,7 +199,7 @@ def test_translation_series_is_shared_by_the_binomial_and_odd_even_tags(monkeypa
     for tag in ("odd_even_factor", "binomial_expansion"):
         assert verify_identity(tag, mu, 9).passed
     assert built == [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
-    assert exact._series_table.cache_info().maxsize == MU_CACHE_SIZE
+    assert sorted(exact._tables(mu, exact.dunkl_definition).series) == [1, 3, 5, 7, 9]
 
 
 def test_perturbed_derivative_bites_after_criterion_1_is_warm(monkeypatch):

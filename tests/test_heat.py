@@ -41,7 +41,7 @@ class TestHeatOnMonomial:
     def test_float_route_matches_exact(self):
         ex = heat_poly(Fraction(3, 4), 7, Fraction(2, 5), exact=True)
         fl = heat_poly(0.75, 7, 0.4)
-        assert ex.as_float().max_abs_diff(fl) < 1e-12
+        assert ex.max_abs_diff(fl) < 1e-12
 
 
 def test_gaussian_params_algebra():
@@ -146,6 +146,28 @@ def test_kernel_route_refuses_peak_past_the_rule():
     # the kernel peaks at u = 3 / (2 sqrt(0.01)) = 15, beyond the 96-node rule
     with pytest.raises(ValueError, match="reach"):
         heat_apply_kernel(0.5, lambda u: np.exp(-u * u), 0.01, [-3.0, 3.0])
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_closed_and_spectral_routes_refuse_a_time_outside_zero_to_inf(t):
+    # a nan or inf t came back as a silent nan; at inf and odd size the spectral
+    # route also multiplied -inf by its zero-padded singular value
+    for route in (
+        lambda: heat_gaussian_params(0.5, 1.0, 0.3, t),
+        lambda: heat_gaussian(0.5, 1.0, 0.0, t, 0.3),
+        lambda: heat_odd_gaussian(0.5, 1.0, t, 0.3),
+        lambda: heat_spectral_matrix(0.5, t, 4),
+        lambda: heat_spectral_matrix(0.5, t, 5),
+    ):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            route()
+
+
+@pytest.mark.parametrize("size", [5.0, 5.5, True])
+def test_spectral_route_refuses_a_size_that_is_not_an_integer(size):
+    with pytest.raises(TypeError, match="matrix size must be an integer"):
+        heat_spectral_matrix(0.5, 0.1, size)
+    assert_array_equal(heat_spectral_matrix(0.5, 0.1, np.int64(5)), heat_spectral_matrix(0.5, 0.1, 5))
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])

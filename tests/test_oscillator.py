@@ -33,6 +33,21 @@ def test_build_guard():
         build(0.5, 3)
 
 
+@pytest.mark.parametrize("size", [5.5, 4.0, 2.5, True])
+def test_build_and_operator_matrix_refuse_a_size_that_is_not_an_integer(size):
+    # build(0.5, 5.5) made 6 x 6 matrices with rep.size == 5.5, and run_all then failed deep inside
+    with pytest.raises(TypeError, match="oscillator size must be an integer"):
+        build(0.5, size)
+    with pytest.raises(TypeError, match="matrix size must be an integer"):
+        osc.operator_matrix(0.5, "A", size)
+
+
+def test_build_takes_a_numpy_integer_size():
+    rep = build(0.5, np.int64(8))
+    assert type(rep.size) is int
+    assert np.array_equal(rep.q, build(0.5, 8).q)
+
+
 def test_basis_and_identity(rep):
     e2 = rep.basis_vector(2)
     assert e2[2] == 1.0 and np.count_nonzero(e2) == 1
@@ -48,7 +63,7 @@ def test_all_checks_pass(mu):
 
 def test_report_json_roundtrip(rep):
     report = check_structure(rep)
-    blob = json.loads(report.to_json_str())
+    blob = json.loads(json.dumps(report.to_json()))
     assert blob["check"] == "structure"
     assert blob["pass"] is True
     tags = [e["tag"] for e in blob["identities"]]
@@ -374,8 +389,8 @@ def test_block_measure_matches_each_column_alone():
         lhs = rng.standard_normal((12, k)) + 1j * rng.standard_normal((12, k))
         near = lhs * (1.0 + 1e-13 * rng.standard_normal((12, k)))
         lhs[:, 0] = 0.0  # a zero column, and against the real zero rhs one with both sides zero
-        words = [int(w) for w in rng.integers(0, rep.max_word, k)]
-        words[-1] = rep.max_word
+        words = [int(w) for w in rng.integers(0, rep.size - 1, k)]
+        words[-1] = rep.size - 1
         tags = [f"column_{j}" for j in range(k)]
         for rhs in (near, np.zeros((12, k))):
             got = _matrix_defect(rep, tags, words, lhs, rhs)

@@ -11,7 +11,7 @@ from muhermite.poly import BivariatePoly, DensePoly, fraction_str
 
 
 def test_trailing_zeros_are_trimmed():
-    p = DensePoly.from_coeffs((1.0, 2.0, 0.0, 0.0))
+    p = DensePoly((1.0, 2.0, 0.0, 0.0))
     assert p.degree == 1
     assert p.coeffs == (1.0, 2.0)
 
@@ -24,7 +24,7 @@ def test_zero_poly():
 
 
 def test_arithmetic_and_indexing():
-    p = DensePoly.from_coeffs((1, -2, 3))
+    p = DensePoly((1, -2, 3))
     q = DensePoly.monomial(1, 5)
     s = p + q
     assert s.coeffs == (1, 3, 3)
@@ -34,44 +34,42 @@ def test_arithmetic_and_indexing():
 
 
 def test_shift_derivative_reflect():
-    p = DensePoly.from_coeffs((2, 0, 1))  # 2 + x^2
+    p = DensePoly((2, 0, 1))  # 2 + x^2
     assert p.shift_up(2).coeffs == (0, 0, 2, 0, 1)
     assert p.derivative().coeffs == (0, 2)
-    q = DensePoly.from_coeffs((0, 1, 0, 4))
+    q = DensePoly((0, 1, 0, 4))
     assert q.reflect().coeffs == (0, -1, 0, -4)
 
 
 def test_horner_matches_numpy_polyval():
     rng = np.random.default_rng(42)
     c = rng.normal(size=7)
-    p = DensePoly.from_coeffs(tuple(c))
+    p = DensePoly(tuple(c))
     x = rng.normal(size=11)
     assert_allclose(p(x), np.polynomial.polynomial.polyval(x, c), rtol=1e-12)
 
 
 def test_call_preserves_scalar_and_array():
-    p = DensePoly.from_coeffs((1, 1))
+    p = DensePoly((1, 1))
     assert np.isscalar(p(2.0))
     assert p(np.array([0.0, 1.0])).shape == (2,)
 
 
 def test_exact_coefficients_survive_arithmetic():
-    p = DensePoly.from_coeffs((Fraction(1, 3), Fraction(2)))
+    p = DensePoly((Fraction(1, 3), Fraction(2)))
     q = p + p
     assert q.coeffs == (Fraction(2, 3), Fraction(4))
-    assert isinstance(q.as_float().coeffs[0], float)
-    assert p.map_coeffs(lambda c: 3 * c).coeffs == (1, 6)
 
 
 def test_max_abs_diff():
-    p = DensePoly.from_coeffs((1.0, 2.0))
-    q = DensePoly.from_coeffs((1.0, 2.0 + 1e-9, 5.0))
+    p = DensePoly((1.0, 2.0))
+    q = DensePoly((1.0, 2.0 + 1e-9, 5.0))
     assert p.max_abs_diff(q) == pytest.approx(5.0)
 
 
 @given(st.lists(st.integers(min_value=-9, max_value=9), min_size=1, max_size=6))
 def test_derivative_drops_degree(cs):
-    p = DensePoly.from_coeffs(tuple(cs))
+    p = DensePoly(tuple(cs))
     if p.degree >= 1:
         assert p.derivative().degree == p.degree - 1
     else:
@@ -109,7 +107,7 @@ def _canonical(p) -> bool:
 
 @given(_sparse_fractions, _sparse_fractions, st.fractions(max_denominator=9), st.fractions(max_denominator=9))
 def test_zero_skipping_arithmetic_is_exact(a, b, s, r):
-    p, q = DensePoly.from_coeffs(a), DensePoly.from_coeffs(b)
+    p, q = DensePoly(a), DensePoly(b)
     for got, want in (
         (p + q, p(r) + q(r)),
         (p - q, p(r) - q(r)),
@@ -153,7 +151,7 @@ def _check_against_fraction_arithmetic(p, q, a, b, s):
 def _check_canonical_form(p, s):
     # equal values reached by other routes are equal objects with equal hashes
     assert _canonical(p)
-    same = [(p + p.shift_up(1)) - p.shift_up(1), DensePoly.from_coeffs(p.coeffs), p.shift_up(1).div_x()]
+    same = [(p + p.shift_up(1)) - p.shift_up(1), DensePoly(p.coeffs), p.shift_up(1).div_x()]
     if s:
         same.append(p.scale(s).scale(1 / s))
     for other in same:
@@ -169,7 +167,7 @@ def _check_bivariate_against_fraction_arithmetic(a, b, s):
     # the drawn lists, laid out on a 3 x 3 grid of (i, j) keys
     da = {(k % 3, k // 3): Fraction(v) for k, v in enumerate(a) if v}
     db = {(k % 3, k // 3): Fraction(v) for k, v in enumerate(b) if v}
-    p, q = BivariatePoly.from_dict(da), BivariatePoly.from_dict(db)
+    p, q = BivariatePoly(da.items()), BivariatePoly(db.items())
     keys = set(da) | set(db)
     prod: dict = {}
     for (i, j), x in da.items():
@@ -180,21 +178,20 @@ def _check_bivariate_against_fraction_arithmetic(a, b, s):
         (p - q, {k: da.get(k, 0) - db.get(k, 0) for k in keys}),
         (p * q, prod),
         (p.scale(s), {k: s * v for k, v in da.items()}),
-        (p.swap(), {(j, i): v for (i, j), v in da.items()}),
     ):
         assert got.as_dict() == {k: v for k, v in want.items() if v != 0}
         assert _canonical(got)
-        assert got == BivariatePoly.from_dict(got.as_dict())
+        assert got == BivariatePoly(got.terms)
 
 
 def test_div_x_needs_a_zero_constant_term():
     with pytest.raises(ValueError, match="not a polynomial"):
-        DensePoly.from_coeffs((Fraction(1, 3), Fraction(1))).div_x()
+        DensePoly((Fraction(1, 3), Fraction(1))).div_x()
     assert DensePoly.zero().div_x().is_zero()
 
 
 def test_homogenized_puts_every_term_in_degree_n():
-    p = DensePoly.from_coeffs((Fraction(1, 2), 0, Fraction(-3, 4)))
+    p = DensePoly((Fraction(1, 2), 0, Fraction(-3, 4)))
     got = BivariatePoly.homogenized(p, 5)
     assert got.as_dict() == {(0, 5): Fraction(1, 2), (2, 3): Fraction(-3, 4)}
     with pytest.raises(ValueError, match="below the degree"):
@@ -203,8 +200,8 @@ def test_homogenized_puts_every_term_in_degree_n():
 
 def test_float_arithmetic_matches_plain_formulas():
     # The sums and products every coefficient, zero or not, gives.
-    p = DensePoly.from_coeffs((0.5, 0.0, -1.25, 0.0, 3.0e-7))
-    q = DensePoly.from_coeffs((0.0, 2.0, 0.0, -0.0, 1.5, 0.0, -2.0))
+    p = DensePoly((0.5, 0.0, -1.25, 0.0, 3.0e-7))
+    q = DensePoly((0.0, 2.0, 0.0, -0.0, 1.5, 0.0, -2.0))
     a, b = p.coeffs, q.coeffs
     n = max(len(a), len(b))
     prod = [0.0] * (len(a) + len(b) - 1)
@@ -221,17 +218,11 @@ def test_float_arithmetic_matches_plain_formulas():
 
 class TestBivariatePoly:
     def test_term_and_eval(self):
-        p = BivariatePoly.from_dict({(1, 2): 3, (0, 0): 1})
+        p = BivariatePoly({(1, 2): 3, (0, 0): 1}.items())
         assert p(2.0, 1.0) == pytest.approx(7.0)
-        assert BivariatePoly.term(1, 2, 3)(2.0, 1.0) == pytest.approx(6.0)
-
-    def test_swap(self):
-        p = BivariatePoly.from_dict({(2, 0): 1, (0, 1): 4})
-        q = p.swap()
-        assert q(1.0, 3.0) == pytest.approx(p(3.0, 1.0))
 
     def test_from_x_poly_and_diff(self):
-        p = BivariatePoly.from_x_poly(DensePoly.from_coeffs((1, 0, 2)))
+        p = BivariatePoly.from_x_polys({0: DensePoly((1, 0, 2))})
         assert p(3.0, 100.0) == pytest.approx(19.0)
         assert p.max_abs_diff(p.scale(1)) == 0
 

@@ -15,7 +15,6 @@ from muhermite.transform import (
     _kernel_matrix,
     _momentum_svd,
     expand,
-    fourier_eigenvalue_pair,
     fourier_quadrature,
     fourier_spectral,
     l2mu_norm,
@@ -82,16 +81,6 @@ def test_coefficients_are_read_only():
     vec = expand(0.5, lambda t: np.exp(-0.5 * t * t), 6)
     with pytest.raises(ValueError):
         vec.coeffs[0] = 99.0
-
-
-def test_fourier_eigenvalue_pair_cycles():
-    assert fourier_eigenvalue_pair(0, 2, 3) == (2, 3)
-    assert fourier_eigenvalue_pair(1, 2, 3) == (3, -2)
-    assert fourier_eigenvalue_pair(2, 2, 3) == (-2, -3)
-    assert fourier_eigenvalue_pair(3, 2, 3) == (-3, 2)
-    for n in range(8):
-        re, im = fourier_eigenvalue_pair(n, 1.0, 0.0)
-        assert_allclose(complex(re, im), (-1j) ** n)
 
 
 def test_fourier_spectral_is_diagonal_phase():

@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from muhermite.core import gamma_mu, gamma_mu_exact, mu_binomial_exact
+from muhermite.core import gamma_mu, gamma_mu_exact
 from muhermite.hermite import binomial_poly
 from muhermite.poly import DensePoly
 from muhermite.quadrature import _jacobi_rule_cached, gauss_alpha_mu, jacobi_rule
 from muhermite.translate import (
-    heron_delta,
     heron_psi,
     translate_alpha,
     translate_gaussian_closed,
@@ -19,7 +18,6 @@ from muhermite.translate import (
     translate_poly,
     translate_spectral_matrix,
     translate_xi,
-    xi_support,
 )
 from muhermite.transform import _momentum_svd, l2mu_norm, operator_matrix
 from test_efun import _mp_cos_sin
@@ -40,13 +38,9 @@ class TestGeometry:
         assert heron_psi(1.0, 2.0, 2.5) > 0
         assert heron_psi(1.0, 2.0, 3.5) < 0
 
-    def test_support_brackets(self):
-        (lo1, hi1), (lo2, hi2) = xi_support(1.5, 0.7)
-        assert lo1 == pytest.approx(-2.2) and hi1 == pytest.approx(-0.8)
-        assert lo2 == pytest.approx(0.8) and hi2 == pytest.approx(2.2)
-
     def test_delta_vanishes_on_boundary(self):
-        assert heron_delta(1.0, 2.0, 3.0) == pytest.approx(0.0, abs=1e-14)
+        # the Heron area is sqrt(psi): a degenerate triangle has psi = 0
+        assert heron_psi(1.0, 2.0, 3.0) == 0.0
 
 
 class TestPolynomialTranslation:
@@ -56,17 +50,18 @@ class TestPolynomialTranslation:
             got = translate_poly(mu, DensePoly.monomial(n, Fraction(1)), Fraction(2, 5))
             p = binomial_poly(mu, n, exact=True)
             want_coeffs = [
-                mu_binomial_exact(mu, n, j) * Fraction(2, 5) ** (n - j) for j in range(n + 1)
+                gamma_mu_exact(mu, n) / (gamma_mu_exact(mu, j) * gamma_mu_exact(mu, n - j)) * Fraction(2, 5) ** (n - j)
+                for j in range(n + 1)
             ]
             assert got.coeffs == tuple(want_coeffs)
             assert got(Fraction(1, 2)) == p(Fraction(1, 2), Fraction(2, 5))
 
     def test_zero_shift_is_identity(self):
-        p = DensePoly.from_coeffs((Fraction(1), Fraction(-2), Fraction(5)))
+        p = DensePoly((Fraction(1), Fraction(-2), Fraction(5)))
         assert translate_poly(Fraction(1, 2), p, Fraction(0)).max_abs_diff(p) == 0
 
     def test_agrees_with_alpha_route(self):
-        p = DensePoly.from_coeffs((1.0, 0.5, -2.0, 0.25))
+        p = DensePoly((1.0, 0.5, -2.0, 0.25))
         exactly = translate_poly(MU, p, 0.9)
         for x in (0.3, 1.1, 2.4):
             numeric = translate_alpha(MU, lambda u: p(np.asarray(u)), x, 0.9)
@@ -92,6 +87,13 @@ class TestTwoRoutes:
     def test_xi_needs_nonzero_arguments(self):
         with pytest.raises(ValueError):
             translate_xi(MU, gaussian(0.5), 0.0, 1.0)
+
+    @pytest.mark.parametrize("x, y", [(math.nan, 1.0), (1.0, math.inf), (math.inf, 1.0), (0.5, -math.inf)])
+    def test_both_routes_refuse_a_point_that_is_not_finite(self, x, y):
+        # each came back as a nan, the xi route's after four RuntimeWarnings
+        for route in (translate_alpha, translate_xi):
+            with pytest.raises(ValueError, match="needs a finite x and y"):
+                route(0.5, gaussian(1.0), x, y)
 
     def test_alpha_needs_positive_mu(self):
         with pytest.raises(ValueError, match="mu must be positive"):
@@ -189,6 +191,12 @@ def test_spectral_matrix_is_power_series_in_momentum(size, y, mu):
     got = translate_spectral_matrix(mu, y, size)
     assert got.dtype == complex
     assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_spectral_matrix_refuses_a_size_that_is_not_an_integer():
+    for size in (6.0, 6.5, True):
+        with pytest.raises(TypeError, match="matrix size must be an integer"):
+            translate_spectral_matrix(0.5, 0.3, size)
 
 
 def test_spectral_matrix_at_large_y_matches_mpmath():
