@@ -54,6 +54,12 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _csv(header: str, out_path: str | None, *columns) -> None:
+    """The header, then one row per index of the columns, every value in 17 digits."""
+    rows = [",".join(map(_fmt, row)) for row in zip(*columns)]
+    _emit("\n".join([header] + rows) + "\n", out_path)
+
+
 def _grid(args) -> np.ndarray:
     if args.num < 2:
         raise ValueError("--num must be at least 2")
@@ -75,24 +81,19 @@ def _cmd_eval(args) -> int:
     xs = np.asarray(args.x, dtype=float)
     if args.fn in ("hermite", "phi") and args.n is None:
         raise ValueError(f"--fn {args.fn} needs --n")
+    if args.fn == "cos-sin":
+        _csv("x,cos_part,sin_part", args.out, xs, *c_s_mu(args.mu, xs))
+        return 0
     if args.fn == "hermite":
         vals = hermite_eval(args.mu, args.n, xs)
     elif args.fn == "phi":
         vals = phi_eval(args.mu, args.n, xs)
-    elif args.fn == "efun":
-        vals = e_mu(args.mu, xs)
-    elif args.fn == "cos-sin":
-        lines = ["x,cos_part,sin_part"]
-        lines += [f"{_fmt(v)},{_fmt(c)},{_fmt(s)}" for v, c, s in zip(xs, *c_s_mu(args.mu, xs))]
-        _emit("\n".join(lines) + "\n", args.out)
-        return 0
     else:
-        raise ValueError(f"unknown --fn {args.fn!r}")
+        vals = e_mu(args.mu, xs)
     if len(xs) == 1:
         _emit(_fmt(vals[0]) + "\n", args.out)
     else:
-        lines = ["x,value"] + [f"{_fmt(v)},{_fmt(w)}" for v, w in zip(xs, vals)]
-        _emit("\n".join(lines) + "\n", args.out)
+        _csv("x,value", args.out, xs, vals)
     return 0
 
 
@@ -125,44 +126,35 @@ def _cmd_quad(args) -> int:
         rule = gauss_hermite_mu(args.mu, args.n)
     else:
         rule = gauss_alpha_mu(args.mu, args.n)
-    _emit(rule.to_csv(), args.out)
+    _csv("node,weight", args.out, rule.nodes, rule.weights)
     return 0
 
 
 def _cmd_transform(args) -> int:
     x = _grid(args)
+    if args.family != "gaussian" and args.n is None:
+        raise ValueError(f"--family {args.family} needs --n")
     if args.family == "gaussian":
         f = lambda t: np.exp(-args.lam * t * t)
         sigma = args.lam
     elif args.family == "monomial":
-        if args.n is None:
-            raise ValueError("--family monomial needs --n")
         f = lambda t: t**args.n * np.exp(-args.lam * t * t)
         sigma = args.lam
     elif args.family == "hermite":
-        if args.n is None:
-            raise ValueError("--family hermite needs --n")
         f = lambda t: hermite_eval(args.mu, args.n, args.beta * t) * np.exp(-args.lam * args.lam * t * t)
         sigma = args.lam * args.lam
-    elif args.family == "phi":
-        if args.n is None:
-            raise ValueError("--family phi needs --n")
+    else:
         f = lambda t: phi_eval(args.mu, args.n, t)
         sigma = 0.5
-    else:
-        raise ValueError(f"unknown --family {args.family!r}")
     if args.sigma is not None:
         sigma = args.sigma
     vals = fourier_quadrature(args.mu, f, x, sigma=sigma, quad_n=args.quad_n, inverse=args.inverse)
-    lines = ["x,re,im"] + [f"{_fmt(v)},{_fmt(w.real)},{_fmt(w.imag)}" for v, w in zip(x, vals)]
-    _emit("\n".join(lines) + "\n", args.out)
+    _csv("x,re,im", args.out, x, vals.real, vals.imag)
     return 0
 
 
 def _cmd_heat(args) -> int:
     x = _grid(args)
-    if not args.t >= 0:
-        raise ValueError("--t must be nonnegative")
     if not args.alpha > 0:
         raise ValueError("--alpha must be positive")
     even = args.family == "even"
@@ -173,14 +165,11 @@ def _cmd_heat(args) -> int:
         )
     elif args.route == "kernel":
         vals = heat_apply_kernel(args.mu, f, args.t, x, sigma=args.alpha)
-    elif args.route == "spectral":
-        coeffs = expand(args.mu, f, args.size - 1, sigma=args.alpha)
-        flow = heat_spectral_matrix(args.mu, args.t, args.size)
-        vals = synthesize(SpectralVector(args.mu.require_numeric(), flow @ np.asarray(coeffs.coeffs)), x).real
     else:
-        raise ValueError(f"unknown --route {args.route!r}")
-    lines = ["x,value"] + [f"{_fmt(v)},{_fmt(w)}" for v, w in zip(x, vals)]
-    _emit("\n".join(lines) + "\n", args.out)
+        flow = heat_spectral_matrix(args.mu, args.t, args.size)
+        coeffs = expand(args.mu, f, args.size - 1, sigma=args.alpha)
+        vals = synthesize(SpectralVector(args.mu.require_numeric(), flow @ np.asarray(coeffs.coeffs)), x).real
+    _csv("x,value", args.out, x, vals)
     return 0
 
 
@@ -198,12 +187,9 @@ def _cmd_translate(args) -> int:
         )
     elif args.route == "alpha":
         vals = np.asarray([translate_alpha(args.mu, f, float(v), args.y) for v in x])
-    elif args.route == "xi":
-        vals = np.asarray([translate_xi(args.mu, f, float(v), args.y) for v in x])
     else:
-        raise ValueError(f"unknown --route {args.route!r}")
-    lines = ["x,value"] + [f"{_fmt(v)},{_fmt(w)}" for v, w in zip(x, np.asarray(vals, dtype=float))]
-    _emit("\n".join(lines) + "\n", args.out)
+        vals = np.asarray([translate_xi(args.mu, f, float(v), args.y) for v in x])
+    _csv("x,value", args.out, x, np.asarray(vals, dtype=float))
     return 0
 
 
@@ -225,20 +211,9 @@ def _cmd_verify(args) -> int:
         reports = []
         for tag in IDENTITY_TAGS:
             cap = min(nmax, 12) if tag in verify_mod.SERIES_TAGS else nmax
-            rep = verify_identity(tag, args.mu, cap)
-            reports.append(
-                {
-                    "suite": "exact",
-                    "identity": tag,
-                    "mu": str(args.mu.exact),
-                    "n_max": cap,
-                    "max_defect": 0.0 if rep.passed else None,
-                    "pass": rep.passed,
-                    "counterexample": rep.counterexample,
-                }
-            )
-        _emit(json.dumps(reports, indent=2) + "\n", args.out)
-        return 0 if all(r["pass"] for r in reports) else 1
+            reports.append(verify_identity(tag, args.mu, cap))
+        _emit(json.dumps([r.to_json() for r in reports], indent=2) + "\n", args.out)
+        return 0 if all(r.passed for r in reports) else 1
     numbers = None
     if args.criteria:
         numbers = sorted({int(tok) for tok in args.criteria.split(",") if tok.strip()})

@@ -189,7 +189,7 @@ def _sides_inversion(mu: Fraction):
         hermites.append(h)
         lhs = DensePoly.monomial(n, 2**n / gamma_mu_exact(mu, n))
         rhs = DensePoly.zero()
-        for k, w in enumerate(inversion_weights(n, exact=True)):
+        for k, w in enumerate(inversion_weights(n)):
             rhs = rhs + hermites[n - 2 * k].scale(w)
         yield [("", lhs, rhs)]
 
@@ -297,9 +297,11 @@ class IdentityReport:
 
     def to_json(self) -> dict:
         return {
-            "tag": self.tag,
+            "suite": "exact",
+            "identity": self.tag,
             "mu": fraction_str(self.mu),
             "n_max": self.n_max,
+            "max_defect": 0.0 if self.passed else None,
             "pass": self.passed,
             "counterexample": self.counterexample,
         }

@@ -23,6 +23,7 @@ which the rational-arithmetic identity suite certifies.
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -51,19 +52,17 @@ def heat_gaussian_params(mu, alpha, z, t: float):
         alpha' = alpha / u,  z' = z / u,
 
     so the image is pref * e^(-alpha' x^2) e(2 z' x; mu).  alpha and z
-    may be complex (Re alpha > 0); t is semigroup time, finite and >= 0.
+    may be complex and must be finite, Re alpha > 0; t is semigroup time,
+    finite and >= 0.
     """
     value = as_mu(mu).require_numeric()
-    if not (alpha.real if isinstance(alpha, complex) else alpha) > 0:
-        raise ValueError("the Gaussian rate alpha must have positive real part")
+    if not (cmath.isfinite(alpha) and alpha.real > 0 and cmath.isfinite(z)):
+        raise ValueError(f"alpha must be finite with Re alpha > 0, and z must be finite; got alpha = {alpha}, z = {z}")
     if not 0.0 <= t < math.inf:
         raise ValueError("semigroup time must be finite and nonnegative")
-    u = 1.0 + 4.0 * alpha * t
-    if abs(u) < 1e-12:
-        raise ValueError("1 + 4 alpha t vanishes; the Gaussian image degenerates")
-    pref = u ** (-value - 0.5) * (
-        np.exp(4.0 * t * z * z / u) if isinstance(z, complex) else math.exp(4.0 * t * z * z / u)
-    )
+    u = 1.0 + 4.0 * alpha * t  # Re u >= 1
+    power = 4.0 * t * z * z / u
+    pref = u ** (-value - 0.5) * (np.exp(power) if isinstance(power, complex) else math.exp(power))
     return pref, alpha / u, z / u
 
 
@@ -80,14 +79,11 @@ def heat_odd_gaussian(mu, alpha: float, t: float, x):
 
         x (1 + 4 alpha t)^(-mu - 3/2) e^(-alpha x^2 / (1 + 4 alpha t)).
 
-    Obtained from heat_gaussian by differentiating in z at z = 0.
-    x: scalar or array of any shape.
+    Obtained from heat_gaussian by differentiating in z at z = 0, whose
+    alpha and t checks it shares.  x: scalar or array of any shape.
     """
     value = as_mu(mu).require_numeric()
-    if not alpha > 0:
-        raise ValueError("the Gaussian rate alpha must be positive")
-    if not 0.0 <= t < math.inf:
-        raise ValueError("semigroup time must be finite and nonnegative")
+    heat_gaussian_params(value, alpha, 0.0, t)
     u = 1.0 + 4.0 * alpha * t
     xa, shaped = _as_grid(x)
     return shaped(xa * u ** (-value - 1.5) * np.exp(-alpha * xa * xa / u))

@@ -41,12 +41,20 @@ __all__ = [
 ]
 
 
-def factorials(n: int, exact: bool) -> list:
-    """0!, 1!, ..., n! as ints (exact) or floats."""
-    out = [1 if exact else 1.0]
+def _factorials(mu, n: int, exact: bool, what: str) -> tuple:
+    """0!, ..., n! and gamma_mu(0), ..., gamma_mu(n) as ints and Fractions (exact) or floats.
+
+    ``what`` names the degree n in the error for a negative n.
+    """
+    if n < 0:
+        raise ValueError(f"{what} degree must be nonnegative")
+    param = as_mu(mu)
+    fact = [1 if exact else 1.0]
     for k in range(1, n + 1):
-        out.append(out[-1] * k)
-    return out
+        fact.append(fact[-1] * k)
+    if exact:
+        return fact, gamma_exact_table(param, n)
+    return fact, gamma_table(param.require_numeric(), n).values
 
 
 def _finite_poly(coeffs: list, exact: bool, what: str) -> DensePoly:
@@ -60,17 +68,8 @@ def hermite_coeffs(mu, n: int, *, exact: bool = False) -> DensePoly:
 
     The float path raises OverflowError from n = 151 on.
     """
-    if n < 0:
-        raise ValueError("polynomial degree must be nonnegative")
-    param = as_mu(mu)
-    fact = factorials(n, exact)
-    if exact:
-        gam = gamma_exact_table(param, n)
-        two = 2
-    else:
-        param.require_numeric()
-        gam = gamma_table(param.value, n).values
-        two = 2.0
+    fact, gam = _factorials(mu, n, exact, "polynomial")
+    two = 2 if exact else 2.0
     coeffs = [0 * two] * (n + 1)
     sign = 1
     with np.errstate(over="ignore", invalid="ignore"):
@@ -152,16 +151,14 @@ def dunkl_definition(mu, p: DensePoly) -> DensePoly:
     return p.derivative() + (p - p.reflect()).div_x().scale(m)
 
 
-def inversion_weights(n: int, *, exact: bool = False) -> list:
-    """Weights c_k with (2x)^n / gamma_mu(n) = sum_k c_k H_{n-2k}(x; mu).
+def inversion_weights(n: int) -> list:
+    """Weights c_k with (2x)^n / gamma_mu(n) = sum_k c_k H_{n-2k}(x; mu), as Fractions.
 
     c_k = 1 / (k! (n-2k)!), independent of mu.
     """
     if n < 0:
         raise ValueError("monomial degree must be nonnegative")
-    fact = factorials(n, exact)
-    one = Fraction(1) if exact else 1.0
-    return [one / (fact[k] * fact[n - 2 * k]) for k in range(n // 2 + 1)]
+    return [Fraction(1, math.factorial(k) * math.factorial(n - 2 * k)) for k in range(n // 2 + 1)]
 
 
 def binomial_poly(mu, n: int, *, exact: bool = False) -> BivariatePoly:
@@ -192,17 +189,10 @@ def heat_poly(mu, n: int, t, *, exact: bool = False) -> DensePoly:
     At mu = 0 these are the classical heat polynomials (x^2 + 2t, ...).
     The float path raises OverflowError once gamma_mu(n) does (n ~ 170).
     """
-    if n < 0:
-        raise ValueError("monomial degree must be nonnegative")
-    param = as_mu(mu)
-    fact = factorials(n, exact)
-    if exact:
-        gam = gamma_exact_table(param, n)
-        t = Fraction(t)
-    else:
-        param.require_numeric()
-        gam = gamma_table(param.value, n).values
-        t = float(t)
+    if not isinstance(t, (int, Fraction)) and not math.isfinite(t):
+        raise ValueError(f"heat_poly needs a finite time t, got {t}")
+    fact, gam = _factorials(mu, n, exact, "monomial")
+    t = Fraction(t) if exact else float(t)
     coeffs = [0 * gam[0]] * (n + 1)
     tk = t**0
     with np.errstate(over="ignore", invalid="ignore"):

@@ -78,7 +78,41 @@ def _exact_scalar(p, s) -> bool:
     return p.exact or (isinstance(s, Fraction) and p._integral())
 
 
-class DensePoly:
+class _Poly:
+    """Storage, ==, hash, +, - and max_abs_diff of both containers; a subclass gives _sum and _keyed."""
+
+    __slots__ = ("nums", "den", "exact")
+
+    @classmethod
+    def _of(cls, nums: tuple, den: int, exact: bool):
+        p = object.__new__(cls)
+        p.nums, p.den, p.exact = nums, den, exact
+        return p
+
+    @classmethod
+    def zero(cls):
+        return cls._of((), 1, False)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.nums == other.nums and self.den == other.den
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.den))
+
+    def __add__(self, other):
+        return self._sum(other, False)
+
+    def __sub__(self, other):
+        return self._sum(other, True)
+
+    def max_abs_diff(self, other) -> float:
+        a, b = self._keyed(), other._keyed()
+        return max((abs(float(a.get(k, 0)) - float(b.get(k, 0))) for k in a.keys() | b.keys()), default=0.0)
+
+
+class DensePoly(_Poly):
     """Univariate dense polynomial, ascending coefficients, trailing zeros trimmed.
 
     ``nums`` over ``den`` are the coefficients: integer numerators over one
@@ -87,7 +121,7 @@ class DensePoly:
     it is made.
     """
 
-    __slots__ = ("nums", "den", "exact")
+    __slots__ = ()
 
     def __init__(self, coeffs=()):
         coeffs = _trim(coeffs)
@@ -99,22 +133,12 @@ class DensePoly:
             self.nums, self.exact = tuple(nums), True
 
     @classmethod
-    def _of(cls, nums: tuple, den: int, exact: bool) -> "DensePoly":
-        p = object.__new__(cls)
-        p.nums, p.den, p.exact = nums, den, exact
-        return p
-
-    @classmethod
     def _result(cls, out: list, den: int, exact: bool) -> "DensePoly":
         out = _trim(out)
         if not exact:
             return cls._of(out, 1, False)
         nums, den = _reduced(out, den)
         return cls._of(tuple(nums), den, True)
-
-    @staticmethod
-    def zero() -> "DensePoly":
-        return DensePoly._of((), 1, False)
 
     @staticmethod
     def monomial(degree: int, coeff=1) -> "DensePoly":
@@ -132,6 +156,9 @@ class DensePoly:
     def _values(self) -> tuple:
         return self.coeffs
 
+    def _keyed(self) -> dict:
+        return dict(enumerate(self.coeffs))
+
     def _integral(self) -> bool:
         return all(type(c) is int for c in self.nums)
 
@@ -146,14 +173,6 @@ class DensePoly:
         if 0 <= k < len(self.nums):
             return Fraction(self.nums[k], self.den) if self.exact else self.nums[k]
         return 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DensePoly):
-            return NotImplemented
-        return self.nums == other.nums and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
         return f"DensePoly(coeffs={self.coeffs!r})"
@@ -174,12 +193,6 @@ class DensePoly:
                 if c:
                     out[k] = out[k] + c if out[k] else c
         return DensePoly._result(out, den, exact)
-
-    def __add__(self, other: "DensePoly") -> "DensePoly":
-        return self._sum(other, False)
-
-    def __sub__(self, other: "DensePoly") -> "DensePoly":
-        return self._sum(other, True)
 
     def __neg__(self) -> "DensePoly":
         return DensePoly._of(tuple(-c for c in self.nums), self.den, self.exact)
@@ -246,21 +259,15 @@ class DensePoly:
             acc = acc * x + c
         return acc
 
-    def max_abs_diff(self, other: "DensePoly") -> float:
-        n = max(len(self.nums), len(other.nums))
-        if n == 0:
-            return 0.0
-        return max(abs(float(self[k]) - float(other[k])) for k in range(n))
 
-
-class BivariatePoly:
+class BivariatePoly(_Poly):
     """Sparse polynomial in two variables; keys are (i, j) for x^i y^j.
 
     ``nums`` is the sorted tuple of ((i, j), numerator) pairs, no zero
     numerators, over ``den``, stored as DensePoly stores its coefficients.
     """
 
-    __slots__ = ("nums", "den", "exact")
+    __slots__ = ()
 
     def __init__(self, terms=()):
         items = sorted((k, v) for k, v in terms if v != 0)
@@ -272,22 +279,12 @@ class BivariatePoly:
             self.nums, self.exact = tuple(zip((k for k, _ in items), nums)), True
 
     @classmethod
-    def _of(cls, nums: tuple, den: int, exact: bool) -> "BivariatePoly":
-        p = object.__new__(cls)
-        p.nums, p.den, p.exact = nums, den, exact
-        return p
-
-    @classmethod
     def _result(cls, d: dict, den: int, exact: bool) -> "BivariatePoly":
         if not exact:
             return cls(d.items())
         keys = sorted(k for k, v in d.items() if v)
         nums, den = _reduced([d[k] for k in keys], den)
         return cls._of(tuple(zip(keys, nums)), den, True)
-
-    @staticmethod
-    def zero() -> "BivariatePoly":
-        return BivariatePoly._of((), 1, False)
 
     @staticmethod
     def from_x_polys(polys: dict) -> "BivariatePoly":
@@ -322,13 +319,7 @@ class BivariatePoly:
     def as_dict(self) -> dict:
         return dict(self.terms)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        return self.nums == other.nums and self.den == other.den
-
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
+    _keyed = as_dict
 
     def __repr__(self) -> str:
         return f"BivariatePoly(terms={self.terms!r})"
@@ -340,12 +331,6 @@ class BivariatePoly:
         for k, v in b if mb == 1 else ((k, v * mb) for k, v in b):
             d[k] = d.get(k, 0) - v if subtract else d.get(k, 0) + v
         return BivariatePoly._result(d, den, exact)
-
-    def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
-        return self._sum(other, False)
-
-    def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
-        return self._sum(other, True)
 
     def scale(self, s) -> "BivariatePoly":
         if _exact_scalar(self, s):
@@ -364,13 +349,6 @@ class BivariatePoly:
 
     def __call__(self, x, y):
         return sum(c * x**i * y**j for (i, j), c in self.terms)
-
-    def max_abs_diff(self, other: "BivariatePoly") -> float:
-        keys = {k for k, _ in self.nums} | {k for k, _ in other.nums}
-        a, b = self.as_dict(), other.as_dict()
-        if not keys:
-            return 0.0
-        return max(abs(float(a.get(k, 0)) - float(b.get(k, 0))) for k in keys)
 
 
 def fraction_str(q: Fraction) -> str:

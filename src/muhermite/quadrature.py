@@ -42,7 +42,6 @@ bit by construction and needs no fold onto its mirror.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -132,16 +131,6 @@ def _polish(diag: np.ndarray, off: np.ndarray, nodes: np.ndarray, curvature):
     return nodes - step, 1.0 / (christoffel * (1.0 - curvature(nodes) * step))
 
 
-def _gauss_rule(diag: np.ndarray, off: np.ndarray, curvature):
-    """Unit-mass Gauss rule of size n = len(diag).
-
-    ``off`` carries n entries; the last one enters only p_n, for the
-    Newton step, and not the Jacobi matrix; ``curvature`` is as in ``_polish``.
-    """
-    nodes, weights = _polish(diag, off, _eigenvalues(diag, off), curvature)
-    return nodes, weights / weights.sum()
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Nodes, weights, and provenance of one Gauss rule."""
@@ -161,13 +150,6 @@ class QuadratureRule:
 
     def integrate(self, f) -> float:
         return float(np.dot(self.weights, f(self.nodes)))
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("node,weight\n")
-        for x, w in zip(self.nodes, self.weights):
-            buf.write(f"{x:.17g},{w:.17g}\n")
-        return buf.getvalue()
 
 
 @lru_cache(maxsize=MU_CACHE_SIZE)
@@ -302,9 +284,10 @@ def _jacobi_rule_cached(a: float, b: float, n: int) -> QuadratureRule:
     and jacobi_rule share one eigenproblem per mu.
     """
     alpha, beta = _jacobi_coefficients(a, b, n + 1)
+    diag, off = alpha[:n], np.sqrt(beta[1:])  # off[n - 1] enters only p_n, for the Newton step
     # K from (1 - t^2) y'' + (b - a - (a + b + 2) t) y' + n (n + a + b + 1) y = 0
-    nodes, weights = _gauss_rule(alpha[:n], np.sqrt(beta[1:]), lambda t: (a - b + (a + b + 2.0) * t) / (1.0 - t * t))
-    return QuadratureRule(nodes, weights, 2 * n - 1, "alpha_mu", 1.0)
+    nodes, weights = _polish(diag, off, _eigenvalues(diag, off), lambda t: (a - b + (a + b + 2.0) * t) / (1.0 - t * t))
+    return QuadratureRule(nodes, weights / weights.sum(), 2 * n - 1, "alpha_mu", 1.0)
 
 
 def jacobi_rule(a: float, b: float, n: int) -> QuadratureRule:

@@ -26,6 +26,7 @@ negative translate; see the tests.
 
 from __future__ import annotations
 
+import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -59,8 +60,10 @@ def translate_poly(mu, p: DensePoly, y) -> DensePoly:
     """Translation of a polynomial: the terminating series sum_j (y^j/gamma(j)) D^j p.
 
     Field-generic: with Fraction coefficients, a Fraction (or int) shift,
-    and an exact mu the result is exact.
+    and an exact mu the result is exact.  A float or complex y must be finite.
     """
+    if not isinstance(y, (int, Fraction)) and not cmath.isfinite(y):
+        raise ValueError(f"translate_poly needs a finite shift y, got {y}")
     param = as_mu(mu)
     exact = (
         param.exact is not None

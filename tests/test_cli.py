@@ -2,7 +2,27 @@ import json
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
+from muhermite import (
+    SpectralVector,
+    c_s_mu,
+    e_mu,
+    expand,
+    fourier_quadrature,
+    gauss_alpha_mu,
+    gauss_hermite_mu,
+    heat_apply_kernel,
+    heat_gaussian,
+    heat_odd_gaussian,
+    heat_spectral_matrix,
+    hermite_eval,
+    phi_eval,
+    synthesize,
+    translate_alpha,
+    translate_gaussian_closed,
+    translate_xi,
+)
 from muhermite.cli import main
 from test_efun import _mp_cos_sin
 
@@ -173,6 +193,97 @@ def test_heat_at_an_infinite_time_exits_two(capsys, route):
     code, out, err = run(capsys, "heat", "--mu", "0.5", "--t", "inf", "--route", route, "--size", "5", "--num", "3")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "finite and nonnegative" in err
+
+
+@pytest.mark.parametrize("route", ["closed", "spectral"])
+def test_heat_at_a_negative_time_exits_two_with_the_librarys_message(capsys, route):
+    code, out, err = run(capsys, "heat", "--mu", "0.5", "--t", "-1", "--route", route, "--size", "5", "--num", "3")
+    assert (code, out) == (2, "")
+    assert err == "error: semigroup time must be finite and nonnegative\n"
+
+
+@pytest.mark.parametrize("family", ["even", "odd"])
+def test_heat_at_an_infinite_rate_exits_two(capsys, family):
+    # the closed route printed nan and exited 0
+    code, out, err = run(capsys, "heat", "--mu", "0.5", "--t", "0.3", "--alpha", "inf", "--family", family, "--num", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "must be finite" in err
+
+
+_XS = np.array([-2.5, -0.3, 0.0, 1.1, 2.75])
+_GRID = np.linspace(-1.5, 1.5, 6)  # no x = 0, which the xi route refuses
+_ON_GRID = ["--xmin", "-1.5", "--xmax", "1.5", "--num", "6"]
+_HEAT = ["heat", "--mu", "0.75", "--t", "0.4", "--alpha", "0.8", "--size", "40", *_ON_GRID]
+_TRANSLATE = ["translate", "--mu", "0.75", "--y", "0.9", "--lam", "0.5", *_ON_GRID]
+
+
+def _gauss(rate):
+    return lambda u: np.exp(-rate * u * u)
+
+
+def _spectral_heat():
+    flow = heat_spectral_matrix(0.75, 0.4, 40) @ np.asarray(expand(0.75, _gauss(0.8), 39, sigma=0.8).coeffs)
+    return _GRID, synthesize(SpectralVector(0.75, flow), _GRID).real
+
+
+def _transform():
+    vals = fourier_quadrature(0.7, _gauss(0.5), _GRID, sigma=0.5)
+    return _GRID, vals.real, vals.imag
+
+
+def _quad(build):
+    rule = build(0.7, 9)
+    return rule.nodes, rule.weights
+
+
+def _eval(fn, *n):
+    return ["eval", "--fn", fn, "--mu", "0.7", *n, "--x", *map(str, _XS)]
+
+
+# argv, the CSV header, and the library's own columns
+_ROUND_TRIPS = {
+    "eval-hermite": (_eval("hermite", "--n", "5"), "x,value", lambda: (_XS, hermite_eval(0.7, 5, _XS))),
+    "eval-phi": (_eval("phi", "--n", "4"), "x,value", lambda: (_XS, phi_eval(0.7, 4, _XS))),
+    "eval-efun": (_eval("efun"), "x,value", lambda: (_XS, e_mu(0.7, _XS))),
+    "eval-cos-sin": (_eval("cos-sin"), "x,cos_part,sin_part", lambda: (_XS, *c_s_mu(0.7, _XS))),
+    "quad-hermite": (["quad", "--mu", "0.7", "--n", "9"], "node,weight", lambda: _quad(gauss_hermite_mu)),
+    "quad-alpha": (["quad", "--kind", "alpha", "--mu", "0.7", "--n", "9"], "node,weight", lambda: _quad(gauss_alpha_mu)),
+    "transform": (["transform", "--mu", "0.7", "--lam", "0.5", *_ON_GRID], "x,re,im", _transform),
+    "heat-closed-even": (
+        [*_HEAT, "--route", "closed"], "x,value", lambda: (_GRID, heat_gaussian(0.75, 0.8, 0.0, 0.4, _GRID).real)
+    ),
+    "heat-closed-odd": (
+        [*_HEAT, "--route", "closed", "--family", "odd"], "x,value", lambda: (_GRID, heat_odd_gaussian(0.75, 0.8, 0.4, _GRID))
+    ),
+    "heat-kernel": (
+        [*_HEAT, "--route", "kernel"], "x,value", lambda: (_GRID, heat_apply_kernel(0.75, _gauss(0.8), 0.4, _GRID, sigma=0.8))
+    ),
+    "heat-spectral": ([*_HEAT, "--route", "spectral"], "x,value", _spectral_heat),
+    "translate-closed": (
+        [*_TRANSLATE, "--route", "closed"], "x,value", lambda: (_GRID, translate_gaussian_closed(0.75, 0.5, _GRID, 0.9))
+    ),
+    "translate-alpha": (
+        [*_TRANSLATE, "--route", "alpha"], "x,value", lambda: (_GRID, [translate_alpha(0.75, _gauss(0.5), x, 0.9) for x in _GRID])
+    ),
+    "translate-xi": (
+        [*_TRANSLATE, "--route", "xi"], "x,value", lambda: (_GRID, [translate_xi(0.75, _gauss(0.5), x, 0.9) for x in _GRID])
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_ROUND_TRIPS))
+def test_csv_round_trips_the_librarys_float64_bit_for_bit(capsys, case):
+    # 17 significant digits: each parsed field is the library's own double
+    argv, header, columns = _ROUND_TRIPS[case]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.endswith("\n")
+    lines = out.split("\n")[:-1]
+    assert lines[0] == header
+    parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    want = np.column_stack([np.asarray(c, dtype=float) for c in columns()])
+    assert parsed.shape == want.shape
+    assert_array_equal(parsed, want)
+    assert_array_equal(np.signbit(parsed), np.signbit(want))
 
 
 @pytest.mark.parametrize("route", ["alpha", "xi"])

@@ -30,9 +30,15 @@ def test_identity_passes(tag, mu):
 def test_report_json_is_serializable():
     report = verify_identity("rodrigues", Fraction(1, 2), 5)
     blob = json.loads(json.dumps(report.to_json()))
-    assert blob["pass"] is True
-    assert blob["tag"] == "rodrigues"
+    # the keys and order `muhermite verify --mu` prints
+    assert list(blob) == ["suite", "identity", "mu", "n_max", "max_defect", "pass", "counterexample"]
+    assert blob["suite"] == "exact"
+    assert blob["identity"] == "rodrigues"
     assert blob["mu"] == "1/2"
+    assert blob["n_max"] == 5
+    assert blob["max_defect"] == 0.0
+    assert blob["pass"] is True
+    assert blob["counterexample"] is None
 
 
 def test_comparator_bites_on_perturbed_side():

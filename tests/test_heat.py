@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm
 
 from muhermite.core import _array_memo, gamma_mu_exact
+from muhermite.efun import e_mu
 from muhermite.heat import (
     heat_apply_kernel,
     heat_gaussian,
@@ -94,6 +95,28 @@ class TestGaussianRoutes:
         once = heat_gaussian(mu, alpha, 0.0, 0.5, x).real
         assert_allclose(step, once, rtol=1e-12)
 
+    @pytest.mark.parametrize("z", [0.0, 0.3])
+    @pytest.mark.parametrize("alpha", [1 + 0.5j, 0.7 - 0.3j])
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.5])
+    def test_complex_rate_closed_vs_kernel(self, mu, alpha, z):
+        # a complex alpha with a real z raised TypeError from math.exp
+        x = np.linspace(-2.0, 2.0, 9)
+        f = lambda u: np.exp(-alpha * u * u) * e_mu(mu, 2.0 * z * u)
+        for t in (0.1, 0.4):
+            closed = heat_gaussian(mu, alpha, z, t, x)
+            kernel = heat_apply_kernel(mu, f, t, x, sigma=alpha.real)
+            assert_allclose(kernel, closed, rtol=0, atol=2e-15)
+
+    @pytest.mark.parametrize("z", [0.0, 0.3])
+    @pytest.mark.parametrize("alpha", [1 + 0.5j, 0.7 - 0.3j])
+    def test_semigroup_composition_at_a_complex_rate(self, alpha, z):
+        mu = 1.2
+        x = np.linspace(-1.5, 1.5, 7)
+        pref1, a1, z1 = heat_gaussian_params(mu, alpha, z, 0.2)
+        step = pref1 * heat_gaussian(mu, a1, z1, 0.3, x)
+        once = heat_gaussian(mu, alpha, z, 0.5, x)
+        assert_allclose(step, once, rtol=1e-14)
+
 
 def test_flow_of_orthogonal_polynomial_times_gaussian():
     # phi_n evolves by a pure eigenvalue factor under the conjugated flow;
@@ -160,6 +183,20 @@ def test_closed_and_spectral_routes_refuse_a_time_outside_zero_to_inf(t):
         lambda: heat_spectral_matrix(0.5, t, 5),
     ):
         with pytest.raises(ValueError, match="finite and nonnegative"):
+            route()
+
+
+@pytest.mark.parametrize(
+    "alpha, z", [(math.inf, 0.0), (complex(1.0, math.inf), 0.0), (1.0, math.nan), (1.0, math.inf), (1.0, complex(0.0, math.inf))]
+)
+def test_closed_form_refuses_a_rate_or_shift_that_is_not_finite(alpha, z):
+    # alpha = inf came back as a silent nan (from the odd form with a RuntimeWarning),
+    # and z = nan as a nan prefactor
+    routes = [lambda: heat_gaussian_params(0.5, alpha, z, 0.3), lambda: heat_gaussian(0.5, alpha, z, 0.3, 0.3)]
+    if z == 0.0:
+        routes.append(lambda: heat_odd_gaussian(0.5, alpha, 0.3, 0.3))
+    for route in routes:
+        with pytest.raises(ValueError, match="must be finite"):
             route()
 
 

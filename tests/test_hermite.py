@@ -119,15 +119,16 @@ def test_raising_reproduces_recursion():
 
 
 def test_inversion_weights_and_expansion():
-    assert inversion_weights(4, exact=True) == [
+    assert inversion_weights(4) == [
         Fraction(1, 24),
         Fraction(1, 2),
         Fraction(1, 2),
     ]
+    assert all(type(w) is Fraction for w in inversion_weights(7))
     # sum_k c_k H_{n-2k} recovers (2x)^n / gamma_mu(n)
     for n in range(9):
         got = DensePoly.zero()
-        for k, w in enumerate(inversion_weights(n, exact=True)):
+        for k, w in enumerate(inversion_weights(n)):
             got = got + hermite_coeffs(MU, n - 2 * k, exact=True).scale(w)
         want = DensePoly.monomial(n, Fraction(2**n, gamma_mu_exact(MU, n)))
         assert got.max_abs_diff(want) == 0
@@ -202,3 +203,12 @@ def test_float_coefficients_raise_instead_of_overflowing(mu):
         assert np.all(np.isfinite(np.array(build(150).coeffs, dtype=float)))
         with pytest.raises(OverflowError, match="exact=True"):
             build(first_over)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_heat_poly_refuses_a_time_that_is_not_finite(t, exact):
+    # the float path blamed the float range with an OverflowError; Fraction(t)
+    # raised ValueError for nan but OverflowError for inf
+    with pytest.raises(ValueError, match="finite time t"):
+        heat_poly(MU if exact else 0.5, 4, t, exact=exact)

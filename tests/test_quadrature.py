@@ -60,14 +60,6 @@ class TestGaussHermiteMu:
         with pytest.raises(ValueError):
             gauss_hermite_mu(0.5, 257)
 
-    def test_csv_layout(self):
-        rule = gauss_hermite_mu(0.5, 3)
-        lines = rule.to_csv().strip().split("\n")
-        assert lines[0] == "node,weight"
-        assert len(lines) == 4
-        node, weight = lines[1].split(",")
-        float(node), float(weight)  # parses
-
 
 @pytest.mark.parametrize("mu", [0.0, 0.5, 1.5, -0.25])
 def test_full_size_rule_matches_scipy_laguerre(mu):

@@ -67,6 +67,12 @@ class TestPolynomialTranslation:
             numeric = translate_alpha(MU, lambda u: p(np.asarray(u)), x, 0.9)
             assert_allclose(numeric, exactly(x), rtol=1e-12)
 
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf, complex(0.5, math.nan), complex(math.inf, 0.0)])
+    def test_refuses_a_shift_that_is_not_finite(self, y):
+        # a nan shift came back as DensePoly(coeffs=(nan, 2.0)), an inf one as (inf, 2.0)
+        with pytest.raises(ValueError, match="finite shift y"):
+            translate_poly(0.5, DensePoly((1.0, 2.0)), y)
+
 
 class TestTwoRoutes:
     @pytest.mark.parametrize("mu", [0.3, 0.75, 2.0])
