@@ -20,7 +20,6 @@ from . import oscillator as osc
 from . import verify as verify_mod
 from .core import MuParam, gamma_mu, gamma_mu_exact
 from .efun import c_s_mu, e_mu
-from .exact import IDENTITY_TAGS, verify_identity
 from .heat import heat_apply_kernel, heat_gaussian, heat_odd_gaussian, heat_spectral_matrix
 from .hermite import hermite_coeffs, hermite_eval
 from .poly import fraction_str
@@ -98,8 +97,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    if args.n < 0:
-        raise ValueError("--n must be nonnegative")
     if args.mu.exact is not None:
         val = gamma_mu_exact(args.mu.exact, args.n)
         _emit(fraction_str(val) + "\n", args.out)
@@ -207,11 +204,7 @@ def _cmd_oscillator(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.mu is not None:
-        nmax = args.nmax if args.nmax is not None else 20
-        reports = []
-        for tag in IDENTITY_TAGS:
-            cap = min(nmax, 12) if tag in verify_mod.SERIES_TAGS else nmax
-            reports.append(verify_identity(tag, args.mu, cap))
+        reports = verify_mod._exact_reports(args.mu, args.nmax)
         _emit(json.dumps([r.to_json() for r in reports], indent=2) + "\n", args.out)
         return 0 if all(r.passed for r in reports) else 1
     numbers = None
@@ -294,7 +287,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="acceptance suite; with --mu, the exact identity suite at that mu")
     p.add_argument("--mu", type=MuParam.parse, default=None, help="rational mu routes the exact kernel")
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--nmax", type=int, default=20)
     p.add_argument("--criteria", default=None, help="comma-separated criterion numbers (default: all)")
     p.add_argument("--json", action="store_true")
     p.add_argument("--out", default=None)

@@ -45,11 +45,34 @@ __all__ = [
 ]
 
 
+def _count(n, what: str, low: int = 0) -> int:
+    """n as an int, the one check of every degree, n_max and size: TypeError unless n is
+    a Python or numpy integer (a bool is not one), ValueError below ``low``."""
+    if type(n) is not int:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+            raise TypeError(f"{what} must be an integer, got {n!r}")
+        n = int(n)
+    if n < low:
+        raise ValueError(f"{what} must be " + (f">= {low}" if low else "nonnegative") + f", got {n}")
+    return n
+
+
+def _finite_exp(power, what: str):
+    """e^power, by np.exp for a complex power and math.exp for a real one; past the
+    float range, OverflowError naming ``what`` (not math's bare "math range error")."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            out = np.exp(power) if isinstance(power, complex) else math.exp(power)
+        except OverflowError:
+            out = math.inf
+    if not np.isfinite(out):
+        raise OverflowError(f"{what} is e^{power:.6g}, past the float range")
+    return out
+
+
 def theta(n: int) -> int:
     """Parity indicator: 1 for odd n, 0 for even n."""
-    if n < 0:
-        raise ValueError("theta expects a nonnegative index")
-    return n & 1
+    return _count(n, "theta's index") & 1
 
 
 def _is_pole(mu: Fraction) -> bool:
@@ -130,11 +153,10 @@ def _memo_key(arg):
 class _ArrayMemo:
     """LRU memo of read-only arrays built by pure functions, bounded in bytes.
 
-    ``memo(build, *args)`` returns ``build(*args)``, built once per distinct
-    argument list; array arguments are keyed by dtype, shape and bytes.
-    ``memo.keyed(key, build, *args)`` stores the same result under the given
-    hashable key instead, which must pin ``build(*args)`` at least as finely
-    as the arguments do (a plan's key in place of the arrays it fixes).  The
+    ``memo(key, build, *args)`` returns ``build(*args)``, built once per
+    hashable ``key``, which must pin ``build(*args)`` at least as finely as
+    the arguments do: a plan's key in place of the arrays it fixes, or an
+    array's ``_memo_key`` (dtype, shape and bytes) in place of the array.  The
     result is made read-only.  Least recently used entries are evicted until
     the stored arrays total at most ``budget`` bytes, and one larger than the
     whole budget is returned without being stored.  A build that raises
@@ -155,10 +177,7 @@ class _ArrayMemo:
         with self._lock:
             return _MemoInfo(self._hits, self._misses, self._nbytes, len(self._entries))
 
-    def __call__(self, build, *args) -> np.ndarray:
-        return self.keyed(tuple(map(_memo_key, args)), build, *args)
-
-    def keyed(self, key, build, *args) -> np.ndarray:
+    def __call__(self, key, build, *args) -> np.ndarray:
         key = (build, key)
         with self._lock:
             out = self._entries.get(key)
@@ -253,9 +272,6 @@ class GammaMuTable:
     log_values: np.ndarray
     steps: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.values)
-
 
 def gamma_step(mu, k):
     """gamma_mu(k) / gamma_mu(k - 1) = k + 2 mu theta(k), for k >= 1.
@@ -303,8 +319,7 @@ def gamma_mu(mu, n: int) -> float:
     Raises OverflowError past the float64 range (n ~ 170); log_gamma_mu
     stays finite there.
     """
-    if n < 0:
-        raise ValueError("gamma_mu expects n >= 0")
+    n = _count(n, "gamma_mu's n")
     value = float(gamma_table(mu, n).values[n])
     if math.isinf(value):
         raise OverflowError(f"gamma_mu({as_mu(mu).value:g}, {n}) overflows float64; use log_gamma_mu")
@@ -313,8 +328,7 @@ def gamma_mu(mu, n: int) -> float:
 
 def log_gamma_mu(mu, n: int) -> float:
     """log gamma_mu(n); finite far beyond the overflow point of gamma_mu."""
-    if n < 0:
-        raise ValueError("log_gamma_mu expects n >= 0")
+    n = _count(n, "log_gamma_mu's n")
     return float(gamma_table(mu, n).log_values[n])
 
 
@@ -333,20 +347,19 @@ def gamma_exact_table(mu, n_max: int) -> tuple:
 
 def gamma_mu_exact(mu, n: int) -> Fraction:
     """Generalized factorial as an exact rational; mu must be rational."""
-    if n < 0:
-        raise ValueError("gamma_mu_exact expects n >= 0")
+    n = _count(n, "gamma_mu_exact's n")
     return gamma_exact_table(mu, n)[n]
 
 
 def mu_binomial(mu, n: int, j: int) -> float:
     """Deformed binomial coefficient gamma_mu(n) / (gamma_mu(j) gamma_mu(n-j))."""
-    if not 0 <= j <= n:
+    n, j = _count(n, "mu_binomial's n"), _count(j, "mu_binomial's j")
+    if j > n:
         raise ValueError("mu_binomial needs 0 <= j <= n")
     table = gamma_table(mu, n)
     # Log-space ratio: safe well past the overflow point of the raw values.
-    return math.exp(
-        table.log_values[n] - table.log_values[j] - table.log_values[n - j]
-    )
+    log_value = table.log_values[n] - table.log_values[j] - table.log_values[n - j]
+    return _finite_exp(log_value, f"mu_binomial({table.mu:g}, {n}, {j})")
 
 
 def gamma_half(mu) -> float:
@@ -362,4 +375,4 @@ def beta_function(a: float, b: float) -> float:
     """Euler Beta via log-Gamma; a, b > 0."""
     if a <= 0 or b <= 0:
         raise ValueError("beta_function needs positive arguments")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+    return _finite_exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b), f"B({a:g}, {b:g})")

@@ -24,7 +24,8 @@ closed-form H_m already built) is carried to the next degree instead of
 being rebuilt; factorials come from math.factorial.  The carried state
 belongs to one side's route, so the two sides stay as independent as
 before.  One shared table per mu and D in force (a patched D gets a table
-of its own) holds what several tags read: the closed-form H_m, read by every
+of its own) holds what several tags read, each entry built once, by one
+builder ``_shared`` under one lock: the closed-form H_m, read by every
 tag that uses them; the iterates D^j x^n of the derivative-plus-reflection D,
 which the binomial, odd-even and heat-monomial tags read; and the binomial
 rows and the odd-degree translation series (built from those iterates),
@@ -35,13 +36,12 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count, islice
 
-from .core import MU_CACHE_SIZE, as_mu, gamma_exact_table, gamma_mu_exact
+from .core import MU_CACHE_SIZE, _count, as_mu, gamma_exact_table, gamma_mu_exact
 from .hermite import binomial_poly, dunkl_definition, hermite_coeffs, inversion_weights
 from .poly import BivariatePoly, DensePoly, fraction_str
 
@@ -52,79 +52,60 @@ __all__ = ["IDENTITY_TAGS", "IdentityReport", "identity_sides", "verify_identity
 # stays inside the generator.
 
 
-_Tables = namedtuple("_Tables", "hermites derivatives binomials series")
-
-
 @lru_cache(maxsize=MU_CACHE_SIZE)
-def _tables(mu: Fraction, d) -> _Tables:
-    """What the tags share at one mu under the D in force, d.
-
-    hermites: the H_m built so far; derivatives: n -> [x^n, D x^n, ..., D^n x^n];
-    binomials: n -> binomial_poly(mu, n, exact=True); series: odd n -> the
-    translation series of x^n.  The first two are filled under _table_lock.
-    """
-    return _Tables([], {}, {}, {})
+def _tables(mu: Fraction, d) -> dict:
+    """What the tags share at one mu under the D in force, d: (builder, n) -> entry, filled by _shared."""
+    return {}
 
 
-_table_lock = threading.Lock()
+# Reentrant: the series builder reads the derivative rows while it holds the lock.
+_table_lock = threading.RLock()
+
+
+def _shared(build, mu: Fraction, n: int):
+    """build(mu, n, d) for the D in force d, built once per mu, d and n under _table_lock."""
+    d, key = dunkl_definition, (build, n)
+    with _table_lock:  # the table too: lru_cache can give two threads that miss at once two tables
+        table = _tables(mu, d)
+        if key not in table:
+            table[key] = build(mu, n, d)
+        return table[key]
+
+
+def _hermite(mu: Fraction, m: int, d) -> DensePoly:
+    return hermite_coeffs(mu, m, exact=True)
 
 
 def _hermites(mu: Fraction):
     """H_0, H_1, ... from the closed-form coefficients, each built once per mu."""
-    table = _tables(mu, dunkl_definition).hermites
-    for m in count():
-        if m == len(table):
-            with _table_lock:
-                if m == len(table):
-                    table.append(hermite_coeffs(mu, m, exact=True))
-        yield table[m]
+    return (_shared(_hermite, mu, m) for m in count())
 
 
-def _derivatives(mu: Fraction, n: int) -> list:
-    """D^j x^n for j = 0..n, built once per mu, D in force and degree n."""
-    d = dunkl_definition
-    table = _tables(mu, d).derivatives
-    if n not in table:
-        with _table_lock:
-            if n not in table:
-                row = [DensePoly.monomial(n, Fraction(1))]
-                for _ in range(n):
-                    row.append(d(mu, row[-1]))
-                table[n] = row
-    return table[n]
+def _derivatives(mu: Fraction, n: int, d) -> list:
+    """D^j x^n for j = 0..n."""
+    row = [DensePoly.monomial(n, Fraction(1))]
+    for _ in range(n):
+        row.append(d(mu, row[-1]))
+    return row
 
 
-def _binomial(mu: Fraction, n: int) -> BivariatePoly:
-    """binomial_poly(mu, n, exact=True), which the binomial and odd-even tags share."""
-    table = _tables(mu, dunkl_definition).binomials
-    if n not in table:
-        table[n] = binomial_poly(mu, n, exact=True)
-    return table[n]
+def _binomial(mu: Fraction, n: int, d) -> BivariatePoly:
+    return binomial_poly(mu, n, exact=True)
 
 
 def _ratio(mu: Fraction, n: int) -> Fraction:
     return gamma_mu_exact(mu, n + 1) / ((n + 1) * gamma_mu_exact(mu, n))
 
 
-def _translation_series(mu: Fraction, n: int) -> BivariatePoly:
-    """sum_j y^j / gamma_mu(j) D^j x^n, by repeated differentiation.
-
-    An odd degree's series has two readers, the binomial and the odd-even tag, so
-    it is built once per mu, D in force and n; an even one has one and is not kept.
-    """
-    table = _tables(mu, dunkl_definition).series
-    if n in table:
-        return table[n]
+def _translation_series(mu: Fraction, n: int, d) -> BivariatePoly:
+    """sum_j y^j / gamma_mu(j) D^j x^n, by repeated differentiation."""
     gam = gamma_exact_table(mu, n)
     columns = {}
-    for j, q in enumerate(_derivatives(mu, n)):
+    for j, q in enumerate(_shared(_derivatives, mu, n)):
         if q.is_zero():
             break
         columns[j] = q.scale(1 / gam[j])
-    series = BivariatePoly.from_x_polys(columns)
-    if n % 2:
-        table[n] = series
-    return series
+    return BivariatePoly.from_x_polys(columns)
 
 
 def _test_poly(n: int) -> DensePoly:
@@ -209,8 +190,11 @@ def _sides_generating(mu: Fraction):
 
 
 def _sides_binomial(mu: Fraction):
+    # An odd degree's series has a second reader, the odd-even tag, so it is
+    # shared; an even one has only this one and is not kept.
     for n in count():
-        yield [("", _translation_series(mu, n), _binomial(mu, n))]
+        series = _shared(_translation_series, mu, n) if n % 2 else _translation_series(mu, n, dunkl_definition)
+        yield [("", series, _shared(_binomial, mu, n))]
 
 
 def _sides_odd_even(mu: Fraction):
@@ -219,8 +203,8 @@ def _sides_odd_even(mu: Fraction):
         if n % 2 == 0:
             yield []
             continue
-        rhs = x_plus_y * _binomial(mu, n - 1)
-        yield [("", _translation_series(mu, n), rhs)]
+        rhs = x_plus_y * _shared(_binomial, mu, n - 1)
+        yield [("", _shared(_translation_series, mu, n), rhs)]
 
 
 def _sides_heat_monomial(mu: Fraction):
@@ -228,7 +212,7 @@ def _sides_heat_monomial(mu: Fraction):
     # derivative-based D, against the Hermite substitution
     # (gamma_mu(n)/n!) y^n H_n(x/(2y); mu) expanded as a polynomial in x, y.
     for n, h in enumerate(_hermites(mu)):
-        powers = _derivatives(mu, n)
+        powers = _shared(_derivatives, mu, n)
         flow, series = {}, {}
         for k in range(n // 2 + 1):
             series[k] = powers[2 * k].scale(Fraction(1, math.factorial(k)))
@@ -311,9 +295,7 @@ def _builder(tag: str, mu, degree: int, what: str):
     if tag not in _BUILDERS:
         raise ValueError(f"unknown identity tag {tag!r}; known: {', '.join(IDENTITY_TAGS)}")
     frac = as_mu(mu).require_exact()
-    if degree < 0:
-        raise ValueError(f"{what} must be nonnegative, got {degree}")
-    return frac, _BUILDERS[tag](frac)
+    return frac, _count(degree, what), _BUILDERS[tag](frac)
 
 
 def identity_sides(tag: str, mu, n: int):
@@ -325,7 +307,7 @@ def identity_sides(tag: str, mu, n: int):
     the two sides still come from different routes.  Exposed so tests can
     perturb one side and confirm the comparator actually bites.
     """
-    _, sides = _builder(tag, mu, n, "degree n")
+    _, n, sides = _builder(tag, mu, n, "degree n")
     return next(islice(sides, n, None))
 
 
@@ -347,7 +329,7 @@ def _first_mismatch(lhs, rhs):
 
 def verify_identity(tag: str, mu, n_max: int) -> IdentityReport:
     """Check one tagged identity exactly for all degrees up to n_max."""
-    frac, sides = _builder(tag, mu, n_max, "n_max")
+    frac, n_max, sides = _builder(tag, mu, n_max, "n_max")
     checks = 0
     for n, triples in enumerate(islice(sides, n_max + 1)):
         for label, lhs, rhs in triples:

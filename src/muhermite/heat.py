@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .core import _array_memo, _as_grid, _memo_key, as_mu, gamma_half
+from .core import _array_memo, _as_grid, _finite_exp, _memo_key, as_mu, gamma_half
 from .efun import e_mu
 from .quadrature import _scaled_rule
 from .transform import _momentum_svd
@@ -53,7 +53,7 @@ def heat_gaussian_params(mu, alpha, z, t: float):
 
     so the image is pref * e^(-alpha' x^2) e(2 z' x; mu).  alpha and z
     may be complex and must be finite, Re alpha > 0; t is semigroup time,
-    finite and >= 0.
+    finite and >= 0.  OverflowError where pref leaves the float range.
     """
     value = as_mu(mu).require_numeric()
     if not (cmath.isfinite(alpha) and alpha.real > 0 and cmath.isfinite(z)):
@@ -62,7 +62,7 @@ def heat_gaussian_params(mu, alpha, z, t: float):
         raise ValueError("semigroup time must be finite and nonnegative")
     u = 1.0 + 4.0 * alpha * t  # Re u >= 1
     power = 4.0 * t * z * z / u
-    pref = u ** (-value - 0.5) * (np.exp(power) if isinstance(power, complex) else math.exp(power))
+    pref = u ** (-value - 0.5) * _finite_exp(power, "the heat prefactor exp(4 t z^2 / u)")
     return pref, alpha / u, z / u
 
 
@@ -133,7 +133,7 @@ def heat_apply_kernel(mu, f, t: float, x, *, sigma: float = 0.0, quad_n: int = 9
         )
     # The Jacobian (sigma + 1/4t)^(-mu-1/2) times the kernel's (4t)^(-mu-1/2)
     # is stretch^(-mu-1/2), exactly 1 at sigma = 0.
-    kern = _array_memo.keyed((plan.key, _memo_key(xa), t), _heat_kernel, value, xa, y, t)
+    kern = _array_memo((plan.key, _memo_key(xa), t), _heat_kernel, value, xa, y, t)
     vals = np.exp(-xa * xa / (4.0 * t)) / gamma_half(value) * stretch ** (-value - 0.5) * (kern @ wg)
     return shaped(vals)
 

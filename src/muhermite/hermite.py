@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import _as_grid, as_mu, gamma_exact_table, gamma_step, gamma_table, mu_binomial
+from .core import _as_grid, _count, as_mu, gamma_exact_table, gamma_step, gamma_table, mu_binomial
 from .poly import BivariatePoly, DensePoly
 
 __all__ = [
@@ -42,19 +42,18 @@ __all__ = [
 
 
 def _factorials(mu, n: int, exact: bool, what: str) -> tuple:
-    """0!, ..., n! and gamma_mu(0), ..., gamma_mu(n) as ints and Fractions (exact) or floats.
+    """n as an int, 0!, ..., n! and gamma_mu(0), ..., gamma_mu(n) as ints and Fractions (exact) or floats.
 
-    ``what`` names the degree n in the error for a negative n.
+    ``what`` names the degree n in the error for a bad n.
     """
-    if n < 0:
-        raise ValueError(f"{what} degree must be nonnegative")
+    n = _count(n, f"{what} degree")
     param = as_mu(mu)
     fact = [1 if exact else 1.0]
     for k in range(1, n + 1):
         fact.append(fact[-1] * k)
     if exact:
-        return fact, gamma_exact_table(param, n)
-    return fact, gamma_table(param.require_numeric(), n).values
+        return n, fact, gamma_exact_table(param, n)
+    return n, fact, gamma_table(param.require_numeric(), n).values
 
 
 def _finite_poly(coeffs: list, exact: bool, what: str) -> DensePoly:
@@ -68,7 +67,7 @@ def hermite_coeffs(mu, n: int, *, exact: bool = False) -> DensePoly:
 
     The float path raises OverflowError from n = 151 on.
     """
-    fact, gam = _factorials(mu, n, exact, "polynomial")
+    n, fact, gam = _factorials(mu, n, exact, "polynomial")
     two = 2 if exact else 2.0
     coeffs = [0 * two] * (n + 1)
     sign = 1
@@ -84,14 +83,17 @@ def hermite_eval(mu, n: int, x):
     """Evaluate H_n(x; mu) by the three-term recursion; x: scalar or array of any shape.
 
     H_{n+1} = (n+1)/(n+1+2 mu theta(n+1)) * (2 x H_n - 2 n H_{n-1}).
+    Raises OverflowError where a value leaves the float range.
     """
-    if n < 0:
-        raise ValueError("polynomial degree must be nonnegative")
+    n = _count(n, "polynomial degree")
     value = as_mu(mu).require_numeric()
     x, shaped = _as_grid(x)
     two_x = 2.0 * x
-    for h in _hermite_steps(value, n, lambda v: two_x * v, np.ones_like(x)):
-        pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in _hermite_steps(value, n, lambda v: two_x * v, np.ones_like(x)):
+            pass
+    if not np.isfinite(h).all():
+        raise OverflowError(f"H_{n}(x; mu) overflows float64 on this grid")
     return shaped(h)
 
 
@@ -156,8 +158,7 @@ def inversion_weights(n: int) -> list:
 
     c_k = 1 / (k! (n-2k)!), independent of mu.
     """
-    if n < 0:
-        raise ValueError("monomial degree must be nonnegative")
+    n = _count(n, "monomial degree")
     return [Fraction(1, math.factorial(k) * math.factorial(n - 2 * k)) for k in range(n // 2 + 1)]
 
 
@@ -166,8 +167,7 @@ def binomial_poly(mu, n: int, *, exact: bool = False) -> BivariatePoly:
 
     p_n(x, y) is what the generalized translation does to x^n.
     """
-    if n < 0:
-        raise ValueError("polynomial degree must be nonnegative")
+    n = _count(n, "polynomial degree")
     param = as_mu(mu)
     if exact:
         # gam = u / v: gam[n] / (gam[j] gam[n - j]) = u_n v_j v_{n-j} / (v_n u_j u_{n-j}), over their lcm
@@ -191,7 +191,7 @@ def heat_poly(mu, n: int, t, *, exact: bool = False) -> DensePoly:
     """
     if not isinstance(t, (int, Fraction)) and not math.isfinite(t):
         raise ValueError(f"heat_poly needs a finite time t, got {t}")
-    fact, gam = _factorials(mu, n, exact, "monomial")
+    n, fact, gam = _factorials(mu, n, exact, "monomial")
     t = Fraction(t) if exact else float(t)
     coeffs = [0 * gam[0]] * (n + 1)
     tk = t**0

@@ -43,10 +43,10 @@ from functools import partial
 
 import numpy as np
 
-from .core import as_mu, gamma_table
+from .core import _count, as_mu, gamma_table
 from .hermite import _hermite_steps, dunkl_apply
 from .poly import DensePoly
-from .quadrature import _as_int, gauss_hermite_mu
+from .quadrature import gauss_hermite_mu
 from .transform import SpectralVector, _phi_rows, fourier_spectral, operator_matrix
 
 __all__ = [
@@ -145,9 +145,6 @@ class CheckReport:
     def passed(self) -> bool:
         return all(e.interior < self.tolerance for e in self.entries)
 
-    def worst(self) -> IdentityDefect:
-        return max(self.entries, key=lambda e: e.interior)
-
     def to_json(self) -> dict:
         return {
             "check": self.name,
@@ -164,9 +161,7 @@ def build(mu, size: int) -> OscillatorRep:
     """Assemble the truncated operator family on `size` basis vectors."""
     param = as_mu(mu)
     value = param.require_numeric()
-    size = _as_int(size, "oscillator size")
-    if size < 4:
-        raise ValueError("oscillator truncation needs size >= 4")
+    size = _count(size, "oscillator size", 4)
     # The letters in OscillatorRep field order: a, adag, q, p, h, j, f.
     kinds = ("A", "Adag", "Q", "P", "H", "J", "F")
     return OscillatorRep(value, size, *(operator_matrix(param, kind, size) for kind in kinds))
@@ -474,8 +469,7 @@ def _check_limits(mu, size: int, names, ladder_n_max: int = 1, rodrigues_n_max: 
         ("rodrigues_operator", rodrigues_n_max, rodrigues_n_max + 1),
     ):
         if name in names:
-            if n_max < 1:
-                raise ValueError("n_max must be >= 1")
+            _count(n_max, "n_max", 1)
             _require_word(size, word)
     if "rodrigues_operator" in names:
         value = as_mu(mu).require_numeric()

@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MU_CACHE_SIZE, as_mu, gamma_half, gamma_step
+from .core import MU_CACHE_SIZE, _count, _finite_exp, as_mu, gamma_half, gamma_step
 
 __all__ = ["QuadratureRule", "gauss_hermite_mu", "gauss_alpha_mu", "jacobi_rule"]
 
@@ -145,12 +145,6 @@ class QuadratureRule:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
-
 
 @lru_cache(maxsize=MU_CACHE_SIZE)
 def _hermite_rule_cached(mu: float, n: int) -> QuadratureRule:
@@ -173,18 +167,8 @@ def _hermite_rule_cached(mu: float, n: int) -> QuadratureRule:
     return QuadratureRule(nodes, np.concatenate((weights[::-1][:m], weights)), 2 * n - 1, "hermite_mu", mass)
 
 
-def _as_int(n, what: str) -> int:
-    # bool is an int subclass, and a float size would share the cache
-    # entry of its integer value or fail deep inside numpy
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise TypeError(f"{what} must be an integer, got {n!r}")
-    return int(n)
-
-
 def _check_size(n) -> int:
-    n = _as_int(n, "rule size")
-    if n < 1:
-        raise ValueError("a quadrature rule needs at least one node")
+    n = _count(n, "rule size", 1)
     if n > 256:
         raise ValueError("rule size capped at 256 nodes")
     return n
@@ -268,12 +252,7 @@ def _jacobi_mass(a: float, b: float) -> float:
     may not; OverflowError where the mass itself does.
     """
     log_mass = (a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0)
-    try:
-        return math.exp(log_mass)
-    except OverflowError:
-        raise OverflowError(
-            f"the Jacobi mass 2^(a+b+1) B(a+1, b+1) at (a, b) = ({a:g}, {b:g}) is e^{log_mass:.6g}, past the float range"
-        ) from None
+    return _finite_exp(log_mass, f"the Jacobi mass 2^(a+b+1) B(a+1, b+1) at (a, b) = ({a:g}, {b:g})")
 
 
 @lru_cache(maxsize=MU_CACHE_SIZE)

@@ -37,10 +37,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _array_memo, _as_grid, _memo_key, as_mu, gamma_half, gamma_mu, gamma_step
+from .core import _array_memo, _as_grid, _count, _memo_key, as_mu, gamma_half, gamma_mu, gamma_step
 from .efun import c_s_mu, e_mu
 from .hermite import hermite_eval
-from .quadrature import _as_int, _check_size, _recurrence_table, _scaled_rule
+from .quadrature import _check_size, _recurrence_table, _scaled_rule
 
 __all__ = [
     "SpectralVector",
@@ -86,6 +86,7 @@ def phi_poly_table(mu, n_max: int, x) -> np.ndarray:
     x is read as every grid is (core._as_grid), so a non-finite entry raises
     ValueError; the table has shape (n_max + 1, *x.shape), row n in x's shape.
     """
+    n_max = _count(n_max, "basis index")
     value = as_mu(mu).require_numeric()
     xa, _ = _as_grid(x)
     return _phi_rows(value, n_max, xa).reshape((n_max + 1,) + np.shape(x))
@@ -113,13 +114,14 @@ def expand(
     much of f lives above index n_max.
     """
     value = as_mu(mu).require_numeric()
+    n_max = _count(n_max, "n_max")
     if quad_n is None:
         quad_n = max(2 * (n_max + 1), n_max + 32)
     if _check_size(quad_n) < n_max + 8:
         raise ValueError("quadrature size too small for the requested n_max")
     # The basis functions carry e^(-t^2/2), so the rule is matched to rate 1/2.
     t, wg, jac, plan = _scaled_rule(value, f, sigma, 0.5, quad_n)
-    coeffs = jac * (_array_memo.keyed((plan.key, n_max), phi_poly_table, value, n_max, t) * wg).sum(axis=1)
+    coeffs = jac * (_array_memo((plan.key, n_max), phi_poly_table, value, n_max, t) * wg).sum(axis=1)
     norm_sq = l2mu_norm(f, sigma=sigma, mu=value, quad_n=quad_n) ** 2
     defect = float(norm_sq - np.sum(np.abs(coeffs) ** 2))
     return SpectralVector(mu=value, coeffs=coeffs, parseval_defect=defect)
@@ -128,7 +130,7 @@ def expand(
 def synthesize(vec: SpectralVector, x):
     """Pointwise sum c_n phi_n(x); x: scalar or array of any shape."""
     xa, shaped = _as_grid(x)
-    table = _array_memo(phi_poly_table, vec.mu, len(vec) - 1, xa)
+    table = _array_memo((vec.mu, len(vec), _memo_key(xa)), phi_poly_table, vec.mu, len(vec) - 1, xa)
     return shaped((vec.coeffs[:, None] * table).sum(axis=0) * np.exp(-0.5 * xa * xa))
 
 
@@ -204,7 +206,7 @@ def fourier_quadrature(
             f"max |x| / sqrt(sigma) must be within the {quad_n}-node rule's reach {reach:.4g}, "
             f"not {omega:.6g}"
         )
-    kernel = _array_memo.keyed((plan.key, _memo_key(xa), bool(inverse)), _kernel_matrix, value, -xa if inverse else xa, t)
+    kernel = _array_memo((plan.key, _memo_key(xa), bool(inverse)), _kernel_matrix, value, -xa if inverse else xa, t)
     vals = jac / (2.0 ** (value + 0.5) * gamma_half(value)) * (kernel @ wg)
     return shaped(vals)
 
@@ -279,8 +281,7 @@ def operator_matrix(mu, kind: str, size: int) -> np.ndarray:
     diagonal (-1)^n), 'F' (transform, diagonal (-i)^n).
     """
     value = as_mu(mu).require_numeric()
-    if _as_int(size, "matrix size") < 2:
-        raise ValueError("operator matrices need size >= 2")
+    size = _count(size, "matrix size", 2)
     # A phi_n = sqrt(gamma(n)/gamma(n-1)) phi_{n-1} = sqrt(n + 2 mu theta(n)) phi_{n-1}
     lower = np.sqrt(gamma_step(value, np.arange(1, size)))
     if kind == "A":

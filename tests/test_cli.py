@@ -75,6 +75,13 @@ def test_gamma_overflow_exits_two(capsys):
     assert err.startswith("error:") and "log_gamma_mu" in err
 
 
+@pytest.mark.parametrize("mu, name", [("0.5", "gamma_mu"), ("1/2", "gamma_mu_exact")])
+def test_gamma_negative_n_exits_two_with_the_library_message(capsys, mu, name):
+    code, out, err = run(capsys, "gamma", "--mu", mu, "--n", "-1")
+    assert (code, out) == (2, "")
+    assert err == f"error: {name}'s n must be nonnegative, got -1\n"
+
+
 def test_efun_overflow_exits_two(capsys):
     code, out, err = run(capsys, "eval", "--mu", "0.5", "--fn", "efun", "--x", "800")
     assert (code, out) == (2, "")

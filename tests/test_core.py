@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from conftest import package_caches
 from muhermite.core import (
     MuParam,
     as_mu,
@@ -149,7 +150,7 @@ class TestGammaMu:
         for mu in (-0.45, 0.0, 0.731):
             t = gamma_table(mu, 100)
             assert_array_equal(t.steps, gamma_step(mu, np.arange(1, len(t.steps) + 1)))
-            assert len(t.steps) == len(t) - 1 and not t.steps.flags.writeable
+            assert len(t.steps) == len(t.values) - 1 and not t.steps.flags.writeable
 
     def test_overflow_raises_and_log_stays_finite(self):
         with pytest.raises(OverflowError, match="log_gamma_mu"):
@@ -183,6 +184,15 @@ def test_gamma_half_and_beta():
     assert_allclose(beta_function(2.5, 1.5), math.gamma(2.5) * math.gamma(1.5) / math.gamma(4.0), rtol=1e-13)
 
 
+def test_mu_binomial_and_beta_name_their_quantity_past_the_float_range():
+    # both raised a bare "math range error"
+    assert math.isfinite(mu_binomial(0.5, 300, 150)) and math.isfinite(beta_function(1e-300, 1.0))
+    with pytest.raises(OverflowError, match=r"mu_binomial\(0\.5, 3000, 1500\) is e\^2071\.68, past the float range"):
+        mu_binomial(0.5, 3000, 1500)
+    with pytest.raises(OverflowError, match=r"B\(1e-310, 1\) is e\^713\.801, past the float range"):
+        beta_function(1e-310, 1.0)
+
+
 def test_gamma_half_names_mu_past_the_float_range():
     assert math.isfinite(gamma_half(171.1))
     f = lambda t: np.exp(-t * t)
@@ -196,10 +206,10 @@ def test_gamma_half_names_mu_past_the_float_range():
 
 
 def test_mu_caches_stay_bounded():
-    from muhermite.core import _ARRAY_MEMO_BYTES, MU_CACHE_SIZE, _array_memo, _exact_mu, _float_mu, _gamma_exact_table, _gamma_table_cached
-    from muhermite.exact import _tables, verify_identity
-    from muhermite.quadrature import _hermite_rule_cached, _jacobi_rule_cached, _scaled_plan, gauss_alpha_mu, gauss_hermite_mu
-    from muhermite.translate import _xi_plan, translate_xi
+    from muhermite.core import _ARRAY_MEMO_BYTES, MU_CACHE_SIZE, _array_memo
+    from muhermite.exact import verify_identity
+    from muhermite.quadrature import gauss_alpha_mu, gauss_hermite_mu
+    from muhermite.translate import translate_xi
 
     for k in range(300):
         mu = 0.1 + k / 128.0
@@ -209,17 +219,16 @@ def test_mu_caches_stay_bounded():
         gamma_mu_exact(Fraction(k, 7), 3)
         l2mu_norm(lambda t: np.exp(-t * t), sigma=1.0, mu=mu, quad_n=4)
         translate_xi(mu, lambda t: np.exp(-t * t), 0.5, 0.7, quad_n=4)
-    for cached in (
-        _gamma_table_cached, _gamma_exact_table, _exact_mu, _hermite_rule_cached, _jacobi_rule_cached,
-        _float_mu, _scaled_plan, _xi_plan,
-    ):
-        assert 0 < cached.cache_info().currsize <= MU_CACHE_SIZE
-
+        e_mu(mu, 0.5)
     # the exact H_m and D^j x^n, shared by the identity checks, are kept per mu
     for k in range(100):
         assert verify_identity("lowering", Fraction(k + 1, 101), 3).passed
         assert verify_identity("binomial_expansion", Fraction(k + 1, 101), 3).passed
-    assert 0 < _tables.cache_info().currsize <= MU_CACHE_SIZE
+    # every cache the package defines, found by scanning, so none is missed
+    caches = package_caches()
+    assert len(caches) >= 10
+    for name, cached in caches.items():
+        assert 0 < cached.cache_info().currsize <= MU_CACHE_SIZE, name
 
     # the array memo is bounded in bytes, not entries
     _array_memo.clear()
@@ -243,21 +252,9 @@ def test_mu_caches_stay_bounded():
 
 def test_every_lru_cache_in_the_package_is_bounded_by_mu_cache_size():
     # found by scanning module globals, so a new plan cache cannot escape the bound
-    import functools
-    import importlib
-    import pkgutil
-
-    import muhermite
     from muhermite.core import MU_CACHE_SIZE
 
-    caches = {}
-    for info in pkgutil.iter_modules(muhermite.__path__):
-        if info.name == "__main__":  # running it is the CLI
-            continue
-        module = importlib.import_module(f"muhermite.{info.name}")
-        for name, obj in vars(module).items():
-            if isinstance(obj, functools._lru_cache_wrapper) and obj.__module__ == module.__name__:
-                caches[f"{info.name}.{name}"] = obj.cache_parameters()["maxsize"]
+    caches = {name: cache.cache_parameters()["maxsize"] for name, cache in package_caches().items()}
     assert len(caches) >= 10 and {"efun._term_count", "exact._tables"} <= set(caches)
     assert {name: size for name, size in caches.items() if size != MU_CACHE_SIZE} == {}
 

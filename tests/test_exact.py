@@ -137,10 +137,17 @@ def test_criterion_1_builds_each_hermite_table_once_per_mu(monkeypatch):
     assert len(built) == len(set(built))
 
 
+def _entries(mu, build) -> dict:
+    """n -> the shared table's entry of one builder at mu, under the true D."""
+    return {n: v for (b, n), v in exact._tables(mu, exact.dunkl_definition).items() if b is build}
+
+
 @pytest.mark.parametrize("mu", [Fraction(k, 19) for k in range(11, 17)])
-def test_hermite_table_is_shared_safely_between_threads(mu):
-    # threads walking one fresh mu's table at once must append each H_m once,
-    # at index m; they start together, with a short switch interval
+def test_hermite_table_is_shared_safely_between_threads(mu, monkeypatch):
+    # threads walking one fresh mu's table at once must build each H_m once,
+    # under its own m; they start together, with a short switch interval
+    built = []
+    monkeypatch.setattr(exact, "hermite_coeffs", lambda mu, m, **k: built.append(m) or hermite_coeffs(mu, m, **k))
     start = threading.Barrier(8)
     results = []
 
@@ -160,7 +167,8 @@ def test_hermite_table_is_shared_safely_between_threads(mu):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [True] * 8
-    assert exact._tables(mu, exact.dunkl_definition).hermites == [hermite_coeffs(mu, m, exact=True) for m in range(13)]
+    assert sorted(built) == list(range(13))
+    assert _entries(mu, exact._hermite) == {m: hermite_coeffs(mu, m, exact=True) for m in range(13)}
 
 
 DERIVATIVE_TAGS = ("binomial_expansion", "odd_even_factor", "heat_monomial")
@@ -174,7 +182,7 @@ def test_derivative_table_is_shared_by_the_three_tags():
         assert verify_identity(tag, mu, 9).passed
     info = exact._tables.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
-    table = exact._tables(mu, exact.dunkl_definition).derivatives
+    table = _entries(mu, exact._derivatives)
     assert sorted(table) == list(range(10))
     assert table[5][2] == DensePoly.monomial(3, 4 * (5 + 2 * mu))  # D x^5 = (5 + 2 mu) x^4, D x^4 = 4 x^3
 
@@ -187,7 +195,7 @@ def test_binomial_rows_are_shared_by_the_binomial_and_odd_even_tags(monkeypatch)
     for tag in ("binomial_expansion", "odd_even_factor"):
         assert verify_identity(tag, mu, 9).passed
     assert built == list(range(10))
-    assert sorted(exact._tables(mu, exact.dunkl_definition).binomials) == list(range(10))
+    assert sorted(_entries(mu, exact._binomial)) == list(range(10))
 
 
 def test_translation_series_is_shared_by_the_binomial_and_odd_even_tags(monkeypatch):
@@ -196,7 +204,7 @@ def test_translation_series_is_shared_by_the_binomial_and_odd_even_tags(monkeypa
     mu = Fraction(5, 31)
     built = []
     derivatives = exact._derivatives
-    monkeypatch.setattr(exact, "_derivatives", lambda mu, n: built.append(n) or derivatives(mu, n))
+    monkeypatch.setattr(exact, "_derivatives", lambda mu, n, d: built.append(n) or derivatives(mu, n, d))
     for tag in ("binomial_expansion", "odd_even_factor"):
         assert verify_identity(tag, mu, 9).passed
     assert built == list(range(10))
@@ -205,7 +213,7 @@ def test_translation_series_is_shared_by_the_binomial_and_odd_even_tags(monkeypa
     for tag in ("odd_even_factor", "binomial_expansion"):
         assert verify_identity(tag, mu, 9).passed
     assert built == [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
-    assert sorted(exact._tables(mu, exact.dunkl_definition).series) == [1, 3, 5, 7, 9]
+    assert sorted(_entries(mu, exact._translation_series)) == [1, 3, 5, 7, 9]
 
 
 def test_perturbed_derivative_bites_after_criterion_1_is_warm(monkeypatch):

@@ -200,6 +200,15 @@ def test_closed_form_refuses_a_rate_or_shift_that_is_not_finite(alpha, z):
             route()
 
 
+@pytest.mark.parametrize("z", [1e3, 1e3 + 0j, 1e200, 40.0 + 10.0j])
+def test_closed_form_names_a_prefactor_past_the_float_range(z):
+    # a real z raised a bare "math range error", a complex one returned nan with two
+    # RuntimeWarnings, and z = 1e200 an inf prefactor
+    for route in (lambda: heat_gaussian_params(0.5, 1.0, z, 1.0), lambda: heat_gaussian(0.5, 1.0, z, 1.0, [0.0, 1.0])):
+        with pytest.raises(OverflowError, match=r"the heat prefactor exp\(4 t z\^2 / u\) is e\^.*past the float range"):
+            route()
+
+
 @pytest.mark.parametrize("size", [5.0, 5.5, True])
 def test_spectral_route_refuses_a_size_that_is_not_an_integer(size):
     with pytest.raises(TypeError, match="matrix size must be an integer"):

@@ -16,6 +16,7 @@ from muhermite.hermite import (
     inversion_weights,
 )
 from muhermite.poly import DensePoly
+from muhermite.transform import transform_of_hermite_gaussian
 
 MU = Fraction(1, 3)
 
@@ -203,6 +204,19 @@ def test_float_coefficients_raise_instead_of_overflowing(mu):
         assert np.all(np.isfinite(np.array(build(150).coeffs, dtype=float)))
         with pytest.raises(OverflowError, match="exact=True"):
             build(first_over)
+
+
+@pytest.mark.parametrize("n, x", [(400, 30.0), (400, 1.0), (400, [0.5, 1.0])])
+def test_hermite_eval_raises_past_the_float_range(n, x):
+    # these returned a silent nan
+    with pytest.raises(OverflowError, match=f"H_{n}\\(x; mu\\) overflows float64"):
+        hermite_eval(0.5, n, x)
+
+
+def test_hermite_transform_raises_past_the_float_range():
+    # this returned nan+nanj
+    with pytest.raises(OverflowError, match=r"H_300\(x; mu\) overflows float64"):
+        transform_of_hermite_gaussian(0.5, 300, 2.0, 1.0, [3.0])
 
 
 @pytest.mark.parametrize("exact", [False, True])

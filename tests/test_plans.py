@@ -5,12 +5,12 @@ stand in for the checks of the arguments it is keyed on.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from conftest import package_caches
 from muhermite.core import _array_memo, _float_mu, as_mu, beta_function
 from muhermite.efun import _term_count, e_mu
 from muhermite.heat import heat_apply_kernel
@@ -32,11 +32,8 @@ def wave(t):
 
 
 def _clear_every_cache():
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "muhermite":
-            for obj in vars(module).values():
-                if hasattr(obj, "cache_clear"):
-                    obj.cache_clear()
+    for cache in package_caches().values():
+        cache.cache_clear()
     _array_memo.clear()
 
 

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from muhermite import verify
-from muhermite.core import _array_memo, gamma_half, gamma_mu
+from muhermite.core import _array_memo, _memo_key, gamma_half, gamma_mu
 from muhermite.efun import c_s_mu, e_mu
 from muhermite.heat import heat_apply_kernel, heat_gaussian, heat_odd_gaussian
 from muhermite.hermite import hermite_coeffs, hermite_eval
@@ -370,8 +370,8 @@ def test_memo_keys_tell_x_from_minus_x_and_one_shape_from_another():
     assert _array_memo.info().misses == 2
     # the transform of an even f is even and real
     assert_allclose(minus, plus, rtol=1e-14)
-    flat = _array_memo(np.negative, x)
-    square = _array_memo(np.negative, x.reshape(2, 2))
+    flat = _array_memo(_memo_key(x), np.negative, x)
+    square = _array_memo(_memo_key(x.reshape(2, 2)), np.negative, x.reshape(2, 2))
     assert flat.shape == (4,) and square.shape == (2, 2)
     assert _array_memo.info().misses == 4
 
@@ -398,7 +398,7 @@ def test_refused_calls_leave_the_memo_as_it_was():
         raise ArithmeticError("no build")
 
     with pytest.raises(ArithmeticError):
-        _array_memo(broken, 0.5, np.ones(3))
+        _array_memo((0.5, 3), broken, 0.5, np.ones(3))
     assert _array_memo.info() == (0, 1, 0, 0)
 
 
