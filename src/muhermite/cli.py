@@ -208,8 +208,10 @@ def _cmd_verify(args) -> int:
         _emit(json.dumps([r.to_json() for r in reports], indent=2) + "\n", args.out)
         return 0 if all(r.passed for r in reports) else 1
     numbers = None
-    if args.criteria:
+    if args.criteria is not None:
         numbers = sorted({int(tok) for tok in args.criteria.split(",") if tok.strip()})
+        if not numbers:
+            raise ValueError(f"--criteria {args.criteria!r} names no criterion (1..{len(verify_mod.CRITERIA)})")
     results = verify_mod.run_acceptance(numbers)
     if args.json:
         _emit(json.dumps([r.to_json() for r in results], indent=2) + "\n", args.out)

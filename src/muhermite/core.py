@@ -121,7 +121,10 @@ class MuParam:
         """Parse CLI-style mu: '0.5' stays numeric-only, '1/3' is exact."""
         text = text.strip()
         if "/" in text:
-            frac = Fraction(text)
+            try:
+                frac = Fraction(text)
+            except ZeroDivisionError:
+                raise ValueError(f"mu = {text} has a zero denominator") from None
             return MuParam(value=float(frac), exact=frac)
         if text.lstrip("+-").isdigit():
             frac = Fraction(int(text))

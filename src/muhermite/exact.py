@@ -23,73 +23,58 @@ degrees share (the iterates of the Rodrigues and raising recursions, the
 closed-form H_m already built) is carried to the next degree instead of
 being rebuilt; factorials come from math.factorial.  The carried state
 belongs to one side's route, so the two sides stay as independent as
-before.  One shared table per mu and D in force (a patched D gets a table
-of its own) holds what several tags read, each entry built once, by one
-builder ``_shared`` under one lock: the closed-form H_m, read by every
-tag that uses them; the iterates D^j x^n of the derivative-plus-reflection D,
-which the binomial, odd-even and heat-monomial tags read; and the binomial
-rows and the odd-degree translation series (built from those iterates),
-which the binomial and odd-even tags read.
+before.  What several tags read is built once per walk at one mu, by
+``_shared``, into a dict that the walk drops when it ends (the suite's tags
+at a mu share one; verify_identity makes its own): the closed-form H_m,
+read by every tag that uses them; the iterates D^j x^n of the D in force
+(the derivative-plus-reflection form), which the binomial, odd-even and
+heat-monomial tags read; and the binomial rows and odd-degree translation
+series (built from those iterates), read by the binomial and odd-even tags.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import count, islice
 
-from .core import MU_CACHE_SIZE, _count, as_mu, gamma_exact_table, gamma_mu_exact
+from .core import _count, as_mu, gamma_exact_table, gamma_mu_exact
 from .hermite import binomial_poly, dunkl_definition, hermite_coeffs, inversion_weights
 from .poly import BivariatePoly, DensePoly, fraction_str
 
 __all__ = ["IDENTITY_TAGS", "IdentityReport", "identity_sides", "verify_identity"]
 
-# Each _sides_* builder is a generator over mu whose n-th item is the list
-# of (label, lhs, rhs) triples at degree n; what it carries across degrees
-# stays inside the generator.
+# Each _sides_* builder is a generator over mu and the walk's table whose
+# n-th item is the list of (label, lhs, rhs) triples at degree n; what it
+# carries across degrees stays inside the generator.
 
 
-@lru_cache(maxsize=MU_CACHE_SIZE)
-def _tables(mu: Fraction, d) -> dict:
-    """What the tags share at one mu under the D in force, d: (builder, n) -> entry, filled by _shared."""
-    return {}
+def _shared(table: dict, build, mu: Fraction, n: int):
+    """build(mu, n, table), made once per table and n."""
+    if (build, n) not in table:
+        table[build, n] = build(mu, n, table)
+    return table[build, n]
 
 
-# Reentrant: the series builder reads the derivative rows while it holds the lock.
-_table_lock = threading.RLock()
-
-
-def _shared(build, mu: Fraction, n: int):
-    """build(mu, n, d) for the D in force d, built once per mu, d and n under _table_lock."""
-    d, key = dunkl_definition, (build, n)
-    with _table_lock:  # the table too: lru_cache can give two threads that miss at once two tables
-        table = _tables(mu, d)
-        if key not in table:
-            table[key] = build(mu, n, d)
-        return table[key]
-
-
-def _hermite(mu: Fraction, m: int, d) -> DensePoly:
+def _hermite(mu: Fraction, m: int, table: dict) -> DensePoly:
     return hermite_coeffs(mu, m, exact=True)
 
 
-def _hermites(mu: Fraction):
-    """H_0, H_1, ... from the closed-form coefficients, each built once per mu."""
-    return (_shared(_hermite, mu, m) for m in count())
+def _hermites(mu: Fraction, table: dict):
+    """H_0, H_1, ... from the closed-form coefficients, each built once per table."""
+    return (_shared(table, _hermite, mu, m) for m in count())
 
 
-def _derivatives(mu: Fraction, n: int, d) -> list:
+def _derivatives(mu: Fraction, n: int, table: dict) -> list:
     """D^j x^n for j = 0..n."""
     row = [DensePoly.monomial(n, Fraction(1))]
     for _ in range(n):
-        row.append(d(mu, row[-1]))
+        row.append(dunkl_definition(mu, row[-1]))
     return row
 
 
-def _binomial(mu: Fraction, n: int, d) -> BivariatePoly:
+def _binomial(mu: Fraction, n: int, table: dict) -> BivariatePoly:
     return binomial_poly(mu, n, exact=True)
 
 
@@ -97,11 +82,11 @@ def _ratio(mu: Fraction, n: int) -> Fraction:
     return gamma_mu_exact(mu, n + 1) / ((n + 1) * gamma_mu_exact(mu, n))
 
 
-def _translation_series(mu: Fraction, n: int, d) -> BivariatePoly:
+def _translation_series(mu: Fraction, n: int, table: dict) -> BivariatePoly:
     """sum_j y^j / gamma_mu(j) D^j x^n, by repeated differentiation."""
     gam = gamma_exact_table(mu, n)
     columns = {}
-    for j, q in enumerate(_shared(_derivatives, mu, n)):
+    for j, q in enumerate(_shared(table, _derivatives, mu, n)):
         if q.is_zero():
             break
         columns[j] = q.scale(1 / gam[j])
@@ -120,8 +105,8 @@ def _test_even_poly(n: int) -> DensePoly:
     return DensePoly(coeffs)
 
 
-def _sides_three_term(mu: Fraction):
-    hermites = _hermites(mu)
+def _sides_three_term(mu: Fraction, table: dict):
+    hermites = _hermites(mu, table)
     prev, cur = DensePoly.zero(), next(hermites)
     for n, nxt in enumerate(hermites):
         lhs = nxt.scale(_ratio(mu, n)) + prev.scale(Fraction(2 * n))
@@ -130,15 +115,15 @@ def _sides_three_term(mu: Fraction):
         prev, cur = cur, nxt
 
 
-def _sides_lowering(mu: Fraction):
+def _sides_lowering(mu: Fraction, table: dict):
     prev = DensePoly.zero()
-    for n, h in enumerate(_hermites(mu)):
+    for n, h in enumerate(_hermites(mu, table)):
         yield [("", dunkl_definition(mu, h), prev.scale(Fraction(2 * n)))]
         prev = h
 
 
-def _sides_raising(mu: Fraction):
-    hermites = _hermites(mu)
+def _sides_raising(mu: Fraction, table: dict):
+    hermites = _hermites(mu, table)
     cur = next(hermites)
     for n, nxt in enumerate(hermites):
         lhs = cur.shift_up(1).scale(Fraction(2)) - dunkl_definition(mu, cur)
@@ -146,27 +131,27 @@ def _sides_raising(mu: Fraction):
         cur = nxt
 
 
-def _sides_rodrigues(mu: Fraction):
+def _sides_rodrigues(mu: Fraction, table: dict):
     # Gaussian-conjugated derivative: D acting through e^(-x^2) leaves the
     # polynomial factor p -> (D p) - 2 x p.
     p = DensePoly([Fraction(1)])
-    for n, h in enumerate(_hermites(mu)):
+    for n, h in enumerate(_hermites(mu, table)):
         rhs = h.scale(gamma_mu_exact(mu, n) / math.factorial(n))
         yield [("", p.scale(Fraction((-1) ** n)), rhs)]
         p = dunkl_definition(mu, p) - p.shift_up(1).scale(Fraction(2))
 
 
-def _sides_iterated_raising(mu: Fraction):
+def _sides_iterated_raising(mu: Fraction, table: dict):
     q = DensePoly([Fraction(1)])
-    for n, h in enumerate(_hermites(mu)):
+    for n, h in enumerate(_hermites(mu, table)):
         yield [("", q, h.scale(gamma_mu_exact(mu, n) / math.factorial(n)))]
         q = q.shift_up(1).scale(Fraction(2)) - dunkl_definition(mu, q)
 
 
-def _sides_inversion(mu: Fraction):
+def _sides_inversion(mu: Fraction, table: dict):
     # (2x)^n / gamma_mu(n) against sum_k H_{n-2k} / (k! (n-2k)!).
     hermites = []
-    for n, h in enumerate(_hermites(mu)):
+    for n, h in enumerate(_hermites(mu, table)):
         hermites.append(h)
         lhs = DensePoly.monomial(n, 2**n / gamma_mu_exact(mu, n))
         rhs = DensePoly.zero()
@@ -175,13 +160,13 @@ def _sides_inversion(mu: Fraction):
         yield [("", lhs, rhs)]
 
 
-def _sides_generating(mu: Fraction):
+def _sides_generating(mu: Fraction, table: dict):
     # Coefficient of z^n in exp(-z^2) * e_mu(2 x z), by Cauchy product of the
     # two series: the z^m term of e_mu(2 x z) is (2x)^m / gamma_mu(m), and
     # the z^(2j) term of exp(-z^2) is (-1)^j / j!.  Against H_n / n! from the
     # closed-form coefficients.
     powers = []
-    for n, h in enumerate(_hermites(mu)):
+    for n, h in enumerate(_hermites(mu, table)):
         powers.append(DensePoly.monomial(n, 2**n / gamma_mu_exact(mu, n)))
         lhs = DensePoly.zero()
         for j in range(n // 2 + 1):
@@ -189,30 +174,30 @@ def _sides_generating(mu: Fraction):
         yield [("", lhs, h.scale(Fraction(1, math.factorial(n))))]
 
 
-def _sides_binomial(mu: Fraction):
+def _sides_binomial(mu: Fraction, table: dict):
     # An odd degree's series has a second reader, the odd-even tag, so it is
     # shared; an even one has only this one and is not kept.
     for n in count():
-        series = _shared(_translation_series, mu, n) if n % 2 else _translation_series(mu, n, dunkl_definition)
-        yield [("", series, _shared(_binomial, mu, n))]
+        series = _shared(table, _translation_series, mu, n) if n % 2 else _translation_series(mu, n, table)
+        yield [("", series, _shared(table, _binomial, mu, n))]
 
 
-def _sides_odd_even(mu: Fraction):
+def _sides_odd_even(mu: Fraction, table: dict):
     x_plus_y = BivariatePoly((((1, 0), Fraction(1)), ((0, 1), Fraction(1))))
     for n in count():
         if n % 2 == 0:
             yield []
             continue
-        rhs = x_plus_y * _shared(_binomial, mu, n - 1)
-        yield [("", _shared(_translation_series, mu, n), rhs)]
+        rhs = x_plus_y * _shared(table, _binomial, mu, n - 1)
+        yield [("", _shared(table, _translation_series, mu, n), rhs)]
 
 
-def _sides_heat_monomial(mu: Fraction):
+def _sides_heat_monomial(mu: Fraction, table: dict):
     # Flow form: exp(-y^2 D^2) x^n, summed term by term with the
     # derivative-based D, against the Hermite substitution
     # (gamma_mu(n)/n!) y^n H_n(x/(2y); mu) expanded as a polynomial in x, y.
-    for n, h in enumerate(_hermites(mu)):
-        powers = _shared(_derivatives, mu, n)
+    for n, h in enumerate(_hermites(mu, table)):
+        powers = _shared(table, _derivatives, mu, n)
         flow, series = {}, {}
         for k in range(n // 2 + 1):
             series[k] = powers[2 * k].scale(Fraction(1, math.factorial(k)))
@@ -228,7 +213,7 @@ def _sides_heat_monomial(mu: Fraction):
         ]
 
 
-def _sides_product_rule(mu: Fraction):
+def _sides_product_rule(mu: Fraction, table: dict):
     for n in count():
         phi = _test_poly(n)
         psi = _test_even_poly(n)
@@ -237,7 +222,7 @@ def _sides_product_rule(mu: Fraction):
         yield [("", lhs, rhs)]
 
 
-def _sides_second_order(mu: Fraction):
+def _sides_second_order(mu: Fraction, table: dict):
     for n in count():
         phi = _test_poly(n)
         lhs = dunkl_definition(mu, dunkl_definition(mu, phi))
@@ -291,11 +276,11 @@ class IdentityReport:
         }
 
 
-def _builder(tag: str, mu, degree: int, what: str):
+def _builder(tag: str, mu, degree: int, what: str, table: dict):
     if tag not in _BUILDERS:
         raise ValueError(f"unknown identity tag {tag!r}; known: {', '.join(IDENTITY_TAGS)}")
     frac = as_mu(mu).require_exact()
-    return frac, _count(degree, what), _BUILDERS[tag](frac)
+    return frac, _count(degree, what), _BUILDERS[tag](frac, table)
 
 
 def identity_sides(tag: str, mu, n: int):
@@ -307,7 +292,7 @@ def identity_sides(tag: str, mu, n: int):
     the two sides still come from different routes.  Exposed so tests can
     perturb one side and confirm the comparator actually bites.
     """
-    _, n, sides = _builder(tag, mu, n, "degree n")
+    _, n, sides = _builder(tag, mu, n, "degree n", {})
     return next(islice(sides, n, None))
 
 
@@ -329,7 +314,12 @@ def _first_mismatch(lhs, rhs):
 
 def verify_identity(tag: str, mu, n_max: int) -> IdentityReport:
     """Check one tagged identity exactly for all degrees up to n_max."""
-    frac, n_max, sides = _builder(tag, mu, n_max, "n_max")
+    return _verify(tag, mu, n_max, {})
+
+
+def _verify(tag: str, mu, n_max: int, table: dict) -> IdentityReport:
+    """verify_identity, reading and filling table: what the tags of one walk share at this mu."""
+    frac, n_max, sides = _builder(tag, mu, n_max, "n_max", table)
     checks = 0
     for n, triples in enumerate(islice(sides, n_max + 1)):
         for label, lhs, rhs in triples:

@@ -47,7 +47,7 @@ from .core import _count, as_mu, gamma_table
 from .hermite import _hermite_steps, dunkl_apply
 from .poly import DensePoly
 from .quadrature import gauss_hermite_mu
-from .transform import SpectralVector, _phi_rows, fourier_spectral, operator_matrix
+from .transform import SpectralVector, _MINUS_I_POWERS, _phi_rows, fourier_spectral, operator_matrix
 
 __all__ = [
     "OscillatorRep",
@@ -260,7 +260,7 @@ def check_structure(rep: OscillatorRep) -> CheckReport:
     entries.append(_matrix_defect(rep, "transform_square", 0, rep.f @ rep.f, rep.j))
     entries.append(_matrix_defect(rep, "transform_adjoint", 0, rep.f.conj().T, rep.j @ rep.f))
     entries.append(_matrix_defect(rep, "transform_parity_commute", 0, rep.j @ rep.f, rep.f @ rep.j))
-    entries.append(_matrix_defect(rep, "transform_eigenvalues", 0, rep.f, np.diag((-1j) ** n_idx)))
+    entries.append(_matrix_defect(rep, "transform_eigenvalues", 0, rep.f, np.diag(_MINUS_I_POWERS[n_idx % 4])))
     entries.append(_matrix_defect(rep, "quarter_turn_position", 2, rep.f.conj().T @ rep.q @ rep.f, rep.p))
 
     e0 = rep.basis_vector(0)
@@ -402,7 +402,7 @@ def check_rodrigues_operator(rep: OscillatorRep, n_max: int = 8) -> CheckReport:
     gam, fact = gamma_table(value, n_max).values[: n_max + 1], np.array([float(math.factorial(n)) for n in degrees])
     half = 2.0 ** (-0.5 * np.arange(n_max + 1))
     pref, pref_ladder, norm = gam / fact * half, gam / fact * half**2, np.sqrt(gam) / fact * half
-    phase = np.array([1, 1j, -1, -1j])[np.arange(n_max + 1) % 4]  # i^n, exactly
+    phase = _MINUS_I_POWERS[-np.arange(n_max + 1) % 4]  # i^n = (-i)^(-n)
 
     def hermite(letter, s):  # column n is H_n(s X) e_0
         return np.stack(list(_hermite_steps(value, n_max, (2.0 * s * letter).__matmul__, e0)), axis=1)

@@ -58,6 +58,9 @@ __all__ = [
     "operator_matrix",
 ]
 
+# (-i)^n is _MINUS_I_POWERS[n % 4], exactly; (-1j) ** n drifts from n = 100.
+_MINUS_I_POWERS = np.array((1, -1j, -1, 1j))
+
 
 @dataclass(frozen=True)
 class SpectralVector:
@@ -146,7 +149,7 @@ def fourier_spectral(vec: SpectralVector) -> SpectralVector:
     n = np.arange(len(vec))
     return SpectralVector(
         mu=vec.mu,
-        coeffs=vec.coeffs.astype(complex) * (-1j) ** n,
+        coeffs=vec.coeffs.astype(complex) * _MINUS_I_POWERS[n % 4],
         parseval_defect=vec.parseval_defect,
     )
 
@@ -238,7 +241,7 @@ def transform_of_monomial_gaussian(mu, n: int, lam: float, x):
     x, shaped = _as_grid(x)
     amp = 2.0 ** (-value - 0.5) * lam ** (-0.5 * n - 0.5 - value) * gamma_mu(value, n) / math.factorial(n) / 2.0**n
     h = hermite_eval(value, n, x / (2.0 * math.sqrt(lam)))
-    return shaped((-1j) ** n * amp * np.exp(-x * x / (4.0 * lam)) * h)
+    return shaped(_MINUS_I_POWERS[n % 4] * amp * np.exp(-x * x / (4.0 * lam)) * h)
 
 
 def transform_of_efun_gaussian(mu, lam: float, y: float, x):
@@ -269,8 +272,8 @@ def transform_of_hermite_gaussian(mu, n: int, beta: float, lam: float, x):
     x, shaped = _as_grid(x)
     ratio2 = (beta / lam) ** 2 - 1.0
     amp = 2.0 ** (-value - 0.5) * lam ** (-2.0 * value - 1.0) * ratio2 ** (0.5 * n)
-    arg = beta * x / (2.0 * lam * math.sqrt(beta * beta - lam * lam))
-    return shaped((-1j) ** n * amp * np.exp(-x * x / (4.0 * lam * lam)) * hermite_eval(value, n, arg))
+    h = hermite_eval(value, n, beta * x / (2.0 * lam * math.sqrt(beta * beta - lam * lam)))
+    return shaped(_MINUS_I_POWERS[n % 4] * amp * np.exp(-x * x / (4.0 * lam * lam)) * h)
 
 
 def operator_matrix(mu, kind: str, size: int) -> np.ndarray:
@@ -297,7 +300,7 @@ def operator_matrix(mu, kind: str, size: int) -> np.ndarray:
     elif kind == "J":
         m = np.diag((-1.0) ** np.arange(size)).astype(complex)
     elif kind == "F":
-        m = np.diag((-1j) ** np.arange(size))
+        m = np.diag(_MINUS_I_POWERS[np.arange(size) % 4])
     else:
         raise ValueError(f"unknown operator kind {kind!r}")
     m.setflags(write=False)

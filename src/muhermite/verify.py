@@ -20,7 +20,7 @@ import numpy as np
 from . import oscillator as osc
 from .core import gamma_half, gamma_mu, gamma_mu_exact
 from .efun import _series, e_mu, mehler_rhs
-from .exact import IDENTITY_TAGS, verify_identity
+from .exact import IDENTITY_TAGS, _verify
 from .heat import (
     heat_apply_kernel,
     heat_gaussian,
@@ -129,8 +129,9 @@ def _rel_sup(got, want) -> float:
 
 
 def _exact_reports(mu, n_max: int) -> list:
-    """verify_identity for every tag at mu through n_max, the series tags capped at degree 12."""
-    return [verify_identity(tag, mu, min(n_max, 12) if tag in SERIES_TAGS else n_max) for tag in IDENTITY_TAGS]
+    """verify_identity for every tag at mu through n_max, the series tags capped at degree 12, in one walk."""
+    table = {}  # what the tags share at mu, dropped when the walk ends
+    return [_verify(tag, mu, min(n_max, 12) if tag in SERIES_TAGS else n_max, table) for tag in IDENTITY_TAGS]
 
 
 def criterion_exact_identities() -> CriterionResult:

@@ -382,6 +382,22 @@ def test_verify_json_subset(capsys):
     assert blob[0]["criterion"] == 3 and blob[0]["pass"] is True
 
 
+@pytest.mark.parametrize("criteria", [",", " ", ""])
+def test_verify_criteria_naming_nothing_exits_two(capsys, criteria):
+    code, out, err = run(capsys, "verify", "--criteria", criteria, "--json")
+    assert (code, out) == (2, "")
+    assert err == f"error: --criteria {criteria!r} names no criterion (1..10)\n"
+
+
+@pytest.mark.parametrize("argv", [["verify", "--mu", "1/0"], ["oscillator", "--mu", "1/0", "--size", "8"]])
+def test_mu_with_a_zero_denominator_exits_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "argument --mu: invalid" in err and "'1/0'" in err
+
+
 def test_out_flag_writes_file(tmp_path, capsys):
     target = tmp_path / "g.txt"
     code = main(["gamma", "--mu", "5/2", "--n", "5", "--out", str(target)])

@@ -57,6 +57,11 @@ class TestMuParam:
                 MuParam.parse(text)
         assert MuParam.parse("-1/4").exact == Fraction(-1, 4)
 
+    def test_zero_denominator_is_a_value_error(self):
+        for text in ("1/0", " -3/00 "):
+            with pytest.raises(ValueError, match=f"mu = {text.strip()} has a zero denominator"):
+                as_mu(text)
+
     def test_as_mu_accepts_float_fraction_and_param(self):
         assert as_mu(0.5).value == 0.5
         assert as_mu(Fraction(1, 2)).exact == Fraction(1, 2)
@@ -220,13 +225,13 @@ def test_mu_caches_stay_bounded():
         l2mu_norm(lambda t: np.exp(-t * t), sigma=1.0, mu=mu, quad_n=4)
         translate_xi(mu, lambda t: np.exp(-t * t), 0.5, 0.7, quad_n=4)
         e_mu(mu, 0.5)
-    # the exact H_m and D^j x^n, shared by the identity checks, are kept per mu
+    # the exact walks keep no table, but add 100 fresh mu to the exact mu and gamma caches
     for k in range(100):
         assert verify_identity("lowering", Fraction(k + 1, 101), 3).passed
         assert verify_identity("binomial_expansion", Fraction(k + 1, 101), 3).passed
     # every cache the package defines, found by scanning, so none is missed
     caches = package_caches()
-    assert len(caches) >= 10
+    assert len(caches) == 9
     for name, cached in caches.items():
         assert 0 < cached.cache_info().currsize <= MU_CACHE_SIZE, name
 
@@ -255,7 +260,8 @@ def test_every_lru_cache_in_the_package_is_bounded_by_mu_cache_size():
     from muhermite.core import MU_CACHE_SIZE
 
     caches = {name: cache.cache_parameters()["maxsize"] for name, cache in package_caches().items()}
-    assert len(caches) >= 10 and {"efun._term_count", "exact._tables"} <= set(caches)
+    assert len(caches) == 9 and "efun._term_count" in caches
+    assert not [name for name in caches if name.startswith("exact.")]  # its tables live for one walk
     assert {name: size for name, size in caches.items() if size != MU_CACHE_SIZE} == {}
 
 

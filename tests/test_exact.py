@@ -9,7 +9,7 @@ import muhermite.exact as exact
 from muhermite.exact import IDENTITY_TAGS, identity_sides, verify_identity
 from muhermite.hermite import binomial_poly, hermite_coeffs
 from muhermite.poly import DensePoly
-from muhermite.verify import criterion_exact_identities
+from muhermite.verify import _exact_reports, criterion_exact_identities
 
 
 def test_tag_inventory():
@@ -127,64 +127,79 @@ def test_criterion_counts_every_degree_check():
 
 def test_criterion_1_builds_each_hermite_table_once_per_mu(monkeypatch):
     # the closed-form H_m are built once per mu and read by all eight tags
-    # that use them: six mu, six shared tables, no H_m built twice
-    exact._tables.cache_clear()
+    # that use them: six mu, one table each, no H_m built twice
     built = []
     monkeypatch.setattr(exact, "hermite_coeffs", lambda mu, m, **k: built.append((mu, m)) or hermite_coeffs(mu, m, **k))
     assert criterion_exact_identities().passed
-    assert exact._tables.cache_info().misses == 6
     assert len({mu for mu, _ in built}) == 6
     assert len(built) == len(set(built))
 
 
-def _entries(mu, build) -> dict:
-    """n -> the shared table's entry of one builder at mu, under the true D."""
-    return {n: v for (b, n), v in exact._tables(mu, exact.dunkl_definition).items() if b is build}
-
-
-@pytest.mark.parametrize("mu", [Fraction(k, 19) for k in range(11, 17)])
-def test_hermite_table_is_shared_safely_between_threads(mu, monkeypatch):
-    # threads walking one fresh mu's table at once must build each H_m once,
-    # under its own m; they start together, with a short switch interval
+def test_nothing_outlives_a_walk(monkeypatch):
+    # a second walk at the same mu finds no table left by the first
+    mu = Fraction(2, 13)
+    assert verify_identity("lowering", mu, 9).passed
     built = []
     monkeypatch.setattr(exact, "hermite_coeffs", lambda mu, m, **k: built.append(m) or hermite_coeffs(mu, m, **k))
-    start = threading.Barrier(8)
-    results = []
+    assert verify_identity("lowering", mu, 9).passed
+    assert built == list(range(10))
 
-    def walk():
+
+def _entries(table: dict, build) -> dict:
+    """n -> one walk's table entry of one builder."""
+    return {n: v for (b, n), v in table.items() if b is build}
+
+
+def _walk_together(walk, threads: int = 8) -> None:
+    """Run walk in that many threads, started together, with a short switch interval."""
+    start = threading.Barrier(threads)
+
+    def run():
         start.wait(timeout=60)
-        results.append(verify_identity("lowering", mu, 12).passed)
+        walk()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=walk) for _ in range(8)]
-        for t in threads:
+        workers = [threading.Thread(target=run) for _ in range(threads)]
+        for t in workers:
             t.start()
-        for t in threads:
+        for t in workers:
             t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    assert not any(t.is_alive() for t in workers)
+
+
+@pytest.mark.parametrize("mu", [Fraction(k, 19) for k in range(11, 17)])
+def test_hermite_table_is_shared_safely_between_threads(mu, monkeypatch):
+    # eight walks at one mu at once each build every H_m once, in a table of their own
+    built = []
+    monkeypatch.setattr(exact, "hermite_coeffs", lambda mu, m, **k: built.append(m) or hermite_coeffs(mu, m, **k))
+    results = []
+    _walk_together(lambda: results.append(verify_identity("lowering", mu, 12).passed))
     assert results == [True] * 8
-    assert sorted(built) == list(range(13))
-    assert _entries(mu, exact._hermite) == {m: hermite_coeffs(mu, m, exact=True) for m in range(13)}
+    assert sorted(built) == sorted(list(range(13)) * 8)
 
 
 DERIVATIVE_TAGS = ("binomial_expansion", "odd_even_factor", "heat_monomial")
 
 
-def test_derivative_table_is_shared_by_the_three_tags():
-    # one table of D^j x^n per mu and D in force, read by all three tags
+def test_derivative_table_is_shared_by_the_three_tags(monkeypatch):
+    # one table of D^j x^n per walk at a mu, read by all three tags
     mu = Fraction(3, 23)
-    exact._tables.cache_clear()
+    built = []
+    derivatives = exact._derivatives
+    monkeypatch.setattr(exact, "_derivatives", lambda mu, n, table: built.append(n) or derivatives(mu, n, table))
+    assert all(report.passed for report in _exact_reports(mu, 9))
+    assert built == list(range(10))
+    monkeypatch.undo()
+    table = {}
     for tag in DERIVATIVE_TAGS:
-        assert verify_identity(tag, mu, 9).passed
-    info = exact._tables.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
-    table = _entries(mu, exact._derivatives)
-    assert sorted(table) == list(range(10))
-    assert table[5][2] == DensePoly.monomial(3, 4 * (5 + 2 * mu))  # D x^5 = (5 + 2 mu) x^4, D x^4 = 4 x^3
+        assert exact._verify(tag, mu, 9, table).passed
+    rows = _entries(table, exact._derivatives)
+    assert sorted(rows) == list(range(10))
+    assert rows[5][2] == DensePoly.monomial(3, 4 * (5 + 2 * mu))  # D x^5 = (5 + 2 mu) x^4, D x^4 = 4 x^3
 
 
 def test_binomial_rows_are_shared_by_the_binomial_and_odd_even_tags(monkeypatch):
@@ -192,10 +207,8 @@ def test_binomial_rows_are_shared_by_the_binomial_and_odd_even_tags(monkeypatch)
     mu = Fraction(4, 29)
     built = []
     monkeypatch.setattr(exact, "binomial_poly", lambda *a, **k: built.append(a[1]) or binomial_poly(*a, **k))
-    for tag in ("binomial_expansion", "odd_even_factor"):
-        assert verify_identity(tag, mu, 9).passed
+    assert all(report.passed for report in _exact_reports(mu, 9))
     assert built == list(range(10))
-    assert sorted(_entries(mu, exact._binomial)) == list(range(10))
 
 
 def test_translation_series_is_shared_by_the_binomial_and_odd_even_tags(monkeypatch):
@@ -204,16 +217,15 @@ def test_translation_series_is_shared_by_the_binomial_and_odd_even_tags(monkeypa
     mu = Fraction(5, 31)
     built = []
     derivatives = exact._derivatives
-    monkeypatch.setattr(exact, "_derivatives", lambda mu, n, d: built.append(n) or derivatives(mu, n, d))
-    for tag in ("binomial_expansion", "odd_even_factor"):
-        assert verify_identity(tag, mu, 9).passed
+    monkeypatch.setattr(exact, "_derivatives", lambda mu, n, table: built.append(n) or derivatives(mu, n, table))
+    assert all(report.passed for report in _exact_reports(mu, 9))
     assert built == list(range(10))
     built.clear()
-    mu = Fraction(6, 31)
+    table = {}
     for tag in ("odd_even_factor", "binomial_expansion"):
-        assert verify_identity(tag, mu, 9).passed
+        assert exact._verify(tag, Fraction(6, 31), 9, table).passed
     assert built == [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]
-    assert sorted(_entries(mu, exact._translation_series)) == [1, 3, 5, 7, 9]
+    assert sorted(_entries(table, exact._translation_series)) == [1, 3, 5, 7, 9]
 
 
 def test_perturbed_derivative_bites_after_criterion_1_is_warm(monkeypatch):
@@ -236,8 +248,8 @@ def test_perturbed_derivative_bites_after_criterion_1_is_warm(monkeypatch):
 
 
 def test_derivative_table_is_filled_once_between_threads(monkeypatch):
-    # eight threads walk one fresh (mu, D) table at once: every D^j x^n is
-    # built exactly once, so D runs n times per degree n
+    # eight walks at one mu at once each build every D^j x^n once, in a table
+    # of their own, so D runs n times per degree n per walk
     exact_d = exact.dunkl_definition
     calls = []
 
@@ -246,23 +258,7 @@ def test_derivative_table_is_filled_once_between_threads(monkeypatch):
         return exact_d(mu, p)
 
     monkeypatch.setattr(exact, "dunkl_definition", counted)
-    start = threading.Barrier(8)
     results = []
-
-    def walk():
-        start.wait(timeout=60)
-        results.append(verify_identity("binomial_expansion", Fraction(5, 17), 12).passed)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=walk) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    _walk_together(lambda: results.append(verify_identity("binomial_expansion", Fraction(5, 17), 12).passed))
     assert results == [True] * 8
-    assert len(calls) == sum(range(13))
+    assert len(calls) == 8 * sum(range(13))

@@ -89,6 +89,19 @@ def test_fourier_spectral_is_diagonal_phase():
     assert_allclose(out.coeffs, [1.0, -2.0j, -3.0, 4.0j])
 
 
+def test_the_transform_phase_is_exact_past_degree_100():
+    # (-1j) ** n drifts from n = 100; (-i)^n is one of 1, -i, -1, i exactly
+    n = np.arange(200)
+    phase = np.array((1, -1j, -1, 1j))[n % 4]
+    assert_array_equal(np.diag(operator_matrix(0.5, "F", 200)), phase)
+    assert_array_equal(fourier_spectral(SpectralVector(mu=0.5, coeffs=np.ones(200))).coeffs, phase)
+    for got in (
+        transform_of_monomial_gaussian(0.5, 150, 1.0, [0.7]),
+        transform_of_hermite_gaussian(0.5, 150, 1.0, 0.7071, [0.3]),
+    ):
+        assert got.real[0] != 0.0 and got.imag[0] == 0.0  # (-i)^150 = -1
+
+
 def test_quadrature_transform_fixes_eigenfunctions():
     x = np.linspace(-3.0, 3.0, 11)
     for mu in MUS:
