@@ -18,7 +18,7 @@ import numpy as np
 
 from . import oscillator as osc
 from . import verify as verify_mod
-from .core import MuParam, gamma_mu, gamma_mu_exact
+from .core import MuParam, _count, _real, gamma_mu, gamma_mu_exact
 from .efun import c_s_mu, e_mu
 from .heat import heat_apply_kernel, heat_gaussian, heat_odd_gaussian, heat_spectral_matrix
 from .hermite import hermite_coeffs, hermite_eval
@@ -60,15 +60,20 @@ def _csv(header: str, out_path: str | None, *columns) -> None:
 
 
 def _grid(args) -> np.ndarray:
-    if args.num < 2:
-        raise ValueError("--num must be at least 2")
-    if not args.xmax > args.xmin:
-        raise ValueError("--xmax must exceed --xmin")
+    _count(args.num, "--num", 2)
+    _real(args.xmax, "--xmax", _real(args.xmin, "--xmin"), False)
     return np.linspace(args.xmin, args.xmax, args.num)
 
 
+def _mu(text: str) -> MuParam:
+    try:
+        return MuParam.parse(text)
+    except ValueError as exc:  # argparse would print "invalid parse value" in place of the reason
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_common(p: argparse.ArgumentParser, grid: bool = False) -> None:
-    p.add_argument("--mu", type=MuParam.parse, required=True, help="deformation parameter, decimal or p/q")
+    p.add_argument("--mu", type=_mu, required=True, help="deformation parameter, decimal or p/q")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
     if grid:
         p.add_argument("--xmin", type=float, default=-3.0)
@@ -106,8 +111,7 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.nmax < 0:
-        raise ValueError("--nmax must be nonnegative")
+    _count(args.nmax, "--nmax")
     exact = args.mu.exact is not None
     lines = []
     for n in range(args.nmax + 1):
@@ -152,8 +156,7 @@ def _cmd_transform(args) -> int:
 
 def _cmd_heat(args) -> int:
     x = _grid(args)
-    if not args.alpha > 0:
-        raise ValueError("--alpha must be positive")
+    _real(args.alpha, "--alpha", 0.0, False)
     even = args.family == "even"
     f = (lambda u: np.exp(-args.alpha * u * u)) if even else (lambda u: u * np.exp(-args.alpha * u * u))
     if args.route == "closed":
@@ -172,8 +175,7 @@ def _cmd_heat(args) -> int:
 
 def _cmd_translate(args) -> int:
     x = _grid(args)
-    if not args.lam > 0:
-        raise ValueError("--lam must be positive")
+    _real(args.lam, "--lam", 0.0, False)
     even = args.family == "even"
     f = (lambda u: np.exp(-args.lam * u * u)) if even else (lambda u: u * np.exp(-args.lam * u * u))
     if args.route == "closed":
@@ -182,10 +184,9 @@ def _cmd_translate(args) -> int:
             if even
             else translate_odd_gaussian_closed(args.mu, args.lam, x, args.y)
         )
-    elif args.route == "alpha":
-        vals = np.asarray([translate_alpha(args.mu, f, float(v), args.y) for v in x])
     else:
-        vals = np.asarray([translate_xi(args.mu, f, float(v), args.y) for v in x])
+        route = translate_alpha if args.route == "alpha" else translate_xi
+        vals = np.asarray([route(args.mu, f, v, args.y) for v in x])
     _csv("x,value", args.out, x, np.asarray(vals, dtype=float))
     return 0
 
@@ -209,9 +210,9 @@ def _cmd_verify(args) -> int:
         return 0 if all(r.passed for r in reports) else 1
     numbers = None
     if args.criteria is not None:
-        numbers = sorted({int(tok) for tok in args.criteria.split(",") if tok.strip()})
-        if not numbers:
-            raise ValueError(f"--criteria {args.criteria!r} names no criterion (1..{len(verify_mod.CRITERIA)})")
+        numbers = sorted({int(tok) if tok.strip().isdecimal() else 0 for tok in args.criteria.split(",") if tok.strip()})
+        if not numbers or not 0 < numbers[0] <= numbers[-1] <= len(verify_mod.CRITERIA):
+            raise ValueError(f"--criteria {args.criteria!r} must list criterion numbers 1..{len(verify_mod.CRITERIA)}")
     results = verify_mod.run_acceptance(numbers)
     if args.json:
         _emit(json.dumps([r.to_json() for r in results], indent=2) + "\n", args.out)
@@ -288,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_oscillator)
 
     p = sub.add_parser("verify", help="acceptance suite; with --mu, the exact identity suite at that mu")
-    p.add_argument("--mu", type=MuParam.parse, default=None, help="rational mu routes the exact kernel")
+    p.add_argument("--mu", type=_mu, default=None, help="rational mu routes the exact kernel")
     p.add_argument("--nmax", type=int, default=20)
     p.add_argument("--criteria", default=None, help="comma-separated criterion numbers (default: all)")
     p.add_argument("--json", action="store_true")

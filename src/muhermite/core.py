@@ -57,6 +57,19 @@ def _count(n, what: str, low: int = 0) -> int:
     return n
 
 
+def _real(v, what: str, low: float = -math.inf, closed: bool = True) -> float:
+    """v as a float, the one check of every real parameter: TypeError unless v is a real number
+    (a bool is not), ValueError if v is nan or inf, below ``low``, or at it unless ``closed``."""
+    if type(v) is not float:
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise TypeError(f"{what} must be a real number, got {v!r}")
+        v = float(v)
+    if not (math.isfinite(v) and (v > low or closed and v == low)):
+        bound = f" and {'>=' if closed else '>'} {low:g}" if low > -math.inf else ""
+        raise ValueError(f"{what} must be finite{bound}, got {v!r}")
+    return v
+
+
 def _finite_exp(power, what: str):
     """e^power, by np.exp for a complex power and math.exp for a real one; past the
     float range, OverflowError naming ``what`` (not math's bare "math range error")."""
@@ -376,6 +389,5 @@ def gamma_half(mu) -> float:
 
 def beta_function(a: float, b: float) -> float:
     """Euler Beta via log-Gamma; a, b > 0."""
-    if a <= 0 or b <= 0:
-        raise ValueError("beta_function needs positive arguments")
+    a, b = _real(a, "beta_function's a", 0.0, False), _real(b, "beta_function's b", 0.0, False)
     return _finite_exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b), f"B({a:g}, {b:g})")

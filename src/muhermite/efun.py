@@ -42,7 +42,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MU_CACHE_SIZE, _as_grid, as_mu, gamma_half, gamma_table
+from .core import MU_CACHE_SIZE, _as_grid, _real, as_mu, gamma_half, gamma_table
 
 __all__ = [
     "e_mu",
@@ -234,7 +234,8 @@ def mehler_rhs(mu, x: float, y: float, z):
     valid for |z| < 1 (z may be complex).
     """
     value = as_mu(mu).require_numeric()
-    if abs(z) >= 1:
+    x, y = _real(x, "the point x"), _real(y, "the point y")
+    if not abs(z) < 1:
         raise ValueError("the bilinear kernel needs |z| < 1")
     one_minus = 1.0 - z * z
     pref = one_minus ** (-value - 0.5) / gamma_half(value)
@@ -254,7 +255,6 @@ def heat_kernel(mu, x: float, y: float, t: float) -> float:
     (x y / (2 t) past ~700) before the Gaussian can tame it.
     """
     value = as_mu(mu).require_numeric()
-    if not t > 0:
-        raise ValueError("the heat kernel needs t > 0")
+    x, y, t = _real(x, "the point x"), _real(y, "the point y"), _real(t, "semigroup time t", 0.0, False)
     pref = (4.0 * t) ** (-value - 0.5) / gamma_half(value)
     return pref * math.exp(-(x * x + y * y) / (4.0 * t)) * e_mu(value, x * y / (2.0 * t))

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .core import _array_memo, _as_grid, _finite_exp, _memo_key, as_mu, gamma_half
+from .core import _array_memo, _as_grid, _finite_exp, _memo_key, _real, as_mu, gamma_half
 from .efun import e_mu
 from .quadrature import _scaled_rule
 from .transform import _momentum_svd
@@ -58,8 +58,7 @@ def heat_gaussian_params(mu, alpha, z, t: float):
     value = as_mu(mu).require_numeric()
     if not (cmath.isfinite(alpha) and alpha.real > 0 and cmath.isfinite(z)):
         raise ValueError(f"alpha must be finite with Re alpha > 0, and z must be finite; got alpha = {alpha}, z = {z}")
-    if not 0.0 <= t < math.inf:
-        raise ValueError("semigroup time must be finite and nonnegative")
+    t = _real(t, "semigroup time t", 0.0)
     u = 1.0 + 4.0 * alpha * t  # Re u >= 1
     power = 4.0 * t * z * z / u
     pref = u ** (-value - 0.5) * _finite_exp(power, "the heat prefactor exp(4 t z^2 / u)")
@@ -118,8 +117,7 @@ def heat_apply_kernel(mu, f, t: float, x, *, sigma: float = 0.0, quad_n: int = 9
     (scaled-rule plan, x, t) and kept in a byte-bounded memo (see README).
     """
     value = as_mu(mu).require_numeric()
-    if not 0.0 < t < math.inf:
-        raise ValueError("kernel form needs a finite t > 0")
+    t = _real(t, "semigroup time t", 0.0, False)
     xa, shaped = _as_grid(x)
     rate = 0.25 / t
     y, wg, _, plan = _scaled_rule(value, f, sigma, rate, quad_n)
@@ -149,6 +147,7 @@ def heat_pde_residual(mu, family: str, t: float, x: float) -> float:
     are genuinely singular at the origin).
     """
     value = as_mu(mu).require_numeric()
+    t, x = _real(t, "semigroup time t", 0.0), _real(x, "the point x")
     h = 1e-4
     if family == "even":
         psi = lambda x, t: heat_gaussian(value, 1.0, 0.0, t, x)
@@ -177,8 +176,7 @@ def heat_spectral_matrix(mu, t: float, size: int) -> np.ndarray:
     well inside the block, or inputs whose expansion has decayed by then.
     """
     value = as_mu(mu).require_numeric()
-    if not 0.0 <= t < math.inf:
-        raise ValueError("semigroup time must be finite and nonnegative")
+    t = _real(t, "semigroup time t", 0.0)
     u, s, v = _momentum_svd(value, size)
     # P^2 is R R^T (even) and R^T R (odd); parity couplings stay exact zeros.
     decay = np.exp(-t * s * s)

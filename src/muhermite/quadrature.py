@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MU_CACHE_SIZE, _count, _finite_exp, as_mu, gamma_half, gamma_step
+from .core import MU_CACHE_SIZE, _count, _finite_exp, _real, as_mu, gamma_half, gamma_step
 
 __all__ = ["QuadratureRule", "gauss_hermite_mu", "gauss_alpha_mu", "jacobi_rule"]
 
@@ -216,8 +216,7 @@ def _scaled_rule(value: float, f, sigma: float, rate: float, quad_n: int):
     ``plan.key`` is that tuple: equal keys give equal t bit for bit, so a matrix
     built on t can be memoized by the key instead of t's bytes.
     """
-    if not (math.isfinite(sigma) and sigma >= 0.0 and sigma + rate > 0.0):
-        raise ValueError(f"needs a finite Gaussian envelope rate sigma >= 0 with sigma + {rate:g} > 0")
+    sigma = _real(sigma, "the envelope rate sigma", 0.0, rate > 0.0)  # so sigma + rate > 0
     plan = _scaled_plan(value, sigma, rate, _check_size(quad_n))
     return plan.t, plan.weights * (np.asarray(f(plan.t)) * plan.growth), plan.jac, plan
 
@@ -271,9 +270,7 @@ def _jacobi_rule_cached(a: float, b: float, n: int) -> QuadratureRule:
 
 def jacobi_rule(a: float, b: float, n: int) -> QuadratureRule:
     """Gauss rule for (1-t)^a (1+t)^b dt on (-1, 1); a, b finite and > -1."""
-    a, b = float(a), float(b)
-    if not (-1.0 < a < math.inf and -1.0 < b < math.inf):
-        raise ValueError("Jacobi exponents must be finite and exceed -1")
+    a, b = _real(a, "jacobi_rule's a", -1.0, False), _real(b, "jacobi_rule's b", -1.0, False)
     rule = _jacobi_rule_cached(a, b, _check_size(n))
     mass = _jacobi_mass(a, b)
     return QuadratureRule(rule.nodes, mass * rule.weights, rule.exactness_degree, "jacobi", mass)

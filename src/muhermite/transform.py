@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _array_memo, _as_grid, _count, _memo_key, as_mu, gamma_half, gamma_mu, gamma_step
+from .core import _array_memo, _as_grid, _count, _memo_key, _real, as_mu, gamma_half, gamma_mu, gamma_step
 from .efun import c_s_mu, e_mu
 from .hermite import hermite_eval
 from .quadrature import _check_size, _recurrence_table, _scaled_rule
@@ -140,6 +140,7 @@ def synthesize(vec: SpectralVector, x):
 def l2mu_norm(f, *, sigma: float, mu, quad_n: int = 96) -> float:
     """Weighted L^2 norm of f, which must decay like e^(-sigma x^2)."""
     value = as_mu(mu).require_numeric()
+    sigma = _real(sigma, "the envelope rate sigma", 0.0, False)
     _, wg, jac, _ = _scaled_rule(value, lambda t: np.abs(np.asarray(f(t))) ** 2, 2.0 * sigma, 0.0, quad_n)
     return math.sqrt(jac * float(wg.sum()))
 
@@ -223,8 +224,7 @@ def fourier_quadrature(
 def transform_of_gaussian(mu, lam: float, x):
     """Transform of e^(-lam t^2):  pref * Gamma(mu+1/2) lam^(-mu-1/2) e^(-x^2/(4 lam))."""
     value = as_mu(mu).require_numeric()
-    if not lam > 0:
-        raise ValueError("the Gaussian rate lam must be positive")
+    lam = _real(lam, "the Gaussian rate lam", 0.0, False)
     x, shaped = _as_grid(x)
     return shaped(2.0 ** (-value - 0.5) * lam ** (-value - 0.5) * np.exp(-x * x / (4.0 * lam)))
 
@@ -236,8 +236,7 @@ def transform_of_monomial_gaussian(mu, n: int, lam: float, x):
          * e^(-x^2/(4 lam)) H_n(x / (2 sqrt(lam)); mu).
     """
     value = as_mu(mu).require_numeric()
-    if not lam > 0:
-        raise ValueError("the Gaussian rate lam must be positive")
+    lam = _real(lam, "the Gaussian rate lam", 0.0, False)
     x, shaped = _as_grid(x)
     amp = 2.0 ** (-value - 0.5) * lam ** (-0.5 * n - 0.5 - value) * gamma_mu(value, n) / math.factorial(n) / 2.0**n
     h = hermite_eval(value, n, x / (2.0 * math.sqrt(lam)))
@@ -250,8 +249,7 @@ def transform_of_efun_gaussian(mu, lam: float, y: float, x):
     pref * Gamma(mu+1/2) lam^(-mu-1/2) e^(-(x^2+y^2)/(4 lam)) e(xy/(2 lam); mu).
     """
     value = as_mu(mu).require_numeric()
-    if not lam > 0:
-        raise ValueError("the Gaussian rate lam must be positive")
+    lam, y = _real(lam, "the Gaussian rate lam", 0.0, False), _real(y, "the frequency y")
     x, shaped = _as_grid(x)
     amp = 2.0 ** (-value - 0.5) * lam ** (-value - 0.5)
     return shaped(amp * np.exp(-(x * x + y * y) / (4.0 * lam)) * e_mu(value, x * y / (2.0 * lam)))
@@ -267,6 +265,7 @@ def transform_of_hermite_gaussian(mu, n: int, beta: float, lam: float, x):
     the eigenfunction relation.
     """
     value = as_mu(mu).require_numeric()
+    beta, lam = _real(beta, "the scale beta"), _real(lam, "the Gaussian rate lam")
     if not (beta * beta > lam * lam > 0):
         raise ValueError("needs beta^2 > lam^2 > 0")
     x, shaped = _as_grid(x)

@@ -99,6 +99,13 @@ def test_mehler_rhs_z_zero_is_rank_one():
     )
 
 
+@pytest.mark.parametrize("z", [1.0, -1.5, 2j, math.inf, math.nan, complex(0.0, math.nan)])
+def test_mehler_rhs_refuses_z_outside_the_unit_disc(z):
+    # a nan z reached e_mu, which refused it as "the deformed exponential needs a finite argument"
+    with pytest.raises(ValueError, match=r"^the bilinear kernel needs \|z\| < 1$"):
+        mehler_rhs(0.5, 0.3, 0.4, z)
+
+
 class TestHeatKernel:
     def test_symmetry(self):
         assert_allclose(heat_kernel(0.8, 0.5, 1.2, 0.3), heat_kernel(0.8, 1.2, 0.5, 0.3), rtol=1e-13)

@@ -199,7 +199,7 @@ def test_plans_never_skip_validation():
         lambda: l2mu_norm(f, sigma=math.inf, mu=0.5),
         lambda: heat_apply_kernel(0.5, f, 0.4, X, sigma=math.inf),
     ):
-        with pytest.raises(ValueError, match="finite Gaussian envelope"):
+        with pytest.raises(ValueError, match="^the envelope rate sigma must be finite and >=? 0, got inf$"):
             refused()
     for mu in (-0.5, -0.75):
         for refused in (

@@ -196,8 +196,10 @@ def test_jacobi_rule_parameter_guard():
     with pytest.raises(ValueError):
         jacobi_rule(-1.0, 0.0, 5)
     # refused up front: a nan exponent would reach eigvalsh, an inf one build a nan rule
-    for a, b in ((math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.5), (0.5, math.nan)):
-        with pytest.raises(ValueError, match="Jacobi exponents must be finite and exceed -1"):
+    for a, b, which, bad in (
+        (math.nan, 1.0, "a", "nan"), (1.0, math.inf, "b", "inf"), (-math.inf, 0.5, "a", "-inf"), (0.5, math.nan, "b", "nan")
+    ):
+        with pytest.raises(ValueError, match=f"^jacobi_rule's {which} must be finite and > -1, got {bad}$"):
             jacobi_rule(a, b, 10)
 
 

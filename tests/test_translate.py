@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -97,9 +98,22 @@ class TestTwoRoutes:
     @pytest.mark.parametrize("x, y", [(math.nan, 1.0), (1.0, math.inf), (math.inf, 1.0), (0.5, -math.inf)])
     def test_both_routes_refuse_a_point_that_is_not_finite(self, x, y):
         # each came back as a nan, the xi route's after four RuntimeWarnings
+        which, bad = ("point x", x) if not math.isfinite(x) else ("shift y", y)
         for route in (translate_alpha, translate_xi):
-            with pytest.raises(ValueError, match="needs a finite x and y"):
+            with pytest.raises(ValueError, match=f"^the {which} must be finite, got {bad!r}$"):
                 route(0.5, gaussian(1.0), x, y)
+
+    @pytest.mark.parametrize("mu", [0.3, 0.5, 2.0, 10.0])
+    def test_xi_refuses_a_needle_triangle_and_holds_1e_10_at_its_bound(self, mu):
+        # below min(|x|,|y|) / max(|x|,|y|) = 2e-3 the density form lost digits: at mu = 1/2
+        # and y = 3, 1.3e-2 off at x = 1e-12 and nan from x = 1e-14, with only RuntimeWarnings
+        needle = re.escape("translate_xi needs min(|x|,|y|) >= 2e-3 max(|x|,|y|), got ")
+        for x, y in ((1e-12, 3.0), (-3.0, 3e-14), (1.99e-3, -1.0)):
+            with pytest.raises(ValueError, match=f"^{needle}{x!r}, {y!r}; use translate_alpha$"):
+                translate_xi(mu, gaussian(0.5), x, y)
+        for x, y in ((2e-3, 1.0), (-3.0, 6e-3), (1e-3, -0.5), (0.5, 1e-3)):
+            want = translate_alpha(mu, gaussian(0.5), x, y)
+            assert translate_xi(mu, gaussian(0.5), x, y) == pytest.approx(want, rel=1e-10)
 
     def test_alpha_needs_positive_mu(self):
         with pytest.raises(ValueError, match="mu must be positive"):
