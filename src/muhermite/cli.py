@@ -11,6 +11,7 @@ through text exactly.  Exit codes: 0 success, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -309,5 +310,18 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """The process entry of ``python -m muhermite`` and the ``muhermite`` script: main's exit code.
+
+    After the command it freezes the heap, so the full collections of
+    interpreter shutdown skip the ~23k objects that importing numpy and
+    muhermite left behind.  main itself leaves the collector alone, since
+    tests and other callers run it in a process that goes on.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

@@ -28,11 +28,11 @@ import numpy as np
 __all__ = ["DensePoly", "BivariatePoly"]
 
 
-def _trim(coeffs) -> tuple:
-    coeffs = list(coeffs)
+def _trim(coeffs: list) -> list:
+    """The list without its trailing zeros, trimmed in place."""
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    return tuple(coeffs)
+    return coeffs
 
 
 def _rational(values: list):
@@ -124,7 +124,7 @@ class DensePoly(_Poly):
     __slots__ = ()
 
     def __init__(self, coeffs=()):
-        coeffs = _trim(coeffs)
+        coeffs = tuple(_trim(list(coeffs)))
         exact = _rational(coeffs)
         if exact is None:
             self.nums, self.den, self.exact = coeffs, 1, False
@@ -134,9 +134,10 @@ class DensePoly(_Poly):
 
     @classmethod
     def _result(cls, out: list, den: int, exact: bool) -> "DensePoly":
-        out = _trim(out)
+        """The polynomial of a fresh coefficient list, which it trims in place."""
+        _trim(out)
         if not exact:
-            return cls._of(out, 1, False)
+            return cls._of(tuple(out), 1, False)
         nums, den = _reduced(out, den)
         return cls._of(tuple(nums), den, True)
 

@@ -91,8 +91,12 @@ def translate_alpha(mu, phi, x: float, y: float, *, quad_n: int = 80):
 
         1/2 int (1 + (x+y)/omega(t)) phi(omega(t)) dalpha(t)
       + 1/2 int (1 - (x+y)/omega(t)) phi(-omega(t)) dalpha(t).
+
+    Past max(|x|, |y|) = 1e150, where x^2 + y^2 nears the float range, it raises ValueError.
     """
     x, y = _real(x, "the point x"), _real(y, "the shift y")
+    if abs(x) > 1e150 or abs(y) > 1e150:
+        raise ValueError(f"translate_alpha needs max(|x|,|y|) <= 1e150, got {x!r}, {y!r}")
     value = as_mu(mu).require_positive()
     rule = gauss_alpha_mu(value, quad_n)
     om = _omega(x, y, rule.nodes)
@@ -140,13 +144,20 @@ def translate_xi(mu, phi, x: float, y: float, *, quad_n: int = 80):
 
     Needle triangles cost digits: against translate_alpha the relative error passes 1e-10
     near min(|x|,|y|) / max(|x|,|y|) = 1.1e-3 at mu = 0.3 (of 0.3, 0.5, 2 and 10, the worst).
-    Below the ratio 2e-3, x = 0 or y = 0 included, it raises ValueError; translate_alpha
-    serves those points.
+    Below mu = 0.3 the endpoint factor (x+y-xi)^(mu-1) costs digits at every ratio: at the
+    ratio 2e-3 the error stays below 1e-9 at mu = 0.1 and 3e-9 at mu = 0.05, and at 1e-2
+    below 1e-10 and 5e-10 respectively.  Below the ratio 2e-3, x = 0 or y = 0 included,
+    it raises ValueError; translate_alpha serves those points.
+
+    The density reads (xy)^2, which leaves the normal floats outside 1e-145 <= |xy| <= 1e145
+    (the result drifts, then reads 0 or nan); there it raises ValueError as well.
     """
     x, y = _real(x, "the point x"), _real(y, "the shift y")
     value = as_mu(mu).require_positive()
     if not min(abs(x), abs(y)) >= 2e-3 * max(abs(x), abs(y)) > 0.0:
         raise ValueError(f"translate_xi needs min(|x|,|y|) >= 2e-3 max(|x|,|y|), got {x!r}, {y!r}; use translate_alpha")
+    if not 1e-145 <= abs(x * y) <= 1e145:
+        raise ValueError(f"translate_xi needs 1e-145 <= |xy| <= 1e145, got {x!r}, {y!r}; use translate_alpha")
     t, weighted, bnorm = _xi_plan(value, _check_size(quad_n))
     om = _omega(x, y, t)
     psi = np.maximum(heron_psi(x, y, om), 0.0)

@@ -1,9 +1,16 @@
+import gc
 import json
+import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+import muhermite
 from muhermite import (
     SpectralVector,
     c_s_mu,
@@ -23,6 +30,7 @@ from muhermite import (
     translate_gaussian_closed,
     translate_xi,
 )
+from muhermite import cli
 from muhermite.cli import main
 from test_efun import _mp_cos_sin
 
@@ -421,3 +429,38 @@ def test_unknown_subcommand_exits_two(capsys):
         main(["frobnicate"])
     capsys.readouterr()
     assert exc.value.code == 2
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_a_process_prints_through_its_frozen_exit():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "muhermite", "gamma", "--mu", "0", "--n", "4"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "24\n", "")
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert run(capsys, "gamma", "--mu", "0", "--n", "4")[0] == 0
+    assert run(capsys, "verify", "--criteria", "3")[0] == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_run_returns_mains_code_and_freezes_the_heap(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["muhermite", "gamma", "--mu", "0", "--n", "-1"])
+    try:
+        assert cli.run() == 2
+        assert gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_the_script_and_python_m_share_one_entry_and_add_no_name():
+    script = re.search(r'^muhermite = "muhermite\.cli:(\w+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    entry = script.group(1)
+    assert (ROOT / "src" / "muhermite" / "__main__.py").read_text() == f"from .cli import {entry}\n\nraise SystemExit({entry}())\n"
+    assert cli.__all__ == ["main"]
+    assert entry not in muhermite.__all__

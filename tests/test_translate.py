@@ -115,6 +115,37 @@ class TestTwoRoutes:
             want = translate_alpha(mu, gaussian(0.5), x, y)
             assert translate_xi(mu, gaussian(0.5), x, y) == pytest.approx(want, rel=1e-10)
 
+    @pytest.mark.parametrize("mu, ratio, bound", [(0.05, 2e-3, 3e-9), (0.1, 2e-3, 1e-9), (0.05, 1e-2, 5e-10),
+                                                (0.1, 1e-2, 1e-10)])
+    def test_xi_holds_its_stated_small_mu_bound(self, mu, ratio, bound):
+        # below mu = 0.3 the endpoint factor (x+y-xi)^(mu-1) costs digits at every ratio:
+        # 2.1e-9, 5.5e-10, 3.5e-10 and 7.2e-11 on these rows
+        for x, y in ((ratio, 1.0), (-3.0, 3 * ratio), (ratio / 2, -0.5), (0.5, ratio / 2)):
+            want = translate_alpha(mu, gaussian(0.5), x, y)
+            assert translate_xi(mu, gaussian(0.5), x, y) == pytest.approx(want, rel=bound)
+
+    @pytest.mark.parametrize("x", [1e-80, 1e-150, 1e-200, 1e77, 1e100])
+    def test_xi_refuses_a_scale_where_its_density_leaves_the_normal_floats(self, x):
+        # at mu = 1/2 and y = 2x it returned 1.0037 (true 1), 0.0, nan, nan and nan
+        scale = re.escape(f"translate_xi needs 1e-145 <= |xy| <= 1e145, got {x!r}, {2 * x!r}; use translate_alpha")
+        f, want = (gaussian(1.0), 1.0) if x < 1.0 else (lambda u: np.exp(-((u / x) ** 2)), 0.010392992156213)
+        with pytest.raises(ValueError, match=f"^{scale}$"):
+            translate_xi(0.5, f, x, 2 * x)
+        assert translate_alpha(0.5, f, x, 2 * x) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [1e-72, 1e72])
+    def test_xi_holds_inside_its_scale_window(self, x):
+        f = lambda u: np.exp(-((u / x) ** 2))  # noqa: E731
+        assert translate_xi(0.5, f, x, 2 * x) == pytest.approx(translate_alpha(0.5, f, x, 2 * x), rel=1e-12)
+
+    def test_alpha_refuses_a_point_where_its_radius_overflows(self):
+        # x^2 + y^2 passed the float range and the result was a silent nan
+        with pytest.raises(ValueError, match=r"^translate_alpha needs max\(\|x\|,\|y\|\) <= 1e150, got 1e\+155, 2e\+155$"):
+            translate_alpha(0.5, gaussian(1.0), 1e155, 2e155)
+        f = lambda u: np.exp(-((u / 1e150) ** 2))  # noqa: E731
+        want = translate_alpha(0.5, gaussian(1.0), 1.0, -0.5)
+        assert translate_alpha(0.5, f, 1e150, -5e149) == pytest.approx(want, rel=1e-12)
+
     def test_alpha_needs_positive_mu(self):
         with pytest.raises(ValueError, match="mu must be positive"):
             translate_alpha(0.0, gaussian(0.5), 1.0, 0.5)
