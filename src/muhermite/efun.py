@@ -13,15 +13,22 @@ the heat kernel, both of which are elementary expressions in e(.; mu).
 At mu = 0, e_mu returns numpy's exp, which is within about 1 ulp of
 exp(z), relative to |exp(z)|, where the sum below loses digits to
 cancellation (9.7e-11 relative at z = -7.92).  Every other mu is summed by
-one term recursion term_{m+1} = term_m * z / (m + 1 + 2 mu theta(m+1)),
-for scalars and (in place) arrays alike, with a term count fixed up front
-from r = max |z|: the sum runs through the first m > r whose term
-r^m / gamma_mu(m) is below 2^-53 times the largest one.  That count is a
-plan, built once per (mu, r); the steps are read from the cached gamma_mu
-table the plan was built from, so a warm call only sums.  The absolute
-error is of order eps * e(|z|; mu), the sum of the term magnitudes; for
-real z << 0 and for imaginary z that bound is far above |e(z; mu)|, since
-the terms cancel.  Where |z| e(|z|; mu) leaves float64 (|z| past ~700)
+one term recursion term_m = term_{m-1} * (z / step_m), step_m = m + 2 mu
+theta(m), with a term count fixed up front from r = max |z|: the sum runs
+through the first m > r whose term r^m / gamma_mu(m) is below 2^-53 times
+the largest one.  That count is a plan, built once per (mu, r); the steps
+are read from the cached gamma_mu table the plan was built from, so a warm
+call only sums.  A scalar runs the recursion in a Python loop.  An array is
+summed from a term table whose row 0 is 1 and row m is z / step_m (a complex
+z divided part by part, so it rounds once, as Python's division does): one
+cumulative product down the rows makes them the terms and one sum down
+them, in row order, adds them, so every point gets the scalar loop's bits.
+The table is taken in column chunks of at most _TABLE_BYTES (256 KiB), three
+numpy calls each; numpy runs each column's product chain serially, so past
+about 400 points a loop of calls across the array would be faster (see
+README).  The absolute error is of order eps * e(|z|; mu), the sum of
+the term magnitudes; for real z << 0 and for imaginary z that bound is far
+above |e(z; mu)|, since the terms cancel.  Where |z| e(|z|; mu) leaves float64 (|z| past ~700)
 both routes raise OverflowError instead of returning inf or nan.
 
 On the imaginary axis those terms cancel down from e^|x| to values of
@@ -31,7 +38,7 @@ nu = mu - 1/2, c(x; mu) = Gamma(nu+1) (|x|/2)^(-nu) J_nu(|x|) and s(x; mu)
 recurrence (DLMF 3.6(iii)) gives the ratios of the J, and Gegenbauer's
 Neumann sum (DLMF 10.23(ii)) normalizes them, so no power of x, gamma
 function or route switch is needed at any |x| up to 1e4; mu = 0 is
-exactly cos/sin.  Both loops update their arrays in place, with the operations of
+exactly cos/sin.  That loop updates its arrays in place, with the operations of
 the plain formulas in their order, so the bits are those of fresh arrays.
 """
 
@@ -57,6 +64,9 @@ _LOG_MAX = math.log(np.finfo(float).max)
 # to ~|x| (at 1e4, on a 2-core VM: 5 ms for a scalar, 80 ms for 960 points),
 # and its error grows like |x| eps for mu near 0.
 _RECURRENCE_CAP = 1e4
+# Byte budget of one term table: an array is summed in column chunks that
+# keep each table of n + 1 rows within it.
+_TABLE_BYTES = 1 << 18
 
 
 def _check_range(log_size: float, r: float) -> None:
@@ -93,8 +103,8 @@ def _term_count(mu: float, r: float) -> int:
     # the terms still above 2^-53 of it form a run starting there.
     peak = log_terms[: k + 2].max()
     n = k + 1 + int(np.count_nonzero(log_terms[k + 1 :] >= peak + _LOG_EPS))
-    # e(r; mu), the sum of the term magnitudes, times r (the loop forms
-    # term * z before dividing) must stay inside float64
+    # e(r; mu), the sum of the term magnitudes, times r must stay inside
+    # float64: the boundary e_mu documents
     log_size = peak + math.log(np.exp(log_terms[: n + 1] - peak).sum())
     _check_range(log_size + math.log(r), r)
     return n
@@ -104,24 +114,26 @@ def _series(mu: float, z):
     """sum_m z^m / gamma_mu(m) for a float or complex scalar or ndarray z."""
     r = _radius(z)
     n = _term_count(mu, r)
-    steps = _table(mu, r).steps[:n].tolist()
+    steps = _table(mu, r).steps[:n]
     if not isinstance(z, np.ndarray):
         acc = term = 1.0 + 0.0 * z
-        for step in steps:
-            term = term * z / step
+        for step in steps.tolist():
+            term = term * (z / step)
             acc = acc + term
         return acc
-    z = np.ascontiguousarray(z)
-    term = 1.0 + 0.0 * z
-    acc = term.copy()
-    # numpy divides a complex array by a real through its reciprocal,
-    # rounding twice; dividing the parts rounds once, as Python does.
-    parts = term.view(float)
-    for step in steps:
-        np.multiply(term, z, out=term)
-        np.divide(parts, step, out=parts)
-        np.add(acc, term, out=acc)
-    return acc
+    flat = z.ravel()
+    out = np.empty_like(flat)
+    cols = max(1, _TABLE_BYTES // ((n + 1) * flat.itemsize))
+    for start in range(0, flat.size, cols):
+        piece = flat[start : start + cols]
+        table = np.empty((n + 1, piece.size), piece.dtype)
+        table[0] = 1.0
+        # numpy divides a complex array by a real through its reciprocal,
+        # rounding twice; dividing the parts rounds once, as Python does.
+        np.divide(piece.view(float), steps[:, None], out=table[1:].view(float))
+        np.multiply.accumulate(table, axis=0, out=table)
+        np.add.reduce(table, axis=0, out=out[start : start + cols])
+    return out.reshape(z.shape)
 
 
 def _exp(mu: float, z):
@@ -131,7 +143,7 @@ def _exp(mu: float, z):
     """
     r = _radius(z)
     if r > 0.0:
-        # the series' boundary at mu = 0: log e(r; 0) = r, plus log r for term * z
+        # the series' boundary at mu = 0: log e(r; 0) = r, plus log r
         _check_range(r + math.log(r), r)
     return np.exp(z)
 
@@ -182,8 +194,10 @@ def e_mu(mu, z):
     At mu = 0 (either sign of zero) e(z; 0) = exp(z) comes from numpy's exp,
     for scalars too: within about 1 ulp of the true exp, relative to
     |exp(z)|, for real and complex z.  Every other mu is summed (see the
-    module docstring), with a term count planned once per (mu, max |z|)
-    (MU_CACHE_SIZE entries); its absolute error is of order
+    module docstring), a scalar in a Python loop and an array from a term
+    table that gives every point the loop's bits at the array's term count,
+    planned once per (mu, max |z|) (MU_CACHE_SIZE entries); its absolute
+    error is of order
     eps * e(|z|; mu), the best a fixed-precision summation can promise where
     the terms cancel (real z < 0, complex z).  Both routes raise
     OverflowError where |z| e(|z|; mu) leaves float64 (|z| + ln |z| past
@@ -197,8 +211,8 @@ def e_mu(mu, z):
             return route(value, z.astype(complex))
         if z.size == 1:
             # a real one-point grid, as a scalar x reaches the closed forms:
-            # Python float arithmetic rounds as the array loop does, at a
-            # third of its cost
+            # Python float arithmetic rounds as the term table does, at a
+            # third to two thirds of its cost
             return np.full(z.shape, route(value, float(z.flat[0])))
         return route(value, z.astype(float))
     # any other z, numpy scalars too, is summed in Python arithmetic (exp: numpy's)

@@ -88,15 +88,27 @@ def phi_poly_table(mu, n_max: int, x) -> np.ndarray:
 
     x is read as every grid is (core._as_grid), so a non-finite entry raises
     ValueError; the table has shape (n_max + 1, *x.shape), row n in x's shape.
+    Where an entry itself leaves float64 (at mu = 1/2 and x = 40, from n = 567)
+    it raises OverflowError naming the lowest such n and its x.
     """
     n_max = _count(n_max, "basis index")
     value = as_mu(mu).require_numeric()
     xa, _ = _as_grid(x)
-    return _phi_rows(value, n_max, xa).reshape((n_max + 1,) + np.shape(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _phi_rows(value, n_max, xa)
+    if not np.isfinite(table).all():
+        n, i = np.argwhere(~np.isfinite(table))[0]
+        raise OverflowError(f"phi_n(x) e^(x^2/2) leaves float64 at n = {n}, x = {float(xa[i])!r} (mu = {value:g})")
+    return table.reshape((n_max + 1,) + np.shape(x))
 
 
 def phi_eval(mu, n: int, x):
-    """Eigenfunction phi_n at x; x: scalar or array of any shape."""
+    """Eigenfunction phi_n at x; x: scalar or array of any shape.
+
+    OverflowError where phi_poly_table's entry leaves float64.  Past |x| = 38.6
+    the factor e^(-x^2/2) underflows, and the result reads 0.0 without a
+    warning, also where phi_n(x) itself is a normal float (an open item).
+    """
     xa, shaped = _as_grid(x)
     return shaped(phi_poly_table(mu, n, xa)[n] * np.exp(-0.5 * xa * xa))
 

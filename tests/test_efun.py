@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from muhermite.core import MU_CACHE_SIZE, gamma_mu, gamma_step
-from muhermite.efun import _miller, _series, _term_count, c_s_mu, e_mu, heat_kernel, mehler_rhs
+from muhermite.efun import _TABLE_BYTES, _miller, _series, _term_count, c_s_mu, e_mu, heat_kernel, mehler_rhs
 from muhermite.quadrature import gauss_alpha_mu, gauss_hermite_mu
 from muhermite.transform import phi_eval
 
@@ -367,18 +367,11 @@ def test_averaging_integral_in_real_arithmetic_matches_the_complex_exp(mu):
 
 
 def _plain_partial_sums(mu, z, count):
-    """acc_0 .. acc_{count-1} of sum z^m / gamma_mu(m), every step a fresh value.
-
-    A complex array term is divided part by part, as a Python complex is.
-    """
+    """acc_0 .. acc_{count-1} of sum z^m / gamma_mu(m) for a Python scalar z, each term the last one times z / step."""
     acc = term = 1.0 + 0.0 * z
     sums = [acc]
     for m in range(1, count):
-        term = term * z
-        if isinstance(term, np.ndarray) and np.iscomplexobj(term):
-            term = (term.view(float) / gamma_step(mu, m)).view(complex)
-        else:
-            term = term / gamma_step(mu, m)
+        term = term * (z / gamma_step(mu, m))
         acc = acc + term
         sums.append(acc)
     return sums
@@ -386,14 +379,33 @@ def _plain_partial_sums(mu, z, count):
 
 @pytest.mark.parametrize("mu", [-0.45, 0.0, 0.731, 3.0])
 def test_series_steps_in_place_keep_every_bit(mu):
-    # the summed value is one of the plain loop's partial sums, bit for bit,
-    # on a real and a complex array and on a real and a complex scalar
+    # the summed value is one of the plain loop's partial sums, bit for bit, and
+    # an array gives every point the Python scalar loop's bits at one shared count
     z = np.linspace(-25.0, 25.0, 101)
     for arg in (z, z * (0.3 + 0.7j), -17.3, complex(4.0, -9.5)):
         got = _series(mu, arg)
-        sums = _plain_partial_sums(mu, arg, 160)
-        key = (lambda v: np.asarray(v).tobytes()) if isinstance(arg, np.ndarray) else repr
-        assert key(got) in {key(s) for s in sums}, (mu, arg)
+        if isinstance(arg, np.ndarray):
+            sums = np.array([_plain_partial_sums(mu, v, 160) for v in arg.tolist()]).T
+            assert any(row.tobytes() == got.tobytes() for row in sums), (mu, arg)
+        else:
+            assert repr(got) in {repr(s) for s in _plain_partial_sums(mu, arg, 160)}, (mu, arg)
+
+
+@pytest.mark.parametrize("mu", [-0.45, 0.5, 3.0])
+def test_array_sum_in_chunks_gives_the_bits_of_its_pieces(mu):
+    # a table of n + 1 rows holds _TABLE_BYTES / ((n + 1) itemsize) columns, so these
+    # arrays are summed in several chunks; every piece below carries the point
+    # z = 30, the radius of the whole, so it is summed to the same term count
+    rng = np.random.default_rng(11)
+    n = _term_count(mu, 30.0)
+    complex_z = rng.uniform(0.0, 30.0, 3000) * np.exp(1j * rng.uniform(-np.pi, np.pi, 3000))
+    for z in (rng.uniform(-30.0, 30.0, 4000), complex_z):
+        z[0] = 30.0
+        assert z.size > 3 * _TABLE_BYTES // ((n + 1) * z.itemsize)
+        whole = e_mu(mu, z)
+        pieces = [e_mu(mu, np.append(z[:1], part))[1:] for part in np.array_split(z[1:], 7)]
+        assert np.concatenate([whole[:1], *pieces]).tobytes() == whole.tobytes()
+        assert e_mu(mu, z.reshape(40, -1)).tobytes() == whole.tobytes()
 
 
 def _plain_miller(nu, x):

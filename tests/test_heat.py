@@ -1,14 +1,16 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm
 
 from muhermite.core import _array_memo, gamma_mu_exact
-from muhermite.efun import e_mu
+from muhermite.efun import _term_count, e_mu
 from muhermite.heat import (
+    _heat_kernel,
     heat_apply_kernel,
     heat_gaussian,
     heat_gaussian_params,
@@ -17,7 +19,7 @@ from muhermite.heat import (
     heat_spectral_matrix,
 )
 from muhermite.hermite import heat_poly
-from muhermite.quadrature import gauss_hermite_mu
+from muhermite.quadrature import _scaled_rule, gauss_hermite_mu
 from muhermite.transform import SpectralVector, expand, operator_matrix, synthesize
 
 
@@ -279,3 +281,45 @@ def test_kernel_memo_hit_equals_a_cold_build(sigma):
     with pytest.raises(ValueError, match="reach"):
         heat_apply_kernel(0.75, f, 0.01, 3.0, sigma=sigma)
     assert _array_memo.info()[1:] == (3, 3 * 9 * 96 * 8, 3)
+
+
+def _mp_e(mu, z):
+    """e(z; mu) from its even and odd parts 0F1(; mu + 1/2; z^2/4) + z / (2 mu + 1) 0F1(; mu + 3/2; z^2/4)."""
+    q = z * z / 4
+    return mpmath.hyp0f1(mu + 0.5, q) + z / (2 * mu + 1) * mpmath.hyp0f1(mu + 1.5, q)
+
+
+@pytest.mark.parametrize("mu", [-0.45, -0.25, 0.5, 1.5, 3.0])
+def test_kernel_matrix_matches_mpmath_within_n_eps_of_term_magnitudes(mu):
+    # |err| <= (n + 1) eps e(|z|; mu), n the planned term count: term m of A^T B
+    # carries about 3m roundings, and 0.28 (n + 1) eps e(|z|) is the worst seen.
+    # Without the power-of-two row scaling, w^m overflowed here at every t.
+    for t in (0.01, 0.02, 0.1, 0.5, 2.0):
+        nodes, _, _, plan = _scaled_rule(mu, np.exp, 0.0, 0.25 / t, 96)
+        x = np.array([-1.0, -0.5, 1.0 / 3.0, 1.0]) * (plan.top - 4.0) * 2.0 * math.sqrt(t)  # up to the reach
+        y = np.append(nodes[::12], nodes[-1])
+        got = _heat_kernel(mu, x, y, t)
+        n = _term_count(mu, float(np.max(np.abs(np.outer(x, y) / (2.0 * t)))))
+        with mpmath.workdps(50):
+            for (i, j), value in np.ndenumerate(got):
+                z = mpmath.mpf(x[i]) * mpmath.mpf(y[j]) / (2 * mpmath.mpf(t))
+                bound = (n + 1) * 2.0**-52 * _mp_e(mpmath.mpf(mu), abs(z))
+                assert abs(value - _mp_e(mpmath.mpf(mu), z)) <= bound, (mu, t, x[i], y[j])
+
+
+@pytest.mark.parametrize("mu", [0.0, -0.25, 1.5])
+def test_kernel_matrix_keeps_the_plan_and_checks_of_e_mu(mu):
+    # the factor tables read the plan e_mu reads off np.outer(x, y) / 2t; mu = 0 is that call
+    x, y, t = np.linspace(-2.0, 2.0, 9), np.linspace(-3.0, 3.0, 16), 0.3
+    _term_count.cache_clear()
+    got = _heat_kernel(mu, x, y, t)
+    want = e_mu(mu, np.outer(x, y) / (2.0 * t))
+    assert _term_count.cache_info()[:2] == ((0, 0) if mu == 0.0 else (1, 1))
+    if mu == 0.0:
+        assert_array_equal(got, want)
+    assert_allclose(got, want, rtol=1e-14)
+    assert_array_equal(_heat_kernel(mu, np.zeros(3), y, t), np.ones((3, 16)))
+    # y / 2t underflows to 0 while x y / 2t = 6.6e-300 does not (sigma = t = 1e300)
+    assert_array_equal(_heat_kernel(mu, np.array([1e150]), np.array([1.3e-149]), 1e300), np.ones((1, 1)))
+    with pytest.raises(OverflowError, match="overflows float64"):
+        _heat_kernel(mu, np.array([30.0, 1.0]), np.array([-30.0, 2.0]), 0.5)

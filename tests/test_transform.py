@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -398,6 +400,20 @@ def test_phi_poly_table_stays_fresh_and_writable():
     vec = SpectralVector(0.5, np.eye(9)[3])
     assert_array_equal(synthesize(vec, x), synthesize(vec, x))
     assert_allclose(synthesize(vec, x), phi_eval(0.5, 3, x), rtol=1e-14)
+
+
+def test_phi_poly_table_raises_where_its_entries_leave_float64():
+    # phi_eval(0.5, 600, 40.0) was nan, with RuntimeWarnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = re.escape("phi_n(x) e^(x^2/2) leaves float64 at n = 567, x = 40.0 (mu = 0.5)")
+        with pytest.raises(OverflowError, match=f"^{message}$"):
+            phi_eval(0.5, 600, 40.0)
+        with pytest.raises(OverflowError, match=r"at n = 567, x = -40\.0 "):
+            phi_poly_table(0.5, 600, [[1.0, -40.0], [40.0, 2.0]])
+        assert np.isfinite(phi_poly_table(0.5, 566, [1.0, -40.0, 40.0])).all()
+        # past |x| = 38.6 e^(-x^2/2) underflows: phi_600(39) is about 1e-24, and reads 0
+        assert phi_eval(0.5, 600, 39.0) == 0.0
 
 
 def test_refused_calls_leave_the_memo_as_it_was():

@@ -103,17 +103,22 @@ class TestTwoRoutes:
             with pytest.raises(ValueError, match=f"^the {which} must be finite, got {bad!r}$"):
                 route(0.5, gaussian(1.0), x, y)
 
-    @pytest.mark.parametrize("mu", [0.3, 0.5, 2.0, 10.0])
-    def test_xi_refuses_a_needle_triangle_and_holds_1e_10_at_its_bound(self, mu):
+    @pytest.mark.parametrize(
+        "mu, quad_n, bound",
+        [pytest.param(mu, 80, 1e-10, id=str(mu)) for mu in (0.3, 0.5, 2.0, 10.0)]
+        + [pytest.param(0.3, 256, 2.5e-10, id="0.3-256-nodes")],
+    )
+    def test_xi_refuses_a_needle_triangle_and_holds_1e_10_at_its_bound(self, mu, quad_n, bound):
         # below min(|x|,|y|) / max(|x|,|y|) = 2e-3 the density form lost digits: at mu = 1/2
-        # and y = 3, 1.3e-2 off at x = 1e-12 and nan from x = 1e-14, with only RuntimeWarnings
+        # and y = 3, 1.3e-2 off at x = 1e-12 and nan from x = 1e-14, with only RuntimeWarnings;
+        # 1e-10 holds at the default 80 nodes, and at 256 nodes mu = 0.3 reads 2.1e-10
         needle = re.escape("translate_xi needs min(|x|,|y|) >= 2e-3 max(|x|,|y|), got ")
         for x, y in ((1e-12, 3.0), (-3.0, 3e-14), (1.99e-3, -1.0)):
             with pytest.raises(ValueError, match=f"^{needle}{x!r}, {y!r}; use translate_alpha$"):
-                translate_xi(mu, gaussian(0.5), x, y)
+                translate_xi(mu, gaussian(0.5), x, y, quad_n=quad_n)
         for x, y in ((2e-3, 1.0), (-3.0, 6e-3), (1e-3, -0.5), (0.5, 1e-3)):
             want = translate_alpha(mu, gaussian(0.5), x, y)
-            assert translate_xi(mu, gaussian(0.5), x, y) == pytest.approx(want, rel=1e-10)
+            assert translate_xi(mu, gaussian(0.5), x, y, quad_n=quad_n) == pytest.approx(want, rel=bound)
 
     @pytest.mark.parametrize("mu, ratio, bound", [(0.05, 2e-3, 3e-9), (0.1, 2e-3, 1e-9), (0.05, 1e-2, 5e-10),
                                                 (0.1, 1e-2, 1e-10)])
@@ -131,7 +136,11 @@ class TestTwoRoutes:
         f, want = (gaussian(1.0), 1.0) if x < 1.0 else (lambda u: np.exp(-((u / x) ** 2)), 0.010392992156213)
         with pytest.raises(ValueError, match=f"^{scale}$"):
             translate_xi(0.5, f, x, 2 * x)
-        assert translate_alpha(0.5, f, x, 2 * x) == pytest.approx(want, rel=1e-12)
+        if x < 1e-150:  # below translate_alpha's own scale window as well
+            with pytest.raises(ValueError, match=r"^translate_alpha needs max\(\|x\|,\|y\|\) >= 1e-150"):
+                translate_alpha(0.5, f, x, 2 * x)
+        else:
+            assert translate_alpha(0.5, f, x, 2 * x) == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("x", [1e-72, 1e72])
     def test_xi_holds_inside_its_scale_window(self, x):
@@ -145,6 +154,18 @@ class TestTwoRoutes:
         f = lambda u: np.exp(-((u / 1e150) ** 2))  # noqa: E731
         want = translate_alpha(0.5, gaussian(1.0), 1.0, -0.5)
         assert translate_alpha(0.5, f, 1e150, -5e149) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [1e-160, 1e-170, 1e-200])
+    def test_alpha_refuses_a_point_where_its_radius_underflows(self, x):
+        # x^2 + y^2 underflowed and the result drifted to phi's average at 0 with no
+        # warning: 1.0 at 1e-170 and 1e-200, where the true value is 0.010393
+        f = lambda u: np.exp(-((u / x) ** 2))  # noqa: E731
+        tiny = re.escape(f"translate_alpha needs max(|x|,|y|) >= 1e-150 unless x = y = 0, got {x!r}, {2 * x!r}")
+        with pytest.raises(ValueError, match=f"^{tiny}$"):
+            translate_alpha(0.5, f, x, 2 * x)
+        g = lambda u: np.exp(-((u / 1e-150) ** 2))  # noqa: E731
+        assert translate_alpha(0.5, g, 1e-150, 2e-150) == pytest.approx(0.010392992156213, rel=1e-12)
+        assert translate_alpha(0.5, f, 0.0, -0.0) == 1.0
 
     def test_alpha_needs_positive_mu(self):
         with pytest.raises(ValueError, match="mu must be positive"):
