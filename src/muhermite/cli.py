@@ -14,12 +14,13 @@ import argparse
 import gc
 import json
 import sys
+from fractions import Fraction
 
 import numpy as np
 
 from . import oscillator as osc
 from . import verify as verify_mod
-from .core import MuParam, _count, _real, gamma_mu, gamma_mu_exact
+from .core import _count, _exact, _rational, _real, gamma_mu, gamma_mu_exact
 from .efun import c_s_mu, e_mu
 from .heat import heat_apply_kernel, heat_gaussian, heat_odd_gaussian, heat_spectral_matrix
 from .hermite import hermite_coeffs, hermite_eval
@@ -66,15 +67,22 @@ def _grid(args) -> np.ndarray:
     return np.linspace(args.xmin, args.xmax, args.num)
 
 
-def _mu(text: str) -> MuParam:
+def _mu_arg(text: str):
+    """--mu as the library takes it: p/q and integer text as an exact Fraction, any other as a float."""
+    text = text.strip()
     try:
-        return MuParam.parse(text)
-    except ValueError as exc:  # argparse would print "invalid parse value" in place of the reason
+        if "/" in text or text.lstrip("+-").isdigit():
+            try:
+                return _rational(Fraction(text))
+            except ZeroDivisionError:
+                raise ValueError(f"mu = {text} has a zero denominator") from None
+        return _real(float(text), "mu")
+    except ValueError as exc:  # argparse would print "invalid _mu_arg value" in place of the reason
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_common(p: argparse.ArgumentParser, grid: bool = False) -> None:
-    p.add_argument("--mu", type=_mu, required=True, help="deformation parameter, decimal or p/q")
+    p.add_argument("--mu", type=_mu_arg, required=True, help="deformation parameter, decimal or p/q")
     p.add_argument("--out", default=None, help="write output to this path instead of stdout")
     if grid:
         p.add_argument("--xmin", type=float, default=-3.0)
@@ -103,8 +111,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gamma(args) -> int:
-    if args.mu.exact is not None:
-        val = gamma_mu_exact(args.mu.exact, args.n)
+    if _exact(args.mu):
+        val = gamma_mu_exact(args.mu, args.n)
         _emit(fraction_str(val) + "\n", args.out)
     else:
         _emit(_fmt(gamma_mu(args.mu, args.n)) + "\n", args.out)
@@ -113,10 +121,10 @@ def _cmd_gamma(args) -> int:
 
 def _cmd_table(args) -> int:
     _count(args.nmax, "--nmax")
-    exact = args.mu.exact is not None
+    exact = _exact(args.mu)
     lines = []
     for n in range(args.nmax + 1):
-        poly = hermite_coeffs(args.mu, n, exact=exact)
+        poly = hermite_coeffs(args.mu, n)
         coeffs = [fraction_str(c) if exact else _fmt(c) for c in poly.coeffs]
         lines.append(",".join([str(n)] + coeffs))
     _emit("\n".join(lines) + "\n", args.out)
@@ -169,7 +177,7 @@ def _cmd_heat(args) -> int:
     else:
         flow = heat_spectral_matrix(args.mu, args.t, args.size)
         coeffs = expand(args.mu, f, args.size - 1, sigma=args.alpha)
-        vals = synthesize(SpectralVector(args.mu.require_numeric(), flow @ np.asarray(coeffs.coeffs)), x).real
+        vals = synthesize(SpectralVector(coeffs.mu, flow @ np.asarray(coeffs.coeffs)), x).real
     _csv("x,value", args.out, x, vals)
     return 0
 
@@ -290,7 +298,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_oscillator)
 
     p = sub.add_parser("verify", help="acceptance suite; with --mu, the exact identity suite at that mu")
-    p.add_argument("--mu", type=_mu, default=None, help="rational mu routes the exact kernel")
+    p.add_argument("--mu", type=_mu_arg, default=None, help="rational mu routes the exact kernel")
     p.add_argument("--nmax", type=int, default=20)
     p.add_argument("--criteria", default=None, help="comma-separated criterion numbers (default: all)")
     p.add_argument("--json", action="store_true")

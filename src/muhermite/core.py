@@ -13,6 +13,11 @@ to n!.  The recursion denominators vanish exactly when 2 mu is a negative
 odd integer, so exact-rational work is allowed for any rational mu away
 from those poles, while floating-point work keeps the mu > -1/2 guard.
 
+mu is a plain number, and its type picks the layer: a rational mu (an int,
+a numpy integer or a Fraction) makes polynomial work exact, in Fractions,
+and a float anywhere in the inputs makes it float64 (``_exact``).  ``_mu``
+and ``_rational`` are the one check of mu in each layer.
+
 gamma_mu grows like n! 2^n, overflowing float64 near n ~ 170; callers that
 need large n use the log-scale accessor instead.
 """
@@ -30,9 +35,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "MuParam",
     "GammaMuTable",
-    "as_mu",
     "theta",
     "gamma_mu",
     "gamma_mu_exact",
@@ -70,6 +73,50 @@ def _real(v, what: str, low: float = -math.inf, closed: bool = True) -> float:
     return v
 
 
+def _mu(mu, low: float = -0.5) -> float:
+    """mu as a float, the one check of mu in the float layer: TypeError unless mu is a real
+    number (a bool is not), ValueError if it is nan or inf or does not exceed ``low`` (-1/2,
+    or 0 where mu must be positive).  A Fraction is rounded once, to its float spelling's bits."""
+    if type(mu) is not float:
+        if isinstance(mu, bool) or not isinstance(mu, numbers.Real):
+            raise TypeError(f"mu must be a real number, got {mu!r}")
+        mu = float(mu)
+    if not low < mu < math.inf:
+        if not math.isfinite(mu):
+            raise ValueError(f"mu must be finite, got {mu!r}")
+        raise ValueError("mu must be positive" if low == 0 else "mu must exceed -1/2")
+    return mu
+
+
+_RATIONALS = (int, np.integer, Fraction)
+
+
+def _exact(*values) -> bool:
+    """The package's one rule of the field: work is exact, in Fractions, when every value
+    (mu first) is rational, an int, a numpy integer or a Fraction; a float anywhere gives floats."""
+    return all(isinstance(v, _RATIONALS) for v in values)
+
+
+def _fraction(v) -> Fraction:
+    """A rational v (see _exact) as a Fraction of Python ints, whatever v's integer type."""
+    return Fraction(int(v.numerator), int(v.denominator))
+
+
+def _rational(mu) -> Fraction:
+    """mu as a Fraction, the one check of mu in the exact layer: TypeError unless mu is a real
+    number (a bool is not), ValueError if it is not rational or is a pole of the factorial
+    recursion, where 2 mu is a negative odd integer: reduced, denominator 2 and numerator < 0."""
+    if type(mu) is not Fraction or type(mu.numerator) is not int:
+        if isinstance(mu, bool) or not isinstance(mu, numbers.Real):
+            raise TypeError(f"mu must be a rational number, got {mu!r}")
+        if not isinstance(mu, _RATIONALS):
+            raise ValueError(f"exact arithmetic needs a rational mu (an int or a Fraction), got {mu!r}")
+        mu = _fraction(mu)
+    if mu.denominator == 2 and mu.numerator < 0:
+        raise ValueError(f"mu = {mu} is a pole of the factorial recursion")
+    return mu
+
+
 def _finite_exp(power, what: str):
     """e^power, by np.exp for a complex power and math.exp for a real one; past the
     float range, OverflowError naming ``what`` (not math's bare "math range error")."""
@@ -88,66 +135,10 @@ def theta(n: int) -> int:
     return _count(n, "theta's index") & 1
 
 
-def _is_pole(mu: Fraction) -> bool:
-    # Poles of the recursion: 2 mu an odd negative integer (-1/2, -3/2, ...).
-    twice = 2 * mu
-    return twice.denominator == 1 and twice.numerator < 0 and twice.numerator % 2 != 0
-
-
-@dataclass(frozen=True)
-class MuParam:
-    """Deformation parameter with an optional exact rational representation.
-
-    ``value`` is always set and drives the floating-point layer.  ``exact``
-    is attached only when the parameter was given as an int, Fraction, or
-    "p/q" string; it is what routes work through the exact rational layer.
-    """
-
-    value: float
-    exact: Fraction | None = None
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError("mu must be finite")
-        if self.exact is not None and _is_pole(self.exact):
-            raise ValueError(f"mu = {self.exact} is a pole of the factorial recursion")
-
-    def require_numeric(self) -> float:
-        if not self.value > -0.5:
-            raise ValueError("mu must exceed -1/2")
-        return self.value
-
-    def require_positive(self) -> float:
-        if not self.value > 0.0:
-            raise ValueError("mu must be positive")
-        return self.value
-
-    def require_exact(self) -> Fraction:
-        if self.exact is None:
-            raise ValueError(
-                "exact arithmetic needs mu as int, Fraction, or 'p/q' string"
-            )
-        return self.exact
-
-    @staticmethod
-    def parse(text: str) -> "MuParam":
-        """Parse CLI-style mu: '0.5' stays numeric-only, '1/3' is exact."""
-        text = text.strip()
-        if "/" in text:
-            try:
-                frac = Fraction(text)
-            except ZeroDivisionError:
-                raise ValueError(f"mu = {text} has a zero denominator") from None
-            return MuParam(value=float(frac), exact=frac)
-        if text.lstrip("+-").isdigit():
-            frac = Fraction(int(text))
-            return MuParam(value=float(frac), exact=frac)
-        return MuParam(value=float(text))
-
-
 # Bound for the caches keyed by mu: a sweep over fresh mu must not grow
-# memory without limit.  A full ``muhermite verify`` run holds at most 24
-# keys in any of them, and 57 in the scaled-rule plan (keyed by sigma too).
+# memory without limit.  A full ``muhermite verify`` run holds at most 21
+# keys in those keyed by mu and a size, 57 in the scaled-rule plan (keyed
+# by sigma too), and fills the e_mu term-count plan (keyed by max |z| too).
 MU_CACHE_SIZE = 64
 
 
@@ -217,51 +208,18 @@ class _ArrayMemo:
 _array_memo = _ArrayMemo(_ARRAY_MEMO_BYTES)
 
 
-@lru_cache(maxsize=MU_CACHE_SIZE)
-def _exact_mu(numerator: int, denominator: int) -> MuParam:
-    # The exact layer passes its Fraction mu to every coefficient routine;
-    # the pole check runs once per distinct mu, not once per call.  Keyed by
-    # the integer pair, which hashes about three times faster than a Fraction.
-    frac = Fraction(numerator, denominator)
-    return MuParam(value=float(frac), exact=frac)
-
-
-@lru_cache(maxsize=MU_CACHE_SIZE, typed=True)
-def _float_mu(value: float, sign: float) -> MuParam:
-    # sign keeps -0.0 apart from 0.0 (equal keys); typed, so value keeps its type
-    return MuParam(value=value)
-
-
-def as_mu(mu) -> MuParam:
-    """Normalize any accepted mu spelling to a MuParam; an integer of any type is exact.
-
-    A float's MuParam is built once per value, sign and type (MU_CACHE_SIZE entries); nan and inf always raise.
-    """
-    if isinstance(mu, MuParam):
-        return mu
-    # The float layer's spelling first: the numbers checks below are slow ABC checks.
-    if isinstance(mu, float):
-        return _float_mu(mu, math.copysign(1.0, mu))
-    if isinstance(mu, Fraction):
-        return _exact_mu(mu.numerator, mu.denominator)
-    if isinstance(mu, numbers.Integral):
-        return _exact_mu(int(mu), 1)
-    if isinstance(mu, str):
-        return MuParam.parse(mu)
-    if isinstance(mu, numbers.Real):
-        return MuParam(value=float(mu))
-    raise TypeError(f"cannot interpret {mu!r} as a deformation parameter")
-
-
 def _as_grid(x):
     """(x as a flat float64 array, shaped): how every float function reads a real grid x.
 
     x may be a scalar (Python, numpy or 0-d) or an array or list of any
-    shape; a non-finite entry raises ValueError.  ``shaped(vals)`` turns the
-    flat results back: a Python float or complex for a scalar x, otherwise
-    an array in x's own shape.
+    shape; a complex x raises TypeError and a non-finite entry ValueError.
+    ``shaped(vals)`` turns the flat results back: a Python float or complex
+    for a scalar x, otherwise an array in x's own shape.
     """
-    xa = np.asarray(x, dtype=float)
+    xa = np.asarray(x)
+    if xa.dtype.kind == "c":  # float64 would drop the imaginary part with only a warning
+        raise TypeError(f"x must be real, got {xa.dtype} values")
+    xa = np.asarray(xa, dtype=float)
     if not np.isfinite(xa).all():
         raise ValueError("x must be finite; nan and inf lie past every route's reach")
 
@@ -325,8 +283,7 @@ def _gamma_table_cached(mu: float, size: int) -> GammaMuTable:
 
 
 def gamma_table(mu, n_max: int) -> GammaMuTable:
-    value = as_mu(mu).require_numeric()
-    return _gamma_table_cached(value, _bucket(n_max))
+    return _gamma_table_cached(_mu(mu), _bucket(n_max))
 
 
 def gamma_mu(mu, n: int) -> float:
@@ -338,7 +295,7 @@ def gamma_mu(mu, n: int) -> float:
     n = _count(n, "gamma_mu's n")
     value = float(gamma_table(mu, n).values[n])
     if math.isinf(value):
-        raise OverflowError(f"gamma_mu({as_mu(mu).value:g}, {n}) overflows float64; use log_gamma_mu")
+        raise OverflowError(f"gamma_mu({_mu(mu):g}, {n}) overflows float64; use log_gamma_mu")
     return value
 
 
@@ -358,7 +315,7 @@ def _gamma_exact_table(mu: Fraction, size: int) -> tuple:
 
 def gamma_exact_table(mu, n_max: int) -> tuple:
     """gamma_mu(0), gamma_mu(1), ... past n_max as exact rationals; mu rational."""
-    return _gamma_exact_table(as_mu(mu).require_exact(), _bucket(n_max))
+    return _gamma_exact_table(_rational(mu), _bucket(n_max))
 
 
 def gamma_mu_exact(mu, n: int) -> Fraction:
@@ -380,7 +337,7 @@ def mu_binomial(mu, n: int, j: int) -> float:
 
 def gamma_half(mu) -> float:
     """Gamma(mu + 1/2), the total mass of |x|^(2 mu) e^(-x^2) dx; OverflowError past mu = 171.1."""
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     try:
         return math.gamma(value + 0.5)
     except OverflowError:

@@ -49,7 +49,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MU_CACHE_SIZE, _as_grid, _real, as_mu, gamma_half, gamma_table
+from .core import MU_CACHE_SIZE, _as_grid, _mu, _real, gamma_half, gamma_table
 
 __all__ = [
     "e_mu",
@@ -204,7 +204,7 @@ def e_mu(mu, z):
     ln(float max) at mu = 0: z = 703 is finite, 703.5 raises) and
     ValueError for a non-finite z.
     """
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     route = _series if value != 0.0 else _exp
     if isinstance(z, np.ndarray) and z.ndim:
         if np.iscomplexobj(z):
@@ -232,7 +232,7 @@ def c_s_mu(mu, x):
     grows like |x| eps for mu near 0: 3e-13 at (mu, x) = (0.01, 1e4) and
     6e-13 at (-0.45, 1e4).  A non-finite x raises ValueError.
     """
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     xa, shaped = _as_grid(x)
     c, s = (np.cos(xa), np.sin(xa)) if value == 0.0 else _miller(value - 0.5, xa)
     return shaped(c), shaped(s)
@@ -247,7 +247,7 @@ def mehler_rhs(mu, x: float, y: float, z):
 
     valid for |z| < 1 (z may be complex).
     """
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     x, y = _real(x, "the point x"), _real(y, "the point y")
     if not abs(z) < 1:
         raise ValueError("the bilinear kernel needs |z| < 1")
@@ -268,7 +268,7 @@ def heat_kernel(mu, x: float, y: float, t: float) -> float:
     Raises OverflowError where the e(.; mu) factor leaves float64
     (x y / (2 t) past ~700) before the Gaussian can tame it.
     """
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     x, y, t = _real(x, "the point x"), _real(y, "the point y"), _real(t, "semigroup time t", 0.0, False)
     pref = (4.0 * t) ** (-value - 0.5) / gamma_half(value)
     return pref * math.exp(-(x * x + y * y) / (4.0 * t)) * e_mu(value, x * y / (2.0 * t))

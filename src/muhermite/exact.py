@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 
-from .core import _count, as_mu, gamma_exact_table, gamma_mu_exact
+from .core import _count, _rational, gamma_exact_table, gamma_mu_exact
 from .hermite import binomial_poly, dunkl_definition, hermite_coeffs, inversion_weights
 from .poly import BivariatePoly, DensePoly, fraction_str
 
@@ -58,7 +58,7 @@ def _shared(table: dict, build, mu: Fraction, n: int):
 
 
 def _hermite(mu: Fraction, m: int, table: dict) -> DensePoly:
-    return hermite_coeffs(mu, m, exact=True)
+    return hermite_coeffs(mu, m)
 
 
 def _hermites(mu: Fraction, table: dict):
@@ -75,7 +75,7 @@ def _derivatives(mu: Fraction, n: int, table: dict) -> list:
 
 
 def _binomial(mu: Fraction, n: int, table: dict) -> BivariatePoly:
-    return binomial_poly(mu, n, exact=True)
+    return binomial_poly(mu, n)
 
 
 def _ratio(mu: Fraction, n: int) -> Fraction:
@@ -279,7 +279,7 @@ class IdentityReport:
 def _builder(tag: str, mu, degree: int, what: str, table: dict):
     if tag not in _BUILDERS:
         raise ValueError(f"unknown identity tag {tag!r}; known: {', '.join(IDENTITY_TAGS)}")
-    frac = as_mu(mu).require_exact()
+    frac = _rational(mu)
     return frac, _count(degree, what), _BUILDERS[tag](frac, table)
 
 

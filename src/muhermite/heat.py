@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .core import _array_memo, _as_grid, _finite_exp, _memo_key, _real, as_mu, gamma_half
+from .core import _array_memo, _as_grid, _finite_exp, _memo_key, _mu, _real, gamma_half
 from .efun import _radius, _table, _term_count, e_mu
 from .quadrature import _scaled_rule
 from .transform import _momentum_svd
@@ -55,7 +55,7 @@ def heat_gaussian_params(mu, alpha, z, t: float):
     may be complex and must be finite, Re alpha > 0; t is semigroup time,
     finite and >= 0.  OverflowError where pref leaves the float range.
     """
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     if not (cmath.isfinite(alpha) and alpha.real > 0 and cmath.isfinite(z)):
         raise ValueError(f"alpha must be finite with Re alpha > 0, and z must be finite; got alpha = {alpha}, z = {z}")
     t = _real(t, "semigroup time t", 0.0)
@@ -67,7 +67,7 @@ def heat_gaussian_params(mu, alpha, z, t: float):
 
 def heat_gaussian(mu, alpha, z, t: float, x):
     """T(t) of e^(-alpha x^2) e(2 z x; mu) at x; x: scalar or array of any shape."""
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     pref, ap, zp = heat_gaussian_params(value, alpha, z, t)
     xa, shaped = _as_grid(x)
     return shaped(pref * np.exp(-ap * xa * xa) * e_mu(value, 2.0 * zp * xa))
@@ -81,7 +81,7 @@ def heat_odd_gaussian(mu, alpha: float, t: float, x):
     Obtained from heat_gaussian by differentiating in z at z = 0, whose
     alpha and t checks it shares.  x: scalar or array of any shape.
     """
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     heat_gaussian_params(value, alpha, 0.0, t)
     u = 1.0 + 4.0 * alpha * t
     xa, shaped = _as_grid(x)
@@ -147,7 +147,7 @@ def heat_apply_kernel(mu, f, t: float, x, *, sigma: float = 0.0, quad_n: int = 9
     (scaled-rule plan, x, t), at mu != 0 as one product of two factor tables
     (see _heat_kernel), and kept in a byte-bounded memo (see README).
     """
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     t = _real(t, "semigroup time t", 0.0, False)
     xa, shaped = _as_grid(x)
     rate = 0.25 / t
@@ -177,7 +177,7 @@ def heat_pde_residual(mu, family: str, t: float, x: float) -> float:
     h = 1e-4 in both variables; needs t > h and |x| >= 0.1 (the 1/x terms
     are genuinely singular at the origin).
     """
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     t, x = _real(t, "semigroup time t", 0.0), _real(x, "the point x")
     h = 1e-4
     if family == "even":
@@ -206,7 +206,7 @@ def heat_spectral_matrix(mu, t: float, size: int) -> np.ndarray:
     Truncating P corrupts the last rows of P^2; trust only coefficients
     well inside the block, or inputs whose expansion has decayed by then.
     """
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     t = _real(t, "semigroup time t", 0.0)
     u, s, v = _momentum_svd(value, size)
     # P^2 is R R^T (even) and R^T R (odd); parity couplings stay exact zeros.

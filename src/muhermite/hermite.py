@@ -15,8 +15,10 @@ Two implementations of D are kept on purpose: the monomial rule (fast
 path) and the derivative-plus-reflection definition (independent route
 used by the exact verifier).
 
-All constructors here are field-generic: with a rational mu and
-``exact=True`` they emit Fraction coefficients, otherwise float64.
+All constructors here are field-generic, and the field follows the
+inputs (``core._exact``): a rational mu (an int, a numpy integer or a
+Fraction), and for heat_poly a rational t too, gives Fraction
+coefficients, and a float anywhere gives float64.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import _as_grid, _count, as_mu, gamma_exact_table, gamma_step, gamma_table, mu_binomial
+from .core import _as_grid, _count, _exact, _fraction, _mu, _rational, gamma_exact_table, gamma_step, gamma_table, mu_binomial
 from .poly import BivariatePoly, DensePoly
 
 __all__ = [
@@ -47,26 +49,26 @@ def _factorials(mu, n: int, exact: bool, what: str) -> tuple:
     ``what`` names the degree n in the error for a bad n.
     """
     n = _count(n, f"{what} degree")
-    param = as_mu(mu)
     fact = [1 if exact else 1.0]
     for k in range(1, n + 1):
         fact.append(fact[-1] * k)
     if exact:
-        return n, fact, gamma_exact_table(param, n)
-    return n, fact, gamma_table(param.require_numeric(), n).values
+        return n, fact, gamma_exact_table(mu, n)
+    return n, fact, gamma_table(mu, n).values
 
 
 def _finite_poly(coeffs: list, exact: bool, what: str) -> DensePoly:
     if not exact and not all(math.isfinite(c) for c in coeffs):
-        raise OverflowError(f"{what} overflows float64; use exact=True with a rational mu")
+        raise OverflowError(f"{what} overflows float64; pass mu as a Fraction")
     return DensePoly(coeffs)
 
 
-def hermite_coeffs(mu, n: int, *, exact: bool = False) -> DensePoly:
-    """Coefficient vector of H_n(x; mu) from the explicit sum.
+def hermite_coeffs(mu, n: int) -> DensePoly:
+    """Coefficient vector of H_n(x; mu) from the explicit sum; exact for a rational mu.
 
     The float path raises OverflowError from n = 151 on.
     """
+    exact = _exact(mu)
     n, fact, gam = _factorials(mu, n, exact, "polynomial")
     two = 2 if exact else 2.0
     coeffs = [0 * two] * (n + 1)
@@ -86,7 +88,7 @@ def hermite_eval(mu, n: int, x):
     Raises OverflowError where a value leaves the float range.
     """
     n = _count(n, "polynomial degree")
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     x, shaped = _as_grid(x)
     two_x = 2.0 * x
     with np.errstate(over="ignore", invalid="ignore"):
@@ -113,11 +115,8 @@ def _hermite_steps(value: float, n: int, times_two_x, h):
 
 
 def _mu_like(mu, p: DensePoly):
-    """mu in the same field as p's coefficients."""
-    param = as_mu(mu)
-    if p.exact:
-        return param.require_exact()
-    return param.require_numeric()
+    """mu in the field of p's coefficients and mu: a Fraction where both are exact, else a float."""
+    return _rational(mu) if p.exact and _exact(mu) else _mu(mu)
 
 
 def dunkl_apply(mu, p: DensePoly) -> DensePoly:
@@ -162,37 +161,36 @@ def inversion_weights(n: int) -> list:
     return [Fraction(1, math.factorial(k) * math.factorial(n - 2 * k)) for k in range(n // 2 + 1)]
 
 
-def binomial_poly(mu, n: int, *, exact: bool = False) -> BivariatePoly:
-    """Deformed binomial polynomial p_n(x, y) = sum_j binom_mu(n, j) x^j y^(n-j).
+def binomial_poly(mu, n: int) -> BivariatePoly:
+    """Deformed binomial polynomial p_n(x, y) = sum_j binom_mu(n, j) x^j y^(n-j); exact for a rational mu.
 
     p_n(x, y) is what the generalized translation does to x^n.
     """
     n = _count(n, "polynomial degree")
-    param = as_mu(mu)
-    if exact:
+    if _exact(mu):
         # gam = u / v: gam[n] / (gam[j] gam[n - j]) = u_n v_j v_{n-j} / (v_n u_j u_{n-j}), over their lcm
-        gam = gamma_exact_table(param, n)[: n + 1]
+        gam = gamma_exact_table(mu, n)[: n + 1]
         u, v = [g.numerator for g in gam], [g.denominator for g in gam]
         dens = [v[n] * u[j] * u[n - j] for j in range(n + 1)]
         den = math.lcm(*dens)
         nums = {(j, n - j): u[n] * v[j] * v[n - j] * (den // d) for j, d in enumerate(dens)}
         return BivariatePoly._result(nums, den, True)
-    value = param.require_numeric()
-    return BivariatePoly(((j, n - j), mu_binomial(value, n, j)) for j in range(n + 1))
+    return BivariatePoly(((j, n - j), mu_binomial(mu, n, j)) for j in range(n + 1))
 
 
-def heat_poly(mu, n: int, t, *, exact: bool = False) -> DensePoly:
-    """Heat-flow image of x^n after time t under d/dt = D^2:
+def heat_poly(mu, n: int, t) -> DensePoly:
+    """Heat-flow image of x^n after time t under d/dt = D^2, exact for a rational mu and t:
 
     gamma_mu(n) sum_k x^(n-2k) t^k / (k! gamma_mu(n-2k)).
 
     At mu = 0 these are the classical heat polynomials (x^2 + 2t, ...).
     The float path raises OverflowError once gamma_mu(n) does (n ~ 170).
     """
-    if not isinstance(t, (int, Fraction)) and not math.isfinite(t):
+    exact = _exact(mu, t)
+    if not exact and not math.isfinite(t):
         raise ValueError(f"heat_poly needs a finite time t, got {t}")
     n, fact, gam = _factorials(mu, n, exact, "monomial")
-    t = Fraction(t) if exact else float(t)
+    t = _fraction(t) if exact else float(t)
     coeffs = [0 * gam[0]] * (n + 1)
     tk = t**0
     with np.errstate(over="ignore", invalid="ignore"):

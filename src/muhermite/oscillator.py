@@ -43,7 +43,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import _count, as_mu, gamma_table
+from .core import _count, _mu, gamma_table
 from .hermite import _hermite_steps, dunkl_apply
 from .poly import DensePoly
 from .quadrature import gauss_hermite_mu
@@ -159,12 +159,11 @@ class CheckReport:
 
 def build(mu, size: int) -> OscillatorRep:
     """Assemble the truncated operator family on `size` basis vectors."""
-    param = as_mu(mu)
-    value = param.require_numeric()
+    value = _mu(mu)
     size = _count(size, "oscillator size", 4)
     # The letters in OscillatorRep field order: a, adag, q, p, h, j, f.
     kinds = ("A", "Adag", "Q", "P", "H", "J", "F")
-    return OscillatorRep(value, size, *(operator_matrix(param, kind, size) for kind in kinds))
+    return OscillatorRep(value, size, *(operator_matrix(value, kind, size) for kind in kinds))
 
 
 def _require_word(size: int, k: int) -> None:
@@ -472,7 +471,7 @@ def _check_limits(mu, size: int, names, ladder_n_max: int = 1, rodrigues_n_max: 
             _count(n_max, "n_max", 1)
             _require_word(size, word)
     if "rodrigues_operator" in names:
-        value = as_mu(mu).require_numeric()
+        value = _mu(mu)
         top = int(np.isfinite(gamma_table(value, 170).values[:171]).sum()) - 1
         if rodrigues_n_max > top:
             raise OverflowError(

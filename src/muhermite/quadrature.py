@@ -49,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import MU_CACHE_SIZE, _count, _finite_exp, _real, as_mu, gamma_half, gamma_step
+from .core import MU_CACHE_SIZE, _count, _finite_exp, _mu, _real, gamma_half, gamma_step
 
 __all__ = ["QuadratureRule", "gauss_hermite_mu", "gauss_alpha_mu", "jacobi_rule"]
 
@@ -176,7 +176,7 @@ def _check_size(n) -> int:
 
 def gauss_hermite_mu(mu, n: int) -> QuadratureRule:
     """Gauss rule for |x|^(2 mu) e^(-x^2) dx, exact through degree 2n - 1."""
-    return _hermite_rule_cached(as_mu(mu).require_numeric(), _check_size(n))
+    return _hermite_rule_cached(_mu(mu), _check_size(n))
 
 
 class _ScaledPlan(NamedTuple):
@@ -278,5 +278,5 @@ def jacobi_rule(a: float, b: float, n: int) -> QuadratureRule:
 
 def gauss_alpha_mu(mu, n: int) -> QuadratureRule:
     """Gauss rule for the unit-mass averaging measure on (-1, 1), mu > 0."""
-    value = as_mu(mu).require_positive()
+    value = _mu(mu, 0.0)
     return _jacobi_rule_cached(value - 1.0, value, _check_size(n))

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _array_memo, _as_grid, _count, _memo_key, _real, as_mu, gamma_half, gamma_mu, gamma_step
+from .core import _array_memo, _as_grid, _count, _memo_key, _mu, _real, gamma_half, gamma_mu, gamma_step
 from .efun import c_s_mu, e_mu
 from .hermite import hermite_eval
 from .quadrature import _check_size, _recurrence_table, _scaled_rule
@@ -64,14 +64,16 @@ _MINUS_I_POWERS = np.array((1, -1j, -1, 1j))
 
 @dataclass(frozen=True)
 class SpectralVector:
-    """Expansion coefficients against the phi basis for one mu."""
+    """Expansion coefficients against the phi basis for one mu; ``coeffs`` is a read-only copy."""
 
     mu: float
     coeffs: np.ndarray
     parseval_defect: float | None = None
 
     def __post_init__(self) -> None:
-        self.coeffs.setflags(write=False)
+        coeffs = np.array(self.coeffs)  # the caller's array stays writable
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -92,7 +94,7 @@ def phi_poly_table(mu, n_max: int, x) -> np.ndarray:
     it raises OverflowError naming the lowest such n and its x.
     """
     n_max = _count(n_max, "basis index")
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     xa, _ = _as_grid(x)
     with np.errstate(over="ignore", invalid="ignore"):
         table = _phi_rows(value, n_max, xa)
@@ -128,7 +130,7 @@ def expand(
     ||f||^2 - sum |c_n|^2 is recorded on the result; it measures how
     much of f lives above index n_max.
     """
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     n_max = _count(n_max, "n_max")
     if quad_n is None:
         quad_n = max(2 * (n_max + 1), n_max + 32)
@@ -151,7 +153,7 @@ def synthesize(vec: SpectralVector, x):
 
 def l2mu_norm(f, *, sigma: float, mu, quad_n: int = 96) -> float:
     """Weighted L^2 norm of f, which must decay like e^(-sigma x^2)."""
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     sigma = _real(sigma, "the envelope rate sigma", 0.0, False)
     _, wg, jac, _ = _scaled_rule(value, lambda t: np.abs(np.asarray(f(t))) ** 2, 2.0 * sigma, 0.0, quad_n)
     return math.sqrt(jac * float(wg.sum()))
@@ -212,7 +214,7 @@ def fourier_quadrature(
     both crossings move up and the reach is cautious.  It is cautious below
     8 nodes too, and at 4 or fewer, where it is negative, only x = 0 passes.
     """
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     xa, shaped = _as_grid(x)
     t, wg, jac, plan = _scaled_rule(value, f, sigma, 0.0, quad_n)
     reach = 2.0 * math.sqrt(2.0 * quad_n) - 2.0 * math.sqrt(11.0 * math.log(10.0)) + 8.5 / math.sqrt(quad_n)
@@ -235,7 +237,7 @@ def fourier_quadrature(
 
 def transform_of_gaussian(mu, lam: float, x):
     """Transform of e^(-lam t^2):  pref * Gamma(mu+1/2) lam^(-mu-1/2) e^(-x^2/(4 lam))."""
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     lam = _real(lam, "the Gaussian rate lam", 0.0, False)
     x, shaped = _as_grid(x)
     return shaped(2.0 ** (-value - 0.5) * lam ** (-value - 0.5) * np.exp(-x * x / (4.0 * lam)))
@@ -247,7 +249,7 @@ def transform_of_monomial_gaussian(mu, n: int, lam: float, x):
     pref * (-i/2)^n Gamma(mu+1/2) lam^(-(n+1)/2-mu) (gamma_mu(n)/n!)
          * e^(-x^2/(4 lam)) H_n(x / (2 sqrt(lam)); mu).
     """
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     lam = _real(lam, "the Gaussian rate lam", 0.0, False)
     x, shaped = _as_grid(x)
     amp = 2.0 ** (-value - 0.5) * lam ** (-0.5 * n - 0.5 - value) * gamma_mu(value, n) / math.factorial(n) / 2.0**n
@@ -260,7 +262,7 @@ def transform_of_efun_gaussian(mu, lam: float, y: float, x):
 
     pref * Gamma(mu+1/2) lam^(-mu-1/2) e^(-(x^2+y^2)/(4 lam)) e(xy/(2 lam); mu).
     """
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     lam, y = _real(lam, "the Gaussian rate lam", 0.0, False), _real(y, "the frequency y")
     x, shaped = _as_grid(x)
     amp = 2.0 ** (-value - 0.5) * lam ** (-value - 0.5)
@@ -276,7 +278,7 @@ def transform_of_hermite_gaussian(mu, n: int, beta: float, lam: float, x):
     At beta = 1, lam^2 = 1/2 this reduces to (-i)^n e^(-x^2/2) H_n(x; mu):
     the eigenfunction relation.
     """
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     beta, lam = _real(beta, "the scale beta"), _real(lam, "the Gaussian rate lam")
     if not (beta * beta > lam * lam > 0):
         raise ValueError("needs beta^2 > lam^2 > 0")
@@ -294,7 +296,7 @@ def operator_matrix(mu, kind: str, size: int) -> np.ndarray:
     (momentum), 'H' (hamiltonian, diagonal n + mu + 1/2), 'J' (parity,
     diagonal (-1)^n), 'F' (transform, diagonal (-i)^n).
     """
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     size = _count(size, "matrix size", 2)
     # A phi_n = sqrt(gamma(n)/gamma(n-1)) phi_{n-1} = sqrt(n + 2 mu theta(n)) phi_{n-1}
     lower = np.sqrt(gamma_step(value, np.arange(1, size)))

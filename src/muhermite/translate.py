@@ -27,12 +27,11 @@ negative translate; see the tests.
 from __future__ import annotations
 
 import cmath
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .core import MU_CACHE_SIZE, _as_grid, _real, as_mu, beta_function, gamma_mu, gamma_mu_exact
+from .core import MU_CACHE_SIZE, _as_grid, _exact, _fraction, _mu, _rational, _real, beta_function, gamma_mu, gamma_mu_exact
 from .efun import c_s_mu, e_mu
 from .hermite import dunkl_apply
 from .poly import DensePoly
@@ -58,25 +57,24 @@ def heron_psi(x: float, y: float, xi: float) -> float:
 def translate_poly(mu, p: DensePoly, y) -> DensePoly:
     """Translation of a polynomial: the terminating series sum_j (y^j/gamma(j)) D^j p.
 
-    Field-generic: with Fraction coefficients, a Fraction (or int) shift,
-    and an exact mu the result is exact.  A float or complex y must be finite.
+    Field-generic, as core._exact rules: with Fraction coefficients and a
+    rational mu and shift the result is exact.  A float or complex y must be finite.
     """
-    if not isinstance(y, (int, Fraction)) and not cmath.isfinite(y):
+    if not _exact(y) and not cmath.isfinite(y):
         raise ValueError(f"translate_poly needs a finite shift y, got {y}")
-    param = as_mu(mu)
-    exact = (
-        param.exact is not None
-        and isinstance(y, (int, Fraction))
-        and p.exact
-    )
+    exact = _exact(mu, y) and p.exact
+    if exact:
+        mu, y = _rational(mu), _fraction(y)
+    else:
+        _mu(mu)  # a constant p never reaches the checks of dunkl_apply and gamma_mu
     out = p
     d = p
     ypow = y
     for j in range(1, p.degree + 1):
-        d = dunkl_apply(param, d)
+        d = dunkl_apply(mu, d)
         if d.is_zero():
             break
-        gj = gamma_mu_exact(param.exact, j) if exact else gamma_mu(param.require_numeric(), j)
+        gj = gamma_mu_exact(mu, j) if exact else gamma_mu(mu, j)
         out = out + d.scale(ypow / gj)
         ypow = ypow * y
     return out
@@ -101,7 +99,7 @@ def translate_alpha(mu, phi, x: float, y: float, *, quad_n: int = 80):
         raise ValueError(f"translate_alpha needs max(|x|,|y|) <= 1e150, got {x!r}, {y!r}")
     if 0.0 < max(abs(x), abs(y)) < 1e-150:
         raise ValueError(f"translate_alpha needs max(|x|,|y|) >= 1e-150 unless x = y = 0, got {x!r}, {y!r}")
-    value = as_mu(mu).require_positive()
+    value = _mu(mu, 0.0)
     rule = gauss_alpha_mu(value, quad_n)
     om = _omega(x, y, rule.nodes)
     s = x + y
@@ -158,7 +156,7 @@ def translate_xi(mu, phi, x: float, y: float, *, quad_n: int = 80):
     (the result drifts, then reads 0 or nan); there it raises ValueError as well.
     """
     x, y = _real(x, "the point x"), _real(y, "the shift y")
-    value = as_mu(mu).require_positive()
+    value = _mu(mu, 0.0)
     if not min(abs(x), abs(y)) >= 2e-3 * max(abs(x), abs(y)) > 0.0:
         raise ValueError(f"translate_xi needs min(|x|,|y|) >= 2e-3 max(|x|,|y|), got {x!r}, {y!r}; use translate_alpha")
     if not 1e-145 <= abs(x * y) <= 1e145:
@@ -187,7 +185,7 @@ def translate_gaussian_closed(mu, lam: float, x, y: float):
 
     x: scalar or array of any shape.
     """
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     lam, y = _real(lam, "the Gaussian rate lam", 0.0, False), _real(y, "the shift y")
     xa, shaped = _as_grid(x)
     return shaped(np.exp(-lam * (xa**2 + y * y)) * e_mu(value, -2.0 * lam * xa * y))
@@ -213,7 +211,7 @@ def translate_spectral_matrix(mu, y: float, size: int) -> np.ndarray:
     Truncation corrupts edge columns: use on expansions that decay well
     inside the block.
     """
-    value = as_mu(mu).require_numeric()
+    value = _mu(mu)
     u, s, v = _momentum_svd(value, size)
     c, sn = c_s_mu(value, _real(y, "the shift y") * s)
     k = len(v)

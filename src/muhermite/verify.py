@@ -405,7 +405,7 @@ def criterion_classical_reduction() -> CriterionResult:
     started = time.perf_counter()
     notes = []
     coeff_ok = all(
-        hermite_coeffs(Fraction(0), n, exact=True) == _classical_hermite(n) for n in range(21)
+        hermite_coeffs(Fraction(0), n) == _classical_hermite(n) for n in range(21)
     )
     notes.append("coefficients exact" if coeff_ok else "COEFFICIENT MISMATCH")
     gamma_ok = all(gamma_mu_exact(Fraction(0), n) == math.factorial(n) for n in range(21))
@@ -424,7 +424,7 @@ def criterion_classical_reduction() -> CriterionResult:
     efun_ok = efun_defect < 1e-13
     notes.append(f"exponential defect {efun_defect:.1e}")
     t = Fraction(1, 3)
-    flowed = heat_poly(Fraction(0), 4, t, exact=True)
+    flowed = heat_poly(Fraction(0), 4, t)
     classic = DensePoly((12 * t * t, Fraction(0), 12 * t, Fraction(0), Fraction(1)))
     heat_ok = flowed == classic
     notes.append("heat flow classical" if heat_ok else "HEAT MISMATCH")

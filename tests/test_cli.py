@@ -129,7 +129,7 @@ def test_transform_past_the_quadrature_reach_exits_two(capsys):
 def test_table_past_float_range_exits_two(capsys):
     code, out, err = run(capsys, "table", "--mu", "0.5", "--nmax", "200")
     assert (code, out) == (2, "")
-    assert err.startswith("error:") and "exact=True" in err
+    assert err.startswith("error:") and "pass mu as a Fraction" in err
 
 
 def test_domain_guard_exits_two(capsys):

@@ -1,3 +1,4 @@
+import argparse
 import math
 from fractions import Fraction
 
@@ -8,9 +9,11 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from conftest import package_caches
+from muhermite.cli import _mu_arg
 from muhermite.core import (
-    MuParam,
-    as_mu,
+    _array_memo,
+    _mu,
+    _rational,
     beta_function,
     gamma_half,
     gamma_mu,
@@ -23,78 +26,141 @@ from muhermite.core import (
 )
 from muhermite.efun import e_mu
 from muhermite.hermite import binomial_poly
-from muhermite.quadrature import gauss_hermite_mu
+from muhermite.quadrature import gauss_alpha_mu, gauss_hermite_mu
 from muhermite.heat import heat_apply_kernel
-from muhermite.transform import expand, fourier_quadrature, l2mu_norm, transform_of_gaussian
+from muhermite.transform import expand, fourier_quadrature, l2mu_norm, phi_poly_table, transform_of_gaussian
+from muhermite.translate import translate_xi
 
 
 def test_theta_is_parity_indicator():
     assert [theta(n) for n in range(6)] == [0, 1, 0, 1, 0, 1]
 
 
-class TestMuParam:
+def _pole_by_twice(mu: Fraction) -> bool:
+    # the pole test the exact layer used before: 2 mu an odd negative integer
+    twice = 2 * mu
+    return twice.denominator == 1 and twice.numerator < 0 and twice.numerator % 2 != 0
+
+
+class TestMu:
     def test_parse_fraction_is_exact(self):
-        mu = MuParam.parse("1/3")
-        assert mu.exact == Fraction(1, 3)
-        assert mu.value == pytest.approx(1 / 3)
+        mu = _mu_arg("1/3")
+        assert mu == Fraction(1, 3) and type(mu) is Fraction
+        assert _mu(mu) == pytest.approx(1 / 3)
 
     def test_parse_integer_is_exact(self):
-        assert MuParam.parse("2").exact == Fraction(2)
+        for text in ("2", " -2 ", "+0"):
+            mu = _mu_arg(text)
+            assert mu == int(text) and type(mu) is Fraction
 
     def test_parse_decimal_is_numeric_only(self):
-        mu = MuParam.parse("0.5")
-        assert mu.exact is None
-        assert mu.value == 0.5
+        mu = _mu_arg("0.5")
+        assert mu == 0.5 and type(mu) is float
 
     def test_numeric_guard_fires_on_use(self):
-        mu = MuParam.parse("-0.75")  # parsing is permissive
+        mu = _mu_arg("-0.75")  # parsing is permissive
         with pytest.raises(ValueError, match="mu must exceed -1/2"):
-            mu.require_numeric()
+            _mu(mu)
 
     def test_exact_pole_rejected_at_construction(self):
         for text in ("-1/2", "-3/2"):
-            with pytest.raises(ValueError, match="pole"):
-                MuParam.parse(text)
-        assert MuParam.parse("-1/4").exact == Fraction(-1, 4)
+            with pytest.raises(argparse.ArgumentTypeError, match="pole"):
+                _mu_arg(text)
+        assert _mu_arg("-1/4") == Fraction(-1, 4)
 
     def test_zero_denominator_is_a_value_error(self):
         for text in ("1/0", " -3/00 "):
-            with pytest.raises(ValueError, match=f"mu = {text.strip()} has a zero denominator"):
-                as_mu(text)
+            with pytest.raises(argparse.ArgumentTypeError, match=f"mu = {text.strip()} has a zero denominator"):
+                _mu_arg(text)
 
-    def test_as_mu_accepts_float_fraction_and_param(self):
-        assert as_mu(0.5).value == 0.5
-        assert as_mu(Fraction(1, 2)).exact == Fraction(1, 2)
-        p = MuParam.parse("1/4")
-        assert as_mu(p) is p
+    def test_mu_and_rational_accept_float_int_and_fraction(self):
+        assert _mu(0.5) == 0.5 and _mu(1) == 1.0 and _mu(Fraction(1, 2)) == 0.5
+        assert _rational(Fraction(1, 2)) == Fraction(1, 2)
+        assert _rational(3) == Fraction(3) and type(_rational(3)) is Fraction
+        # a Fraction is rounded once, to the float spelling's bits
+        for p, q in ((1, 3), (2, 7), (-1, 5), (355, 113)):
+            assert _mu(Fraction(p, q)) == p / q
 
-    def test_as_mu_accepts_numpy_scalars(self):
-        # an integer scalar is an exact int, a real one a float
+    def test_mu_and_rational_accept_numpy_scalars(self):
+        # an integer scalar is an exact int, a real one a Python float
         for mu in (np.arange(3)[1], np.int64(1), np.uint8(1)):
-            assert as_mu(mu) == MuParam(value=1.0, exact=Fraction(1))
-            assert type(as_mu(mu).exact.numerator) is int
-        assert as_mu(np.float32(0.5)) == MuParam(value=0.5)
+            assert _rational(mu) == Fraction(1)
+            assert type(_rational(mu).numerator) is int
+            assert _mu(mu) == 1.0 and type(_mu(mu)) is float
+        assert type(_rational(Fraction(np.int64(2), 3)).numerator) is int
+        assert _mu(np.float32(0.5)) == 0.5 and type(_mu(np.float32(0.5))) is float
         assert gamma_mu(np.arange(3)[1], 4) == gamma_mu(1, 4)
         assert gamma_mu_exact(np.int64(1), 4) == gamma_mu_exact(1, 4)
         assert e_mu(np.float32(0.5), 1.0) == e_mu(0.5, 1.0)
         assert_array_equal(gauss_hermite_mu(np.int64(0), 8).nodes, gauss_hermite_mu(0, 8).nodes)
-        with pytest.raises(TypeError):
-            as_mu(1j)
 
-    def test_exact_mu_checked_once_and_pole_every_time(self):
-        a = as_mu(Fraction(2, 6))
-        assert a is as_mu(Fraction(1, 3))
-        assert a == MuParam(value=1 / 3, exact=Fraction(1, 3))
-        assert as_mu(3) == MuParam(value=3.0, exact=Fraction(3))
+    @pytest.mark.parametrize("bad", [True, False, np.bool_(True), "1/3", "0.5", 1j, np.complex128(1), None, [0.5]])
+    def test_non_numbers_bools_strings_and_complex_are_type_errors(self, bad):
+        with pytest.raises(TypeError):
+            _mu(bad)
+        with pytest.raises(TypeError):
+            _rational(bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_mu_refuses_nan_and_inf_naming_finite(self, bad):
+        for low in (-0.5, 0.0):
+            with pytest.raises(ValueError, match="finite"):
+                _mu(bad, low)
+
+    def test_mu_bounds(self):
+        for v in (-0.5, -0.75, Fraction(-1, 2)):
+            with pytest.raises(ValueError, match="^mu must exceed -1/2$"):
+                _mu(v)
+        for v in (0, 0.0, -0.0, -0.25):
+            with pytest.raises(ValueError, match="^mu must be positive$"):
+                _mu(v, 0.0)
+        assert _mu(-0.4999) == -0.4999 and _mu(1e-300, 0.0) == 1e-300
+
+    def test_mu_keeps_the_sign_of_zero(self):
+        for v in (0.0, -0.0, np.float64(-0.0)):
+            assert np.signbit(_mu(v)) == np.signbit(v)
+
+    def test_pole_every_time(self):
         for _ in range(2):
             with pytest.raises(ValueError, match="pole"):
-                as_mu(Fraction(-3, 2))
-            with pytest.raises(ValueError, match="pole"):
+                _rational(Fraction(-3, 2))
+            with pytest.raises(ValueError, match="^mu = -1/2 is a pole of the factorial recursion$"):
                 gamma_mu_exact(Fraction(-1, 2), 3)
 
+    def test_pole_rule_matches_twice_mu(self):
+        for q in range(1, 13):
+            for p in range(-60, 61):
+                mu = Fraction(p, q)
+                if _pole_by_twice(mu):
+                    with pytest.raises(ValueError, match="pole"):
+                        _rational(mu)
+                else:
+                    assert _rational(mu) == mu
+
+    def test_a_fraction_mu_gives_the_bits_of_its_float_spelling(self):
+        x, g = np.linspace(-2.0, 2.0, 9), lambda t: np.exp(-t * t)
+        calls = {
+            "gamma_mu": lambda mu: gamma_mu(mu, 9),
+            "e_mu": lambda mu: e_mu(mu, 3.0 * x),
+            "gauss_hermite_mu": lambda mu: (lambda r: np.append(r.nodes, r.weights))(gauss_hermite_mu(mu, 12)),
+            "gauss_alpha_mu": lambda mu: (lambda r: np.append(r.nodes, r.weights))(gauss_alpha_mu(mu, 12)),
+            "phi_poly_table": lambda mu: phi_poly_table(mu, 8, x),
+            "heat_apply_kernel": lambda mu: heat_apply_kernel(mu, g, 0.3, x, sigma=1.0),
+            "translate_xi": lambda mu: translate_xi(mu, g, 0.4, 1.1),
+        }
+        for name, call in calls.items():
+            got = []
+            for mu in (Fraction(1, 3), 1 / 3):
+                for cache in package_caches().values():  # each a cold call
+                    cache.cache_clear()
+                _array_memo.clear()
+                got.append(call(mu))
+            assert_array_equal(*got, err_msg=name)
+
     def test_require_exact_guard(self):
-        with pytest.raises(ValueError, match="exact"):
-            as_mu(0.7).require_exact()
+        for bad in (0.7, np.float64(0.5), 2.0):
+            with pytest.raises(ValueError, match="exact"):
+                _rational(bad)
 
 
 class TestGammaMu:
@@ -173,14 +239,14 @@ class TestGammaMu:
 def test_mu_binomial_symmetry_and_normalization():
     mu = Fraction(3, 4)
     for n in range(9):
-        p = binomial_poly(mu, n, exact=True)
+        p = binomial_poly(mu, n)
         assert p(Fraction(1, 3), Fraction(5, 7)) == p(Fraction(5, 7), Fraction(1, 3))
         coeffs = p.as_dict()
         for j in range(n + 1):
             b = coeffs[(j, n - j)]
             assert b > 0
             assert_allclose(mu_binomial(float(mu), n, j), float(b), rtol=1e-13)
-    assert binomial_poly(mu, 6, exact=True).as_dict()[(0, 6)] == 1
+    assert binomial_poly(mu, 6).as_dict()[(0, 6)] == 1
 
 
 def test_gamma_half_and_beta():
@@ -211,10 +277,8 @@ def test_gamma_half_names_mu_past_the_float_range():
 
 
 def test_mu_caches_stay_bounded():
-    from muhermite.core import _ARRAY_MEMO_BYTES, MU_CACHE_SIZE, _array_memo
+    from muhermite.core import _ARRAY_MEMO_BYTES, MU_CACHE_SIZE
     from muhermite.exact import verify_identity
-    from muhermite.quadrature import gauss_alpha_mu, gauss_hermite_mu
-    from muhermite.translate import translate_xi
 
     for k in range(300):
         mu = 0.1 + k / 128.0
@@ -225,13 +289,13 @@ def test_mu_caches_stay_bounded():
         l2mu_norm(lambda t: np.exp(-t * t), sigma=1.0, mu=mu, quad_n=4)
         translate_xi(mu, lambda t: np.exp(-t * t), 0.5, 0.7, quad_n=4)
         e_mu(mu, 0.5)
-    # the exact walks keep no table, but add 100 fresh mu to the exact mu and gamma caches
+    # the exact walks keep no table, but add 100 fresh mu to the exact gamma cache
     for k in range(100):
         assert verify_identity("lowering", Fraction(k + 1, 101), 3).passed
         assert verify_identity("binomial_expansion", Fraction(k + 1, 101), 3).passed
     # every cache the package defines, found by scanning, so none is missed
     caches = package_caches()
-    assert len(caches) == 9
+    assert len(caches) == 7
     for name, cached in caches.items():
         assert 0 < cached.cache_info().currsize <= MU_CACHE_SIZE, name
 
@@ -260,19 +324,20 @@ def test_every_lru_cache_in_the_package_is_bounded_by_mu_cache_size():
     from muhermite.core import MU_CACHE_SIZE
 
     caches = {name: cache.cache_parameters()["maxsize"] for name, cache in package_caches().items()}
-    assert len(caches) == 9 and "efun._term_count" in caches
+    assert len(caches) == 7 and "efun._term_count" in caches
     assert not [name for name in caches if name.startswith("exact.")]  # its tables live for one walk
     assert {name: size for name, size in caches.items() if size != MU_CACHE_SIZE} == {}
 
 
 # The package's names before each module's __all__ became the one export
 # list, less OperatorMatrix, which was deleted (operator_matrix returns the
-# read-only ndarray itself), and less four names whose formula the library
+# read-only ndarray itself), less four names whose formula the library
 # writes once elsewhere: alpha_mu_moment, inversion_expand, mu_binomial_exact
-# and raise_apply.
+# and raise_apply, and less MuParam and as_mu, which were deleted (mu is a
+# plain number, checked by core._mu and core._rational).
 _EARLIER_EXPORTS = """
-BivariatePoly CheckReport CriterionResult DensePoly IDENTITY_TAGS IdentityDefect IdentityReport MuParam
-OscillatorRep QuadratureRule SpectralVector __version__ as_mu build c_s_mu check_commutation
+BivariatePoly CheckReport CriterionResult DensePoly IDENTITY_TAGS IdentityDefect IdentityReport
+OscillatorRep QuadratureRule SpectralVector __version__ build c_s_mu check_commutation
 check_equations_of_motion check_ladder_powers check_representation check_rodrigues_operator check_rotation
 check_structure dunkl_apply dunkl_definition e_mu expand fourier_quadrature fourier_spectral gamma_half gamma_mu
 gamma_mu_exact gauss_alpha_mu gauss_hermite_mu heat_apply_kernel heat_gaussian heat_gaussian_params heat_kernel

@@ -46,7 +46,7 @@ CASES = {
     "gamma_mu_exact": (lambda n: gamma_mu_exact(Fraction(1, 2), n), 0, 7, "gamma_mu_exact's n"),
     "hermite_coeffs": (lambda n: hermite_coeffs(0.5, n), 0, 7, "polynomial degree"),
     # 2^70 wraps in a numpy integer
-    "hermite_coeffs_exact": (lambda n: hermite_coeffs(Fraction(1, 3), n, exact=True), 0, 70, "polynomial degree"),
+    "hermite_coeffs_exact": (lambda n: hermite_coeffs(Fraction(1, 3), n), 0, 70, "polynomial degree"),
     "heat_poly": (lambda n: heat_poly(0.5, n, 0.3), 0, 7, "monomial degree"),
     "hermite_eval": (lambda n: hermite_eval(0.5, n, 0.3), 0, 7, "polynomial degree"),
     "inversion_weights": (inversion_weights, 0, 7, "monomial degree"),

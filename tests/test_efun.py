@@ -151,7 +151,7 @@ def test_mu_zero_is_within_two_ulp_of_a_40_digit_exp():
     # the series was 9.7e-11 relative off at z = -7.92 and 1.3e288 at -703
     real = np.linspace(-700.0, 700.0, 1401)
     want = np.array([_mp_exp(z).real for z in real])
-    for mu in (0.0, -0.0, 0, Fraction(0), "0"):
+    for mu in (0.0, -0.0, 0, Fraction(0), np.int64(0)):
         for got in (e_mu(mu, real), np.array([e_mu(mu, z) for z in real])):
             assert got.dtype == np.float64
             assert np.all(np.abs(got - want) <= 2 * np.spacing(want)), mu

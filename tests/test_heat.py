@@ -26,23 +26,23 @@ from muhermite.transform import SpectralVector, expand, operator_matrix, synthes
 class TestHeatOnMonomial:
     def test_classical_values(self):
         # mu = 0: x^2 -> x^2 + 2t, x^4 -> x^4 + 12 t x^2 + 12 t^2
-        two = heat_poly(Fraction(0), 2, Fraction(1, 3), exact=True)
+        two = heat_poly(Fraction(0), 2, Fraction(1, 3))
         assert two.coeffs == (Fraction(2, 3), 0, 1)
-        four = heat_poly(Fraction(0), 4, Fraction(1, 3), exact=True)
+        four = heat_poly(Fraction(0), 4, Fraction(1, 3))
         assert four.coeffs == (Fraction(12, 9), 0, 4, 0, 1)
 
     def test_deformed_quadratic(self):
         mu = Fraction(1, 3)
-        got = heat_poly(mu, 2, Fraction(1), exact=True)
+        got = heat_poly(mu, 2, Fraction(1))
         # D^2 x^2 = gamma(2)/gamma(0) = 2 (1 + 2 mu)
         assert got.coeffs == (2 * (1 + 2 * mu), 0, 1)
 
     def test_time_zero_is_identity(self):
-        got = heat_poly(Fraction(2, 5), 6, Fraction(0), exact=True)
+        got = heat_poly(Fraction(2, 5), 6, Fraction(0))
         assert got.coeffs == (0, 0, 0, 0, 0, 0, 1)
 
     def test_float_route_matches_exact(self):
-        ex = heat_poly(Fraction(3, 4), 7, Fraction(2, 5), exact=True)
+        ex = heat_poly(Fraction(3, 4), 7, Fraction(2, 5))
         fl = heat_poly(0.75, 7, 0.4)
         assert ex.max_abs_diff(fl) < 1e-12
 

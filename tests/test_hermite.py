@@ -17,6 +17,7 @@ from muhermite.hermite import (
 )
 from muhermite.poly import DensePoly
 from muhermite.transform import transform_of_hermite_gaussian
+from muhermite.translate import translate_poly
 
 MU = Fraction(1, 3)
 
@@ -39,7 +40,7 @@ def test_hermite_eval_keeps_the_plain_loop_bits():
 
 def test_classical_reduction_matches_numpy():
     for n in range(13):
-        mine = hermite_coeffs(Fraction(0), n, exact=True)
+        mine = hermite_coeffs(Fraction(0), n)
         basis = np.zeros(n + 1)
         basis[n] = 1.0
         ref = np.polynomial.hermite.herm2poly(basis)
@@ -47,21 +48,21 @@ def test_classical_reduction_matches_numpy():
 
 
 def test_low_degree_closed_forms():
-    assert hermite_coeffs(MU, 0, exact=True).coeffs == (1,)
+    assert hermite_coeffs(MU, 0).coeffs == (1,)
     # H_1 = 2x / (1 + 2 mu), H_2 = 4x^2 / (1 + 2 mu) - 2
-    assert hermite_coeffs(MU, 1, exact=True).coeffs == (0, Fraction(6, 5))
-    assert hermite_coeffs(MU, 2, exact=True).coeffs == (-2, 0, Fraction(12, 5))
+    assert hermite_coeffs(MU, 1).coeffs == (0, Fraction(6, 5))
+    assert hermite_coeffs(MU, 2).coeffs == (-2, 0, Fraction(12, 5))
 
 
 def test_leading_coefficient():
     for n in range(1, 12):
-        lead = hermite_coeffs(MU, n, exact=True)[n]
+        lead = hermite_coeffs(MU, n)[n]
         assert lead == Fraction(2**n * math.factorial(n), gamma_mu_exact(MU, n))
 
 
 def test_parity():
     for n in range(10):
-        p = hermite_coeffs(MU, n, exact=True)
+        p = hermite_coeffs(MU, n)
         assert p.reflect().max_abs_diff(p.scale((-1) ** n)) == 0
 
 
@@ -81,9 +82,9 @@ def test_lowering_with_argument_scale():
     # D applied to H_n(lam x) gives 2 lam n H_{n-1}(lam x)
     lam = Fraction(3, 7)
     for n in range(1, 9):
-        p = scale_argument(hermite_coeffs(MU, n, exact=True), lam)
+        p = scale_argument(hermite_coeffs(MU, n), lam)
         got = dunkl_apply(MU, p)
-        want = scale_argument(hermite_coeffs(MU, n - 1, exact=True), lam).scale(2 * lam * n)
+        want = scale_argument(hermite_coeffs(MU, n - 1), lam).scale(2 * lam * n)
         assert got.max_abs_diff(want) == 0
 
 
@@ -112,10 +113,10 @@ def test_dunkl_on_monomials():
 def test_raising_reproduces_recursion():
     # the raising operator 2 x p - D p, with D by the monomial rule
     for n in range(8):
-        h = hermite_coeffs(MU, n, exact=True)
+        h = hermite_coeffs(MU, n)
         got = h.shift_up(1).scale(2) - dunkl_apply(MU, h)
         ratio = gamma_mu_exact(MU, n + 1) / ((n + 1) * gamma_mu_exact(MU, n))
-        want = hermite_coeffs(MU, n + 1, exact=True).scale(ratio)
+        want = hermite_coeffs(MU, n + 1).scale(ratio)
         assert got.max_abs_diff(want) == 0
 
 
@@ -130,17 +131,17 @@ def test_inversion_weights_and_expansion():
     for n in range(9):
         got = DensePoly.zero()
         for k, w in enumerate(inversion_weights(n)):
-            got = got + hermite_coeffs(MU, n - 2 * k, exact=True).scale(w)
+            got = got + hermite_coeffs(MU, n - 2 * k).scale(w)
         want = DensePoly.monomial(n, Fraction(2**n, gamma_mu_exact(MU, n)))
         assert got.max_abs_diff(want) == 0
 
 
 def test_binomial_poly_specializations():
-    p = binomial_poly(MU, 5, exact=True)
+    p = binomial_poly(MU, 5)
     assert p(1, 0) == 1 and p(0, 1) == 1
     assert p(Fraction(1, 2), Fraction(1, 3)) == p(Fraction(1, 3), Fraction(1, 2))
     # mu = 0 collapses to the ordinary binomial theorem
-    q = binomial_poly(Fraction(0), 6, exact=True)
+    q = binomial_poly(Fraction(0), 6)
     assert q(1, 1) == 2**6
 
 
@@ -154,18 +155,18 @@ def test_binomial_poly_row_over_one_denominator(mu):
             (j, n - j): gamma_mu_exact(mu, n) / (gamma_mu_exact(mu, j) * gamma_mu_exact(mu, n - j))
             for j in range(n + 1)
         }
-        assert binomial_poly(mu, n, exact=True).as_dict() == want
+        assert binomial_poly(mu, n).as_dict() == want
 
 
 class TestHeatPoly:
     def test_classical_quadratic(self):
-        got = heat_poly(Fraction(0), 2, Fraction(1), exact=True)
+        got = heat_poly(Fraction(0), 2, Fraction(1))
         assert got.coeffs == (2, 0, 1)  # x^2 + 2t at t=1
 
     def test_middle_coefficients(self):
         # coefficient of x^(n-2k) is gamma(n) t^k / (k! gamma(n-2k))
         n, t = 7, Fraction(2, 5)
-        got = heat_poly(MU, n, t, exact=True)
+        got = heat_poly(MU, n, t)
         for k in range(n // 2 + 1):
             want = (
                 gamma_mu_exact(MU, n)
@@ -178,20 +179,20 @@ class TestHeatPoly:
         # the t = -1/4 flow of x^n is gamma(n) / (2^n n!) times the degree-n
         # polynomial; ties the flow to the three-term recursion exactly
         for n in range(11):
-            got = heat_poly(MU, n, Fraction(-1, 4), exact=True)
+            got = heat_poly(MU, n, Fraction(-1, 4))
             pref = Fraction(gamma_mu_exact(MU, n), 2**n * math.factorial(n))
-            want = hermite_coeffs(MU, n, exact=True).scale(pref)
+            want = hermite_coeffs(MU, n).scale(pref)
             assert got.max_abs_diff(want) == 0
 
     def test_semigroup_composition_exact(self):
         s, t = Fraction(1, 3), Fraction(2, 7)
         for n in (4, 5, 8):
-            first = heat_poly(MU, n, s, exact=True)
+            first = heat_poly(MU, n, s)
             again = DensePoly.zero()
             for m, c in enumerate(first.coeffs):
                 if c:
-                    again = again + heat_poly(MU, m, t, exact=True).scale(c)
-            once = heat_poly(MU, n, s + t, exact=True)
+                    again = again + heat_poly(MU, m, t).scale(c)
+            once = heat_poly(MU, n, s + t)
             assert again.max_abs_diff(once) == 0
 
 
@@ -202,7 +203,7 @@ def test_float_coefficients_raise_instead_of_overflowing(mu):
         (lambda n: heat_poly(mu, n, 0.3), 171),
     ):
         assert np.all(np.isfinite(np.array(build(150).coeffs, dtype=float)))
-        with pytest.raises(OverflowError, match="exact=True"):
+        with pytest.raises(OverflowError, match="pass mu as a Fraction"):
             build(first_over)
 
 
@@ -225,4 +226,31 @@ def test_heat_poly_refuses_a_time_that_is_not_finite(t, exact):
     # the float path blamed the float range with an OverflowError; Fraction(t)
     # raised ValueError for nan but OverflowError for inf
     with pytest.raises(ValueError, match="finite time t"):
-        heat_poly(MU if exact else 0.5, 4, t, exact=exact)
+        heat_poly(MU if exact else 0.5, 4, t)
+
+
+@pytest.mark.parametrize("mu", [MU, 1, np.int64(2), 0])
+def test_a_rational_mu_makes_the_constructors_exact(mu):
+    x5 = DensePoly.monomial(5, Fraction(1))
+    assert hermite_coeffs(mu, 5).exact and binomial_poly(mu, 5).exact
+    assert heat_poly(mu, 5, Fraction(1, 2)).exact and heat_poly(mu, 5, np.int64(2)).exact
+    assert translate_poly(mu, x5, Fraction(2, 5)).exact and translate_poly(mu, x5, np.int64(2)).exact
+    # a float anywhere gives floats: the time, the shift or the coefficients
+    assert not heat_poly(mu, 5, 0.5).exact
+    assert not translate_poly(mu, x5, 0.4).exact
+    assert not translate_poly(mu, DensePoly((1.0, 2.0, 0.5)), Fraction(1, 2)).exact
+    # and the floats are the exact values, rounded
+    assert heat_poly(mu, 5, 0.5).max_abs_diff(heat_poly(mu, 5, Fraction(1, 2))) < 1e-12
+    assert translate_poly(mu, x5, 0.4).max_abs_diff(translate_poly(mu, x5, Fraction(2, 5))) < 1e-12
+
+
+@pytest.mark.parametrize("mu", [1 / 3, 1.0, np.float64(2.0), -0.0])
+def test_a_float_mu_makes_the_constructors_float(mu):
+    x5 = DensePoly.monomial(5, Fraction(1))
+    exact = Fraction(mu)
+    assert not hermite_coeffs(mu, 5).exact and not binomial_poly(mu, 5).exact
+    assert not heat_poly(mu, 5, Fraction(1, 2)).exact
+    assert not translate_poly(mu, x5, Fraction(2, 5)).exact
+    assert hermite_coeffs(mu, 5).max_abs_diff(hermite_coeffs(exact, 5)) < 1e-12
+    assert binomial_poly(mu, 5).max_abs_diff(binomial_poly(exact, 5)) < 1e-12
+    assert translate_poly(mu, x5, Fraction(2, 5)).max_abs_diff(translate_poly(exact, x5, Fraction(2, 5))) < 1e-12

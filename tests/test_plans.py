@@ -11,7 +11,7 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from conftest import package_caches
-from muhermite.core import _array_memo, _float_mu, as_mu, beta_function
+from muhermite.core import _array_memo, beta_function
 from muhermite.efun import _term_count, e_mu
 from muhermite.heat import heat_apply_kernel
 from muhermite.quadrature import _scaled_plan, _scaled_rule, gauss_hermite_mu, jacobi_rule
@@ -40,7 +40,6 @@ def _clear_every_cache():
 def _calls(mu):
     """Every planned float call at mu, each returning an array to compare bitwise."""
     calls = {
-        "as_mu": lambda: np.asarray(as_mu(mu).value),
         "fourier_quadrature": lambda: fourier_quadrature(mu, gaussian, X, sigma=0.7),
         "inverse": lambda: fourier_quadrature(mu, gaussian, X, sigma=0.7, inverse=True),
         "heat_apply_kernel": lambda: heat_apply_kernel(mu, gaussian, 0.4, X, sigma=0.7),
@@ -59,7 +58,7 @@ def _calls(mu):
 
 
 def _plan_hits():
-    return tuple(plan.cache_info().hits for plan in (_float_mu, _scaled_plan, _xi_plan, _term_count))
+    return tuple(plan.cache_info().hits for plan in (_scaled_plan, _xi_plan, _term_count))
 
 
 @pytest.mark.parametrize("mu", [0.0, 0.3141, 1.5])
@@ -72,13 +71,12 @@ def test_warm_call_equals_a_cold_call_bit_for_bit(mu):
         assert_array_equal(warm, cold, err_msg=name)
         # the warm call read the plans the cold call built
         after = _plan_hits()
-        assert after[0] > hits[0], name
         if name.startswith(("fourier", "inverse", "heat", "expand", "l2mu")):
-            assert after[1] > hits[1], name
+            assert after[0] > hits[0], name
         if name.startswith("translate_xi"):
-            assert after[2] > hits[2], name
+            assert after[1] > hits[1], name
         if name.startswith("e_mu") and mu != 0.0:
-            assert after[3] > hits[3], name
+            assert after[2] > hits[2], name
 
 
 def _memo_calls(mu, sigma):
@@ -152,23 +150,6 @@ def test_scaled_rule_keeps_the_unplanned_bits(mu):
             for a, b in zip(got, want):
                 assert_array_equal(a, b)
         assert not got[0].flags.writeable
-
-
-def test_as_mu_keeps_the_sign_of_zero_and_the_float_type():
-    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
-        _float_mu.cache_clear()
-        assert np.signbit(as_mu(first).value) == np.signbit(first)
-        assert np.signbit(as_mu(second).value) == np.signbit(second)
-    _float_mu.cache_clear()
-    assert type(as_mu(0.5).value) is float
-    assert type(as_mu(np.float64(0.5)).value) is np.float64
-    assert as_mu(0.5) is as_mu(0.5)
-    # a raising build is never cached: nan and inf raise on every call
-    for bad in (math.nan, math.inf, -math.inf):
-        for _ in range(2):
-            with pytest.raises(ValueError, match="finite"):
-                as_mu(bad)
-    assert _float_mu.cache_info().currsize == 2
 
 
 def _sized_calls(quad_n):

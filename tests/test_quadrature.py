@@ -246,7 +246,7 @@ def test_derivative_rows_match_exact_hermite_derivatives():
     assert rows[0].tobytes() == _recurrence_table(*args).tobytes()
     points = [Fraction(t) for t in x]
     for n in range(n_max + 1):
-        h = hermite_coeffs(mu, n, exact=True)
+        h = hermite_coeffs(mu, n)
         c = math.sqrt(float(gamma_mu_exact(mu, n) / (2**n * math.factorial(n) ** 2)) / math.gamma(float(mu) + 0.5))
         for j, poly in enumerate((h, h.derivative(), h.derivative().derivative())):
             want = c * np.array([float(poly(t)) for t in points])

@@ -177,3 +177,30 @@ def test_an_int_a_fraction_or_a_numpy_scalar_gives_the_float_result(name):
     call = CASES[name][0]
     for other, value in ((1, 1.0), (np.int64(1), 1.0), (Fraction(3, 4), 0.75), (np.float64(0.75), 0.75)):
         assert _same(call(other), call(value)), (other, value)
+
+
+_GRID_READERS = {
+    "hermite_eval": lambda x: muhermite.hermite_eval(0.5, 2, x),
+    "phi_eval": lambda x: muhermite.phi_eval(0.5, 2, x),
+    "c_s_mu": lambda x: muhermite.c_s_mu(0.5, x),
+    "heat_gaussian": lambda x: heat_gaussian(0.5, 1.0, 0.0, 0.3, x),
+    "fourier_quadrature": lambda x: fourier_quadrature(0.5, _gauss, x, sigma=1.0),
+    "transform_of_gaussian": lambda x: transform_of_gaussian(0.5, 1.0, x),
+    "translate_gaussian_closed": lambda x: translate_gaussian_closed(0.5, 0.5, x, 0.3),
+}
+_COMPLEX_GRIDS = {
+    "ndarray": np.array([1 + 1j, 0.5 + 2j]),
+    "numpy_scalar": np.complex128(1 + 1j),
+    "zero_imaginary": np.array([0.5 + 0j]),
+    "complex64_list": [np.complex64(1), np.complex64(2)],
+    "python_complex": 1 + 1j,
+    "list": [1 + 1j, 0.5],
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_COMPLEX_GRIDS))
+@pytest.mark.parametrize("name", sorted(_GRID_READERS))
+def test_a_complex_grid_raises_type_error(name, grid):
+    # a complex array or numpy scalar lost its imaginary part, with only a ComplexWarning
+    with pytest.raises(TypeError, match="x must be real"):
+        _GRID_READERS[name](_COMPLEX_GRIDS[grid])

@@ -52,6 +52,17 @@ def test_phi_eval_consistent_with_coefficients():
         assert_allclose(phi_eval(mu, n, x), want, rtol=1e-12)
 
 
+def test_spectral_vector_keeps_its_own_read_only_copy():
+    a = np.ones(3)
+    vec = SpectralVector(0.5, a)
+    a[0] = 2.0  # the caller's array stays writable and apart
+    assert_array_equal(vec.coeffs, np.ones(3))
+    assert not vec.coeffs.flags.writeable
+    listed = SpectralVector(0.5, [1.0, 2.0])
+    assert_array_equal(listed.coeffs, [1.0, 2.0])
+    assert not listed.coeffs.flags.writeable
+
+
 def test_expand_recovers_finite_combination():
     mu = 0.6
     f = lambda t: phi_eval(mu, 3, t) + 0.5 * phi_eval(mu, 7, t)

@@ -49,7 +49,7 @@ class TestPolynomialTranslation:
         mu = Fraction(1, 3)
         for n in range(7):
             got = translate_poly(mu, DensePoly.monomial(n, Fraction(1)), Fraction(2, 5))
-            p = binomial_poly(mu, n, exact=True)
+            p = binomial_poly(mu, n)
             want_coeffs = [
                 gamma_mu_exact(mu, n) / (gamma_mu_exact(mu, j) * gamma_mu_exact(mu, n - j)) * Fraction(2, 5) ** (n - j)
                 for j in range(n + 1)
@@ -67,6 +67,16 @@ class TestPolynomialTranslation:
         for x in (0.3, 1.1, 2.4):
             numeric = translate_alpha(MU, lambda u: p(np.asarray(u)), x, 0.9)
             assert_allclose(numeric, exactly(x), rtol=1e-12)
+
+    def test_checks_mu_for_a_constant_too(self):
+        # a constant p returned itself at any mu
+        for p in (DensePoly((1.0,)), DensePoly((Fraction(1),))):
+            with pytest.raises(ValueError, match="mu must exceed -1/2"):
+                translate_poly(-3.0, p, 0.5)
+            with pytest.raises(TypeError, match="mu must be a real number"):
+                translate_poly("1/3", p, 0.5)
+        with pytest.raises(ValueError, match="pole"):
+            translate_poly(Fraction(-3, 2), DensePoly((Fraction(1),)), Fraction(1, 2))
 
     @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf, complex(0.5, math.nan), complex(math.inf, 0.0)])
     def test_refuses_a_shift_that_is_not_finite(self, y):
