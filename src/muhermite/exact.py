@@ -7,7 +7,11 @@ rational (fractions.Fraction) therefore turns each check into exact
 arithmetic: a pass is a proof at that mu, with no tolerance.  Each side is
 held as integer numerators over one denominator in lowest terms (see
 poly.py), so building it is integer arithmetic and the check is one
-comparison of the two stored forms.
+comparison of the two stored forms.  Every sum of several terms (the
+inversion and generating-function sides, the translation series, the
+heat-monomial flow and series, the three-term left-hand side and the
+recursion steps) is one call of poly's linear-combination kernel: one lcm
+and one gcd reduction, whatever the number of terms.
 Cleared of denominators, both sides are polynomials in mu whose degree
 grows with n (gamma_mu(n) has degree ceil(n/2)); only agreement at more mu
 values than that degree would certify all mu.  The suite runs six values
@@ -21,15 +25,19 @@ the other), so a defect in either route cannot cancel itself.
 Each identity is built by walking the degrees up from 0, once: what the
 degrees share (the iterates of the Rodrigues and raising recursions, the
 closed-form H_m already built) is carried to the next degree instead of
-being rebuilt; factorials come from math.factorial.  The carried state
-belongs to one side's route, so the two sides stay as independent as
-before.  What several tags read is built once per walk at one mu, by
-``_shared``, into a dict that the walk drops when it ends (the suite's tags
-at a mu share one; verify_identity makes its own): the closed-form H_m,
-read by every tag that uses them; the iterates D^j x^n of the D in force
-(the derivative-plus-reflection form), which the binomial, odd-even and
-heat-monomial tags read; and the binomial rows and odd-degree translation
-series (built from those iterates), read by the binomial and odd-even tags.
+being rebuilt; factorials come from math.factorial and gamma_mu from one
+gamma_exact_table.  The carried state belongs to one side's route, so the
+two sides stay as independent as before.  What several tags read is built
+once per walk at one mu, by ``_shared``, into a dict that the walk drops
+when it ends (the suite's tags at a mu share one; verify_identity makes its
+own): the closed-form H_m, read by every tag that uses them; the iterates
+D^j x^n of the D in force (the derivative-plus-reflection form), which the
+binomial, odd-even and heat-monomial tags read; the binomial rows and
+odd-degree translation series (built from those iterates), read by the
+binomial and odd-even tags; and the D images two tags take of one input:
+D H_n (lowering and raising), D of the test polynomial (product rule and
+second order), and D of the even test polynomial, which is the same at
+degrees 2m and 2m + 1.
 """
 
 from __future__ import annotations
@@ -39,9 +47,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 
-from .core import _count, _rational, gamma_exact_table, gamma_mu_exact
+from .core import _count, _rational, gamma_exact_table
 from .hermite import binomial_poly, dunkl_definition, hermite_coeffs, inversion_weights
-from .poly import BivariatePoly, DensePoly, fraction_str
+from .poly import BivariatePoly, DensePoly, _combination, fraction_str
 
 __all__ = ["IDENTITY_TAGS", "IdentityReport", "identity_sides", "verify_identity"]
 
@@ -66,6 +74,11 @@ def _hermites(mu: Fraction, table: dict):
     return (_shared(table, _hermite, mu, m) for m in count())
 
 
+def _d_hermite(mu: Fraction, n: int, table: dict) -> DensePoly:
+    """D H_n, read by the lowering and raising tags."""
+    return dunkl_definition(mu, _shared(table, _hermite, mu, n))
+
+
 def _derivatives(mu: Fraction, n: int, table: dict) -> list:
     """D^j x^n for j = 0..n."""
     row = [DensePoly.monomial(n, Fraction(1))]
@@ -78,47 +91,53 @@ def _binomial(mu: Fraction, n: int, table: dict) -> BivariatePoly:
     return binomial_poly(mu, n)
 
 
-def _ratio(mu: Fraction, n: int) -> Fraction:
-    return gamma_mu_exact(mu, n + 1) / ((n + 1) * gamma_mu_exact(mu, n))
+def _ratio(gam: tuple, n: int) -> Fraction:
+    """gamma_mu(n + 1) / ((n + 1) gamma_mu(n)), from a table of gamma_mu."""
+    return gam[n + 1] / ((n + 1) * gam[n])
 
 
 def _translation_series(mu: Fraction, n: int, table: dict) -> BivariatePoly:
     """sum_j y^j / gamma_mu(j) D^j x^n, by repeated differentiation."""
     gam = gamma_exact_table(mu, n)
-    columns = {}
-    for j, q in enumerate(_shared(table, _derivatives, mu, n)):
-        if q.is_zero():
-            break
-        columns[j] = q.scale(1 / gam[j])
-    return BivariatePoly.from_x_polys(columns)
+    columns = _shared(table, _derivatives, mu, n)
+    return _combination([(1 / g, q) for g, q in zip(gam, columns)], range(n + 1))
 
 
 def _test_poly(n: int) -> DensePoly:
-    """Deterministic dense test polynomial of degree n with mixed parity."""
-    return DensePoly([Fraction(j + 1) for j in range(n + 1)])
+    """Deterministic dense test polynomial of degree n with mixed parity: 1 + 2 x + ... + (n + 1) x^n, exact."""
+    return DensePoly._of(tuple(range(1, n + 2)), 1, True)
 
 
 def _test_even_poly(n: int) -> DensePoly:
-    coeffs = [Fraction(0)] * (n + 1)
-    for j in range(0, n + 1, 2):
-        coeffs[j] = Fraction(j // 2 + 2)
-    return DensePoly(coeffs)
+    """2 + 3 x^2 + 4 x^4 + ... up to x^n, exact; at odd n the same as at n - 1."""
+    nums = [0] * (n + 1 - n % 2)
+    nums[::2] = range(2, n // 2 + 3)
+    return DensePoly._of(tuple(nums), 1, True)
+
+
+def _d_test(mu: Fraction, n: int, table: dict) -> DensePoly:
+    """D of the test polynomial of degree n, read by the product-rule and second-order tags."""
+    return dunkl_definition(mu, _test_poly(n))
+
+
+def _d_test_even(mu: Fraction, n: int, table: dict) -> DensePoly:
+    """D of the even test polynomial of even degree n, which is also the one of degree n + 1."""
+    return dunkl_definition(mu, _test_even_poly(n))
 
 
 def _sides_three_term(mu: Fraction, table: dict):
     hermites = _hermites(mu, table)
     prev, cur = DensePoly.zero(), next(hermites)
     for n, nxt in enumerate(hermites):
-        lhs = nxt.scale(_ratio(mu, n)) + prev.scale(Fraction(2 * n))
-        rhs = cur.shift_up(1).scale(Fraction(2))
-        yield [("", lhs, rhs)]
+        lhs = _combination([(_ratio(gamma_exact_table(mu, n + 1), n), nxt), (2 * n, prev)])
+        yield [("", lhs, cur.shift_up(1).scale(2))]
         prev, cur = cur, nxt
 
 
 def _sides_lowering(mu: Fraction, table: dict):
     prev = DensePoly.zero()
     for n, h in enumerate(_hermites(mu, table)):
-        yield [("", dunkl_definition(mu, h), prev.scale(Fraction(2 * n)))]
+        yield [("", _shared(table, _d_hermite, mu, n), prev.scale(2 * n))]
         prev = h
 
 
@@ -126,8 +145,8 @@ def _sides_raising(mu: Fraction, table: dict):
     hermites = _hermites(mu, table)
     cur = next(hermites)
     for n, nxt in enumerate(hermites):
-        lhs = cur.shift_up(1).scale(Fraction(2)) - dunkl_definition(mu, cur)
-        yield [("", lhs, nxt.scale(_ratio(mu, n)))]
+        lhs = cur.shift_up(1).scale(2) - _shared(table, _d_hermite, mu, n)
+        yield [("", lhs, nxt.scale(_ratio(gamma_exact_table(mu, n + 1), n)))]
         cur = nxt
 
 
@@ -136,16 +155,16 @@ def _sides_rodrigues(mu: Fraction, table: dict):
     # polynomial factor p -> (D p) - 2 x p.
     p = DensePoly([Fraction(1)])
     for n, h in enumerate(_hermites(mu, table)):
-        rhs = h.scale(gamma_mu_exact(mu, n) / math.factorial(n))
-        yield [("", p.scale(Fraction((-1) ** n)), rhs)]
-        p = dunkl_definition(mu, p) - p.shift_up(1).scale(Fraction(2))
+        rhs = h.scale(gamma_exact_table(mu, n)[n] / math.factorial(n))
+        yield [("", -p if n % 2 else p, rhs)]
+        p = _combination([(1, dunkl_definition(mu, p)), (-2, p.shift_up(1))])
 
 
 def _sides_iterated_raising(mu: Fraction, table: dict):
     q = DensePoly([Fraction(1)])
     for n, h in enumerate(_hermites(mu, table)):
-        yield [("", q, h.scale(gamma_mu_exact(mu, n) / math.factorial(n)))]
-        q = q.shift_up(1).scale(Fraction(2)) - dunkl_definition(mu, q)
+        yield [("", q, h.scale(gamma_exact_table(mu, n)[n] / math.factorial(n)))]
+        q = _combination([(2, q.shift_up(1)), (-1, dunkl_definition(mu, q))])
 
 
 def _sides_inversion(mu: Fraction, table: dict):
@@ -153,10 +172,8 @@ def _sides_inversion(mu: Fraction, table: dict):
     hermites = []
     for n, h in enumerate(_hermites(mu, table)):
         hermites.append(h)
-        lhs = DensePoly.monomial(n, 2**n / gamma_mu_exact(mu, n))
-        rhs = DensePoly.zero()
-        for k, w in enumerate(inversion_weights(n)):
-            rhs = rhs + hermites[n - 2 * k].scale(w)
+        lhs = DensePoly.monomial(n, 2**n / gamma_exact_table(mu, n)[n])
+        rhs = _combination([(w, hermites[n - 2 * k]) for k, w in enumerate(inversion_weights(n))])
         yield [("", lhs, rhs)]
 
 
@@ -167,10 +184,8 @@ def _sides_generating(mu: Fraction, table: dict):
     # closed-form coefficients.
     powers = []
     for n, h in enumerate(_hermites(mu, table)):
-        powers.append(DensePoly.monomial(n, 2**n / gamma_mu_exact(mu, n)))
-        lhs = DensePoly.zero()
-        for j in range(n // 2 + 1):
-            lhs = lhs + powers[n - 2 * j].scale(Fraction((-1) ** j, math.factorial(j)))
+        powers.append(DensePoly.monomial(n, 2**n / gamma_exact_table(mu, n)[n]))
+        lhs = _combination([(Fraction((-1) ** j, math.factorial(j)), powers[n - 2 * j]) for j in range(n // 2 + 1)])
         yield [("", lhs, h.scale(Fraction(1, math.factorial(n))))]
 
 
@@ -197,20 +212,15 @@ def _sides_heat_monomial(mu: Fraction, table: dict):
     # derivative-based D, against the Hermite substitution
     # (gamma_mu(n)/n!) y^n H_n(x/(2y); mu) expanded as a polynomial in x, y.
     for n, h in enumerate(_hermites(mu, table)):
-        powers = _shared(table, _derivatives, mu, n)
-        flow, series = {}, {}
-        for k in range(n // 2 + 1):
-            series[k] = powers[2 * k].scale(Fraction(1, math.factorial(k)))
-            flow[2 * k] = -series[k] if k % 2 else series[k]
-        scale = gamma_mu_exact(mu, n) / math.factorial(n)
-        subst = BivariatePoly.homogenized(h.dilate(Fraction(1, 2)).scale(scale), n)
-        closed = {}
-        for k in range(n // 2 + 1):
-            closed[(n - 2 * k, k)] = gamma_mu_exact(mu, n) / (math.factorial(k) * gamma_mu_exact(mu, n - 2 * k))
-        yield [
-            ("flow", BivariatePoly.from_x_polys(flow), subst),
-            ("series", BivariatePoly.from_x_polys(series), BivariatePoly(closed.items())),
-        ]
+        even = _shared(table, _derivatives, mu, n)[::2]  # D^(2k) x^n
+        fact = [math.factorial(k) for k in range(len(even))]
+        signed = [(Fraction((-1) ** k, f), q) for k, (f, q) in enumerate(zip(fact, even))]
+        flow = _combination(signed, range(0, n + 1, 2))
+        series = _combination([(Fraction(1, f), q) for f, q in zip(fact, even)], range(len(even)))
+        gam = gamma_exact_table(mu, n)
+        subst = BivariatePoly.homogenized(h.dilate(Fraction(1, 2)).scale(gam[n] / math.factorial(n)), n)
+        closed = (((n - 2 * k, k), gam[n] / (f * gam[n - 2 * k])) for k, f in enumerate(fact))
+        yield [("flow", flow, subst), ("series", series, BivariatePoly(closed))]
 
 
 def _sides_product_rule(mu: Fraction, table: dict):
@@ -218,14 +228,14 @@ def _sides_product_rule(mu: Fraction, table: dict):
         phi = _test_poly(n)
         psi = _test_even_poly(n)
         lhs = dunkl_definition(mu, phi * psi)
-        rhs = dunkl_definition(mu, phi) * psi + phi * dunkl_definition(mu, psi)
+        rhs = _shared(table, _d_test, mu, n) * psi + phi * _shared(table, _d_test_even, mu, n - n % 2)
         yield [("", lhs, rhs)]
 
 
 def _sides_second_order(mu: Fraction, table: dict):
     for n in count():
         phi = _test_poly(n)
-        lhs = dunkl_definition(mu, dunkl_definition(mu, phi))
+        lhs = dunkl_definition(mu, _shared(table, _d_test, mu, n))
         # Second-order form of the square, with no first-order D in it:
         # phi'' + (mu / x) (2 phi' - (phi - phi(-x)) / x).  On x^k the bracket
         # is 2 (k - theta(k)) x^(k-1), which vanishes at x = 0, so both

@@ -142,10 +142,17 @@ def dunkl_definition(mu, p: DensePoly) -> DensePoly:
     exact on polynomials.  Built from the derivative, the reflection and the
     division by x, never from the monomial rule: kept as an independent
     route for the exact verifier; agrees with dunkl_apply identically.
+    With a Fraction mu = a / b and exact p the three steps are taken in
+    integers over b times p's denominator, with one reduction.
     """
     if p.is_zero():
         return p
     m = _mu_like(mu, p)
+    if type(m) is Fraction:
+        a, b, nums = m.numerator, m.denominator, p.nums
+        # x^(k-1) gets b k c_k from p' and a (c_k - p(-x)'s c_k) from the difference over x
+        out = [b * (k * c) + a * (c - r) for k, c, r in zip(range(1, len(nums)), nums[1:], p.reflect().nums[1:])]
+        return DensePoly._result(out, b * p.den, True)
     if not p.exact and not all(cmath.isfinite(c) for c in p.coeffs):
         # inf - inf in the reflection difference would be a silent nan
         raise ValueError("dunkl_definition needs finite coefficients")

@@ -9,7 +9,12 @@ integer arithmetic followed by one gcd reduction: add and subtract
 cross-multiply by the two denominators, multiply convolves the numerators,
 and scale multiplies by a rational's numerator and denominator.  A Fraction
 is made only where a coefficient is read (``coeffs``, ``p[k]``, ``terms``,
-``as_dict()``), never inside an operation.
+``as_dict()``), never inside an operation.  A sum of many scaled terms,
+sum s_i p_i, or sum s_j p_j(x) y^j as a bivariate polynomial, is one call
+of the private kernel ``_combination``: every term is brought to the lcm
+of the terms' denominators and the integer sum is reduced once, where a
+fold of ``scale`` and ``+`` would make two polynomials and two reductions
+per term.
 
 Float, complex and integer polynomials keep their coefficients as they are,
 over denominator 1.  Their arithmetic never multiplies or adds a zero
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 
@@ -35,7 +41,7 @@ def _trim(coeffs: list) -> list:
     return coeffs
 
 
-def _rational(values: list):
+def _integer_form(values: list):
     """(integer numerators, common denominator) when the values are exact, else None."""
     kinds = set(map(type, values))
     if Fraction not in kinds or not kinds <= {int, Fraction}:
@@ -76,6 +82,36 @@ def _exact_scalar(p, s) -> bool:
     if not isinstance(s, (int, Fraction)):
         return False
     return p.exact or (isinstance(s, Fraction) and p._integral())
+
+
+def _combination(terms, ys=None):
+    """sum s p over the (s, p) pairs of terms, or with ys, one power of y per pair, sum s p(x) y^j.
+
+    The exact kernel of a linear combination: each weight s is an int or a
+    Fraction and each p an exact or integer DensePoly.  Each term's
+    numerators are brought to the lcm of the terms' denominators (s's times
+    p's) and added as integers, and the sum is reduced by one gcd, so no
+    Fraction and no polynomial is made between the terms.  The result is
+    exact: a DensePoly, or with ys a BivariatePoly.
+    """
+    pairs = zip(terms, repeat(0) if ys is None else ys)
+    parts = [(s.numerator, s.denominator * p.den, p.nums, j) for (s, p), j in pairs if s and p.nums]
+    den = math.lcm(*(d for _, d, _, _ in parts))
+    if ys is None:
+        out = [0] * max((len(nums) for _, _, nums, _ in parts), default=0)
+        for a, d, nums, _ in parts:
+            m = a * (den // d)
+            for k, c in enumerate(nums):
+                if c:
+                    out[k] += c * m
+        return DensePoly._result(out, den, True)
+    acc: dict = {}
+    for a, d, nums, j in parts:
+        m = a * (den // d)
+        for i, c in enumerate(nums):
+            if c:
+                acc[i, j] = acc.get((i, j), 0) + c * m
+    return BivariatePoly._result(acc, den, True)
 
 
 class _Poly:
@@ -125,7 +161,7 @@ class DensePoly(_Poly):
 
     def __init__(self, coeffs=()):
         coeffs = tuple(_trim(list(coeffs)))
-        exact = _rational(coeffs)
+        exact = _integer_form(coeffs)
         if exact is None:
             self.nums, self.den, self.exact = coeffs, 1, False
         else:
@@ -145,6 +181,8 @@ class DensePoly(_Poly):
     def monomial(degree: int, coeff=1) -> "DensePoly":
         if degree < 0:
             raise ValueError("degree must be nonnegative")
+        if type(coeff) is Fraction and coeff:
+            return DensePoly._of((0,) * degree + (coeff.numerator,), coeff.denominator, True)
         return DensePoly((0,) * degree + (coeff,))
 
     @property
@@ -272,7 +310,7 @@ class BivariatePoly(_Poly):
 
     def __init__(self, terms=()):
         items = sorted((k, v) for k, v in terms if v != 0)
-        exact = _rational([v for _, v in items])
+        exact = _integer_form([v for _, v in items])
         if exact is None:
             self.nums, self.den, self.exact = tuple(items), 1, False
         else:
@@ -291,9 +329,7 @@ class BivariatePoly(_Poly):
     def from_x_polys(polys: dict) -> "BivariatePoly":
         """The sum over j of polys[j](x) y^j."""
         if polys and all(p.exact for p in polys.values()):
-            den = math.lcm(*(p.den for p in polys.values()))
-            d = {(i, j): c * (den // p.den) for j, p in polys.items() for i, c in enumerate(p.nums) if c}
-            return BivariatePoly._result(d, den, True)
+            return _combination([(1, p) for p in polys.values()], polys)
         return BivariatePoly(((i, j), c) for j, p in polys.items() for i, c in enumerate(p.coeffs))
 
     @staticmethod

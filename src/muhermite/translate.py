@@ -31,10 +31,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MU_CACHE_SIZE, _as_grid, _exact, _fraction, _mu, _rational, _real, beta_function, gamma_mu, gamma_mu_exact
+from .core import MU_CACHE_SIZE, _as_grid, _exact, _fraction, _mu, _rational, _real, beta_function, gamma_exact_table, gamma_mu
 from .efun import c_s_mu, e_mu
 from .hermite import dunkl_apply
-from .poly import DensePoly
+from .poly import DensePoly, _combination
 from .quadrature import _check_size, gauss_alpha_mu, jacobi_rule
 from .transform import _momentum_svd
 
@@ -65,6 +65,8 @@ def translate_poly(mu, p: DensePoly, y) -> DensePoly:
     exact = _exact(mu, y) and p.exact
     if exact:
         mu, y = _rational(mu), _fraction(y)
+        gam = gamma_exact_table(mu, p.degree)
+        terms = [(1, p)]
     else:
         _mu(mu)  # a constant p never reaches the checks of dunkl_apply and gamma_mu
     out = p
@@ -74,10 +76,12 @@ def translate_poly(mu, p: DensePoly, y) -> DensePoly:
         d = dunkl_apply(mu, d)
         if d.is_zero():
             break
-        gj = gamma_mu_exact(mu, j) if exact else gamma_mu(mu, j)
-        out = out + d.scale(ypow / gj)
+        if exact:
+            terms.append((ypow / gam[j], d))
+        else:
+            out = out + d.scale(ypow / gamma_mu(mu, j))
         ypow = ypow * y
-    return out
+    return _combination(terms) if exact else out
 
 
 def _omega(x: float, y: float, t: np.ndarray) -> np.ndarray:

@@ -6,10 +6,11 @@ from fractions import Fraction
 import pytest
 
 import muhermite.exact as exact
+import muhermite.hermite as hermite
 from muhermite.exact import IDENTITY_TAGS, identity_sides, verify_identity
 from muhermite.hermite import binomial_poly, hermite_coeffs
 from muhermite.poly import DensePoly
-from muhermite.verify import _exact_reports, criterion_exact_identities
+from muhermite.verify import EXACT_MUS, _exact_reports, criterion_exact_identities
 
 
 def test_tag_inventory():
@@ -262,3 +263,34 @@ def test_derivative_table_is_filled_once_between_threads(monkeypatch):
     _walk_together(lambda: results.append(verify_identity("binomial_expansion", Fraction(5, 17), 12).passed))
     assert results == [True] * 8
     assert len(calls) == 8 * sum(range(13))
+
+
+@pytest.mark.parametrize("mu", EXACT_MUS)
+def test_a_walk_builds_each_d_image_once(mu, monkeypatch):
+    # per walk through degree 20: 210 iterates D^j x^n, 20 + 20 iterates of the
+    # Rodrigues and iterated-raising tags, and one D each of H_n (lowering and raising), of the
+    # test polynomial (product rule and second order) and of the even one (at
+    # even n, the same as at n + 1), of the product and of D phi
+    exact_d = exact.dunkl_definition
+    inputs = []
+
+    def counted(mu, p):
+        inputs.append(p)
+        return exact_d(mu, p)
+
+    def forbidden(*args):
+        raise AssertionError("D's definition route reached the monomial rule")
+
+    monkeypatch.setattr(exact, "dunkl_definition", counted)
+    monkeypatch.setattr(hermite, "dunkl_apply", forbidden)
+    monkeypatch.setattr(hermite, "gamma_step", forbidden)
+    assert all(report.passed for report in _exact_reports(mu, 20))
+    assert len(inputs) == 345
+    inputs.clear()
+    table = {}
+    assert exact._verify("lowering", mu, 9, table).passed
+    hermites = [table[exact._hermite, n] for n in range(10)]
+    assert len(inputs) == 10 and all(p is h for p, h in zip(inputs, hermites))
+    assert exact._verify("raising", mu, 9, table).passed
+    assert len(inputs) == 10  # raising read the D H_n that lowering built
+    assert sorted(_entries(table, exact._d_hermite)) == list(range(10))

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from muhermite.poly import BivariatePoly, DensePoly, fraction_str
+from muhermite.poly import BivariatePoly, DensePoly, _combination, fraction_str
 
 
 def test_trailing_zeros_are_trimmed():
@@ -182,6 +182,39 @@ def _check_bivariate_against_fraction_arithmetic(a, b, s):
         assert got.as_dict() == {k: v for k, v in want.items() if v != 0}
         assert _canonical(got)
         assert got == BivariatePoly(got.terms)
+
+
+_weights = st.one_of(st.integers(min_value=-6, max_value=6), st.fractions(min_value=-5, max_value=5, max_denominator=9))
+# an exact polynomial with mixed denominators, or an integer one
+_exact_or_integer = st.one_of(_sparse_fractions, st.lists(st.integers(min_value=-9, max_value=9), max_size=6))
+
+
+@given(st.lists(st.tuples(_weights, _exact_or_integer, st.integers(min_value=0, max_value=3)), max_size=5))
+def test_combination_is_the_fold_and_fraction_arithmetic(drawn):
+    terms = [(s, DensePoly(cs)) for s, cs, _ in drawn]
+    got = _combination(terms)
+    fold = DensePoly.zero()
+    for s, p in terms:
+        fold = fold + p.scale(s)
+    assert got == fold and hash(got) == hash(fold)
+    want = [Fraction(0)] * max((len(cs) for _, cs, _ in drawn), default=0)
+    for s, cs, _ in drawn:
+        for k, c in enumerate(cs):
+            want[k] += Fraction(s) * c
+    assert got.coeffs == _values(want)
+    _check_canonical_form(got, Fraction(3, 7))
+    # with a power of y per term, repeated powers included
+    ys = [j for _, _, j in drawn]
+    got2 = _combination(terms, ys)
+    fold2 = BivariatePoly()
+    wanted: dict = {}
+    for (s, p), j in zip(terms, ys):
+        fold2 = fold2 + BivariatePoly(((i, j), s * c) for i, c in enumerate(p.coeffs))
+        for i, c in enumerate(p.coeffs):
+            wanted[i, j] = wanted.get((i, j), 0) + Fraction(s) * c
+    assert got2 == fold2
+    assert got2.as_dict() == {k: v for k, v in wanted.items() if v}
+    assert _canonical(got2) and got2 == BivariatePoly(got2.terms)
 
 
 def test_div_x_needs_a_zero_constant_term():
