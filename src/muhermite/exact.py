@@ -48,7 +48,7 @@ from fractions import Fraction
 from itertools import count, islice
 
 from .core import _count, _rational, gamma_exact_table
-from .hermite import binomial_poly, dunkl_definition, hermite_coeffs, inversion_weights
+from .hermite import binomial_poly, dunkl_definition, heat_poly, hermite_coeffs, inversion_weights
 from .poly import BivariatePoly, DensePoly, _combination, fraction_str
 
 __all__ = ["IDENTITY_TAGS", "IdentityReport", "identity_sides", "verify_identity"]
@@ -211,16 +211,17 @@ def _sides_heat_monomial(mu: Fraction, table: dict):
     # Flow form: exp(-y^2 D^2) x^n, summed term by term with the
     # derivative-based D, against the Hermite substitution
     # (gamma_mu(n)/n!) y^n H_n(x/(2y); mu) expanded as a polynomial in x, y.
+    # Series form: exp(y^2 D^2) x^n, summed the same way, against heat_poly's
+    # closed coefficients at t = 1, homogenized (x^(n-2k) t^k becomes x^(n-2k) y^(2k)).
     for n, h in enumerate(_hermites(mu, table)):
         even = _shared(table, _derivatives, mu, n)[::2]  # D^(2k) x^n
         fact = [math.factorial(k) for k in range(len(even))]
         signed = [(Fraction((-1) ** k, f), q) for k, (f, q) in enumerate(zip(fact, even))]
         flow = _combination(signed, range(0, n + 1, 2))
-        series = _combination([(Fraction(1, f), q) for f, q in zip(fact, even)], range(len(even)))
+        series = _combination([(Fraction(1, f), q) for f, q in zip(fact, even)], range(0, n + 1, 2))
         gam = gamma_exact_table(mu, n)
         subst = BivariatePoly.homogenized(h.dilate(Fraction(1, 2)).scale(gam[n] / math.factorial(n)), n)
-        closed = (((n - 2 * k, k), gam[n] / (f * gam[n - 2 * k])) for k, f in enumerate(fact))
-        yield [("flow", flow, subst), ("series", series, BivariatePoly(closed))]
+        yield [("flow", flow, subst), ("series", series, BivariatePoly.homogenized(heat_poly(mu, n, 1), n))]
 
 
 def _sides_product_rule(mu: Fraction, table: dict):

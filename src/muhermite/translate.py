@@ -31,11 +31,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MU_CACHE_SIZE, _as_grid, _exact, _fraction, _mu, _rational, _real, beta_function, gamma_exact_table, gamma_mu
+from .core import MU_CACHE_SIZE, _as_grid, _exact, _fraction, _mu, _rational, _real, gamma_exact_table, gamma_mu
 from .efun import c_s_mu, e_mu
 from .hermite import dunkl_apply
 from .poly import DensePoly, _combination
-from .quadrature import _check_size, gauss_alpha_mu, jacobi_rule
+from .quadrature import _check_size, gauss_alpha_mu
 from .transform import _momentum_svd
 
 __all__ = [
@@ -116,11 +116,11 @@ def translate_alpha(mu, phi, x: float, y: float, *, quad_n: int = 80):
 
 @lru_cache(maxsize=MU_CACHE_SIZE)
 def _xi_plan(value: float, quad_n: int):
-    # (1-t)^(1-mu) (1+t)^(-mu) converts sums against the rule's (1-t)^(mu-1) (1+t)^mu
-    # weight into plain dt integration of the assembled integrand.
+    # (1-t)^(1-mu) (1+t)^(-mu) converts sums against the averaging measure into dt
+    # integration of the assembled integrand over B(1/2, mu), the measure's mass.
     # Past mu ~ 2.9e3 at 80 nodes (580 at 256) the factor leaves the float range at the
     # outer nodes (inf times an underflowed 0), though its product with the density does not.
-    rule = jacobi_rule(value - 1.0, value, quad_n)
+    rule = gauss_alpha_mu(value, quad_n)
     t = rule.nodes
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = rule.weights * ((1.0 - t) ** (1.0 - value) * (1.0 + t) ** (-value))
@@ -129,7 +129,7 @@ def _xi_plan(value: float, quad_n: int):
             f"translate_xi's compensated weights at mu = {value:g} are past the float range; translate_alpha serves this mu"
         )
     weighted.setflags(write=False)
-    return t, weighted, beta_function(0.5, value)
+    return t, weighted
 
 
 def translate_xi(mu, phi, x: float, y: float, *, quad_n: int = 80):
@@ -137,14 +137,15 @@ def translate_xi(mu, phi, x: float, y: float, *, quad_n: int = 80):
 
         int_Xi sgn(xy xi)/(x+y-xi) phi(xi) (2 Delta/|xy|)^(2mu) / B(1/2,mu) dxi.
 
-    Both branches xi = +-omega(t) are integrated with a Gauss-Jacobi rule
-    in t; kernel, density, Jacobian, and the rule's weight compensation
-    are evaluated as separate factors.  Tracking each branch's traversal
-    direction against the set's ascending orientation, the Jacobian
-    factor is |xy|/omega for every branch and either sign of xy.
+    Both branches xi = +-omega(t) are integrated in t with gauss_alpha_mu, whose unit-mass
+    weights carry the 1/B(1/2,mu): their Jacobi mass 2^(2mu) B(mu, mu+1) is B(1/2, mu) by
+    Legendre's duplication formula (DLMF 5.5.5).  Kernel, density, Jacobian, and the rule's
+    weight compensation are separate factors.  Tracking each branch's traversal direction
+    against the set's ascending orientation, the Jacobian factor is |xy|/omega for every
+    branch and either sign of xy.
 
     Density and Jacobian read xi only through xi^2, so the branches share them bit for bit.
-    Nodes, compensated weights and B(1/2, mu) are built once per checked (mu, quad_n) and
+    Nodes and compensated weights are built once per checked (mu, quad_n) and
     kept (MU_CACHE_SIZE entries); a warm call returns a cold call's floats.  Where those
     weights leave the float range (mu past about 2.9e3 at 80 nodes) it raises OverflowError.
 
@@ -165,7 +166,7 @@ def translate_xi(mu, phi, x: float, y: float, *, quad_n: int = 80):
         raise ValueError(f"translate_xi needs min(|x|,|y|) >= 2e-3 max(|x|,|y|), got {x!r}, {y!r}; use translate_alpha")
     if not 1e-145 <= abs(x * y) <= 1e145:
         raise ValueError(f"translate_xi needs 1e-145 <= |xy| <= 1e145, got {x!r}, {y!r}; use translate_alpha")
-    t, weighted, bnorm = _xi_plan(value, _check_size(quad_n))
+    t, weighted = _xi_plan(value, _check_size(quad_n))
     om = _omega(x, y, t)
     psi = np.maximum(heron_psi(x, y, om), 0.0)
     density = (2.0 * np.sqrt(psi) / abs(x * y)) ** (2.0 * value)
@@ -178,7 +179,6 @@ def translate_xi(mu, phi, x: float, y: float, *, quad_n: int = 80):
         vals = np.asarray(phi(xi))
         is_complex = is_complex or np.iscomplexobj(vals)
         total = total + (weighted * kernel * density * jac * vals).sum()
-    total = total / bnorm
     return complex(total) if is_complex else float(total)
 
 

@@ -9,6 +9,7 @@ reports the 80-term defect alongside so the closed form itself is seen
 to be correct.  The analysis lives with the criterion's docstring.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -16,8 +17,22 @@ import sys
 import numpy as np
 import pytest
 
-from muhermite import verify
-from muhermite.verify import CRITERIA, run_criterion
+from muhermite import oscillator, verify
+from muhermite.transform import transform_of_gaussian
+from muhermite.verify import CRITERIA, run_acceptance, run_criterion
+
+NAMES = (
+    "exact_identities",
+    "quadrature_exactness",
+    "orthonormality",
+    "fourier_eigenfunctions",
+    "transform_closed_forms",
+    "bilinear_kernel",
+    "heat_consistency",
+    "translation",
+    "oscillator",
+    "classical_reduction",
+)
 
 
 @pytest.mark.parametrize("number", range(1, len(CRITERIA) + 1))
@@ -48,3 +63,49 @@ def test_criteria_6_and_8_leave_numpy_random_unimported():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_criteria_are_numbered_by_place_and_named_by_function():
+    # the JSON "criterion" and "name" fields come from CRITERIA's order and the function
+    # names; perfbench and users read them, so a renamed function must fail here
+    assert [(r.number, r.name) for r in run_acceptance()] == list(enumerate(NAMES, 1))
+
+
+def test_criterion_9_prints_the_tolerance_that_failed_it(monkeypatch):
+    # a structure defect of 5e-11 fails its family's 1e-11 tolerance: the line must say so
+    run_all_unpatched = oscillator.run_all
+
+    def run_all(rep):
+        first, *rest = run_all_unpatched(rep)
+        entries = (dataclasses.replace(first.entries[0], interior=5e-11),) + first.entries[1:]
+        return (dataclasses.replace(first, entries=entries), *rest)
+
+    monkeypatch.setattr(oscillator, "run_all", run_all)
+    result = run_criterion(9)
+    assert not result.passed
+    assert "word identities 5.00e-11 (tol 1e-11)" in result.detail, result.line()
+
+
+def test_criterion_9_names_each_family_whatever_its_tolerance(monkeypatch):
+    # rotation held to the word identities' tolerance still prints as rotation, not as a word identity
+    run_all_unpatched = oscillator.run_all
+
+    def run_all(rep):
+        reports = run_all_unpatched(rep)
+        return tuple(dataclasses.replace(r, tolerance=1e-11) if r.name == "rotation" else r for r in reports)
+
+    monkeypatch.setattr(oscillator, "run_all", run_all)
+    result = run_criterion(9)
+    assert result.passed
+    families = [part.rsplit(" ", 3)[0] for part in result.detail.split(" of ", 1)[1].split(", ")]
+    assert families == ["word identities", "rotation", "representation"], result.line()
+
+
+def test_criterion_10_claims_the_fixed_point_only_when_it_holds(monkeypatch):
+    # 1e-12 off fails the fixed-point check (1e-14): the line must not claim the fixed point
+    off = lambda mu, lam, x: transform_of_gaussian(mu, lam, x) * (1.0 + 1e-12)
+    monkeypatch.setattr(verify, "transform_of_gaussian", off)
+    result = run_criterion(10)
+    assert not result.passed
+    assert "unit Gaussian fixed" not in result.detail
+    assert "GAUSSIAN FIXED POINT MISMATCH" in result.detail, result.line()

@@ -388,6 +388,7 @@ def test_verify_json_subset(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob[0]["criterion"] == 3 and blob[0]["pass"] is True
+    assert blob[0]["name"] == "orthonormality"
 
 
 @pytest.mark.parametrize("criteria", [",", " ", "", "x", "11", "3,x", "0"])

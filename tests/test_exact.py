@@ -10,7 +10,7 @@ import muhermite.hermite as hermite
 from muhermite.exact import IDENTITY_TAGS, identity_sides, verify_identity
 from muhermite.hermite import binomial_poly, hermite_coeffs
 from muhermite.poly import DensePoly
-from muhermite.verify import EXACT_MUS, _exact_reports, criterion_exact_identities
+from muhermite.verify import EXACT_MUS, _exact_reports, run_criterion
 
 
 def test_tag_inventory():
@@ -121,7 +121,7 @@ def test_comparator_bites_through_perturbed_derivative(tag, monkeypatch):
 
 
 def test_criterion_counts_every_degree_check():
-    result = criterion_exact_identities()
+    result = run_criterion(1)
     assert result.passed, result.detail
     assert result.detail.startswith("12 tags x 6 mu, 1524 degree checks,")
 
@@ -131,7 +131,7 @@ def test_criterion_1_builds_each_hermite_table_once_per_mu(monkeypatch):
     # that use them: six mu, one table each, no H_m built twice
     built = []
     monkeypatch.setattr(exact, "hermite_coeffs", lambda mu, m, **k: built.append((mu, m)) or hermite_coeffs(mu, m, **k))
-    assert criterion_exact_identities().passed
+    assert run_criterion(1).passed
     assert len({mu for mu, _ in built}) == 6
     assert len(built) == len(set(built))
 
@@ -232,7 +232,7 @@ def test_translation_series_is_shared_by_the_binomial_and_odd_even_tags(monkeypa
 def test_perturbed_derivative_bites_after_criterion_1_is_warm(monkeypatch):
     # criterion 1 fills the D^j x^n table at mu = 1/3 with the true D; a
     # patched D must not read that table
-    assert criterion_exact_identities().passed
+    assert run_criterion(1).passed
     exact_d = exact.dunkl_definition
 
     def perturbed(mu, p):

@@ -11,10 +11,10 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from conftest import package_caches
-from muhermite.core import _array_memo, beta_function
+from muhermite.core import _array_memo
 from muhermite.efun import _term_count, e_mu
 from muhermite.heat import heat_apply_kernel
-from muhermite.quadrature import _scaled_plan, _scaled_rule, gauss_hermite_mu, jacobi_rule
+from muhermite.quadrature import _scaled_plan, _scaled_rule, gauss_alpha_mu, gauss_hermite_mu
 from muhermite.transform import expand, fourier_quadrature, l2mu_norm
 from muhermite.translate import _xi_plan, translate_alpha, translate_xi
 
@@ -110,7 +110,7 @@ def test_plan_keys_that_compare_equal_share_a_matrix_with_equal_bits(spellings):
 
 def _xi_per_branch(mu, phi, x, y, quad_n=80):
     # the unplanned form: each branch builds its own Heron density and Jacobian
-    rule = jacobi_rule(mu - 1.0, mu, quad_n)
+    rule = gauss_alpha_mu(mu, quad_n)
     t = rule.nodes
     om = np.sqrt(x * x + y * y + 2.0 * x * y * t)
     comp = (1.0 - t) ** (1.0 - mu) * (1.0 + t) ** (-mu)
@@ -122,7 +122,7 @@ def _xi_per_branch(mu, phi, x, y, quad_n=80):
         kernel = np.sign(x * y) * sign / (x + y - xi)
         jac = abs(x * y) / om
         total = total + (rule.weights * comp * kernel * density * jac * np.asarray(phi(xi))).sum()
-    return total / beta_function(0.5, mu)
+    return total
 
 
 @pytest.mark.parametrize("mu", [0.3141, 1.5])

@@ -21,6 +21,7 @@ from muhermite.translate import (
     translate_xi,
 )
 from muhermite.transform import _momentum_svd, l2mu_norm, operator_matrix
+from muhermite.verify import _translation_pairs
 from test_efun import _mp_cos_sin
 
 MU = 0.75
@@ -182,7 +183,7 @@ class TestTwoRoutes:
             translate_alpha(0.0, gaussian(0.5), 1.0, 0.5)
 
     def test_large_mu_routes_agree_and_xi_names_its_limit(self):
-        # the Jacobi mass 2^(2 mu) B(mu, mu + 1) is formed in log space, so both routes
+        # both routes read the unit-mass averaging rule, which forms no mass, so both
         # run at mu = 1e3; past its weights' float range the density form raises, with
         # no RuntimeWarning and no nan, and the averaging route still serves
         a = translate_alpha(1e3, gaussian(0.6), 0.3, 0.2)
@@ -192,6 +193,18 @@ class TestTwoRoutes:
             with pytest.raises(OverflowError, match=r"at mu = 100000 are past the float range; translate_alpha"):
                 translate_xi(1e5, gaussian(0.6), 0.3, 0.2)
             assert np.isfinite(translate_alpha(1e5, gaussian(0.6), 0.3, 0.2))
+
+    @pytest.mark.parametrize("mu", [500.0, 2000.0])
+    def test_xi_keeps_its_digits_at_large_mu(self, mu):
+        # the unit-mass rule carries 1/B(1/2, mu) (Legendre duplication): dividing the
+        # Jacobi-weighted sum by B(1/2, mu) instead cost the log-space mass's rounding,
+        # 1.1e-12 at mu = 500 and 5.9e-12 at mu = 2000 on these points
+        worst = 0.0
+        for lam in (0.5, 1.1):
+            for x, y in _translation_pairs()[:5]:
+                want = translate_gaussian_closed(mu, lam, x, y)
+                worst = max(worst, abs(translate_xi(mu, gaussian(lam), x, y) - want) / abs(want))
+        assert worst < mu * 1e-15
 
 
 class TestClosedGaussian:
