@@ -31,7 +31,7 @@ import numpy as np
 from .core import _array_memo, _as_grid, _finite_exp, _memo_key, _mu, _real, gamma_half
 from .efun import _radius, _table, _term_count, e_mu
 from .quadrature import _scaled_rule
-from .transform import _momentum_svd
+from .transform import _momentum_svd, _spectral_function
 
 __all__ = [
     "heat_gaussian_params",
@@ -209,9 +209,4 @@ def heat_spectral_matrix(mu, t: float, size: int) -> np.ndarray:
     value = _mu(mu)
     t = _real(t, "semigroup time t", 0.0)
     u, s, v = _momentum_svd(value, size)
-    # P^2 is R R^T (even) and R^T R (odd); parity couplings stay exact zeros.
-    decay = np.exp(-t * s * s)
-    out = np.zeros((size, size))
-    out[0::2, 0::2] = (u * decay) @ u.T
-    out[1::2, 1::2] = (v * decay[: len(v)]) @ v.T
-    return out
+    return _spectral_function(u, v, np.exp(-t * s * s))

@@ -115,7 +115,8 @@ def _hermite_steps(value: float, n: int, times_two_x, h):
 
 
 def _mu_like(mu, p: DensePoly):
-    """mu in the field of p's coefficients and mu: a Fraction where both are exact, else a float."""
+    """mu in the field core._exact gives mu and p: a checked Fraction when mu is rational and p
+    exact (its coefficients rational, ints included), else a Python float."""
     return _rational(mu) if p.exact and _exact(mu) else _mu(mu)
 
 
@@ -142,21 +143,25 @@ def dunkl_definition(mu, p: DensePoly) -> DensePoly:
     exact on polynomials.  Built from the derivative, the reflection and the
     division by x, never from the monomial rule: kept as an independent
     route for the exact verifier; agrees with dunkl_apply identically.
-    With a Fraction mu = a / b and exact p the three steps are taken in
-    integers over b times p's denominator, with one reduction.
+    x^(k-1) gets (b k c_k + a (c_k - r_k)) / b, r_k p(-x)'s coefficient: with
+    mu = a / b and p exact in integers over b times p's denominator, else on
+    p's floats with a = mu, b = 1; at mu = 0 it is p'.
     """
     if p.is_zero():
         return p
     m = _mu_like(mu, p)
-    if type(m) is Fraction:
-        a, b, nums = m.numerator, m.denominator, p.nums
-        # x^(k-1) gets b k c_k from p' and a (c_k - p(-x)'s c_k) from the difference over x
-        out = [b * (k * c) + a * (c - r) for k, c, r in zip(range(1, len(nums)), nums[1:], p.reflect().nums[1:])]
-        return DensePoly._result(out, b * p.den, True)
-    if not p.exact and not all(cmath.isfinite(c) for c in p.coeffs):
-        # inf - inf in the reflection difference would be a silent nan
-        raise ValueError("dunkl_definition needs finite coefficients")
-    return p.derivative() + (p - p.reflect()).div_x().scale(m)
+    exact = type(m) is Fraction
+    a, b = (m.numerator, m.denominator) if exact else (m, 1)
+    if not exact:
+        p = DensePoly(p._values())
+        if not all(cmath.isfinite(c) for c in p.nums):
+            # inf - inf in the reflection difference would be a silent nan
+            raise ValueError("dunkl_definition needs finite coefficients")
+    if not a:
+        return p.derivative()
+    nums = p.nums
+    out = [k * b * c + a * (c - r) if c else c for k, c, r in zip(range(1, len(nums)), nums[1:], p.reflect().nums[1:])]
+    return DensePoly._result(out, b * p.den, exact)
 
 
 def inversion_weights(n: int) -> list:

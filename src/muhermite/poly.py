@@ -1,11 +1,10 @@
 """Dense and sparse polynomial containers shared by the exact and floating layers.
 
-Coefficients are stored in ascending order.  A polynomial is *exact* when
-every coefficient is rational and at least one is a fractions.Fraction.  An
-exact polynomial is stored as integer numerators over one positive integer
-denominator, in lowest terms (the gcd of the numerators and the denominator
-is 1), so == and hash compare values by structure.  Each exact operation is
-integer arithmetic followed by one gcd reduction: add and subtract
+Coefficients are stored in ascending order.  By ``core._exact`` a polynomial
+is *exact* when every coefficient is rational (an int, a numpy integer or a
+Fraction; the zero polynomial too), and is stored as integer numerators over
+one positive denominator, in lowest terms, so == and hash compare values.
+Each exact operation is integer arithmetic followed by one gcd reduction: add and subtract
 cross-multiply by the two denominators, multiply convolves the numerators,
 and scale multiplies by a rational's numerator and denominator.  A Fraction
 is made only where a coefficient is read (``coeffs``, ``p[k]``, ``terms``,
@@ -16,11 +15,11 @@ of the terms' denominators and the integer sum is reduced once, where a
 fold of ``scale`` and ``+`` would make two polynomials and two reductions
 per term.
 
-Float, complex and integer polynomials keep their coefficients as they are,
-over denominator 1.  Their arithmetic never multiplies or adds a zero
-coefficient: a zero is carried through as it is.  An exact polynomial mixed
-with an integer one stays exact; mixed with a float or complex one, its
-coefficients enter as Fractions, as they would one by one.
+Any other polynomial keeps its float and complex coefficients over 1 and
+reads a rational one among them as a float; its arithmetic carries a zero
+as it is.  The float layer reads an exact polynomial as the floats n / den
+(as Fraction arithmetic rounds), so a float or complex operand, scalar or
+point gives floats and no Fraction; only rational operands stay exact.
 """
 
 from __future__ import annotations
@@ -30,6 +29,8 @@ from fractions import Fraction
 from itertools import repeat
 
 import numpy as np
+
+from .core import _exact
 
 __all__ = ["DensePoly", "BivariatePoly"]
 
@@ -41,13 +42,13 @@ def _trim(coeffs: list) -> list:
     return coeffs
 
 
-def _integer_form(values: list):
-    """(integer numerators, common denominator) when the values are exact, else None."""
-    kinds = set(map(type, values))
-    if Fraction not in kinds or not kinds <= {int, Fraction}:
-        return None
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+def _stored(values) -> tuple:
+    """(numerators, denominator, exact) of coefficient values, by core._exact: rational values as
+    integers over their lcm; otherwise the values, a rational one read as the float n / d."""
+    if not _exact(*values):
+        return [int(v.numerator) / int(v.denominator) if _exact(v) else v for v in values], 1, False
+    den = math.lcm(*(int(v.denominator) for v in values))
+    return [int(v.numerator) * (den // int(v.denominator)) for v in values], den, True
 
 
 def _reduced(nums, den: int) -> tuple:
@@ -72,23 +73,19 @@ def _operands(p, q) -> tuple:
     """Stored numerators and denominators of p and q, and whether p op q is exact."""
     if p.exact == q.exact:
         return p.nums, p.den, q.nums, q.den, p.exact
-    if (q if p.exact else p)._integral():
-        return p.nums, p.den, q.nums, q.den, True
     return p._values(), 1, q._values(), 1, False
 
 
-def _exact_scalar(p, s) -> bool:
-    """Whether p.scale(s) stays in integer arithmetic."""
-    if not isinstance(s, (int, Fraction)):
-        return False
-    return p.exact or (isinstance(s, Fraction) and p._integral())
+def _exact_scalar(p, s):
+    """s's numerator and denominator as ints where p op s stays in integer arithmetic, else None."""
+    return (int(s.numerator), int(s.denominator)) if p.exact and _exact(s) else None
 
 
 def _combination(terms, ys=None):
     """sum s p over the (s, p) pairs of terms, or with ys, one power of y per pair, sum s p(x) y^j.
 
     The exact kernel of a linear combination: each weight s is an int or a
-    Fraction and each p an exact or integer DensePoly.  Each term's
+    Fraction and each p an exact DensePoly.  Each term's
     numerators are brought to the lcm of the terms' denominators (s's times
     p's) and added as integers, and the sum is reduced by one gcd, so no
     Fraction and no polynomial is made between the terms.  The result is
@@ -122,12 +119,12 @@ class _Poly:
     @classmethod
     def _of(cls, nums: tuple, den: int, exact: bool):
         p = object.__new__(cls)
-        p.nums, p.den, p.exact = nums, den, exact
+        p.nums, p.den, p.exact = nums, den, exact or not nums
         return p
 
     @classmethod
     def zero(cls):
-        return cls._of((), 1, False)
+        return cls._of((), 1, True)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
@@ -152,21 +149,17 @@ class DensePoly(_Poly):
     """Univariate dense polynomial, ascending coefficients, trailing zeros trimmed.
 
     ``nums`` over ``den`` are the coefficients: integer numerators over one
-    positive denominator when ``exact``, otherwise the coefficients
-    themselves over 1.  Like a Fraction, an instance is never changed after
+    positive denominator when ``exact``, otherwise the float or complex
+    coefficients themselves over 1.  Like a Fraction, an instance is never changed after
     it is made.
     """
 
     __slots__ = ()
 
     def __init__(self, coeffs=()):
-        coeffs = tuple(_trim(list(coeffs)))
-        exact = _integer_form(coeffs)
-        if exact is None:
-            self.nums, self.den, self.exact = coeffs, 1, False
-        else:
-            nums, self.den = _reduced(*exact)
-            self.nums, self.exact = tuple(nums), True
+        nums, den, self.exact = _stored(_trim(list(coeffs)))
+        nums, self.den = _reduced(nums, den)
+        self.nums = tuple(nums)
 
     @classmethod
     def _result(cls, out: list, den: int, exact: bool) -> "DensePoly":
@@ -181,8 +174,8 @@ class DensePoly(_Poly):
     def monomial(degree: int, coeff=1) -> "DensePoly":
         if degree < 0:
             raise ValueError("degree must be nonnegative")
-        if type(coeff) is Fraction and coeff:
-            return DensePoly._of((0,) * degree + (coeff.numerator,), coeff.denominator, True)
+        if _exact(coeff) and coeff:
+            return DensePoly._of((0,) * degree + (int(coeff.numerator),), int(coeff.denominator), True)
         return DensePoly((0,) * degree + (coeff,))
 
     @property
@@ -193,13 +186,10 @@ class DensePoly(_Poly):
         return tuple(Fraction(n, den) for n in self.nums)
 
     def _values(self) -> tuple:
-        return self.coeffs
+        return tuple(n / self.den for n in self.nums) if self.exact else self.nums
 
     def _keyed(self) -> dict:
         return dict(enumerate(self.coeffs))
-
-    def _integral(self) -> bool:
-        return all(type(c) is int for c in self.nums)
 
     @property
     def degree(self) -> int:
@@ -237,9 +227,10 @@ class DensePoly(_Poly):
         return DensePoly._of(tuple(-c for c in self.nums), self.den, self.exact)
 
     def scale(self, s) -> "DensePoly":
-        if _exact_scalar(self, s):
-            num = s.numerator
-            return DensePoly._result([c * num for c in self.nums] if num else [], self.den * s.denominator, True)
+        ratio = _exact_scalar(self, s)
+        if ratio:
+            num, den = ratio
+            return DensePoly._result([c * num for c in self.nums] if num else [], self.den * den, True)
         if s == 0:
             return DensePoly.zero()
         return DensePoly._of(tuple(c * s if c else c for c in self._values()), 1, False)
@@ -282,18 +273,21 @@ class DensePoly(_Poly):
         """p(x) -> p(s x)."""
         if self.is_zero():
             return self
-        if self.exact and isinstance(s, (int, Fraction)):
-            a, b, d = s.numerator, s.denominator, self.degree
+        ratio = _exact_scalar(self, s)
+        if ratio:
+            (a, b), d = ratio, self.degree
             return DensePoly._result([c * a**k * b ** (d - k) for k, c in enumerate(self.nums)], self.den * b**d, True)
-        return DensePoly(c * s**k for k, c in enumerate(self.coeffs))
+        return DensePoly(c * s**k for k, c in enumerate(self._values()))
 
     def __call__(self, x):
-        coeffs = self.coeffs
+        """p(x); exact, a Fraction, only for a rational x, else read as floats (see _values)."""
+        exact = _exact(x)
+        coeffs = self.coeffs if exact else self._values()
         if not coeffs:
-            return 0 * x if isinstance(x, np.ndarray) else 0
+            return Fraction(0) if exact else 0.0 * x
         acc = coeffs[-1]
         if isinstance(x, np.ndarray):
-            acc = np.full_like(np.asarray(x, dtype=np.result_type(x, float)), acc)
+            acc = np.full_like(x, acc, dtype=np.result_type(x, float, acc))
         for c in reversed(coeffs[:-1]):
             acc = acc * x + c
         return acc
@@ -310,12 +304,9 @@ class BivariatePoly(_Poly):
 
     def __init__(self, terms=()):
         items = sorted((k, v) for k, v in terms if v != 0)
-        exact = _integer_form([v for _, v in items])
-        if exact is None:
-            self.nums, self.den, self.exact = tuple(items), 1, False
-        else:
-            nums, self.den = _reduced(*exact)
-            self.nums, self.exact = tuple(zip((k for k, _ in items), nums)), True
+        nums, den, self.exact = _stored([v for _, v in items])
+        nums, self.den = _reduced(nums, den)
+        self.nums = tuple(zip((k for k, _ in items), nums))
 
     @classmethod
     def _result(cls, d: dict, den: int, exact: bool) -> "BivariatePoly":
@@ -348,10 +339,7 @@ class BivariatePoly(_Poly):
         return tuple((k, Fraction(n, den)) for k, n in self.nums)
 
     def _values(self) -> tuple:
-        return self.terms
-
-    def _integral(self) -> bool:
-        return all(type(c) is int for _, c in self.nums)
+        return tuple((k, n / self.den) for k, n in self.nums) if self.exact else self.nums
 
     def as_dict(self) -> dict:
         return dict(self.terms)
@@ -370,9 +358,10 @@ class BivariatePoly(_Poly):
         return BivariatePoly._result(d, den, exact)
 
     def scale(self, s) -> "BivariatePoly":
-        if _exact_scalar(self, s):
-            num = s.numerator
-            return BivariatePoly._result({k: v * num for k, v in self.nums}, self.den * s.denominator, True)
+        ratio = _exact_scalar(self, s)
+        if ratio:
+            num, den = ratio
+            return BivariatePoly._result({k: v * num for k, v in self.nums}, self.den * den, True)
         return BivariatePoly((k, v * s) for k, v in self._values())
 
     def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
@@ -385,7 +374,7 @@ class BivariatePoly(_Poly):
         return BivariatePoly._result(d, da * db, exact)
 
     def __call__(self, x, y):
-        return sum(c * x**i * y**j for (i, j), c in self.terms)
+        return sum(c * x**i * y**j for (i, j), c in (self.terms if _exact(x, y) else self._values()))
 
 
 def fraction_str(q: Fraction) -> str:

@@ -329,3 +329,16 @@ def _momentum_svd(value: float, size: int):
     r = (1j * operator_matrix(value, "P", size)[0::2, 1::2]).real
     u, s, vt = np.linalg.svd(r)
     return u, np.pad(s, (0, r.shape[0] - len(s))), vt.T
+
+
+def _spectral_function(u, v, even, odd=None) -> np.ndarray:
+    """f(P) from _momentum_svd's U, V and f = e + i g at s: blocks U e U^T, V e V^T, U g V^T and
+    minus its transpose (complex); without g the parity couplings stay exact zeros."""
+    k = len(v)
+    out = np.zeros((len(u) + k,) * 2, dtype=float if odd is None else complex)
+    out[0::2, 0::2] = (u * even) @ u.T
+    out[1::2, 1::2] = (v * even[:k]) @ v.T
+    if odd is not None:
+        out[0::2, 1::2] = (u[:, :k] * odd[:k]) @ v.T
+        out[1::2, 0::2] = -out[0::2, 1::2].T
+    return out

@@ -36,7 +36,7 @@ from .efun import c_s_mu, e_mu
 from .hermite import dunkl_apply
 from .poly import DensePoly, _combination
 from .quadrature import _check_size, gauss_alpha_mu
-from .transform import _momentum_svd
+from .transform import _momentum_svd, _spectral_function
 
 __all__ = [
     "heron_psi",
@@ -69,6 +69,7 @@ def translate_poly(mu, p: DensePoly, y) -> DensePoly:
         terms = [(1, p)]
     else:
         _mu(mu)  # a constant p never reaches the checks of dunkl_apply and gamma_mu
+        p = DensePoly(p._values())
     out = p
     d = p
     ypow = y
@@ -217,11 +218,4 @@ def translate_spectral_matrix(mu, y: float, size: int) -> np.ndarray:
     """
     value = _mu(mu)
     u, s, v = _momentum_svd(value, size)
-    c, sn = c_s_mu(value, _real(y, "the shift y") * s)
-    k = len(v)
-    out = np.zeros((size, size), dtype=complex)
-    out[0::2, 0::2] = (u * c) @ u.T
-    out[1::2, 1::2] = (v * c[:k]) @ v.T
-    out[0::2, 1::2] = (u[:, :k] * sn[:k]) @ v.T
-    out[1::2, 0::2] = -out[0::2, 1::2].T
-    return out
+    return _spectral_function(u, v, *c_s_mu(value, _real(y, "the shift y") * s))

@@ -226,7 +226,7 @@ def criterion_transform_closed_forms() -> tuple[bool, str]:
             eig = (-1j) ** n * np.exp(-0.5 * x * x) * hermite_eval(mu, n, x)
             worst_eig = max(worst_eig, _rel_sup(reduced, eig))
     passed = worst < 1e-9 and worst_eig < 1e-9
-    detail = f"closed-form defect {worst:.2e} (tol 1e-9); unit-rate reduction defect {worst_eig:.2e}"
+    detail = f"closed-form defect {worst:.2e} (tol 1e-9); unit-rate reduction defect {worst_eig:.2e} (tol 1e-9)"
     return passed, detail
 
 
@@ -353,7 +353,8 @@ def criterion_translation() -> tuple[bool, str]:
     passed = worst_routes < 1e-9 and worst_closed < 1e-9 and worst_sym < 1e-9 and contraction_ok and witness_ok
     detail = (
         f"route agreement {worst_routes:.2e}, closed forms {worst_closed:.2e}, symmetry {worst_sym:.2e} "
-        f"(tol 1e-9); contraction ratio <= {worst_ratio:.6f}; negativity witness {witness:.4f}"
+        f"(tol 1e-9); contraction ratio <= {worst_ratio:.6f} (needs <= 1 + 1e-12); "
+        f"negativity witness {witness:.4f} (needs < -1e-3)"
     )
     return passed, detail
 
@@ -400,12 +401,12 @@ def criterion_classical_reduction() -> tuple[bool, str]:
     canonical = [e for e in report.entries if e.tag == "canonical_commutator"]
     comm_defect = canonical[0].interior if canonical else math.inf
     comm_ok = comm_defect < 1e-12
-    notes.append(f"canonical commutator defect {comm_defect:.1e}")
+    notes.append(f"canonical commutator defect {comm_defect:.1e} (tol 1e-12)")
     zs = (0.3, -1.7, 2.0 + 1.5j, -0.4j)
     # the series itself: e_mu at mu = 0 returns np.exp, which would compare exp with exp
     efun_defect = max(abs(_series(0.0, z) - np.exp(z)) / abs(np.exp(z)) for z in zs)
     efun_ok = efun_defect < 1e-13
-    notes.append(f"exponential defect {efun_defect:.1e}")
+    notes.append(f"exponential defect {efun_defect:.1e} (tol 1e-13)")
     t = Fraction(1, 3)
     flowed = heat_poly(Fraction(0), 4, t)
     classic = DensePoly((12 * t * t, Fraction(0), 12 * t, Fraction(0), Fraction(1)))
@@ -413,8 +414,9 @@ def criterion_classical_reduction() -> tuple[bool, str]:
     notes.append("heat flow classical" if heat_ok else "HEAT MISMATCH")
     xs = np.linspace(-2.0, 2.0, 9)
     ft = transform_of_gaussian(0.0, 0.5, xs)
-    ft_ok = _rel_sup(ft, np.exp(-0.5 * xs * xs)) < 1e-14
-    notes.append("unit Gaussian fixed" if ft_ok else "GAUSSIAN FIXED POINT MISMATCH")
+    ft_defect = _rel_sup(ft, np.exp(-0.5 * xs * xs))
+    ft_ok = ft_defect < 1e-14
+    notes.append("unit Gaussian fixed (tol 1e-14)" if ft_ok else f"GAUSSIAN FIXED POINT MISMATCH {ft_defect:.1e} (tol 1e-14)")
     passed = coeff_ok and gamma_ok and eig_ok and comm_ok and efun_ok and heat_ok and ft_ok
     return passed, "; ".join(notes)
 

@@ -11,6 +11,7 @@ to be correct.  The analysis lives with the criterion's docstring.
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -108,4 +109,54 @@ def test_criterion_10_claims_the_fixed_point_only_when_it_holds(monkeypatch):
     result = run_criterion(10)
     assert not result.passed
     assert "unit Gaussian fixed" not in result.detail
-    assert "GAUSSIAN FIXED POINT MISMATCH" in result.detail, result.line()
+    assert re.search(r"GAUSSIAN FIXED POINT MISMATCH 1\.0e-12 \(tol 1e-14\)$", result.detail), result.line()
+
+
+def test_criterion_5_prints_the_tolerance_of_its_reduction(monkeypatch):
+    # the unit-rate reduction is the only call with beta = 1; 1e-8 off there fails it alone
+    closed = verify.transform_of_hermite_gaussian
+    off = lambda mu, n, beta, lam, x: closed(mu, n, beta, lam, x) * (1.0 + (1e-8 if beta == 1.0 else 0.0))
+    monkeypatch.setattr(verify, "transform_of_hermite_gaussian", off)
+    result = run_criterion(5)
+    assert not result.passed
+    assert re.search(r"unit-rate reduction defect 1\.\d\de-08 \(tol 1e-9\)$", result.detail), result.line()
+
+
+def test_criterion_8_prints_the_contraction_bound(monkeypatch):
+    # every translate's norm read 1% high: no longer a contraction
+    norm = verify.l2mu_norm
+    base = lambda f: f(0.0) == 1.0  # the untranslated Gaussian, e^(-lam u^2)
+    monkeypatch.setattr(verify, "l2mu_norm", lambda f, **kw: norm(f, **kw) * (1.0 if base(f) else 1.01))
+    result = run_criterion(8)
+    assert not result.passed
+    assert re.search(r"contraction ratio <= 1\.00\d+ \(needs <= 1 \+ 1e-12\)", result.detail), result.line()
+
+
+def test_criterion_8_prints_the_witness_bound(monkeypatch):
+    # the witness of lost positivity moved above -1e-3
+    alpha = verify.translate_alpha
+    witness = lambda mu, phi, x, y, **kw: alpha(mu, phi, x, y, **kw) + (0.5071 if mu == 2.0 and x == y == 1.0 else 0.0)
+    monkeypatch.setattr(verify, "translate_alpha", witness)
+    result = run_criterion(8)
+    assert not result.passed
+    assert re.search(r"negativity witness -?0\.0000 \(needs < -1e-3\)$", result.detail), result.line()
+
+
+def test_criterion_10_prints_the_tolerance_of_each_defect(monkeypatch):
+    # the canonical commutator 1e-11 off, the series 1e-12 off: both fail and say against what
+    check = verify.osc.check_commutation
+
+    def commutation(rep):
+        report = check(rep)
+        entries = tuple(
+            dataclasses.replace(e, interior=1e-11) if e.tag == "canonical_commutator" else e for e in report.entries
+        )
+        return dataclasses.replace(report, entries=entries)
+
+    series = verify._series
+    monkeypatch.setattr(verify.osc, "check_commutation", commutation)
+    monkeypatch.setattr(verify, "_series", lambda mu, z: series(mu, z) * (1.0 + 1e-12))
+    result = run_criterion(10)
+    assert not result.passed
+    assert "canonical commutator defect 1.0e-11 (tol 1e-12)" in result.detail, result.line()
+    assert re.search(r"exponential defect 1\.0e-12 \(tol 1e-13\)", result.detail), result.line()
