@@ -18,18 +18,18 @@ theta(m), with a term count fixed up front from r = max |z|: the sum runs
 through the first m > r whose term r^m / gamma_mu(m) is below 2^-53 times
 the largest one.  That count is a plan, built once per (mu, r); the steps
 are read from the cached gamma_mu table the plan was built from, so a warm
-call only sums.  A scalar runs the recursion in a Python loop.  An array is
-summed from a term table whose row 0 is 1 and row m is z / step_m (a complex
-z divided part by part, so it rounds once, as Python's division does): one
-cumulative product down the rows makes them the terms and one sum down
-them, in row order, adds them, so every point gets the scalar loop's bits.
-The table is taken in column chunks of at most _TABLE_BYTES (256 KiB), three
-numpy calls each; numpy runs each column's product chain serially, so past
-about 400 points a loop of calls across the array would be faster (see
-README).  The absolute error is of order eps * e(|z|; mu), the sum of
-the term magnitudes; for real z << 0 and for imaginary z that bound is far
-above |e(z; mu)|, since the terms cancel.  Where |z| e(|z|; mu) leaves float64 (|z| past ~700)
-both routes raise OverflowError instead of returning inf or nan.
+call only sums.  A lone point (a scalar or a one-point array) runs the
+recursion in a Python loop; any other array is summed from term tables of
+_terms (as heat's kernel builds its factor tables), row m being z / step_m:
+one cumulative product down the rows and one sum down them, in row order.
+Each table is a column chunk of at most _TABLE_BYTES (256 KiB), and a
+one-point tail joins the chunk before it, so every point gets the loop's
+bits at the array's term count.  Past about 400 points a loop of calls
+across the array would be faster (ROADMAP item 13).  The absolute error is
+of order eps * e(|z|; mu), the sum of the term magnitudes; for real z << 0
+and for imaginary z that bound is far above |e(z; mu)|, since the terms
+cancel.  Where |z| e(|z|; mu) leaves float64 (|z| past ~700) both routes raise
+OverflowError instead of returning inf or nan.
 
 On the imaginary axis those terms cancel down from e^|x| to values of
 order one, so c and s come from their Bessel form instead: with
@@ -64,8 +64,7 @@ _LOG_MAX = math.log(np.finfo(float).max)
 # to ~|x| (at 1e4, on a 2-core VM: 5 ms for a scalar, 80 ms for 960 points),
 # and its error grows like |x| eps for mu near 0.
 _RECURRENCE_CAP = 1e4
-# Byte budget of one term table: an array is summed in column chunks that
-# keep each table of n + 1 rows within it.
+# Byte budget of one term table, an array's column chunk of n + 1 rows (a one-point tail joins the last).
 _TABLE_BYTES = 1 << 18
 
 
@@ -110,29 +109,43 @@ def _term_count(mu: float, r: float) -> int:
     return n
 
 
+def _terms(z, steps):
+    """Row 0 = 1 and row m = z^m / (steps[0] ... steps[m-1]) at each point of a flat ndarray z.
+
+    A complex z is divided part by part, rounding once, as Python does (numpy
+    divides by a real through its reciprocal, rounding twice).
+    """
+    table = np.empty((steps.size + 1, z.size), z.dtype)
+    table[0] = 1.0
+    np.divide(z.view(float), steps[:, None], out=table[1:].view(float))
+    return np.multiply.accumulate(table, axis=0, out=table)
+
+
+def _loop(z, steps):
+    """The sum of the terms at a Python float or complex z, each the last one times z / step."""
+    acc = term = 1.0 + 0.0 * z
+    for step in steps.tolist():
+        term = term * (z / step)
+        acc = acc + term
+    return acc
+
+
 def _series(mu: float, z):
-    """sum_m z^m / gamma_mu(m) for a float or complex scalar or ndarray z."""
-    r = _radius(z)
+    """sum_m z^m / gamma_mu(m) at a Python float or complex z, or at each point of a float64 or complex128 ndarray."""
+    # A lone point takes the Python loop: numpy would sum a one-column table's
+    # contiguous rows pairwise and multiply complex values along them in vector lanes.
+    point = z.item() if isinstance(z, np.ndarray) and z.size == 1 else z
+    r = _radius(point)
     n = _term_count(mu, r)
     steps = _table(mu, r).steps[:n]
-    if not isinstance(z, np.ndarray):
-        acc = term = 1.0 + 0.0 * z
-        for step in steps.tolist():
-            term = term * (z / step)
-            acc = acc + term
-        return acc
+    if not isinstance(point, np.ndarray):
+        return _loop(point, steps) if point is z else np.full(z.shape, _loop(point, steps))
     flat = z.ravel()
     out = np.empty_like(flat)
-    cols = max(1, _TABLE_BYTES // ((n + 1) * flat.itemsize))
-    for start in range(0, flat.size, cols):
-        piece = flat[start : start + cols]
-        table = np.empty((n + 1, piece.size), piece.dtype)
-        table[0] = 1.0
-        # numpy divides a complex array by a real through its reciprocal,
-        # rounding twice; dividing the parts rounds once, as Python does.
-        np.divide(piece.view(float), steps[:, None], out=table[1:].view(float))
-        np.multiply.accumulate(table, axis=0, out=table)
-        np.add.reduce(table, axis=0, out=out[start : start + cols])
+    cols = max(2, _TABLE_BYTES // ((n + 1) * flat.itemsize))
+    bounds = [*range(0, flat.size - 1, cols), flat.size]  # every chunk is two columns wide or more
+    for start, stop in zip(bounds, bounds[1:]):
+        np.add.reduce(_terms(flat[start:stop], steps), axis=0, out=out[start:stop])
     return out.reshape(z.shape)
 
 
@@ -189,15 +202,15 @@ def _miller(nu: float, x):
 
 
 def e_mu(mu, z):
-    """Deformed exponential e(z; mu); z may be real, complex, or an ndarray.
+    """Deformed exponential e(z; mu) at a real or complex z: a scalar, or an array or list of any shape.
 
-    At mu = 0 (either sign of zero) e(z; 0) = exp(z) comes from numpy's exp,
-    for scalars too: within about 1 ulp of the true exp, relative to
-    |exp(z)|, for real and complex z.  Every other mu is summed (see the
-    module docstring), a scalar in a Python loop and an array from a term
-    table that gives every point the loop's bits at the array's term count,
-    planned once per (mu, max |z|) (MU_CACHE_SIZE entries); its absolute
-    error is of order
+    z is read as np.asarray(z), in its dtype's field (complex or float64); a
+    0-d z gives a Python float or complex, any other z an array in its shape.
+    At mu = 0 (either sign of zero) e(z; 0) = exp(z) comes from numpy's exp:
+    within about 1 ulp of the true exp, relative to |exp(z)|.  Every other
+    mu is summed (see the module docstring) to a term count planned once per
+    (mu, max |z|) (MU_CACHE_SIZE entries), every point with the Python
+    loop's bits at that count; its absolute error is of order
     eps * e(|z|; mu), the best a fixed-precision summation can promise where
     the terms cancel (real z < 0, complex z).  Both routes raise
     OverflowError where |z| e(|z|; mu) leaves float64 (|z| + ln |z| past
@@ -205,20 +218,11 @@ def e_mu(mu, z):
     ValueError for a non-finite z.
     """
     value = _mu(mu)
+    z = np.asarray(z)
+    field = complex if z.dtype.kind == "c" else float
+    z = z.astype(field, copy=False)
     route = _series if value != 0.0 else _exp
-    if isinstance(z, np.ndarray) and z.ndim:
-        if np.iscomplexobj(z):
-            return route(value, z.astype(complex))
-        if z.size == 1:
-            # a real one-point grid, as a scalar x reaches the closed forms:
-            # Python float arithmetic rounds as the term table does, at a
-            # third to two thirds of its cost
-            return np.full(z.shape, route(value, float(z.flat[0])))
-        return route(value, z.astype(float))
-    # any other z, numpy scalars too, is summed in Python arithmetic (exp: numpy's)
-    if np.iscomplexobj(z):
-        return complex(route(value, complex(z)))
-    return float(route(value, float(z)))
+    return route(value, z) if z.ndim else field(route(value, z.item()))
 
 
 def c_s_mu(mu, x):

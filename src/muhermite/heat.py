@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .core import _array_memo, _as_grid, _finite_exp, _memo_key, _mu, _real, gamma_half
-from .efun import _radius, _table, _term_count, e_mu
+from .efun import _radius, _table, _term_count, _terms, e_mu
 from .quadrature import _scaled_rule
 from .transform import _momentum_svd, _spectral_function
 
@@ -92,8 +92,8 @@ def _heat_kernel(value: float, x: np.ndarray, y: np.ndarray, t: float) -> np.nda
     """e(x_i y_j / 2t; mu) for flat x and y, with e_mu's term count and range checks.
 
     At mu != 0 no product x_i y_j is formed: the m-th term is A[m, i] B[m, j],
-    A[m] = x^m / gamma_mu(m) and B[m] = w^m (w = y / 2t), each table one
-    cumulative product of its ratio rows, and the matrix is A^T B.  Row m of A
+    A[m] = x^m / gamma_mu(m) and B[m] = w^m (w = y / 2t), each table built
+    by e_mu's term-table builder (efun._terms), and the matrix is A^T B.  Row m of A
     carries an exact 2^s_m and row m of B 2^-s_m, with s_m from the gamma_mu
     table's log values putting the largest entry of both rows near the square
     root of the term at the radius, (max|x| max|w|)^m / gamma_mu(m); so neither
@@ -102,24 +102,17 @@ def _heat_kernel(value: float, x: np.ndarray, y: np.ndarray, t: float) -> np.nda
     if value == 0.0:
         return e_mu(value, np.outer(x, y) / (2.0 * t))
     w = y / (2.0 * t)
-    x_top, y_top, w_top = (float(np.max(np.abs(v), initial=0.0)) for v in (x, y, w))
-    # max |x_i y_j| / 2t, as e_mu reads it off np.outer(x, y) / 2t: rounding is monotone
-    r = _radius(x_top * y_top / (2.0 * t))
+    x_top, y_top = (float(np.max(np.abs(v), initial=0.0)) for v in (x, y))
+    # max |w| and max |x_i y_j| / 2t, as e_mu reads it off np.outer(x, y) / 2t: rounding is monotone
+    w_top, r = y_top / (2.0 * t), _radius(x_top * y_top / (2.0 * t))
     n = _term_count(value, r)
-    if n == 0 or w_top == 0.0:
+    if n == 0 or w_top == 0.0:  # w_top is 0 where y / 2t underflows and x y / 2t does not
         return np.ones((x.size, y.size))
     table = _table(value, r)
     m = np.arange(n + 1)
     s = np.rint((m * (math.log(w_top) - math.log(x_top)) + table.log_values[: n + 1]) / (2.0 * math.log(2.0)))
-    scale = np.ldexp(1.0, -np.diff(s).astype(int))[:, None]  # 2^(s_{m-1} - s_m)
-    a = np.empty((n + 1, x.size))
-    b = np.empty((n + 1, y.size))
-    a[0] = b[0] = 1.0
-    np.divide(x, table.steps[:n, None] * scale, out=a[1:])
-    np.multiply(w, scale, out=b[1:])
-    np.multiply.accumulate(a, axis=0, out=a)
-    np.multiply.accumulate(b, axis=0, out=b)
-    return a.T @ b
+    scale = np.ldexp(1.0, -np.diff(s).astype(int))  # 2^(s_{m-1} - s_m)
+    return _terms(x, table.steps[:n] * scale).T @ _terms(w, 1.0 / scale)
 
 
 def heat_apply_kernel(mu, f, t: float, x, *, sigma: float = 0.0, quad_n: int = 96):

@@ -1,9 +1,10 @@
 """Dense and sparse polynomial containers shared by the exact and floating layers.
 
 Coefficients are stored in ascending order.  By ``core._exact`` a polynomial
-is *exact* when every coefficient is rational (an int, a numpy integer or a
-Fraction; the zero polynomial too), and is stored as integer numerators over
-one positive denominator, in lowest terms, so == and hash compare values.
+is *exact* when every coefficient it is given, a zero too, is rational (an int,
+a numpy integer or a Fraction; an empty list and an operation's zero result
+are exact), and is stored as integer numerators over one positive
+denominator, in lowest terms, so == and hash compare values.
 Each exact operation is integer arithmetic followed by one gcd reduction: add and subtract
 cross-multiply by the two denominators, multiply convolves the numerators,
 and scale multiplies by a rational's numerator and denominator.  A Fraction
@@ -157,8 +158,8 @@ class DensePoly(_Poly):
     __slots__ = ()
 
     def __init__(self, coeffs=()):
-        nums, den, self.exact = _stored(_trim(list(coeffs)))
-        nums, self.den = _reduced(nums, den)
+        nums, den, self.exact = _stored(list(coeffs))
+        nums, self.den = _reduced(_trim(nums), den)
         self.nums = tuple(nums)
 
     @classmethod
@@ -303,9 +304,10 @@ class BivariatePoly(_Poly):
     __slots__ = ()
 
     def __init__(self, terms=()):
-        items = sorted((k, v) for k, v in terms if v != 0)
-        nums, den, self.exact = _stored([v for _, v in items])
-        nums, self.den = _reduced(nums, den)
+        pairs = list(terms)
+        nums, den, self.exact = _stored([v for _, v in pairs])
+        items = sorted((k, n) for (k, _), n in zip(pairs, nums) if n != 0)
+        nums, self.den = _reduced([n for _, n in items], den)
         self.nums = tuple(zip((k for k, _ in items), nums))
 
     @classmethod

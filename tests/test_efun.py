@@ -4,12 +4,12 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from muhermite.core import MU_CACHE_SIZE, gamma_mu, gamma_step
-from muhermite.efun import _TABLE_BYTES, _miller, _series, _term_count, c_s_mu, e_mu, heat_kernel, mehler_rhs
+from muhermite.efun import _TABLE_BYTES, _loop, _miller, _series, _table, _term_count, c_s_mu, e_mu, heat_kernel, mehler_rhs
 from muhermite.quadrature import gauss_alpha_mu, gauss_hermite_mu
 from muhermite.transform import phi_eval
 
@@ -406,6 +406,55 @@ def test_array_sum_in_chunks_gives_the_bits_of_its_pieces(mu):
         pieces = [e_mu(mu, np.append(z[:1], part))[1:] for part in np.array_split(z[1:], 7)]
         assert np.concatenate([whole[:1], *pieces]).tobytes() == whole.tobytes()
         assert e_mu(mu, z.reshape(40, -1)).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("mu", [-0.45, 0.5, 3.0])
+def test_a_complex_one_point_grid_has_the_scalar_bits(mu):
+    # a lone point is summed by the Python loop; a one-column table multiplied
+    # its complex values in vector lanes, and 199 or 200 of these 200 differed
+    rng = np.random.default_rng(7)
+    for z in rng.uniform(0.0, 30.0, 200) * np.exp(1j * rng.uniform(-np.pi, np.pi, 200)):
+        want = np.array([e_mu(mu, complex(z))])
+        assert e_mu(mu, np.array([z])).tobytes() == want.tobytes(), (mu, z)
+        assert e_mu(mu, np.full((1, 1), z)).tobytes() == want.tobytes(), (mu, z)
+    assert e_mu(0.5, np.array([1.3 + 0.4j]))[0] == 2.1505361763493784 + 0.6477073407892295j == e_mu(0.5, 1.3 + 0.4j)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.floats(min_value=-0.45, max_value=3.0).filter(lambda mu: mu != 0.0),
+    st.booleans(),
+    st.integers(min_value=1, max_value=3),
+    st.data(),
+)
+def test_an_array_one_past_a_multiple_of_the_chunk_width_has_the_loop_bits(mu, complex_z, chunks, data):
+    # At r = 600 a chunk is a few dozen columns wide (39 real ones at mu = 1/2),
+    # so the last point of such an array was summed alone, pairwise, by numpy.
+    r = 600.0
+    n = _term_count(mu, r)
+    size = chunks * (_TABLE_BYTES // ((n + 1) * (16 if complex_z else 8))) + 1
+    z = np.array(data.draw(st.lists(st.floats(-0.99 * r, 0.99 * r), min_size=size, max_size=size)))
+    if complex_z:
+        z = z * np.exp(1j * np.array(data.draw(st.lists(st.floats(-np.pi, np.pi), min_size=size, max_size=size))))
+    z[size // 2] = r
+    steps = _table(mu, r).steps[:n]
+    assert e_mu(mu, z).tobytes() == np.array([_loop(v, steps) for v in z.tolist()]).tobytes()
+
+
+def test_the_tail_of_a_long_grid_has_the_scalar_value():
+    # at mu = 1/2 and r = 600 a real chunk holds 39 columns, so point 40 is a one-point tail
+    z = np.linspace(-600.0, 600.0, 40)
+    assert e_mu(0.5, z)[-1] == 1.228748674900374e259 == e_mu(0.5, 600.0) == e_mu(0.5, z[-2:])[-1]
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, -0.45])
+def test_a_list_or_a_tuple_is_read_as_an_array(mu):
+    for values in ([1.0, 2.0], [3], [1.0, 2j], [[0.5, -3.0], [2.0, 7.5]]):
+        want = e_mu(mu, np.array(values))
+        for z in (values, tuple(values)):
+            got = e_mu(mu, z)
+            assert isinstance(got, np.ndarray) and got.shape == want.shape
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def _plain_miller(nu, x):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from muhermite import DensePoly, dunkl_apply, dunkl_definition, translate_poly
+from muhermite import BivariatePoly, DensePoly, dunkl_apply, dunkl_definition, translate_poly
 
 _rationals = st.one_of(
     st.integers(min_value=-9, max_value=9),
@@ -34,13 +34,6 @@ def _rational(*values) -> bool:
     return all(isinstance(v, (int, np.integer, Fraction)) for v in values)
 
 
-def _stored(cs: list) -> list:
-    """The coefficients a polynomial keeps: trailing zeros are not coefficients."""
-    while cs and cs[-1] == 0:
-        cs = cs[:-1]
-    return cs
-
-
 def _in_field(p: DensePoly, exact: bool) -> None:
     if exact:
         assert p.exact and all(type(n) is int for n in p.nums) and type(p.den) is int, p
@@ -53,7 +46,7 @@ def _in_field(p: DensePoly, exact: bool) -> None:
 @given(_coeffs, _coeffs, _values, _mus, _values, _values)
 def test_rational_inputs_give_exact_results_and_a_float_anywhere_gives_floats(a, b, s, mu, y, x):
     p, q = DensePoly(a), DensePoly(b)
-    ra, rb = _rational(*_stored(a)), _rational(*_stored(b))
+    ra, rb = _rational(*a), _rational(*b)
     for got, exact in (
         (p, ra),
         (p + q, ra and rb),
@@ -128,3 +121,20 @@ def test_translate_reads_a_constant_as_floats_under_a_float_mu():
     got = translate_poly(0.5, DensePoly([Fraction(1, 3)]), 0.4)
     assert got.coeffs == (1 / 3,)
     assert type(got.coeffs[0]) is float
+
+
+# Each of these failed while a zero was trimmed or dropped before the field was read.
+
+
+def test_a_trailing_float_zero_makes_the_polynomial_float():
+    for coeffs, want in (([1, 0.0], (1.0,)), ([Fraction(1, 3), 2, -0.0], (1 / 3, 2.0)), ([0.0], ())):
+        p = DensePoly(coeffs)
+        assert not p.exact and p.coeffs == want and all(type(c) is float for c in p.coeffs), p
+    assert DensePoly([1, 0.0]) == DensePoly([1.0])
+    assert DensePoly([1, 0]).exact and DensePoly([]).exact
+
+
+def test_a_float_zero_term_makes_the_bivariate_polynomial_float():
+    p = BivariatePoly([((0, 0), Fraction(1, 2)), ((1, 0), 0.0)])
+    assert not p.exact and p.terms == (((0, 0), 0.5),) and type(p.terms[0][1]) is float
+    assert BivariatePoly([((0, 0), 1), ((1, 0), 0)]).exact and BivariatePoly().exact

@@ -1,5 +1,6 @@
-"""The README's API tour and CLI examples run as written and show what they claim."""
+"""The README's API tour and CLI examples run as written and show what they claim, and its layout names what exists."""
 
+import importlib
 import re
 import warnings
 from pathlib import Path
@@ -8,7 +9,8 @@ import pytest
 
 from muhermite import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _block(text: str, lang: str) -> str:
@@ -58,3 +60,30 @@ def test_a_wrong_cli_value_fails(capsys):
     text = README.read_text().replace("# -> 24", "# -> 25")
     with pytest.raises(AssertionError):
         check_cli(text, capsys)
+
+
+def check_layout(text: str) -> int:
+    """The layout block names every module file and only those, and each dotted name in it resolves.
+
+    Returns the count of dotted names.
+    """
+    block = re.search(r"## Layout\n\n```\n(.*?)```", text, re.S).group(1)
+    package = ROOT / "src" / "muhermite"
+    named = re.findall(r"^  (\w+\.py) ", block, re.M)
+    assert sorted(named) == sorted(p.name for p in package.glob("*.py")), named
+    dotted = [d for d in re.findall(r"\b(\w+)\.(\w+)\b", block) if d[1] != "py"]
+    for module, name in dotted:
+        assert hasattr(importlib.import_module(f"muhermite.{module}"), name), f"{module}.{name}"
+    return len(dotted)
+
+
+def test_layout_names_the_modules_and_names_that_exist():
+    assert check_layout(README.read_text()) >= 2
+
+
+@pytest.mark.parametrize(("old", "new"), [("  efun.py  ", "  efunc.py "), ("efun._terms", "efun._gone")])
+def test_a_layout_naming_what_is_gone_fails(old, new):
+    text = README.read_text()
+    assert old in text
+    with pytest.raises((AssertionError, ModuleNotFoundError)):
+        check_layout(text.replace(old, new))
