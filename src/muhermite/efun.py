@@ -204,8 +204,10 @@ def _miller(nu: float, x):
 def e_mu(mu, z):
     """Deformed exponential e(z; mu) at a real or complex z: a scalar, or an array or list of any shape.
 
-    z is read as np.asarray(z), in its dtype's field (complex or float64); a
-    0-d z gives a Python float or complex, any other z an array in its shape.
+    z is read as np.asarray(z), in its dtype's field (complex or float64; an
+    object array, such as a list of Fractions and complex values, in its
+    values' field); a 0-d z gives a Python float or complex, any other z an
+    array in its shape.
     At mu = 0 (either sign of zero) e(z; 0) = exp(z) comes from numpy's exp:
     within about 1 ulp of the true exp, relative to |exp(z)|.  Every other
     mu is summed (see the module docstring) to a term count planned once per
@@ -219,7 +221,7 @@ def e_mu(mu, z):
     """
     value = _mu(mu)
     z = np.asarray(z)
-    field = complex if z.dtype.kind == "c" else float
+    field = complex if z.dtype.kind == "c" or z.dtype.kind == "O" and any(map(np.iscomplexobj, z.flat)) else float
     z = z.astype(field, copy=False)
     route = _series if value != 0.0 else _exp
     return route(value, z) if z.ndim else field(route(value, z.item()))

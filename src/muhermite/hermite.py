@@ -5,6 +5,10 @@ is given explicitly by
 
     H_n(x; mu) = n! sum_{k <= n/2} (-1)^k (2 x)^(n-2k) / (k! gamma_mu(n-2k)).
 
+It is x^n's heat flow (heat_poly) run back a quarter unit and rescaled,
+heat_poly(mu, n, -1/4) = gamma_mu(n) / (2^n n!) H_n(x; mu), so one even sum
+builds both, exactly as integers over one lcm (as binomial_poly does).
+
 The derivative that makes the family behave classically is the
 reflection-corrected operator
 
@@ -43,24 +47,42 @@ __all__ = [
 ]
 
 
-def _factorials(mu, n: int, exact: bool, what: str) -> tuple:
-    """n as an int, 0!, ..., n! and gamma_mu(0), ..., gamma_mu(n) as ints and Fractions (exact) or floats.
-
-    ``what`` names the degree n in the error for a bad n.
-    """
-    n = _count(n, f"{what} degree")
-    fact = [1 if exact else 1.0]
+def _even_sum(mu, n: int, t, hermite: bool) -> DensePoly:
+    """lead sum_{k <= n/2} t^k x^(n-2k) / (k! gamma_mu(n-2k)): H_n with lead = n! 2^n and t = -1/4
+    (hermite), else heat_poly with lead = gamma_mu(n).  Term k is lead p_k / q_k, p_k = a^k v_m and
+    q_k = b^k k! u_m (m = n - 2k), from gamma_mu(m) = u_m / v_m and t = a / b.  Exact, the integers
+    lead p_k go over the lcm of the q_k and are reduced once; in floats (v_m = b = 1) term k is
+    lead t^k / (k! gamma_mu(m)) in that order, with k!, n! and t^k running products."""
+    exact = _exact(mu, t)
+    n = _count(n, "polynomial degree" if hermite else "monomial degree")
+    one = 1 if exact else 1.0
+    fact = [one]
     for k in range(1, n + 1):
         fact.append(fact[-1] * k)
+    # gamma_mu(n), gamma_mu(n - 2), ..., the denominators of terms 0, 1, ...
     if exact:
-        return n, fact, gamma_exact_table(mu, n)
-    return n, fact, gamma_table(mu, n).values
-
-
-def _finite_poly(coeffs: list, exact: bool, what: str) -> DensePoly:
-    if not exact and not all(math.isfinite(c) for c in coeffs):
+        gam = [(g.numerator, g.denominator) for g in gamma_exact_table(mu, n)[n::-2]]
+        a, b = _fraction(t).as_integer_ratio()
+    else:
+        gam = [(g, 1.0) for g in gamma_table(mu, n).values[n::-2]]
+        a, b = float(t), 1.0
+    lead, lead_den = (fact[n] * (2 * one) ** n, 1) if hermite else gam[0]
+    terms = []
+    ak = bk = one
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (u, v) in enumerate(gam):
+            terms.append((lead * ak * v, bk * fact[k] * u))
+            ak, bk = ak * a, bk * b
+        coeffs = [0 * lead] * (n + 1)
+        if exact:
+            den = math.lcm(*(q for _, q in terms))
+            coeffs[n::-2] = [p * (den // q) for p, q in terms]
+            return DensePoly._result(coeffs, lead_den * den, True)
+        coeffs[n::-2] = [p / q for p, q in terms]
+    if not all(math.isfinite(c) for c in coeffs):
+        what = f"H_{n}" if hermite else f"heat_poly of degree {n}"
         raise OverflowError(f"{what} overflows float64; pass mu as a Fraction")
-    return DensePoly(coeffs)
+    return DensePoly._result(coeffs, 1, False)
 
 
 def hermite_coeffs(mu, n: int) -> DensePoly:
@@ -68,17 +90,7 @@ def hermite_coeffs(mu, n: int) -> DensePoly:
 
     The float path raises OverflowError from n = 151 on.
     """
-    exact = _exact(mu)
-    n, fact, gam = _factorials(mu, n, exact, "polynomial")
-    two = 2 if exact else 2.0
-    coeffs = [0 * two] * (n + 1)
-    sign = 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n // 2 + 1):
-            m = n - 2 * k
-            coeffs[m] = sign * fact[n] * two**m / (fact[k] * gam[m])
-            sign = -sign
-    return _finite_poly(coeffs, exact, f"H_{n}")
+    return _even_sum(mu, n, Fraction(-1, 4), True)
 
 
 def hermite_eval(mu, n: int, x):
@@ -198,16 +210,6 @@ def heat_poly(mu, n: int, t) -> DensePoly:
     At mu = 0 these are the classical heat polynomials (x^2 + 2t, ...).
     The float path raises OverflowError once gamma_mu(n) does (n ~ 170).
     """
-    exact = _exact(mu, t)
-    if not exact and not math.isfinite(t):
+    if not _exact(mu, t) and not math.isfinite(t):
         raise ValueError(f"heat_poly needs a finite time t, got {t}")
-    n, fact, gam = _factorials(mu, n, exact, "monomial")
-    t = _fraction(t) if exact else float(t)
-    coeffs = [0 * gam[0]] * (n + 1)
-    tk = t**0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n // 2 + 1):
-            m = n - 2 * k
-            coeffs[m] = gam[n] * tk / (fact[k] * gam[m])
-            tk = tk * t
-    return _finite_poly(coeffs, exact, f"heat_poly of degree {n}")
+    return _even_sum(mu, n, t, False)

@@ -2,9 +2,10 @@
 
 Coefficients are stored in ascending order.  By ``core._exact`` a polynomial
 is *exact* when every coefficient it is given, a zero too, is rational (an int,
-a numpy integer or a Fraction; an empty list and an operation's zero result
-are exact), and is stored as integer numerators over one positive
-denominator, in lowest terms, so == and hash compare values.
+a numpy integer or a Fraction; an empty list is exact), and is stored as
+integer numerators over one positive denominator, in lowest terms, so == and
+hash compare values.  An operation's result, a zero one too, is in its
+operands' field, so a float zero stays a float polynomial.
 Each exact operation is integer arithmetic followed by one gcd reduction: add and subtract
 cross-multiply by the two denominators, multiply convolves the numerators,
 and scale multiplies by a rational's numerator and denominator.  A Fraction
@@ -120,7 +121,7 @@ class _Poly:
     @classmethod
     def _of(cls, nums: tuple, den: int, exact: bool):
         p = object.__new__(cls)
-        p.nums, p.den, p.exact = nums, den, exact or not nums
+        p.nums, p.den, p.exact = nums, den, exact
         return p
 
     @classmethod
@@ -233,13 +234,11 @@ class DensePoly(_Poly):
             num, den = ratio
             return DensePoly._result([c * num for c in self.nums] if num else [], self.den * den, True)
         if s == 0:
-            return DensePoly.zero()
+            return DensePoly._of((), 1, False)
         return DensePoly._of(tuple(c * s if c else c for c in self._values()), 1, False)
 
     def __mul__(self, other: "DensePoly") -> "DensePoly":
         a, da, b, db, exact = _operands(self, other)
-        if not a or not b:
-            return DensePoly.zero()
         out = [0] * (len(a) + len(b) - 1)
         factors = [(j, y) for j, y in enumerate(b) if y]
         for i, x in enumerate(a):
@@ -312,18 +311,9 @@ class BivariatePoly(_Poly):
 
     @classmethod
     def _result(cls, d: dict, den: int, exact: bool) -> "BivariatePoly":
-        if not exact:
-            return cls(d.items())
         keys = sorted(k for k, v in d.items() if v)
         nums, den = _reduced([d[k] for k in keys], den)
-        return cls._of(tuple(zip(keys, nums)), den, True)
-
-    @staticmethod
-    def from_x_polys(polys: dict) -> "BivariatePoly":
-        """The sum over j of polys[j](x) y^j."""
-        if polys and all(p.exact for p in polys.values()):
-            return _combination([(1, p) for p in polys.values()], polys)
-        return BivariatePoly(((i, j), c) for j, p in polys.items() for i, c in enumerate(p.coeffs))
+        return cls._of(tuple(zip(keys, nums)), den, exact)
 
     @staticmethod
     def homogenized(p: DensePoly, n: int) -> "BivariatePoly":
@@ -364,7 +354,7 @@ class BivariatePoly(_Poly):
         if ratio:
             num, den = ratio
             return BivariatePoly._result({k: v * num for k, v in self.nums}, self.den * den, True)
-        return BivariatePoly((k, v * s) for k, v in self._values())
+        return BivariatePoly._result({k: v * s for k, v in self._values()}, 1, False)
 
     def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
         a, da, b, db, exact = _operands(self, other)

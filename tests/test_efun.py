@@ -457,6 +457,19 @@ def test_a_list_or_a_tuple_is_read_as_an_array(mu):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.5, -0.45])
+def test_a_list_of_rationals_and_complex_values_is_read_in_the_complex_field(mu):
+    # such a list is an object array, which was read as float64 and raised TypeError
+    for values, floats in (
+        ([Fraction(1, 2), 1j], [0.5, 1j]),
+        ([[Fraction(-3, 4), 2], [np.int64(1), 0.5 - 2j]], [[-0.75, 2.0], [1.0, 0.5 - 2j]]),
+    ):
+        got, want = e_mu(mu, values), e_mu(mu, floats)
+        assert got.dtype == want.dtype == complex and got.shape == want.shape and got.tobytes() == want.tobytes()
+    got, want = e_mu(mu, [Fraction(1, 2), 2]), e_mu(mu, [0.5, 2.0])
+    assert got.dtype == float and got.tobytes() == want.tobytes()
+
+
 def _plain_miller(nu, x):
     """The backward recurrence of c_s_mu, every step a fresh array."""
     r = float(np.max(np.abs(x)))

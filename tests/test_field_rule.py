@@ -138,3 +138,29 @@ def test_a_float_zero_term_makes_the_bivariate_polynomial_float():
     p = BivariatePoly([((0, 0), Fraction(1, 2)), ((1, 0), 0.0)])
     assert not p.exact and p.terms == (((0, 0), 0.5),) and type(p.terms[0][1]) is float
     assert BivariatePoly([((0, 0), 1), ((1, 0), 0)]).exact and BivariatePoly().exact
+
+
+# Each of these gave an exact zero polynomial while every empty result was marked exact.
+
+
+def test_a_zero_result_keeps_its_operands_field():
+    third = DensePoly([Fraction(1, 3)])
+    half = DensePoly([0.5])
+    for zero in (half - half, DensePoly([1.5]).scale(0.0), half.derivative(), DensePoly([Fraction(1, 2)]).scale(0.0),
+                 half * DensePoly([]), (half - half) * DensePoly([2.0])):
+        assert zero.is_zero() and not zero.exact, zero
+        got = zero + third
+        assert not got.exact and got.coeffs == (1 / 3,) and type(got.coeffs[0]) is float
+    one = DensePoly([1])
+    for zero in (DensePoly([]), DensePoly.zero(), one - one, DensePoly([Fraction(1, 2)]).scale(0), DensePoly([7]).derivative()):
+        assert zero.is_zero() and zero.exact and (zero + third).coeffs == (Fraction(1, 3),), zero
+
+
+def test_a_zero_bivariate_result_keeps_its_operands_field():
+    b = BivariatePoly([((1, 0), 0.5)])
+    third = BivariatePoly([((0, 0), Fraction(1, 3))])
+    for zero in ((b - b).scale(2.0), (b - b) * b, b * BivariatePoly(), b.scale(0.0)):
+        assert not zero.nums and not zero.exact, zero
+        got = zero + third
+        assert not got.exact and got.terms == (((0, 0), 1 / 3),) and type(got.terms[0][1]) is float
+    assert BivariatePoly().exact and BivariatePoly.zero().exact and (third - third).exact

@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from muhermite.core import gamma_mu_exact
+from muhermite.core import gamma_mu_exact, gamma_table
 from muhermite.hermite import (
     binomial_poly,
     dunkl_apply,
@@ -205,6 +207,73 @@ def test_float_coefficients_raise_instead_of_overflowing(mu):
         assert np.all(np.isfinite(np.array(build(150).coeffs, dtype=float)))
         with pytest.raises(OverflowError, match="pass mu as a Fraction"):
             build(first_over)
+
+
+def _float_sum(mu, n, t=None):
+    """H_n (t None) or heat_poly's floats, one term at a time in the order of the explicit sums:
+    (-1)^k n! 2^(n-2k) / (k! gamma_mu(n-2k)), or gamma_mu(n) t^k / (k! gamma_mu(n-2k)) with t^k
+    a running product."""
+    fact = [1.0]
+    for k in range(1, n + 1):
+        fact.append(fact[-1] * k)
+    gam = gamma_table(mu, n).values
+    coeffs = [0.0] * (n + 1)
+    tk = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n // 2 + 1):
+            m = n - 2 * k
+            if t is None:
+                coeffs[m] = (-1) ** k * fact[n] * 2.0**m / (fact[k] * gam[m])
+            else:
+                coeffs[m] = gam[n] * tk / (fact[k] * gam[m])
+                tk = tk * t
+    return coeffs
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.5, -0.25, 1.5, 100.0])
+def test_the_float_sums_keep_the_bits_of_a_term_by_term_loop(mu):
+    cases = [(lambda n: hermite_coeffs(mu, n), n, None) for n in range(152)]
+    for t in (1.0, -2 / 7, 3.0, 0.0, 0.1):
+        cases += [(lambda n, t=t: heat_poly(mu, n, t), n, t) for n in range(172)]
+    for build, n, t in cases:
+        want = _float_sum(mu, n, t)
+        if not all(math.isfinite(c) for c in want):
+            with pytest.raises(OverflowError, match="overflows float64; pass mu as a Fraction"):
+                build(n)
+            continue
+        while want and want[-1] == 0:  # at mu = 100 gamma_mu(148) is inf, so H_148's top coefficient reads 0
+            want.pop()
+        got = build(n)
+        assert not got.exact
+        assert [float(c).hex() for c in got.coeffs] == [c.hex() for c in want], (n, t)
+    with pytest.raises(OverflowError, match="H_151 overflows float64; pass mu as a Fraction"):
+        hermite_coeffs(mu, 151)
+
+
+def _plain_gamma(mu, m):
+    return math.prod((Fraction(j) + 2 * mu * (j % 2) for j in range(1, m + 1)), start=Fraction(1))
+
+
+# rational mu off the poles of the factorial recursion, where 2 mu is a negative odd integer
+_RATIONAL_MU = st.fractions(-3, 4, max_denominator=8).filter(lambda m: m not in (Fraction(-1, 2), Fraction(-3, 2), Fraction(-5, 2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RATIONAL_MU, st.fractions(-5, 5, max_denominator=9), st.integers(0, 24))
+@example(Fraction(-3, 4), Fraction(-2, 7), 13)
+@example(Fraction(-7, 4), Fraction(3), 16)
+def test_the_exact_sums_are_the_plain_fraction_sums(mu, t, n):
+    # gamma_mu goes negative below mu = -1/2 (gamma_mu(1) = 1 + 2 mu), so the integers carry signs
+    h = hermite_coeffs(mu, n)
+    heat = heat_poly(mu, n, t)
+    assert h.exact and heat.exact
+    for k in range(n // 2 + 1):
+        m = n - 2 * k
+        q = math.factorial(k) * _plain_gamma(mu, m)
+        assert h[m] == Fraction((-1) ** k * math.factorial(n) * 2**m) / q
+        assert heat[m] == _plain_gamma(mu, n) * t**k / q
+    assert h.degree == heat.degree == n
+    assert all(h[m] == 0 and heat[m] == 0 for m in range(n - 1, -1, -2))
 
 
 @pytest.mark.parametrize("n, x", [(400, 30.0), (400, 1.0), (400, [0.5, 1.0])])
