@@ -208,27 +208,36 @@ class _ArrayMemo:
 _array_memo = _ArrayMemo(_ARRAY_MEMO_BYTES)
 
 
-def _as_grid(x):
-    """(x as a flat float64 array, shaped): how every float function reads a real grid x.
+def _as_grid(*grids):
+    """(each grid as a flat float64 array, ..., shaped): how every float function reads its real points.
 
-    x may be a scalar (Python, numpy or 0-d) or an array or list of any
-    shape; a complex x raises TypeError and a non-finite entry ValueError.
-    ``shaped(vals)`` turns the flat results back: a Python float or complex
-    for a scalar x, otherwise an array in x's own shape.
+    ``xa, shaped = _as_grid(x)`` reads one grid, ``xa, ya, shaped = _as_grid(x, y)``
+    the two points of a kernel, broadcast together.  A grid may be a scalar
+    (Python, numpy or 0-d) or an array or list of any shape; a complex grid
+    raises TypeError and a non-finite entry ValueError, each naming the grid
+    (x, then y).  ``shaped(vals)`` turns the flat results back: a Python
+    float or complex when every grid is a scalar, otherwise an array in
+    their broadcast shape.
     """
-    xa = np.asarray(x)
-    if xa.dtype.kind == "c":  # float64 would drop the imaginary part with only a warning
-        raise TypeError(f"x must be real, got {xa.dtype} values")
-    xa = np.asarray(xa, dtype=float)
-    if not np.isfinite(xa).all():
-        raise ValueError("x must be finite; nan and inf lie past every route's reach")
+    flat = []
+    for name, g in zip("xy", grids):
+        a = np.asarray(g)
+        if a.dtype.kind == "c":  # float64 would drop the imaginary part with only a warning
+            raise TypeError(f"{name} must be real, got {a.dtype} values")
+        a = np.asarray(a, dtype=float)
+        if np.count_nonzero(np.isfinite(a)) < a.size:  # a third of .all()'s cost on a short grid
+            raise ValueError(f"{name} must be finite; nan and inf lie past every route's reach")
+        flat.append(a)
+    if len(flat) > 1:
+        flat = np.broadcast_arrays(*flat)
+    shape = flat[0].shape
 
     def shaped(vals):
-        if xa.ndim:
-            return vals.reshape(xa.shape)
+        if shape:
+            return vals.reshape(shape)
         return complex(vals[0]) if np.iscomplexobj(vals) else float(vals[0])
 
-    return xa.ravel(), shaped
+    return (*[a.ravel() for a in flat], shaped)
 
 
 @dataclass(frozen=True)

@@ -244,37 +244,42 @@ def c_s_mu(mu, x):
     return shaped(c), shaped(s)
 
 
-def mehler_rhs(mu, x: float, y: float, z):
+def mehler_rhs(mu, x, y, z):
     """Closed form of the bilinear eigenfunction sum sum_n phi_n(x) phi_n(y) z^n:
 
         (1 - z^2)^(-mu - 1/2) / Gamma(mu + 1/2)
         * exp(-(x^2 + y^2)(1 + z^2) / (2 (1 - z^2)))
         * e(2 x y z / (1 - z^2); mu),
 
-    valid for |z| < 1 (z may be complex).
+    valid for |z| < 1 (z may be complex).  x and y are grids read together
+    by core._as_grid, so they broadcast; scalar points give a Python float,
+    or a complex for a complex z.
     """
     value = _mu(mu)
-    x, y = _real(x, "the point x"), _real(y, "the point y")
+    xa, ya, shaped = _as_grid(x, y)
     if not abs(z) < 1:
         raise ValueError("the bilinear kernel needs |z| < 1")
+    z = complex(z) if np.iscomplexobj(z) else float(z)  # a Fraction z would make object arrays
     one_minus = 1.0 - z * z
     pref = one_minus ** (-value - 0.5) / gamma_half(value)
-    gauss = np.exp(-0.5 * (x * x + y * y) * (1.0 + z * z) / one_minus)
-    val = pref * gauss * e_mu(value, 2.0 * x * y * z / one_minus)
-    return val if isinstance(z, complex) else float(val.real if isinstance(val, complex) else val)
+    gauss = np.exp(-0.5 * (xa * xa + ya * ya) * (1.0 + z * z) / one_minus)
+    return shaped(pref * gauss * e_mu(value, 2.0 * xa * ya * z / one_minus))
 
 
-def heat_kernel(mu, x: float, y: float, t: float) -> float:
+def heat_kernel(mu, x, y, t: float):
     """Positive heat kernel for the deformed Laplacian at time t > 0:
 
         (4 t)^(-mu - 1/2) / Gamma(mu + 1/2)
         * exp(-(x^2 + y^2) / (4 t)) * e(x y / (2 t); mu).
 
-    Reduces at mu = 0 to the classical Gauss-Weierstrass kernel.
-    Raises OverflowError where the e(.; mu) factor leaves float64
-    (x y / (2 t) past ~700) before the Gaussian can tame it.
+    x and y are grids read together by core._as_grid, so they broadcast;
+    scalar points give a Python float.  Reduces at mu = 0 to the classical
+    Gauss-Weierstrass kernel.  Raises OverflowError where the e(.; mu)
+    factor leaves float64 (x y / (2 t) past ~700) before the Gaussian can
+    tame it.
     """
     value = _mu(mu)
-    x, y, t = _real(x, "the point x"), _real(y, "the point y"), _real(t, "semigroup time t", 0.0, False)
+    xa, ya, shaped = _as_grid(x, y)
+    t = _real(t, "semigroup time t", 0.0, False)
     pref = (4.0 * t) ** (-value - 0.5) / gamma_half(value)
-    return pref * math.exp(-(x * x + y * y) / (4.0 * t)) * e_mu(value, x * y / (2.0 * t))
+    return shaped(pref * np.exp(-(xa * xa + ya * ya) / (4.0 * t)) * e_mu(value, xa * ya / (2.0 * t)))

@@ -160,18 +160,21 @@ def heat_apply_kernel(mu, f, t: float, x, *, sigma: float = 0.0, quad_n: int = 9
     return shaped(vals)
 
 
-def heat_pde_residual(mu, family: str, t: float, x: float) -> float:
-    """Finite-difference defect of the radial heat equation on a closed-form flow.
+def heat_pde_residual(mu, family: str, t: float, x):
+    """Finite-difference defect of the radial heat equation on a closed-form flow, at each point of x.
 
     family 'even' (heat_gaussian at z = 0): psi_t = psi_xx + (2 mu / x) psi_x
     family 'odd' (heat_odd_gaussian)      : psi_t = psi_xx + (2 mu / x) psi_x - (2 mu / x^2) psi
 
     Both flows start from rate alpha = 1.  Central differences with step
-    h = 1e-4 in both variables; needs t > h and |x| >= 0.1 (the 1/x terms
-    are genuinely singular at the origin).
+    h = 1e-4 in both variables; needs t > h and |x| >= 0.1 at every point
+    (the 1/x terms are genuinely singular at the origin).  x is a grid
+    (core._as_grid): a scalar gives a Python float, an array the defect at
+    each point in its shape, with the bits of the scalar calls.
     """
     value = _mu(mu)
-    t, x = _real(t, "semigroup time t", 0.0), _real(x, "the point x")
+    t = _real(t, "semigroup time t", 0.0)
+    x, shaped = _as_grid(x)
     h = 1e-4
     if family == "even":
         psi = lambda x, t: heat_gaussian(value, 1.0, 0.0, t, x)
@@ -179,18 +182,18 @@ def heat_pde_residual(mu, family: str, t: float, x: float) -> float:
         psi = lambda x, t: heat_odd_gaussian(value, 1.0, t, x)
     else:
         raise ValueError("family must be 'even' or 'odd'")
-    if abs(x) < 0.1:
+    if not np.all(np.abs(x) >= 0.1):
         raise ValueError("residual check excludes |x| < 0.1 near the 1/x singularity")
     if not t > h:
         raise ValueError("need t > h for the centered time difference")
-    left, mid, right = psi(np.array([x - h, x, x + h]), t)
+    left, mid, right = psi(np.stack([x - h, x, x + h]), t)
     pt = (psi(x, t + h) - psi(x, t - h)) / (2.0 * h)
     px = (right - left) / (2.0 * h)
     pxx = (right - 2.0 * mid + left) / (h * h)
     rhs = pxx + (2.0 * value / x) * px
     if family == "odd":
         rhs -= (2.0 * value / (x * x)) * mid
-    return float(abs(pt - rhs))
+    return shaped(np.abs(pt - rhs))
 
 
 def heat_spectral_matrix(mu, t: float, size: int) -> np.ndarray:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from fractions import Fraction
 
 import numpy as np
@@ -52,12 +53,13 @@ def _even_sum(mu, n: int, t, hermite: bool) -> DensePoly:
     (hermite), else heat_poly with lead = gamma_mu(n).  Term k is lead p_k / q_k, p_k = a^k v_m and
     q_k = b^k k! u_m (m = n - 2k), from gamma_mu(m) = u_m / v_m and t = a / b.  Exact, the integers
     lead p_k go over the lcm of the q_k and are reduced once; in floats (v_m = b = 1) term k is
-    lead t^k / (k! gamma_mu(m)) in that order, with k!, n! and t^k running products."""
+    lead t^k / (k! gamma_mu(m)) in that order, with k!, t^k and n! 2^n running products (the last
+    a product of 2k, which reaches inf where 2.0 ** n would raise)."""
     exact = _exact(mu, t)
     n = _count(n, "polynomial degree" if hermite else "monomial degree")
     one = 1 if exact else 1.0
     fact = [one]
-    for k in range(1, n + 1):
+    for k in range(1, n // 2 + 1):
         fact.append(fact[-1] * k)
     # gamma_mu(n), gamma_mu(n - 2), ..., the denominators of terms 0, 1, ...
     if exact:
@@ -66,7 +68,7 @@ def _even_sum(mu, n: int, t, hermite: bool) -> DensePoly:
     else:
         gam = [(g, 1.0) for g in gamma_table(mu, n).values[n::-2]]
         a, b = float(t), 1.0
-    lead, lead_den = (fact[n] * (2 * one) ** n, 1) if hermite else gam[0]
+    lead, lead_den = (math.prod(range(2, 2 * n + 1, 2), start=one), 1) if hermite else gam[0]
     terms = []
     ak = bk = one
     with np.errstate(over="ignore", invalid="ignore"):
@@ -79,7 +81,8 @@ def _even_sum(mu, n: int, t, hermite: bool) -> DensePoly:
             coeffs[n::-2] = [p * (den // q) for p, q in terms]
             return DensePoly._result(coeffs, lead_den * den, True)
         coeffs[n::-2] = [p / q for p, q in terms]
-    if not all(math.isfinite(c) for c in coeffs):
+    # a denominator past the float range would read its term as 0
+    if not all(math.isfinite(c) for c in coeffs + [q for _, q in terms]):
         what = f"H_{n}" if hermite else f"heat_poly of degree {n}"
         raise OverflowError(f"{what} overflows float64; pass mu as a Fraction")
     return DensePoly._result(coeffs, 1, False)
@@ -88,7 +91,8 @@ def _even_sum(mu, n: int, t, hermite: bool) -> DensePoly:
 def hermite_coeffs(mu, n: int) -> DensePoly:
     """Coefficient vector of H_n(x; mu) from the explicit sum; exact for a rational mu.
 
-    The float path raises OverflowError from n = 151 on.
+    The float path raises OverflowError from n = 151 on, or earlier where
+    gamma_mu(n) overflows (n = 148 at mu = 100).
     """
     return _even_sum(mu, n, Fraction(-1, 4), True)
 
@@ -210,6 +214,9 @@ def heat_poly(mu, n: int, t) -> DensePoly:
     At mu = 0 these are the classical heat polynomials (x^2 + 2t, ...).
     The float path raises OverflowError once gamma_mu(n) does (n ~ 170).
     """
-    if not _exact(mu, t) and not math.isfinite(t):
-        raise ValueError(f"heat_poly needs a finite time t, got {t}")
+    if not _exact(mu, t):
+        if not isinstance(t, numbers.Real):
+            raise TypeError(f"heat_poly's time t must be a real number, got {t!r}")
+        if not math.isfinite(t):
+            raise ValueError(f"heat_poly needs a finite time t, got {t}")
     return _even_sum(mu, n, t, False)

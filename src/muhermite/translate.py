@@ -49,8 +49,12 @@ __all__ = [
 ]
 
 
-def heron_psi(x: float, y: float, xi: float) -> float:
-    """((x+y)^2 - xi^2)(xi^2 - (x-y)^2) / 16; positive iff |x|,|y|,|xi| form a triangle."""
+def heron_psi(x, y, xi):
+    """((x+y)^2 - xi^2)(xi^2 - (x-y)^2) / 16; positive iff |x|,|y|,|xi| form a triangle.
+
+    Elementwise: floats give a float, arrays (broadcast together) an array.
+    It checks nothing; translate_xi checks the points it passes.
+    """
     return ((x + y) ** 2 - xi * xi) * (xi * xi - (x - y) ** 2) / 16.0
 
 

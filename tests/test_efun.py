@@ -126,6 +126,46 @@ class TestHeatKernel:
             heat_kernel(0.5, 0.1, 0.2, 0.0)
 
 
+_KERNEL_GRID = np.random.default_rng(7).uniform(-3.0, 3.0, (2, 40))
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.6, 1.5, -0.25, 3.0])
+def test_the_kernels_on_arrays_match_their_scalar_calls(mu):
+    # An array's e_mu factor is summed to the term count of its largest |z|, a lone point's
+    # to its own, so the two differ within e_mu's error scale eps e(|z|; mu): here, within
+    # eps of the same kernel at |x|, |y|, |z| (0.05 eps of it seen).
+    x, y = _KERNEL_GRID
+    pairs = list(zip(x.tolist(), y.tolist()))
+    eps = np.finfo(float).eps
+    for t in (0.1, 0.4, 2.0):
+        got = heat_kernel(mu, x, y, t)
+        one_by_one = np.array([heat_kernel(mu, a, b, t) for a, b in pairs])
+        assert np.all(np.abs(got - one_by_one) <= eps * heat_kernel(mu, np.abs(x), np.abs(y), t))
+    for z in (0.2, -0.6, 0.9, 0.3 + 0.2j, -0.5j):
+        got = mehler_rhs(mu, x, y, z)
+        one_by_one = np.array([mehler_rhs(mu, a, b, z) for a, b in pairs])
+        if isinstance(z, complex):
+            # a complex z's Gaussian is not that of |z|: |prefactor x Gaussian| e(|w|; mu) is the scale
+            w = 2.0 * x * y * z / (1.0 - z * z)
+            scale = np.abs(one_by_one / e_mu(mu, w)) * e_mu(mu, np.abs(w))
+        else:
+            scale = mehler_rhs(mu, np.abs(x), np.abs(y), abs(z))
+        assert np.all(np.abs(got - one_by_one) <= eps * scale), z
+
+
+def test_the_kernels_broadcast_their_points_and_keep_scalar_results():
+    x, y = np.array([[0.3], [-1.1]]), [0.5, 0.2, -0.7]
+    assert heat_kernel(0.5, x, y, 0.4).shape == mehler_rhs(0.5, x, y, 0.3j).shape == (2, 3)
+    assert_array_equal(heat_kernel(0.5, x, y, 0.4)[1], heat_kernel(0.5, -1.1, np.array(y), 0.4))
+    assert type(heat_kernel(0.5, 0.3, 0.5, 0.4)) is float
+    assert type(mehler_rhs(0.5, 0.3, 0.5, 0.3)) is float
+    assert type(mehler_rhs(0.5, 0.3, 0.5, 0.3j)) is complex
+    # a numpy complex64 z is no Python complex; its imaginary part was dropped with a ComplexWarning
+    assert type(mehler_rhs(0.5, 0.3, 0.5, np.complex64(0.3j))) is complex
+    with pytest.raises(ValueError, match="shape mismatch"):
+        heat_kernel(0.5, [0.1, 0.2], [0.1, 0.2, 0.3], 0.4)
+
+
 def test_overflow_raises_instead_of_inf_or_nan():
     with pytest.raises(OverflowError, match="overflows float64"):
         e_mu(0.5, 800.0)

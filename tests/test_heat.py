@@ -142,6 +142,19 @@ class TestPdeResidual:
     def test_guard_near_origin(self):
         with pytest.raises(ValueError, match=r"\|x\| < 0.1"):
             heat_pde_residual(0.5, "even", 0.5, 0.05)
+        with pytest.raises(ValueError, match=r"\|x\| < 0.1"):
+            heat_pde_residual(0.5, "even", 0.5, [1.0, -0.05])
+
+    @pytest.mark.parametrize("mu", [0.0, 0.5, 1.5, -0.25])
+    def test_an_array_has_the_bits_of_its_scalar_calls(self, mu):
+        x = np.array([[-2.5, -1.5, -0.7, 0.3], [0.7, 1.5, 2.5, -0.1]])
+        for family in ("even", "odd"):
+            for t in (0.1, 0.5, 2.0):
+                got = heat_pde_residual(mu, family, t, x)
+                assert got.shape == x.shape
+                one_by_one = [heat_pde_residual(mu, family, t, v) for v in x.ravel().tolist()]
+                assert all(type(v) is float for v in one_by_one)
+                assert_array_equal(got.ravel(), one_by_one)
 
     def test_guard_short_time(self):
         with pytest.raises(ValueError, match="t > h"):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -212,7 +213,7 @@ def test_float_coefficients_raise_instead_of_overflowing(mu):
 def _float_sum(mu, n, t=None):
     """H_n (t None) or heat_poly's floats, one term at a time in the order of the explicit sums:
     (-1)^k n! 2^(n-2k) / (k! gamma_mu(n-2k)), or gamma_mu(n) t^k / (k! gamma_mu(n-2k)) with t^k
-    a running product."""
+    a running product; inf for a term whose denominator is past the float range."""
     fact = [1.0]
     for k in range(1, n + 1):
         fact.append(fact[-1] * k)
@@ -222,11 +223,14 @@ def _float_sum(mu, n, t=None):
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n // 2 + 1):
             m = n - 2 * k
+            q = fact[k] * gam[m]
             if t is None:
-                coeffs[m] = (-1) ** k * fact[n] * 2.0**m / (fact[k] * gam[m])
+                coeffs[m] = (-1) ** k * fact[n] * 2.0**m / q
             else:
-                coeffs[m] = gam[n] * tk / (fact[k] * gam[m])
+                coeffs[m] = gam[n] * tk / q
                 tk = tk * t
+            if not math.isfinite(q):
+                coeffs[m] = math.inf
     return coeffs
 
 
@@ -241,8 +245,6 @@ def test_the_float_sums_keep_the_bits_of_a_term_by_term_loop(mu):
             with pytest.raises(OverflowError, match="overflows float64; pass mu as a Fraction"):
                 build(n)
             continue
-        while want and want[-1] == 0:  # at mu = 100 gamma_mu(148) is inf, so H_148's top coefficient reads 0
-            want.pop()
         got = build(n)
         assert not got.exact
         assert [float(c).hex() for c in got.coeffs] == [c.hex() for c in want], (n, t)
@@ -287,6 +289,29 @@ def test_hermite_transform_raises_past_the_float_range():
     # this returned nan+nanj
     with pytest.raises(OverflowError, match=r"H_300\(x; mu\) overflows float64"):
         transform_of_hermite_gaussian(0.5, 300, 2.0, 1.0, [3.0])
+
+
+@pytest.mark.parametrize("n", [148, 149, 150])
+def test_hermite_coeffs_raises_where_gamma_mu_of_n_overflows(n):
+    # gamma_mu(n) is inf at mu = 100 from n = 148 on, and H_n's top coefficient read 0:
+    # the float path returned degree n - 2, where the exact top coefficient of H_148 is 1.48e-7
+    assert float(hermite_coeffs(Fraction(100), n)[n]) > 1e-8
+    with pytest.raises(OverflowError, match=f"^H_{n} overflows float64; pass mu as a Fraction$"):
+        hermite_coeffs(100.0, n)
+
+
+@pytest.mark.parametrize("n", [1023, 1024, 1100])
+def test_hermite_coeffs_past_degree_1023_raises_the_documented_overflow(n):
+    # 2.0 ** n raised a bare OverflowError(34, 'Numerical result out of range') from n = 1024 on
+    with pytest.raises(OverflowError, match=f"^H_{n} overflows float64; pass mu as a Fraction$"):
+        hermite_coeffs(0.5, n)
+
+
+@pytest.mark.parametrize("t", [1j, np.complex128(0.5), "0.5", None])
+def test_heat_poly_refuses_a_time_that_is_not_real(t):
+    # math.isfinite raised "must be real number, not complex", naming neither t nor heat_poly
+    with pytest.raises(TypeError, match=f"^heat_poly's time t must be a real number, got {re.escape(repr(t))}$"):
+        heat_poly(0.5, 4, t)
 
 
 @pytest.mark.parametrize("exact", [False, True])

@@ -49,7 +49,7 @@ def _gauss(t):
 
 
 _TIME, _SIGMA, _LAM = "semigroup time t", "the envelope rate sigma", "the Gaussian rate lam"
-_X, _Y, _SHIFT = "the point x", "the point y", "the shift y"
+_X, _SHIFT = "the point x", "the shift y"
 
 # (function, parameter) -> (call on the value, the parameter's name in the errors, lower bound, closed)
 CASES = {
@@ -57,10 +57,6 @@ CASES = {
     ("beta_function", "b"): (lambda v: beta_function(0.7, v), "beta_function's b", 0.0, False),
     ("jacobi_rule", "a"): (lambda v: jacobi_rule(v, 0.3, 6), "jacobi_rule's a", -1.0, False),
     ("jacobi_rule", "b"): (lambda v: jacobi_rule(0.3, v, 6), "jacobi_rule's b", -1.0, False),
-    ("mehler_rhs", "x"): (lambda v: mehler_rhs(0.5, v, 0.4, 0.3), _X, -math.inf, True),
-    ("mehler_rhs", "y"): (lambda v: mehler_rhs(0.5, 0.4, v, 0.3), _Y, -math.inf, True),
-    ("heat_kernel", "x"): (lambda v: heat_kernel(0.5, v, 0.4, 0.3), _X, -math.inf, True),
-    ("heat_kernel", "y"): (lambda v: heat_kernel(0.5, 0.4, v, 0.3), _Y, -math.inf, True),
     ("heat_kernel", "t"): (lambda v: heat_kernel(0.5, 0.4, 0.6, v), _TIME, 0.0, False),
     ("heat_gaussian_params", "t"): (lambda v: heat_gaussian_params(0.5, 1.0, 0.3, v), _TIME, 0.0, True),
     ("heat_gaussian", "t"): (lambda v: heat_gaussian(0.5, 1.0, 0.3, v, 0.4), _TIME, 0.0, True),
@@ -70,7 +66,6 @@ CASES = {
     # the kernel's own rate 1/4t is added to sigma, so sigma = 0 is allowed here
     ("heat_apply_kernel", "sigma"): (lambda v: heat_apply_kernel(0.5, _gauss, 0.4, 0.4, sigma=v), _SIGMA, 0.0, True),
     ("heat_pde_residual", "t"): (lambda v: heat_pde_residual(0.5, "odd", v, 0.4), _TIME, 0.0, True),
-    ("heat_pde_residual", "x"): (lambda v: heat_pde_residual(0.5, "odd", 0.3, v), _X, -math.inf, True),
     ("expand", "sigma"): (lambda v: expand(0.5, _gauss, 6, sigma=v), _SIGMA, 0.0, True),
     ("l2mu_norm", "sigma"): (lambda v: l2mu_norm(_gauss, sigma=v, mu=0.5), _SIGMA, 0.0, False),
     ("fourier_quadrature", "sigma"): (lambda v: fourier_quadrature(0.5, _gauss, 0.4, sigma=v), _SIGMA, 0.0, False),
@@ -104,17 +99,18 @@ CASES = {
     ("translate_spectral_matrix", "y"): (lambda v: translate_spectral_matrix(0.5, v, 6), _SHIFT, -math.inf, True),
 }
 
-_GRID = "a grid x: core._as_grid reads scalars and arrays of any shape and refuses a nan or an inf"
+_GRID = "a grid: core._as_grid reads scalars and arrays of any shape and refuses a nan or an inf"
 EXEMPT = {
     **{
         (name, "x"): _GRID
         for name in (
             "c_s_mu", "hermite_eval", "phi_eval", "phi_poly_table", "synthesize", "fourier_quadrature",
-            "heat_gaussian", "heat_odd_gaussian", "heat_apply_kernel", "transform_of_gaussian",
+            "heat_gaussian", "heat_odd_gaussian", "heat_apply_kernel", "heat_pde_residual", "transform_of_gaussian",
             "transform_of_monomial_gaussian", "transform_of_efun_gaussian", "transform_of_hermite_gaussian",
             "translate_gaussian_closed", "translate_odd_gaussian_closed",
         )
     },
+    **{(name, p): _GRID for name in ("mehler_rhs", "heat_kernel") for p in ("x", "y")},
     ("heat_poly", "t"): "exact path: an int or a Fraction t keeps the polynomial exact, a float must be finite",
     ("translate_poly", "y"): "exact path: an int or a Fraction y keeps the polynomial exact, a complex y is allowed",
     ("heron_psi", "x"): "an elementwise formula on floats or arrays; translate_xi checks the points it passes",
@@ -187,6 +183,14 @@ _GRID_READERS = {
     "fourier_quadrature": lambda x: fourier_quadrature(0.5, _gauss, x, sigma=1.0),
     "transform_of_gaussian": lambda x: transform_of_gaussian(0.5, 1.0, x),
     "translate_gaussian_closed": lambda x: translate_gaussian_closed(0.5, 0.5, x, 0.3),
+    "heat_kernel": lambda x: heat_kernel(0.5, x, 0.4, 0.3),
+    "mehler_rhs": lambda x: mehler_rhs(0.5, x, 0.4, 0.3),
+    "heat_pde_residual": lambda x: heat_pde_residual(0.5, "odd", 0.3, x),
+}
+# the second point of a two-point kernel, read with x by the same core._as_grid
+_Y_READERS = {
+    "heat_kernel": lambda y: heat_kernel(0.5, 0.4, y, 0.3),
+    "mehler_rhs": lambda y: mehler_rhs(0.5, 0.4, y, 0.3),
 }
 _COMPLEX_GRIDS = {
     "ndarray": np.array([1 + 1j, 0.5 + 2j]),
@@ -204,3 +208,13 @@ def test_a_complex_grid_raises_type_error(name, grid):
     # a complex array or numpy scalar lost its imaginary part, with only a ComplexWarning
     with pytest.raises(TypeError, match="x must be real"):
         _GRID_READERS[name](_COMPLEX_GRIDS[grid])
+
+
+@pytest.mark.parametrize("name", sorted(_Y_READERS))
+def test_a_grid_y_is_named_in_its_errors(name):
+    call = _Y_READERS[name]
+    for bad in (math.nan, [0.5, math.inf], np.array([-math.inf])):
+        with pytest.raises(ValueError, match="^y must be finite"):
+            call(bad)
+    with pytest.raises(TypeError, match="^y must be real"):
+        call(np.array([0.5, 1j]))
